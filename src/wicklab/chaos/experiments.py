@@ -125,6 +125,52 @@ def _stats(x: np.ndarray) -> dict:
     }
 
 
+def _qv_rows(
+    B: np.ndarray,
+    G: np.ndarray,
+    g: np.ndarray,
+    strides: Sequence[int],
+    law: Law,
+    paths: int,
+    seed: int,
+) -> list:
+    """Monte Carlo statistics of the partition quadratic variation against the
+    limit object, one row per stride of the cumulative kernels ``B``.
+
+    All rows share one sample of ``paths`` realizations.  QV = sum_k
+    (x' A_k x - tr A_k)^2 over the increment kernels A_k of ``B[::stride]``;
+    RHS = x' G x + m3 g.x is the per-realization limit quadratic form.
+    """
+    if paths < 2:
+        raise ValueError("paths must be >= 2 for a standard error")
+    N = G.shape[0]
+    m3 = float(standardized_moments(law, 3)[3])
+    X = sample(law, seed, paths * N).reshape(paths, N)
+    RHS = np.einsum("pi,ij,pj->p", X, G, X) + m3 * (X @ g)
+    rows = []
+    for stride in strides:
+        Bd = B[::stride]
+        A = Bd[1:] - Bd[:-1]
+        A = 0.5 * (A + np.transpose(A, (0, 2, 1)))
+        tr = np.trace(A, axis1=1, axis2=2)
+        inc = np.einsum("pi,kij,pj->pk", X, A, X) - tr[None, :]
+        QV = (inc * inc).sum(axis=1)
+        err = (QV - RHS) ** 2
+        rows.append(
+            {
+                "err": _stats(err),
+                "qv": _stats(QV),
+                "rhs": _stats(RHS),
+                "mean_gap": float(abs(QV.mean() - RHS.mean())),
+                "mean_gap_stderr": float(
+                    math.sqrt(QV.std(ddof=1) ** 2 + RHS.std(ddof=1) ** 2)
+                    / math.sqrt(paths)
+                ),
+            }
+        )
+    return rows
+
+
 def qv_experiment(
     h1: PiecewisePoly,
     h2: PiecewisePoly,
@@ -135,7 +181,6 @@ def qv_experiment(
     paths: int,
     seed: int,
     basis: Optional[LegendreBasis] = None,
-    kernels: Optional[np.ndarray] = None,
 ) -> dict:
     """Partition quadratic variation against the limit object, per depth.
 
@@ -147,34 +192,11 @@ def qv_experiment(
     t = Q(t)
     dmax = max(depths)
     points = [t * Q(k, 2**dmax) for k in range(2**dmax + 1)]
-    B = cumulative_triangle(h1, h2, basis, points) if kernels is None else kernels
+    B = cumulative_triangle(h1, h2, basis, points)
     G, g = qv_rhs_quadratics(h1, h2, basis, t)
-    m3 = float(standardized_moments(law, 3)[3])
-    X = sample(law, seed, paths * N).reshape(paths, N)
-    RHS = np.einsum("pi,ij,pj->p", X, G, X) + m3 * (X @ g)
-    rows = []
-    for d in depths:
-        stride = 2 ** (dmax - d)
-        Bd = B[::stride]
-        A = Bd[1:] - Bd[:-1]
-        A = 0.5 * (A + np.transpose(A, (0, 2, 1)))
-        tr = np.trace(A, axis1=1, axis2=2)
-        inc = np.einsum("pi,kij,pj->pk", X, A, X) - tr[None, :]
-        QV = (inc * inc).sum(axis=1)
-        err = (QV - RHS) ** 2
-        rows.append(
-            {
-                "depth": d,
-                "err": _stats(err),
-                "qv": _stats(QV),
-                "rhs": _stats(RHS),
-                "mean_gap": float(abs(QV.mean() - RHS.mean())),
-                "mean_gap_stderr": float(
-                    math.sqrt(QV.std(ddof=1) ** 2 + RHS.std(ddof=1) ** 2)
-                    / math.sqrt(paths)
-                ),
-            }
-        )
+    strides = [2 ** (dmax - d) for d in depths]
+    rows = _qv_rows(B, G, g, strides, law, paths, seed)
+    rows = [{"depth": d, **row} for d, row in zip(depths, rows)]
     return {"t": str(t), "N": N, "paths": paths, "seed": seed, "rows": rows}
 
 
@@ -192,28 +214,8 @@ def qv_joint_refinement(
     rows = []
     for N, d in pairs:
         B, G, g = legendre_float_cumulative(N, d, float(t))
-        m3 = float(standardized_moments(law, 3)[3])
-        X = sample(law, seed, paths * N).reshape(paths, N)
-        RHS = np.einsum("pi,ij,pj->p", X, G, X) + m3 * (X @ g)
-        A = B[1:] - B[:-1]
-        A = 0.5 * (A + np.transpose(A, (0, 2, 1)))
-        tr = np.trace(A, axis1=1, axis2=2)
-        inc = np.einsum("pi,kij,pj->pk", X, A, X) - tr[None, :]
-        QV = (inc * inc).sum(axis=1)
-        err = (QV - RHS) ** 2
-        rows.append(
-            {
-                "N": N,
-                "depth": d,
-                "err": _stats(err),
-                "qv": _stats(QV),
-                "rhs": _stats(RHS),
-                "mean_gap_stderr": float(
-                    math.sqrt(QV.std(ddof=1) ** 2 + RHS.std(ddof=1) ** 2)
-                    / math.sqrt(paths)
-                ),
-            }
-        )
+        (row,) = _qv_rows(B, G, g, [1], law, paths, seed)
+        rows.append({"N": N, "depth": d, **row})
     return {"paths": paths, "seed": seed, "rows": rows}
 
 

@@ -123,19 +123,21 @@ def ito_bracket(
 
 def ito_residual(
     h: PiecewisePoly, g: PiecewisePoly, basis: LegendreBasis, xs: np.ndarray
-) -> float:
-    """|Phi(h)Phi(g) - I(h,g) - I(g,h) - bracket_N| on one realization."""
-    ch = coeffs_of(h, basis).floats()
-    cg = coeffs_of(g, basis).floats()
-    Khg, _ = triangle_kernel(h, g, basis)
-    Kgh, _ = triangle_kernel(g, h, basis)
-    lhs = phi(ch, xs) * phi(cg, xs)
-    rhs = (
-        integral_eval(Khg, xs)
-        + integral_eval(Kgh, xs)
-        + float(coeffs_of(h, basis).dot(coeffs_of(g, basis)))
+) -> np.ndarray:
+    """|Phi(h)Phi(g) - I(h,g) - I(g,h) - bracket_N| on each realization, one
+    per row of the (paths, N) array ``xs``; the kernels are built once."""
+    ch = coeffs_of(h, basis)
+    cg = coeffs_of(g, basis)
+    ch_f, cg_f = ch.floats(), cg.floats()
+    Ahg = triangle_kernel(h, g, basis)[0].floats()
+    Agh = triangle_kernel(g, h, basis)[0].floats()
+    bracket = float(ch.dot(cg))
+    return np.array(
+        [
+            abs(phi(ch_f, x) * phi(cg_f, x) - (j2_eval(Ahg, x) + j2_eval(Agh, x) + bracket))
+            for x in xs
+        ]
     )
-    return abs(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
-from typing import Dict, Tuple
+from typing import Dict
 
 from ..exact import Q, Rad, RadSum
 from ..laws import Law, MomentSequence, standardized_moments
@@ -159,20 +159,6 @@ class GammaTables:
                     best = max(best, val)
         return best
 
-    def a_weight(self, alphas: Tuple[int, ...]) -> Fraction:
-        """prod E[P_{alpha_i}^2] / prod alpha_i!."""
-        out = Q(1)
-        for a in alphas:
-            out *= self._h[a] / math.factorial(a)
-        return out
-
-    def a_sup(self, n: int = 4) -> Fraction:
-        best = Q(0)
-        for r in range(1, n + 1):
-            for alphas in self._compositions(n, r, 1):
-                best = max(best, self.a_weight(alphas))
-        return best
-
 
 # ---------------------------------------------------------------------------
 # symmetric tensors in signature form
@@ -277,12 +263,6 @@ class SymTensor:
                     t_new.extend([idx] * (alpha - ki))
                 out.add_term(tuple(t_new), _radsum_if_exact(lam) * weight)
         return out
-
-    def project_diagonal(self) -> "SymTensor":
-        """pi_1 for order 2: keep the e_j o e_j part."""
-        if self.order != 2:
-            raise ValueError("diagonal projection is an order-2 operation")
-        return SymTensor(2, {t: v for t, v in self.terms.items() if t[0] == t[1]})
 
     # -- evaluation and expectation --------------------------------------------
     def phi_eval(self, pvals) -> float:

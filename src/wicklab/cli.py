@@ -17,9 +17,9 @@ import os
 import random
 import sys
 import time
-import numpy as np
 
 from . import chaos, discrete, laws, rademacher, wick
+from .chaos.identities import ito_residual
 from .exact import Q
 from .report import Check, ExperimentReport
 
@@ -44,6 +44,76 @@ def parse_fraction_list(text: str) -> list:
 
 
 # ---------------------------------------------------------------------------
+# checks shared by the subcommands and the battery
+
+
+def _wick_row(m: laws.MomentSequence, n: int) -> tuple:
+    """W_n from the explicit formula, and whether both recurrences agree with
+    it and both differential-equation residuals vanish."""
+    w = wick.wick_explicit(m, n)
+    r1 = wick.wick_recurrence1(m, n)
+    r2 = wick.wick_recurrence2(m, n)
+    agree = w.coeffs == r1.coeffs == r2.coeffs
+    ode_ok = wick.ode_residual(w, m, 1) == [] and wick.ode_residual(w, m, 2) == []
+    return w, agree and ode_ok
+
+
+def _factorization(ps: rademacher.PartitionSystem, cdf: rademacher.JumpCDF, tuples) -> list:
+    """(ks, eps, joint law, product of phi_factor) for every sign pattern of
+    every index tuple; independence means joint == product on each row."""
+    rows = []
+    for ks in tuples:
+        for eps in itertools.product((-1, 1), repeat=len(ks)):
+            joint = rademacher.transport_joint_law(ps, cdf, ks, list(eps))
+            product = Q(1)
+            for k, e in zip(ks, eps):
+                product *= rademacher.phi_factor(ps, k, e)
+            rows.append((ks, list(eps), joint, product))
+    return rows
+
+
+def _bilinear_and_oracle(sp: discrete.FiniteSpace, b, c) -> tuple:
+    """The bilinear A-matrix independence test and the brute-force oracle."""
+    return discrete.independent(sp, b, c), discrete.independent_oracle(sp, b, c)
+
+
+def _max_system(N: int) -> tuple:
+    """The maximal independent system on N atoms and its atom condition."""
+    sp, bs = discrete.build_max_system(N)
+    return sp, bs, discrete.atom_condition(sp, bs)
+
+
+def _norm_identities(pairs, basis: chaos.LegendreBasis, tab: chaos.GammaTables) -> list:
+    """Both sides of the squared-norm identity for each (h, g) pair."""
+    return [chaos.norm_identity(h, g, basis, tab) for h, g in pairs]
+
+
+def _worst_order_residual(draws, tab: chaos.GammaTables) -> float:
+    """Largest relative residual of the pointwise order decomposition over
+    (kernel, realization) draws."""
+    worst = 0.0
+    for K, xs in draws:
+        out = chaos.order_decomposition(K, tab, xs)
+        worst = max(worst, out["residual"] / out["scale"])
+    return worst
+
+
+def _rounding_check(name: str, worst: float) -> Check:
+    """A pointwise identity whose residual must be rounding noise only."""
+    return Check(name, "estimate", worst, tol=1e-10, passed=worst < 1e-10)
+
+
+def _decreasing(xs: list) -> bool:
+    return all(a > b for a, b in zip(xs, xs[1:]))
+
+
+def _joint_refinement_errors(law: laws.Law, pairs, paths: int, seed: int) -> list:
+    """Mean squared QV errors along an (N, depth) schedule."""
+    rows = chaos.qv_joint_refinement(law, pairs, paths, seed)["rows"]
+    return [row["err"]["mean"] for row in rows]
+
+
+# ---------------------------------------------------------------------------
 # wick
 
 
@@ -54,17 +124,13 @@ def run_wick_table(args) -> ExperimentReport:
     m = laws.moments(law, 2 * nmax)
     lines = []
     for n in range(nmax + 1):
-        w = wick.wick_explicit(m, n)
-        r1 = wick.wick_recurrence1(m, n)
-        r2 = wick.wick_recurrence2(m, n)
-        agree = w.coeffs == r1.coeffs == r2.coeffs
-        ode_ok = wick.ode_residual(w, m, 1) == [] and wick.ode_residual(w, m, 2) == []
+        w, ok = _wick_row(m, n)
         rep.add(
             Check(
                 f"W_{n}",
                 "exact",
                 {"coeffs": list(w.coeffs), "text": str(w)},
-                passed=agree and ode_ok and w.is_monic(),
+                passed=ok and w.is_monic(),
             )
         )
         lines.append(f"W_{n}(x) = {w}")
@@ -105,23 +171,15 @@ def run_rademacher_verify(args) -> ExperimentReport:
             ks = sorted(rng.sample(range(1, depth + 1), min(size, depth)))
             if ks not in tuples:
                 tuples.append(ks)
-    all_ok = True
-    for ks in tuples:
-        for eps in itertools.product((-1, 1), repeat=len(ks)):
-            joint = rademacher.transport_joint_law(ps, cdf, ks, list(eps))
-            product = Q(1)
-            for k, e in zip(ks, eps):
-                product *= rademacher.phi_factor(ps, k, e)
-            ok = joint == product
-            all_ok = all_ok and ok
-            rep.add(
-                Check(
-                    f"tuple {ks} signs {list(eps)}",
-                    "exact",
-                    {"joint": joint, "product": product},
-                    passed=ok,
-                )
+    for ks, eps, joint, product in _factorization(ps, cdf, tuples):
+        rep.add(
+            Check(
+                f"tuple {ks} signs {eps}",
+                "exact",
+                {"joint": joint, "product": product},
+                passed=joint == product,
             )
+        )
     if cdf.delta > 0:
         gap_ok = all(rademacher.gap_inside_cell(ps, cdf, k) for k in range(1, depth + 1))
         rep.add(Check("gap_inside_single_cell", "exact", gap_ok, passed=gap_ok))
@@ -148,9 +206,7 @@ def run_discrete_check(args) -> ExperimentReport:
     )
     for i in range(len(rvs)):
         for j in range(i + 1, len(rvs)):
-            bi, bj = rvs[i], rvs[j]
-            a_test = discrete.independent(sp, bi, bj)
-            oracle = discrete.independent_oracle(sp, bi, bj)
+            a_test, oracle = _bilinear_and_oracle(sp, rvs[i], rvs[j])
             rep.add(
                 Check(
                     f"independent({i},{j})",
@@ -166,16 +222,9 @@ def run_discrete_check(args) -> ExperimentReport:
 
 
 def run_discrete_maxsystem(args) -> ExperimentReport:
-    sp, bs = discrete.build_max_system(args.N)
+    sp, bs, atoms = _max_system(args.N)
     rep = ExperimentReport("discrete maxsystem", {"N": args.N})
-    rep.add(
-        Check(
-            "atom_condition",
-            "exact",
-            discrete.atom_condition(sp, bs),
-            passed=discrete.atom_condition(sp, bs),
-        )
-    )
+    rep.add(Check("atom_condition", "exact", atoms, passed=atoms))
     pairwise = all(
         discrete.independent(sp, bs[i], bs[j])
         for i in range(len(bs))
@@ -197,21 +246,15 @@ def run_discrete_maxsystem(args) -> ExperimentReport:
 # chaos
 
 
-def _law_tables(law):
-    return chaos.GammaTables.for_law(law)
-
-
 def run_chaos_norm(args) -> ExperimentReport:
     law = laws.parse_law(args.law)
     N = args.truncation
     rep = ExperimentReport(
         "chaos norm", {"law": law.label(), "truncation": N, "count": args.count, "seed": args.seed}
     )
-    tab = _law_tables(law)
+    tab = chaos.GammaTables.for_law(law)
     basis = chaos.LegendreBasis(N)
     rng = random.Random(args.seed)
-    from .chaos.identities import norm_identity
-
     if args.h1 or args.h2:
         pairs = [
             (
@@ -221,8 +264,7 @@ def run_chaos_norm(args) -> ExperimentReport:
         ]
     else:
         pairs = [(_random_piecewise(rng), _random_piecewise(rng)) for _ in range(args.count)]
-    for i, (h, g) in enumerate(pairs):
-        out = norm_identity(h, g, basis, tab)
+    for i, out in enumerate(_norm_identities(pairs, basis, tab)):
         rep.add(
             Check(
                 f"norm_identity_{i}",
@@ -247,9 +289,7 @@ def run_chaos_ito(args) -> ExperimentReport:
         if args.h2
         else chaos.PiecewisePoly(((Q(0), Q(1, 2), (Q(1),)), (Q(1, 2), Q(1), (Q(0), Q(2)))))
     )
-    from .chaos.identities import ito_bracket, ito_residual
-
-    br = ito_bracket(h, g, basis)
+    br = chaos.ito_bracket(h, g, basis)
     rep.add(
         Check(
             "bracket",
@@ -262,11 +302,8 @@ def run_chaos_ito(args) -> ExperimentReport:
         )
     )
     xs = laws.sample(law, args.seed, args.paths * N).reshape(args.paths, N)
-    res = np.array([ito_residual(h, g, basis, x) for x in xs[: min(args.paths, 200)]])
-    worst = float(res.max())
-    rep.add(
-        Check("pointwise_residual_max", "estimate", worst, tol=1e-10, passed=worst < 1e-10)
-    )
+    worst = float(ito_residual(h, g, basis, xs[:200]).max())
+    rep.add(_rounding_check("pointwise_residual_max", worst))
     return rep
 
 
@@ -276,19 +313,12 @@ def run_chaos_order4(args) -> ExperimentReport:
     rep = ExperimentReport(
         "chaos order4", {"law": law.label(), "truncation": N, "draws": args.draws, "seed": args.seed}
     )
-    tab = _law_tables(law)
     rng = random.Random(args.seed)
-    from .chaos.identities import order_decomposition
-
-    worst = 0.0
-    for i in range(args.draws):
-        K = _random_kernel(rng, N)
-        xs = laws.sample(law, args.seed + i + 1, N)
-        out = order_decomposition(K, tab, xs)
-        worst = max(worst, out["residual"] / out["scale"])
-    rep.add(
-        Check("order_identity_worst_residual", "estimate", worst, tol=1e-10, passed=worst < 1e-10)
+    draws = (
+        (_random_kernel(rng, N), laws.sample(law, args.seed + i + 1, N)) for i in range(args.draws)
     )
+    worst = _worst_order_residual(draws, chaos.GammaTables.for_law(law))
+    rep.add(_rounding_check("order_identity_worst_residual", worst))
     return rep
 
 
@@ -334,27 +364,22 @@ def run_chaos_qv(args) -> ExperimentReport:
         )
     if args.joint:
         pairs = [(4, 1), (8, 2), (16, 3), (32, 4)]
-        joint = chaos.qv_joint_refinement(law, pairs, args.paths, args.seed)
-        errs = [row["err"]["mean"] for row in joint["rows"]]
-        decreasing = all(a > b for a, b in zip(errs, errs[1:]))
+        errs = _joint_refinement_errors(law, pairs, args.paths, args.seed)
         rep.add(
-            Check(
-                "joint_refinement_error_decreasing",
-                "estimate",
-                errs,
-                passed=decreasing,
-            )
+            Check("joint_refinement_error_decreasing", "estimate", errs, passed=_decreasing(errs))
         )
     return rep
 
 
 def run_chaos_bound4(args) -> ExperimentReport:
     law = laws.parse_law(args.law)
+    if args.grid < 1:
+        raise ValueError("--grid must be >= 1")
     N = min(args.truncation, 8)
     rep = ExperimentReport(
         "chaos bound4", {"law": law.label(), "truncation": N, "grid": args.grid}
     )
-    tab = _law_tables(law)
+    tab = chaos.GammaTables.for_law(law)
     basis = chaos.LegendreBasis(N)
     one = chaos.PiecewisePoly.constant(1)
     m = args.grid
@@ -431,35 +456,21 @@ def run_all(args) -> ExperimentReport:
     for law in catalog:
         mm = laws.moments(law, 6)
         for n in range(7):
-            w = wick.wick_explicit(mm, n)
-            if (
-                w.coeffs != wick.wick_recurrence1(mm, n).coeffs
-                or w.coeffs != wick.wick_recurrence2(mm, n).coeffs
-                or wick.ode_residual(w, mm, 1) != []
-                or wick.ode_residual(w, mm, 2) != []
-            ):
-                oracle_ok = False
+            oracle_ok = _wick_row(mm, n)[1] and oracle_ok
     rep.add(Check("wick_triple_oracle_n6", "exact", oracle_ok, passed=oracle_ok))
 
     # rademacher layer
     rng = random.Random(seed)
-    rad_ok = True
+    rows = []
     for _ in range(3):
         alphas = [Q(rng.randint(1, 9), 10) for _ in range(6)]
         ps = rademacher.build_partition(alphas, 6)
-        for ks in ([2, 5], [1, 3, 6]):
-            for eps in itertools.product((-1, 1), repeat=len(ks)):
-                prod = Q(1)
-                for k, e in zip(ks, eps):
-                    prod *= rademacher.phi_factor(ps, k, e)
-                rad_ok = rad_ok and rademacher.joint_law(ps, ks, list(eps)) == prod
+        rows += _factorization(ps, rademacher.JumpCDF.diffuse(), ([2, 5], [1, 3, 6]))
     cdf = rademacher.JumpCDF(Q(3, 10), Q(1, 5))
     for variant in ("jump_after", "jump_before", "jump_alternating"):
-        sch = rademacher.alpha_scheme(variant, cdf, 8)
-        ps = sch.partition()
-        for eps in itertools.product((-1, 1), repeat=2):
-            prod = rademacher.phi_factor(ps, 2, eps[0]) * rademacher.phi_factor(ps, 6, eps[1])
-            rad_ok = rad_ok and rademacher.transport_joint_law(ps, cdf, [2, 6], list(eps)) == prod
+        ps = rademacher.alpha_scheme(variant, cdf, 8).partition()
+        rows += _factorization(ps, cdf, ([2, 6],))
+    rad_ok = all(joint == product for *_, joint, product in rows)
     rep.add(Check("rademacher_exact_independence", "exact", rad_ok, passed=rad_ok))
 
     ex1 = rademacher.build_partition([Q(1, 2), Q(1, 2)], 2)
@@ -479,15 +490,8 @@ def run_all(args) -> ExperimentReport:
 
     # discrete layer
     rep.add(Check("n_max_8", "exact", discrete.n_max(8), passed=discrete.n_max(8) == 4))
-    sp, bs = discrete.build_max_system(3)
-    rep.add(
-        Check(
-            "max_system_3",
-            "exact",
-            discrete.atom_condition(sp, bs),
-            passed=discrete.atom_condition(sp, bs),
-        )
-    )
+    atoms = _max_system(3)[2]
+    rep.add(Check("max_system_3", "exact", atoms, passed=atoms))
     sweep_ok = True
     for _ in range(100):
         n = rng.randint(2, 5)
@@ -495,47 +499,23 @@ def run_all(args) -> ExperimentReport:
         spc = discrete.FiniteSpace(tuple(Q(x, sum(w)) for x in w))
         b = discrete.DiscreteRV(tuple(Q(rng.randint(-2, 2)) for _ in range(n)))
         c = discrete.DiscreteRV(tuple(Q(rng.randint(-2, 2)) for _ in range(n)))
-        sweep_ok = sweep_ok and discrete.independent(spc, b, c) == discrete.independent_oracle(
-            spc, b, c
-        )
+        a_test, oracle = _bilinear_and_oracle(spc, b, c)
+        sweep_ok = sweep_ok and a_test == oracle
     rep.add(Check("bilinear_vs_oracle_sweep", "exact", sweep_ok, passed=sweep_ok))
-    rep.add(
-        Check(
-            "walsh_gram_rank_3_2",
-            "exact",
-            discrete.walsh_gram_rank([Q(-1), Q(3), Q(-2)], [Q(1, 3)] * 3, 2),
-            passed=discrete.walsh_gram_rank([Q(-1), Q(3), Q(-2)], [Q(1, 3)] * 3, 2) == 9,
-        )
-    )
+    rank = discrete.walsh_gram_rank([Q(-1), Q(3), Q(-2)], [Q(1, 3)] * 3, 2)
+    rep.add(Check("walsh_gram_rank_3_2", "exact", rank, passed=rank == 9))
 
     # chaos layer
-    from .chaos.identities import norm_identity, order_decomposition, isometry_check
-
-    basis5 = chaos.LegendreBasis(5)
     basis8 = chaos.LegendreBasis(min(N, 8))
     for law in (laws.Law.normal(), laws.Law.exponential(1)):
-        tab = _law_tables(law)
-        ok = True
-        for i in range(3):
-            out = norm_identity(_random_piecewise(rng), _random_piecewise(rng), basis8, tab)
-            ok = ok and out["equal"]
+        tab = chaos.GammaTables.for_law(law)
+        pairs = [(_random_piecewise(rng), _random_piecewise(rng)) for _ in range(3)]
+        ok = all(out["equal"] for out in _norm_identities(pairs, basis8, tab))
         rep.add(Check(f"norm_identity_{law.label()}", "exact", ok, passed=ok))
-        worst = 0.0
         xs_all = laws.sample(law, seed, 50 * 5).reshape(50, 5)
-        for i in range(50):
-            K = _random_kernel(rng, 5)
-            out = order_decomposition(K, tab, xs_all[i])
-            worst = max(worst, out["residual"] / out["scale"])
-        rep.add(
-            Check(
-                f"order_identity_{law.label()}",
-                "estimate",
-                worst,
-                tol=1e-10,
-                passed=worst < 1e-10,
-            )
-        )
-        iso = all(isometry_check(_random_kernel(rng, 5), "C", tab) == 0 for _ in range(10))
+        worst = _worst_order_residual(((_random_kernel(rng, 5), xs) for xs in xs_all), tab)
+        rep.add(_rounding_check(f"order_identity_{law.label()}", worst))
+        iso = all(chaos.isometry_check(_random_kernel(rng, 5), "C", tab) == 0 for _ in range(10))
         rep.add(Check(f"isometry_C_{law.label()}", "exact", iso, passed=iso))
 
     one = chaos.PiecewisePoly.constant(1)
@@ -545,25 +525,10 @@ def run_all(args) -> ExperimentReport:
     depths = list(range(1, max_depth + 1))
     table = chaos.riemann_experiment(one, one, N, laws.Law.normal(), depths, paths, seed)
     errs = [row["err"]["mean"] for row in table["rows"]]
+    rep.add(Check("riemann_error_decreasing", "estimate", errs, passed=_decreasing(errs)))
+    jerrs = _joint_refinement_errors(laws.Law.normal(), [(4, 1), (8, 2), (16, 3)], paths, seed)
     rep.add(
-        Check(
-            "riemann_error_decreasing",
-            "estimate",
-            errs,
-            passed=all(a > b for a, b in zip(errs, errs[1:])),
-        )
-    )
-    joint = chaos.qv_joint_refinement(
-        laws.Law.normal(), [(4, 1), (8, 2), (16, 3)], paths, seed
-    )
-    jerrs = [row["err"]["mean"] for row in joint["rows"]]
-    rep.add(
-        Check(
-            "qv_joint_refinement_decreasing",
-            "estimate",
-            jerrs,
-            passed=all(a > b for a, b in zip(jerrs, jerrs[1:])),
-        )
+        Check("qv_joint_refinement_decreasing", "estimate", jerrs, passed=_decreasing(jerrs))
     )
     qv_fixed = chaos.qv_experiment(
         one, one, Q(1), N, laws.Law.normal(), depths, paths, seed
@@ -597,8 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
     rd = sub.add_parser("rademacher", help="partition systems and transport")
     rsub = rd.add_subparsers(dest="subcommand", required=True)
     v = rsub.add_parser("verify")
-    v.add_argument("--alphas", help="comma-separated rationals in (0,1)")
-    v.add_argument("--scheme", choices=["jump_after", "jump_before", "jump_alternating"])
+    ratios = v.add_mutually_exclusive_group(required=True)
+    ratios.add_argument("--alphas", help="comma-separated rationals in (0,1)")
+    ratios.add_argument("--scheme", choices=["jump_after", "jump_before", "jump_alternating"])
     v.add_argument("--fx0", default="3/10")
     v.add_argument("--delta", default="1/5")
     v.add_argument("--depth", type=int, default=8)
@@ -621,26 +587,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     ch = sub.add_parser("chaos", help="chaos calculus experiments")
     csub = ch.add_subparsers(dest="subcommand", required=True)
-    for name, fn in (
-        ("norm", run_chaos_norm),
-        ("ito", run_chaos_ito),
-        ("order4", run_chaos_order4),
-        ("qv", run_chaos_qv),
-        ("bound4", run_chaos_bound4),
+    chaos_options = {
+        "law": {"required": True},
+        "truncation": {"type": int, "default": 8},
+        "seed": {"type": int, "default": int(os.environ.get("WICKLAB_SEED", "0"))},
+        "paths": {"type": int, "default": QUICK_PATHS},
+        "depths": {"default": "3,4,5,6"},
+        "count": {"type": int, "default": 5},
+        "draws": {"type": int, "default": 100},
+        "grid": {"type": int, "default": 8},
+        "h1": {},
+        "h2": {},
+        "joint": {"action": "store_true"},
+        "csv": {"help": "write the convergence table as CSV"},
+    }
+    for name, fn, options in (
+        ("norm", run_chaos_norm, "law truncation seed count h1 h2"),
+        ("ito", run_chaos_ito, "law truncation seed paths h1 h2"),
+        ("order4", run_chaos_order4, "law truncation seed draws"),
+        ("qv", run_chaos_qv, "law truncation seed paths depths h1 h2 joint csv"),
+        ("bound4", run_chaos_bound4, "law truncation grid"),
     ):
         c = csub.add_parser(name)
-        c.add_argument("--law", required=True)
-        c.add_argument("--truncation", type=int, default=8)
-        c.add_argument("--paths", type=int, default=QUICK_PATHS)
-        c.add_argument("--seed", type=int, default=int(os.environ.get("WICKLAB_SEED", "0")))
-        c.add_argument("--depths", default="3,4,5,6")
-        c.add_argument("--count", type=int, default=5)
-        c.add_argument("--draws", type=int, default=100)
-        c.add_argument("--grid", type=int, default=8)
-        c.add_argument("--h1")
-        c.add_argument("--h2")
-        c.add_argument("--joint", action="store_true")
-        c.add_argument("--csv", help="write the convergence table as CSV")
+        for opt in options.split():
+            c.add_argument(f"--{opt}", **chaos_options[opt])
         c.set_defaults(func=fn)
 
     al = sub.add_parser("all", help="the full verification battery")

@@ -87,9 +87,6 @@ class DiscreteRV:
 class IndepMatrix:
     A: tuple  # rows of exact rationals
 
-    def row_sums(self):
-        return [sum(r) for r in self.A]
-
 
 def a_matrix(sp: FiniteSpace) -> IndepMatrix:
     n, p = sp.n, sp.p

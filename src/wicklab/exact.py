@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Q = Fraction
 
@@ -227,16 +227,6 @@ class Rad:
         return self.q * self.q * self.w
 
 
-RAD_ZERO = Rad(Q(0))
-
-
-def rad_sum(terms: Iterable[Rad]) -> Rad:
-    acc = RAD_ZERO
-    for t in terms:
-        acc = acc + t
-    return acc
-
-
 class RadSum:
     """Finite sums ``sum_w q_w * sqrt(w)`` over squarefree radicands.
 
@@ -377,12 +367,6 @@ def mat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
         if r == nrows:
             break
     return rank
-
-
-def mat_kernel_dim(rows: Sequence[Sequence[Fraction]]) -> int:
-    if not rows:
-        return 0
-    return len(rows[0]) - mat_rank(rows)
 
 
 def mat_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:

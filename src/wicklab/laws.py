@@ -41,17 +41,7 @@ __all__ = [
     "hankel_matrices",
     "hankel_psd",
     "moments_to_json",
-    "CATALOG_KINDS",
 ]
-
-CATALOG_KINDS = (
-    "normal",
-    "exponential",
-    "gamma",
-    "gamma_combo",
-    "poisson",
-    "binomial",
-)
 
 
 class NoSamplerError(RuntimeError):
@@ -354,16 +344,27 @@ def parse_law(spec: str) -> Law:
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
     args = [s.strip() for s in rest.split(",")] if rest else []
+
+    def params(*names):
+        if len(args) != len(names):
+            raise ValueError(f"law spec {spec!r} needs the parameters {kind}:{','.join(names)}")
+        return args
+
     if kind in ("normal", "gauss", "gaussian", "n01"):
         return Law.normal()
     if kind in ("exponential", "exp"):
-        return Law.exponential(as_fraction(args[0]))
+        (rate,) = params("RATE")
+        return Law.exponential(as_fraction(rate))
     if kind == "gamma":
-        return Law.gamma(as_fraction(args[0]), as_fraction(args[1]))
+        a, b = params("A", "B")
+        return Law.gamma(as_fraction(a), as_fraction(b))
     if kind in ("gamma_combo", "gammacombo"):
-        return Law.gamma_combo(*(as_fraction(a) for a in args))
+        ps = params("ALPHA", "A1", "B1", "BETA", "A2", "B2")
+        return Law.gamma_combo(*(as_fraction(p) for p in ps))
     if kind == "poisson":
-        return Law.poisson(as_fraction(args[0]))
+        (a,) = params("A")
+        return Law.poisson(as_fraction(a))
     if kind == "binomial":
-        return Law.binomial(int(args[0]), as_fraction(args[1]))
+        n, p = params("N", "P")
+        return Law.binomial(int(n), as_fraction(p))
     raise ValueError(f"unknown law spec {spec!r}")

@@ -245,9 +245,10 @@ def test_ito_bracket_truncation_error_decreases():
 def test_ito_pointwise_residual_is_rounding():
     rng = np.random.default_rng(9)
     b = LegendreBasis(12)
-    for _ in range(20):
-        xs = rng.standard_normal(12)
-        assert ito_residual(X, PW, b, xs) < 1e-12
+    xs = np.stack([rng.standard_normal(12) for _ in range(20)])
+    res = ito_residual(X, PW, b, xs)
+    assert res.shape == (20,)
+    assert (res < 1e-12).all()
 
 
 # --- norm identity ----------------------------------------------------------------

@@ -81,6 +81,87 @@ def test_all_quick_deterministic(tmp_path, capsys):
     assert strip(out1.read_text()) == strip(out2.read_text())
 
 
+def row(rep, name):
+    return next(r for r in rep["results"] if r["name"] == name)
+
+
+def test_chaos_norm_constant_kernel(capsys):
+    # h1 = h2 = 1: the kernel is (1/2) e_1 (x) e_1, so E[I^2] = E(x^2 - 1)^2 / 4
+    code, rep = run_cli(
+        capsys, "chaos", "norm", "--law", "normal", "--truncation", "3", "--h1", '["1"]'
+    )
+    assert code == 0
+    value = row(rep, "norm_identity_0")["value"]
+    assert value == {"lhs": "1/2", "rhs": "1/2", "second_term": "0"}
+
+
+def test_chaos_ito(capsys):
+    code, rep = run_cli(
+        capsys, "chaos", "ito", "--law", "exponential:1", "--truncation", "6", "--paths", "3"
+    )
+    assert code == 0
+    # default h(s) = s, g = 1 on (0, 1/2] and 2s after: int h g = 1/8 + 7/12
+    assert row(rep, "bracket")["value"]["exact"] == "17/24"
+    assert row(rep, "pointwise_residual_max")["passed"] is True
+
+
+def test_chaos_order4(capsys):
+    code, rep = run_cli(
+        capsys, "chaos", "order4", "--law", "exponential:1", "--truncation", "4", "--draws", "3"
+    )
+    assert code == 0
+    assert row(rep, "order_identity_worst_residual")["value"] < 1e-10
+
+
+def test_chaos_qv_joint_csv(tmp_path, capsys):
+    csv = tmp_path / "qv.csv"
+    code, rep = run_cli(
+        capsys,
+        "chaos", "qv", "--law", "normal", "--truncation", "4", "--depths", "1,2",
+        "--paths", "10000", "--seed", "0", "--joint", "--csv", str(csv),
+    )
+    assert code == 0
+    assert len(row(rep, "joint_refinement_error_decreasing")["value"]) == 4
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "depth,estimate,stderr"
+    assert [l.split(",")[0] for l in lines[1:]] == ["1", "2"]
+    assert float(lines[1].split(",")[1]) == row(rep, "fixed_N_err_depth_1")["value"]
+
+
+def test_chaos_bound4(capsys):
+    code, rep = run_cli(
+        capsys, "chaos", "bound4", "--law", "normal", "--truncation", "3", "--grid", "2"
+    )
+    assert code == 0
+    assert [r["name"] for r in rep["results"][:2]] == ["bound_s=0_t=1/2", "bound_s=1/2_t=1"]
+    assert row(rep, "holder_slope")["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chaos", "norm", "--law", "normal", "--grid", "4"],  # a flag norm does not read
+        ["chaos", "norm", "--law", "exponential"],
+        ["chaos", "norm", "--law", "gamma:2"],
+        ["chaos", "norm", "--law", "binomial:3"],
+        ["rademacher", "verify"],
+        ["rademacher", "verify", "--alphas", "1/2", "--scheme", "jump_after"],
+        ["chaos", "bound4", "--law", "normal", "--grid", "0"],
+        ["chaos", "qv", "--law", "normal", "--truncation", "2", "--depths", "1", "--paths", "1"],
+    ],
+)
+def test_bad_input_exits_2_with_message(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects before any runner starts
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_parse_piecewise_forms():
     p = parse_piecewise('["0", "1"]')
     assert p.eval(Q(1, 2)) == Q(1, 2)
