@@ -4,10 +4,11 @@ The basis over L^2([0,1], dx) is the shifted normalized Legendre system
 
     e_j(x) = sqrt(2j-1) * L_{j-1}(2x - 1),    j = 1..N,   e_1 = 1.
 
-Coefficients of a piecewise polynomial against e_j are exact objects
-``(rational) * sqrt(2j-1)`` (:class:`~wicklab.exact.Rad`); any product of two
-coefficients carrying the same index set is therefore exactly rational, which
-is what makes the norm and isometry identities checkable without floats.
+Coefficients of a piecewise polynomial against e_j are exact one-term
+:class:`~wicklab.exact.RadSum` values ``(rational) * sqrt(2j-1)`` (built with
+:func:`~wicklab.exact.Rad`); any product of two coefficients carrying the
+same index set is therefore exactly rational, which is what makes the norm
+and isometry identities checkable without floats.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from ..exact import (
     Poly,
     Q,
     Rad,
+    RadSum,
     as_fraction,
     p_add,
     p_antideriv,
@@ -207,7 +209,7 @@ class PiecewisePoly:
 class ChaosVector:
     """Coefficients <h, e_j>, j = 1..N, as exact radical-weighted rationals."""
 
-    coeffs: tuple  # tuple[Rad]
+    coeffs: tuple  # tuple[RadSum]
 
     @property
     def N(self) -> int:
@@ -233,7 +235,7 @@ class ChaosVector:
 class SymmetricKernel2:
     """Symmetric order-2 coefficient matrix a_jk = <f, e_j (x) e_k>."""
 
-    entries: tuple  # tuple of N tuples of Rad
+    entries: tuple  # tuple of N tuples of RadSum
 
     def __post_init__(self):
         n = len(self.entries)
@@ -249,7 +251,7 @@ class SymmetricKernel2:
     def N(self) -> int:
         return len(self.entries)
 
-    def at(self, j: int, k: int) -> Rad:
+    def at(self, j: int, k: int) -> RadSum:
         """Entry a_jk, 1-based indices."""
         return self.entries[j - 1][k - 1]
 

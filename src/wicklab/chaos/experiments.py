@@ -125,6 +125,15 @@ def _stats(x: np.ndarray) -> dict:
     }
 
 
+def _dyadic_strides(depths: Sequence[int]) -> tuple:
+    """(dmax, strides): the finest depth, and for each depth the stride that
+    picks its partition points out of the finest dyadic grid."""
+    if not depths or min(depths) < 0:
+        raise ValueError(f"depths must be a non-empty list of integers >= 0: {list(depths)}")
+    dmax = max(depths)
+    return dmax, [2 ** (dmax - d) for d in depths]
+
+
 def _qv_rows(
     B: np.ndarray,
     G: np.ndarray,
@@ -190,11 +199,10 @@ def qv_experiment(
     """
     basis = basis or LegendreBasis(N)
     t = Q(t)
-    dmax = max(depths)
+    dmax, strides = _dyadic_strides(depths)
     points = [t * Q(k, 2**dmax) for k in range(2**dmax + 1)]
     B = cumulative_triangle(h1, h2, basis, points)
     G, g = qv_rhs_quadratics(h1, h2, basis, t)
-    strides = [2 ** (dmax - d) for d in depths]
     rows = _qv_rows(B, G, g, strides, law, paths, seed)
     rows = [{"depth": d, **row} for d, row in zip(depths, rows)]
     return {"t": str(t), "N": N, "paths": paths, "seed": seed, "rows": rows}
@@ -266,7 +274,7 @@ def riemann_experiment(
     partition of depth d; I is the integral at the same truncation.
     """
     basis = LegendreBasis(N)
-    dmax = max(depths)
+    dmax, strides = _dyadic_strides(depths)
     points = [Q(k, 2**dmax) for k in range(2**dmax + 1)]
     C_h = cumulative_coeffs(h, basis, points)
     C_g = cumulative_coeffs(g, basis, points)
@@ -275,8 +283,7 @@ def riemann_experiment(
     X = sample(law, seed, paths * N).reshape(paths, N)
     I = np.einsum("pi,ij,pj->p", X, A, X) - np.trace(A)
     rows = []
-    for d in depths:
-        stride = 2 ** (dmax - d)
+    for d, stride in zip(depths, strides):
         ch = C_h[::stride]
         cg = C_g[::stride]
         dg = cg[1:] - cg[:-1]
@@ -296,7 +303,10 @@ def fourth_moment_grid(
     pairs: Sequence[tuple],
 ) -> dict:
     """Increment fourth moments against the printed bound on an (s,t) grid,
-    plus the log-log slope of the fourth moment in the increment width."""
+    plus the log-log slope of the fourth moment in the increment width.
+
+    Each row carries the exact ``lhs`` (a RadSum) and ``rhs`` (a Fraction);
+    the slope is a float fit to the lhs values at s = 0."""
     from .identities import fourth_moment_check
 
     rows = []
@@ -306,8 +316,8 @@ def fourth_moment_grid(
             {
                 "s": str(Q(s)),
                 "t": str(Q(t)),
-                "lhs": chk["lhs_float"],
-                "rhs": float(chk["rhs"]),
+                "lhs": chk["lhs"],
+                "rhs": chk["rhs"],
                 "holds": chk["holds"],
             }
         )

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..exact import Q, Rad, RadSum
+from ..exact import Q, RadSum
 from .basis import LegendreBasis, PiecewisePoly, SymmetricKernel2, coeffs_of, triangle_kernel
 from .tensors import GammaTables, SymTensor
 
@@ -259,14 +259,13 @@ def order_tensors(K: SymmetricKernel2, tables: GammaTables) -> dict:
         + contr.scaled(Q(4)).annihilated(1, tables)
         + diag_contr.scaled(Q(-6)).annihilated(1, tables)
     )
-    a44 = ff.annihilated(4, tables).terms.get((), RadSum(0))
-    t0 = RadSum(2 * K.norm2()) + (a44 if isinstance(a44, RadSum) else RadSum(a44))
+    t0 = RadSum(2 * K.norm2()) + ff.annihilated(4, tables).terms.get((), 0)
     return {"t4": t4, "t3": t3, "t2": t2, "t1": t1, "t0": t0}
 
 
 def _diag_kernel(K: SymmetricKernel2) -> SymmetricKernel2:
     """pi_1 f: the diagonal part of a symmetric kernel."""
-    zero = Rad(Q(0))
+    zero = RadSum()
     rows = tuple(
         tuple(K.entries[u][v] if u == v else zero for v in range(K.N))
         for u in range(K.N)
@@ -281,7 +280,7 @@ def contraction1(K: SymmetricKernel2) -> SymmetricKernel2:
     for u in range(N):
         row = []
         for v in range(N):
-            acc = Rad(Q(0))
+            acc = RadSum()
             for w in range(N):
                 acc = acc + K.entries[u][w] * K.entries[v][w]
             row.append(acc)

@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Dict
 
-from ..exact import Q, Rad, RadSum
+from ..exact import Q, RadSum
 from ..laws import Law, MomentSequence, standardized_moments
 from ..wick import expect_poly
 from ..exact import p_add, p_eval_float, p_mul, p_scale
@@ -168,7 +168,7 @@ class GammaTables:
 class SymTensor:
     """Order-n symmetric tensor as {sorted index tuple: coefficient}.
 
-    Coefficients may be Fraction, Rad, RadSum, or float; operations never mix
+    Coefficients may be RadSum, Fraction, or float; operations never mix
     exact and float inputs on their own.
     """
 
@@ -182,7 +182,7 @@ class SymTensor:
             t = tuple(sorted(t))
         cur = self.terms.get(t)
         new = coeff if cur is None else cur + coeff
-        if _is_zero(new):
+        if not new:
             self.terms.pop(t, None)
         else:
             self.terms[t] = new
@@ -207,8 +207,6 @@ class SymTensor:
         for j in range(1, K.N + 1):
             for k in range(1, j + 1):
                 a = K.at(j, k)
-                if isinstance(a, Rad) and a.q == 0:
-                    continue
                 out.add_term((k, j), a if j == k else a * Q(2))
         return out
 
@@ -227,7 +225,7 @@ class SymTensor:
                 seen.add(arr)
                 prod = entries[arr[0] - 1][arr[1] - 1] * entries[arr[2] - 1][arr[3] - 1]
                 acc = prod if acc is None else acc + prod
-            if acc is not None and not _is_zero(acc):
+            if acc:
                 out.add_term(t, acc)
         return out
 
@@ -261,7 +259,7 @@ class SymTensor:
                 t_new = []
                 for (idx, alpha), ki in zip(sig, ks):
                     t_new.extend([idx] * (alpha - ki))
-                out.add_term(tuple(t_new), _radsum_if_exact(lam) * weight)
+                out.add_term(tuple(t_new), lam * weight)
         return out
 
     # -- evaluation and expectation --------------------------------------------
@@ -287,7 +285,7 @@ class SymTensor:
             hprod = Q(1)
             for _, alpha in self.signature(t):
                 hprod *= tables.h(alpha)
-            acc = acc + _radsum_if_exact(lam) * _radsum_if_exact(mu) * hprod
+            acc = acc + lam * mu * hprod
         return acc
 
 
@@ -301,17 +299,3 @@ def _sorted_tuples(N: int, order: int):
                 yield (j,) + rest
 
     yield from rec(1, order)
-
-
-def _is_zero(x) -> bool:
-    if isinstance(x, Rad):
-        return x.q == 0
-    if isinstance(x, RadSum):
-        return not x.terms
-    return x == 0
-
-
-def _radsum_if_exact(x):
-    if isinstance(x, (Rad, Fraction, int)):
-        return RadSum(x)
-    return x

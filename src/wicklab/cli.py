@@ -103,6 +103,20 @@ def _rounding_check(name: str, worst: float) -> Check:
     return Check(name, "estimate", worst, tol=1e-10, passed=worst < 1e-10)
 
 
+def _at_least_one(args, option: str) -> None:
+    """Reject a size below 1, which would leave nothing to check."""
+    if getattr(args, option) < 1:
+        raise ValueError(f"--{option} must be >= 1")
+
+
+def _open_for_write(path: str, option: str):
+    """open(path, "w"); a path that cannot be opened is bad input."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ValueError(f"cannot write {option} {path}: {exc.strerror or exc}") from None
+
+
 def _decreasing(xs: list) -> bool:
     return all(a > b for a, b in zip(xs, xs[1:]))
 
@@ -143,6 +157,7 @@ def run_wick_table(args) -> ExperimentReport:
 
 
 def run_rademacher_verify(args) -> ExperimentReport:
+    _at_least_one(args, "tuples")
     depth = args.depth
     cfg: dict = {"depth": depth}
     cdf = rademacher.JumpCDF.diffuse()
@@ -197,6 +212,8 @@ def run_discrete_nmax(args) -> ExperimentReport:
 
 
 def run_discrete_check(args) -> ExperimentReport:
+    if len(args.rv) < 2:
+        raise ValueError("discrete check needs at least two --rv")
     weights = [Q(x) for x in json.loads(args.space)]
     sp = discrete.FiniteSpace(tuple(weights))
     rvs = [discrete.DiscreteRV(tuple(Q(v) for v in json.loads(r))) for r in args.rv]
@@ -215,9 +232,8 @@ def run_discrete_check(args) -> ExperimentReport:
                     passed=a_test == oracle,
                 )
             )
-    if rvs:
-        conds = discrete.necessary_conditions(sp, rvs[0], rvs[1:])
-        rep.add(Check("necessary_conditions", "exact", conds, passed=None))
+    conds = discrete.necessary_conditions(sp, rvs[0], rvs[1:])
+    rep.add(Check("necessary_conditions", "exact", conds, passed=None))
     return rep
 
 
@@ -247,6 +263,7 @@ def run_discrete_maxsystem(args) -> ExperimentReport:
 
 
 def run_chaos_norm(args) -> ExperimentReport:
+    _at_least_one(args, "count")
     law = laws.parse_law(args.law)
     N = args.truncation
     rep = ExperimentReport(
@@ -277,6 +294,7 @@ def run_chaos_norm(args) -> ExperimentReport:
 
 
 def run_chaos_ito(args) -> ExperimentReport:
+    _at_least_one(args, "paths")
     law = laws.parse_law(args.law)
     N = args.truncation
     rep = ExperimentReport(
@@ -308,6 +326,8 @@ def run_chaos_ito(args) -> ExperimentReport:
 
 
 def run_chaos_order4(args) -> ExperimentReport:
+    _at_least_one(args, "draws")
+    _at_least_one(args, "truncation")
     law = laws.parse_law(args.law)
     N = min(args.truncation, 8)
     rep = ExperimentReport(
@@ -325,7 +345,7 @@ def run_chaos_order4(args) -> ExperimentReport:
 def run_chaos_qv(args) -> ExperimentReport:
     law = laws.parse_law(args.law)
     N = args.truncation
-    depths = [int(d) for d in args.depths.split(",")]
+    depths = [int(d) for d in args.depths.split(",") if d]
     h1 = parse_piecewise(args.h1) if args.h1 else chaos.PiecewisePoly.constant(1)
     h2 = parse_piecewise(args.h2) if args.h2 else chaos.PiecewisePoly.constant(1)
     rep = ExperimentReport(
@@ -341,7 +361,7 @@ def run_chaos_qv(args) -> ExperimentReport:
     )
     table = chaos.qv_experiment(h1, h2, Q(1), N, law, depths, args.paths, args.seed)
     if args.csv:
-        with open(args.csv, "w") as fh:
+        with _open_for_write(args.csv, "--csv") as fh:
             fh.write("depth,estimate,stderr\n")
             for row in table["rows"]:
                 fh.write(f"{row['depth']},{row['err']['mean']!r},{row['err']['stderr']!r}\n")
@@ -373,8 +393,7 @@ def run_chaos_qv(args) -> ExperimentReport:
 
 def run_chaos_bound4(args) -> ExperimentReport:
     law = laws.parse_law(args.law)
-    if args.grid < 1:
-        raise ValueError("--grid must be >= 1")
+    _at_least_one(args, "grid")
     N = min(args.truncation, 8)
     rep = ExperimentReport(
         "chaos bound4", {"law": law.label(), "truncation": N, "grid": args.grid}
@@ -625,14 +644,15 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         rep = args.func(args)
+        out = _open_for_write(args.out, "--out") if args.out else None
     except (ValueError, rademacher.InfeasibleSchemeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rep.wall_time_s = round(time.perf_counter() - t0, 6)
     text = rep.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    if out is not None:
+        with out:
+            out.write(text)
     else:
         sys.stdout.write(text)
     return 0 if rep.status == "pass" else 1

@@ -4,16 +4,19 @@ Three layers live here:
 
 * dense rational polynomials, stored little-endian as ``list[Fraction]``
   (index k holds the coefficient of ``x**k``);
-* :class:`Rad`, numbers of the form ``q * sqrt(w)`` with rational ``q`` and a
-  positive integer radicand ``w`` -- enough to carry orthonormal-basis
-  coefficients exactly (products of two coefficients with matching radicands
-  collapse back to rationals);
+* :class:`RadSum`, the real multi-quadratic numbers ``sum_w q_w * sqrt(w)``
+  with rational ``q_w`` and squarefree radicands ``w``.  :func:`Rad` builds
+  the one-term values ``q * sqrt(w)`` that carry orthonormal-basis
+  coefficients exactly (a product of two coefficients with matching
+  radicands collapses back to a rational); fourth-moment expectations mix
+  several radicands;
 * exact linear algebra on rational matrices (rank, kernel, PSD test) via
   fraction-free elimination, so ranks never depend on float thresholds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -120,11 +123,13 @@ def p_eval_float(a: Sequence[Fraction], x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# q * sqrt(w) exact scalars
+# exact scalars in the real multi-quadratic extension
 
 
+@functools.lru_cache(maxsize=4096)
 def _split_square(w: int) -> tuple[int, int]:
-    """w = s^2 * w0 with w0 squarefree; returns (s, w0). Trial division."""
+    """w = s^2 * w0 with w0 squarefree; returns (s, w0). Trial division,
+    cached: the radicands met in practice are a few basis-weight products."""
     s, w0, d = 1, 1, 2
     while d * d <= w:
         while w % (d * d) == 0:
@@ -137,133 +142,50 @@ def _split_square(w: int) -> tuple[int, int]:
     return s, w0 * w
 
 
-class Rad:
-    """Exact ``q * sqrt(w)`` with q rational and w a positive squarefree int.
-
-    Addition is only defined between terms with equal radicands (that is the
-
-    only case the package ever needs: sums of basis coefficients always share
-    the index-determined radicand).  Products normalize the radicand, so a
-    product of two coefficients with matching radicands is recognized as
-    rational (``w == 1``).
-    """
-
-    __slots__ = ("q", "w")
-
-    def __init__(self, q, w: int = 1):
-        q = as_fraction(q) if not isinstance(q, Fraction) else q
-        if w <= 0:
-            raise ValueError("radicand must be positive")
-        if q == 0:
-            w = 1
-        elif w != 1:
-            s, w0 = _split_square(w)
-            q, w = q * s, w0
-        self.q = q
-        self.w = w
-
-    # -- ring ops ----------------------------------------------------------
-    def __mul__(self, other):
-        if isinstance(other, Rad):
-            return Rad(self.q * other.q, self.w * other.w)
-        if isinstance(other, RadSum):
-            return NotImplemented  # RadSum.__rmul__ takes over
-        return Rad(self.q * as_fraction(other), self.w)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if isinstance(other, RadSum):
-            return NotImplemented  # RadSum.__radd__ takes over
-        other = other if isinstance(other, Rad) else Rad(as_fraction(other))
-        if self.q == 0:
-            return other
-        if other.q == 0:
-            return self
-        if self.w != other.w:
-            raise ValueError(f"incompatible radicands: {self.w} vs {other.w}")
-        return Rad(self.q + other.q, self.w)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Rad(-self.q, self.w)
-
-    def __sub__(self, other):
-        return self + (-(other if isinstance(other, Rad) else Rad(as_fraction(other))))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __eq__(self, other):
-        if isinstance(other, RadSum):
-            return NotImplemented
-        try:
-            other = other if isinstance(other, Rad) else Rad(as_fraction(other))
-        except TypeError:
-            return NotImplemented
-        return self.q == other.q and self.w == other.w
-
-    def __hash__(self):
-        return hash((self.q, self.w))
-
-    def __repr__(self):
-        return f"Rad({self.q!r}, {self.w})" if self.w != 1 else f"Rad({self.q!r})"
-
-    def __float__(self):
-        return float(self.q) * math.sqrt(self.w)
-
-    # -- views -------------------------------------------------------------
-    @property
-    def is_rational(self) -> bool:
-        return self.w == 1 or self.q == 0
-
-    def rational(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self!r} carries a surviving radical")
-        return self.q
-
-    def square(self) -> Fraction:
-        return self.q * self.q * self.w
+def Rad(q, w: int = 1) -> "RadSum":
+    """Exact ``q * sqrt(w)`` for rational q and a positive integer w, as a
+    one-term :class:`RadSum` with the square part of w moved into q."""
+    if w <= 0:
+        raise ValueError("radicand must be positive")
+    s, w0 = _split_square(w)
+    return RadSum({w0: as_fraction(q) * s})
 
 
 class RadSum:
-    """Finite sums ``sum_w q_w * sqrt(w)`` over squarefree radicands.
+    """Finite sums ``sum_w q_w * sqrt(w)`` over squarefree radicands w.
 
-    The closure of :class:`Rad` under addition: annihilation operators mix
-    coefficients with different radicands, so fourth-moment expectations live
-    here.  Supports ring arithmetic, exact equality, and certified rational
-    enclosures for comparisons against rationals.
+    Kernel coefficients ``q * sqrt(w)`` (built with :func:`Rad`) are the
+    one-term values; annihilation operators mix coefficients with different
+    radicands, so fourth-moment expectations have several terms.  Supports
+    ring arithmetic, exact equality, and certified rational enclosures for
+    comparisons against rationals.  ``terms`` maps each radicand to its
+    nonzero rational coefficient and is never mutated after construction.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        t: dict[int, Fraction] = {}
-        if isinstance(terms, Rad):
-            if terms.q:
-                t[terms.w] = terms.q
+        if isinstance(terms, RadSum):
+            self.terms = terms.terms
         elif isinstance(terms, dict):
-            for w, q in terms.items():
-                if q:
-                    t[w] = t.get(w, Q(0)) + q
-        elif terms is not None:
-            t[1] = as_fraction(terms)
-        self.terms = {w: q for w, q in t.items() if q}
+            self.terms = {w: q for w, q in terms.items() if q}
+        elif terms is None:
+            self.terms = {}
+        else:
+            q = as_fraction(terms)
+            self.terms = {1: q} if q else {}
 
     @staticmethod
     def _coerce(x) -> "RadSum":
-        if isinstance(x, RadSum):
-            return x
-        if isinstance(x, Rad):
-            return RadSum(x)
-        return RadSum(as_fraction(x))
+        return x if isinstance(x, RadSum) else RadSum(x)
 
     def __add__(self, other):
         other = self._coerce(other)
+        if not other.terms:
+            return self
         out = dict(self.terms)
         for w, q in other.terms.items():
-            out[w] = out.get(w, Q(0)) + q
+            out[w] = out[w] + q if w in out else q
         return RadSum(out)
 
     __radd__ = __add__
@@ -278,12 +200,15 @@ class RadSum:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (Fraction, int)):
+            return RadSum({w: q * other for w, q in self.terms.items()})
         other = self._coerce(other)
         out: dict[int, Fraction] = {}
         for w1, q1 in self.terms.items():
             for w2, q2 in other.terms.items():
-                s, w0 = _split_square(w1 * w2)
-                out[w0] = out.get(w0, Q(0)) + q1 * q2 * s
+                s, w0 = (w1, 1) if w1 == w2 else _split_square(w1 * w2)
+                q = q1 * q2 if s == 1 else q1 * q2 * s
+                out[w0] = out[w0] + q if w0 in out else q
         return RadSum(out)
 
     __rmul__ = __mul__
@@ -315,6 +240,17 @@ class RadSum:
         if not self.is_rational:
             raise ValueError(f"{self!r} carries surviving radicals")
         return self.terms.get(1, Q(0))
+
+    def square(self) -> Fraction:
+        """The square, which must be rational: a sum whose radicands do not
+        cancel in it (such as sqrt(3) + sqrt(5)) raises ValueError."""
+        if len(self.terms) == 1:
+            ((w, q),) = self.terms.items()
+            return q * q * w
+        sq = self * self
+        if not sq.is_rational:
+            raise ValueError(f"square of {self!r} is not rational: incompatible radicands")
+        return sq.rational()
 
     def bounds(self, digits: int = 30) -> tuple[Fraction, Fraction]:
         """Certified rational enclosure lo <= value <= hi."""

@@ -1,7 +1,8 @@
 """Machine-readable experiment reports.
 
 One schema for every subcommand: a config echo, a list of named checks, and
-an overall status.  Exact rationals serialize as "p/q" strings, Monte Carlo
+an overall status.  Exact rationals serialize as "p/q" strings, exact
+multi-quadratic values sum_w q_w sqrt(w) as {"w": "q_w"} objects, Monte Carlo
 estimates as floats with standard errors; every numeric is tagged one or the
 other so reports diff cleanly and can be golden-file tested.  The wall-time
 field is excluded from byte comparisons by convention.
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .exact import Rad, RadSum, frac_str
+from .exact import RadSum, frac_str
 
 __all__ = ["Check", "ExperimentReport", "jsonable"]
 
@@ -23,8 +24,8 @@ def jsonable(x):
     """Recursively convert report values to JSON-stable types."""
     if isinstance(x, Fraction):
         return frac_str(x)
-    if isinstance(x, (Rad, RadSum)):
-        return float(x)
+    if isinstance(x, RadSum):
+        return {str(w): frac_str(q) for w, q in sorted(x.terms.items())}
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):

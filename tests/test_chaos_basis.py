@@ -149,8 +149,14 @@ def test_rad_normalization():
 
 
 def test_rad_incompatible_addition():
+    # the sum of two coefficients with different radicands is a two-term
+    # value; the mix is caught where a rational is required
+    s = Rad(Q(1), 3) + Rad(Q(1), 5)
+    assert isinstance(s, RadSum) and s.terms == {3: 1, 5: 1}
     with pytest.raises(ValueError):
-        Rad(Q(1), 3) + Rad(Q(1), 5)
+        s.square()
+    with pytest.raises(ValueError):
+        s.rational()
 
 
 def test_radsum_mixing_and_bounds():

@@ -1,6 +1,7 @@
 """CLI harness and report serialization."""
 
 import json
+import os
 from fractions import Fraction as Q
 
 import pytest
@@ -137,6 +138,39 @@ def test_chaos_bound4(capsys):
     assert row(rep, "holder_slope")["passed"] is True
 
 
+def _floats(x):
+    if isinstance(x, dict):
+        return [f for v in x.values() for f in _floats(v)]
+    if isinstance(x, list):
+        return [f for v in x for f in _floats(v)]
+    return [x] if isinstance(x, float) else []
+
+
+def test_chaos_bound4_exact_rows_hold_no_floats(capsys):
+    code, rep = run_cli(
+        capsys, "chaos", "bound4", "--law", "exponential:1", "--truncation", "4", "--grid", "2"
+    )
+    assert code == 0
+    exact = [r for r in rep["results"] if r["kind"] == "exact"]
+    assert len(exact) == 2
+    for r in exact:
+        assert _floats(r["value"]) == []
+        lhs = r["value"]["lhs"]  # {radicand: "p/q"}
+        assert lhs and all(int(w) >= 1 and Q(q) != 0 for w, q in lhs.items())
+        assert Q(r["value"]["rhs"]) > 0
+
+
+# zero-size inputs that would otherwise pass after checking nothing
+ZERO_SIZE = {
+    "--count": ["chaos", "norm", "--law", "normal", "--count", "0"],
+    "--draws": ["chaos", "order4", "--law", "normal", "--draws", "0"],
+    "--tuples": ["rademacher", "verify", "--alphas", "1/2,1/3", "--tuples", "0"],
+    "--paths": ["chaos", "ito", "--law", "normal", "--paths", "0"],
+    "--truncation": ["chaos", "order4", "--law", "normal", "--truncation", "0"],
+}
+UNOPENABLE = os.path.join(os.devnull, "report.json")  # a path below a file
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -148,6 +182,12 @@ def test_chaos_bound4(capsys):
         ["rademacher", "verify", "--alphas", "1/2", "--scheme", "jump_after"],
         ["chaos", "bound4", "--law", "normal", "--grid", "0"],
         ["chaos", "qv", "--law", "normal", "--truncation", "2", "--depths", "1", "--paths", "1"],
+        *ZERO_SIZE.values(),
+        ["chaos", "qv", "--law", "normal", "--truncation", "2", "--depths", "-1"],
+        ["chaos", "qv", "--law", "normal", "--truncation", "2", "--depths", "1",
+         "--csv", UNOPENABLE],
+        ["--out", UNOPENABLE, "discrete", "nmax", "--n", "3"],
+        ["discrete", "check", "--space", '["1/2","1/2"]', "--rv", '["1","-1"]'],
     ],
 )
 def test_bad_input_exits_2_with_message(capsys, argv):
@@ -160,6 +200,12 @@ def test_bad_input_exits_2_with_message(capsys, argv):
     assert "error:" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("option", sorted(ZERO_SIZE))
+def test_zero_size_input_names_the_option(capsys, option):
+    assert main(ZERO_SIZE[option]) == 2
+    assert f"error: {option} must be >= 1" in capsys.readouterr().err
 
 
 def test_parse_piecewise_forms():

@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 from hypothesis import given, settings, strategies as st
 
 from wicklab.discrete import DiscreteRV, FiniteSpace, independent, independent_oracle
+from wicklab.exact import Rad, RadSum
 from wicklab.laws import Law, MomentSequence, inverse_laplace_coeffs, moments
 from wicklab.rademacher import build_partition, joint_law, phi_factor
 from wicklab.wick import wick_explicit, wick_recurrence1, wick_recurrence2
@@ -105,3 +106,36 @@ def test_hankel_moments_of_catalog_laws_psd(k):
 
     for law in (Law.normal(), Law.exponential(1), Law.poisson(1)):
         assert hankel_psd(moments(law, 2 + k))
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=60)
+radicands = st.integers(1, 500)
+rad_terms = st.lists(st.tuples(rationals, radicands), min_size=1, max_size=4)
+
+
+def _rad_sum(terms):
+    """sum of q * sqrt(w) over the pairs: exact, as floats, and the float
+    magnitude sum |q| sqrt(w) that rounding errors scale with."""
+    exact = sum((Rad(q, w) for q, w in terms), RadSum())
+    value = sum(float(q) * math.sqrt(w) for q, w in terms)
+    mag = sum(abs(float(q)) * math.sqrt(w) for q, w in terms)
+    return exact, value, mag
+
+
+@given(rationals, st.integers(1, 40), radicands, rad_terms, rad_terms)
+@settings(max_examples=80, deadline=None)
+def test_rad_arithmetic_matches_floats(q, s, w, xs, ys):
+    # the square part of the radicand moves into the coefficient
+    assert Rad(q, s * s * w) == Rad(q * s, w)
+    assert Rad(q, w).square() == q * q * w
+    x, fx, mx = _rad_sum(xs)
+    y, fy, my = _rad_sum(ys)
+    # agreement to 1e-12 relative to the magnitudes, so cancellation is covered
+    assert abs(float(x) - fx) <= 1e-12 * mx
+    assert abs(float(x + y) - (fx + fy)) <= 1e-12 * (mx + my)
+    assert abs(float(x * y) - fx * fy) <= 1e-12 * mx * my
+    lo, hi = x.bounds()
+    assert hi - lo < Q(1, 10**25)
+    lo60, hi60 = x.bounds(60)  # a finer enclosure nests inside
+    assert lo <= lo60 <= hi60 <= hi
+    assert float(lo) - 1e-12 * mx <= float(x) <= float(hi) + 1e-12 * mx
