@@ -13,7 +13,7 @@ and isometry identities checkable without floats.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -36,6 +36,7 @@ from ..exact import (
 
 __all__ = [
     "shifted_legendre",
+    "gauss_legendre",
     "LegendreBasis",
     "PiecewisePoly",
     "ChaosVector",
@@ -57,6 +58,49 @@ def shifted_legendre(n: int) -> Poly:
     return cur
 
 
+@functools.lru_cache(maxsize=64)
+def gauss_legendre(n: int) -> tuple:
+    """The n-point Gauss-Legendre rule on [-1, 1]: ``(x, w, S)``.
+
+    The rule integrates polynomials of degree < 2n exactly.  ``S`` is the
+    spectral integration matrix, ``(S @ f(x))[i] = integral from -1 to x_i``
+    of the degree n-1 interpolant of f, so it is exact for degree < n.  The
+    nodes come from Newton iteration on the three-term recurrence, started
+    from cos(pi (k - 1/4) / (n + 1/2)) (Hale & Townsend 2013), not from an
+    eigenvalue solver.  The arrays are shared between callers and read-only.
+    """
+    x = -np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        P = _legendre_values(x, n + 1)
+        dP = n * (P[:, n - 1] - x * P[:, n]) / (1.0 - x * x)
+        step = P[:, n] / dP
+        x = x - step
+        if np.abs(step).max() < 1e-15:
+            break
+    P = _legendre_values(x, n + 1)
+    dP = n * (P[:, n - 1] - x * P[:, n]) / (1.0 - x * x)
+    w = 2.0 / ((1.0 - x * x) * dP * dP)
+    # integral from -1 to x of P_m is (P_{m+1} - P_{m-1}) / (2m+1), with
+    # P_{-1} = -1; the interpolant's coefficients are (2m+1)/2 sum_k w_k f_k P_m(x_k)
+    below = np.hstack([-np.ones((n, 1)), P[:, : n - 1]])
+    S = 0.5 * (P[:, 1:] - below) @ (P[:, :n] * w[:, None]).T
+    for a in (x, w, S):
+        a.setflags(write=False)
+    return x, w, S
+
+
+def _legendre_values(z: np.ndarray, m: int) -> np.ndarray:
+    """P_0 .. P_{m-1} at the points z of [-1, 1], shape (len(z), m), by the
+    three-term recurrence (k+1) P_{k+1} = (2k+1) z P_k - k P_{k-1}."""
+    P = np.empty((z.size, m))
+    P[:, 0] = 1.0
+    if m > 1:
+        P[:, 1] = z
+    for k in range(1, m - 1):
+        P[:, k + 1] = ((2 * k + 1) * z * P[:, k] - k * P[:, k - 1]) / (k + 1)
+    return P
+
+
 @dataclass(frozen=True)
 class LegendreBasis:
     """The first N shifted normalized Legendre functions."""
@@ -66,9 +110,12 @@ class LegendreBasis:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("truncation must be >= 1")
-        object.__setattr__(
-            self, "_polys", tuple(tuple(shifted_legendre(j)) for j in range(self.N))
-        )
+
+    @functools.cached_property
+    def _polys(self) -> tuple:
+        # built on first use: the float paths never need them, and at N = 256
+        # the exact coefficients take about a minute
+        return tuple(tuple(shifted_legendre(j)) for j in range(self.N))
 
     def poly(self, j: int) -> Poly:
         """Unnormalized part of e_j (1-based index)."""
@@ -77,6 +124,13 @@ class LegendreBasis:
     def weight(self, j: int) -> int:
         """Squared normalization: e_j = sqrt(weight) * poly."""
         return 2 * j - 1
+
+    def values(self, x) -> np.ndarray:
+        """Float values of e_1 .. e_N at the points x of [0, 1], shape
+        (len(x), N), by the three-term recurrence.  Evaluating ``poly`` in
+        the power basis instead is ill-conditioned from N of about 14."""
+        z = 2.0 * np.asarray(x, dtype=float) - 1.0
+        return _legendre_values(z, self.N) * np.sqrt(2.0 * np.arange(self.N) + 1.0)
 
     def orthonormality_defect(self) -> Fraction:
         """max |<e_j, e_k> - delta_jk| over the truncation, exact."""
@@ -162,6 +216,18 @@ class PiecewisePoly:
             if lo <= a and b <= hi:
                 return c
         return None
+
+    def degree(self) -> int:
+        """The largest degree over the pieces (0 for the zero function)."""
+        return max((len(c) - 1 for _, _, c in self.pieces), default=0)
+
+    def values_on(self, a: Fraction, b: Fraction, y: np.ndarray) -> np.ndarray:
+        """Float values at the points y of (a, b], an interval that lies
+        inside one piece or one gap."""
+        c = self._piece_at(a, b)
+        if c is None:
+            return np.zeros_like(y)
+        return np.polyval([float(v) for v in reversed(c)], y)
 
     def integral(self) -> Fraction:
         return sum((p_integrate(list(c), lo, hi) for lo, hi, c in self.pieces), Q(0))
@@ -313,21 +379,15 @@ def coeffs_of_callable(
     refinement fails to settle below ``tol``.
     """
     hi = 1.0 if t_cut is None else float(t_cut)
-    polys = [
-        np.array([float(c) for c in basis.poly(j)]) for j in range(1, basis.N + 1)
-    ]
-    weights = [math.sqrt(basis.weight(j)) for j in range(1, basis.N + 1)]
+    nodes, wts, _ = gauss_legendre(12)
 
     def level(m: int) -> np.ndarray:
-        nodes, wts = np.polynomial.legendre.leggauss(12)
         edges = np.linspace(0.0, hi, m + 1)
         out = np.zeros(basis.N)
         for a, b in zip(edges, edges[1:]):
             x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
             fx = np.array([f(t) for t in x])
-            for j in range(basis.N):
-                ex = np.polyval(polys[j][::-1], x)
-                out[j] += 0.5 * (b - a) * float((wts * fx * ex).sum()) * weights[j]
+            out += 0.5 * (b - a) * ((wts * fx) @ basis.values(x))
         return out
 
     prev = level(1)

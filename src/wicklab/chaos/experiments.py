@@ -6,8 +6,11 @@ Increment kernels over a partition are differences of the cumulative kernel
 
     B(t)[u,v] = < h1 (x) (h2 1_(0,t]) 1_C , e_u (x) e_v >,
 
-which is computed once, exactly, as a piecewise-polynomial antiderivative and
-evaluated at the dyadic grid; Monte Carlo then runs on float arrays.  Two
+which one float sweep evaluates at the dyadic grid: Gauss-Legendre rules with
+enough nodes on each interval between the breakpoints integrate every
+polynomial integrand exactly, so the kernels carry only rounding error (the
+exact kernels of the identities stay in ``triangle_kernel``).  Monte Carlo
+then accumulates each increment's quadratic form in turn.  Two
 hard facts shape the experiment design (both verified numerically here and
 recorded in the test suite):
 
@@ -39,7 +42,7 @@ import numpy as np
 
 from ..exact import Q
 from ..laws import Law, sample, standardized_moments
-from .basis import LegendreBasis, PiecewisePoly, triangle_kernel
+from .basis import LegendreBasis, PiecewisePoly, gauss_legendre, triangle_kernel
 from .tensors import GammaTables
 
 __all__ = [
@@ -55,63 +58,87 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# exact cumulative kernels, evaluated on a grid
+# float cumulative kernels: one Gauss-Legendre sweep
+
+
+def _float_kernels(
+    h1: PiecewisePoly, h2: PiecewisePoly, basis: LegendreBasis, points: Sequence, t
+) -> tuple:
+    """(C, B, G) for H_u(y) = int_0^y h1 e_u:
+
+    C[i] = H(points_i), B[i][u,v] = int_0^{points_i} h2 e_v H_u and
+    G[u,v] = int_0^t h2^2 H_u H_v.
+
+    One sweep over the intervals between the breakpoints of h1 and h2, the
+    points and t.  On each, every integrand is a polynomial: with
+    n = deg h1 + deg h2 + N + 1 Gauss nodes the rule integrates B's and G's
+    integrands exactly, and the spectral integration matrix gives H at the
+    nodes exactly, so the only error is rounding.
+    """
+    N = basis.N
+    pts = [Q(p) for p in points]
+    t = Q(t)
+    end = max([t, *pts])
+    knots = {Q(0), t, *pts}
+    for h in (h1, h2):
+        knots.update(x for lo, hi, _ in h.pieces for x in (lo, hi) if x < end)
+    knots = sorted(knots)
+    x, w, S = gauss_legendre(h1.degree() + h2.degree() + N + 1)
+    H0 = np.zeros(N)
+    B = np.zeros((N, N))
+    G = np.zeros((N, N))
+    at = {Q(0): (H0, B)}
+    for a, b in zip(knots, knots[1:]):
+        half = 0.5 * float(b - a)
+        y = float(a) + half * (x + 1.0)
+        E = basis.values(y)
+        f1 = h1.values_on(a, b, y)[:, None] * E
+        f2 = h2.values_on(a, b, y)[:, None] * (H0 + half * (S @ f1))
+        wf2 = (half * w)[:, None] * f2
+        B = B + wf2.T @ E
+        if b <= t:
+            G = G + wf2.T @ f2
+        H0 = H0 + half * (w @ f1)
+        at[b] = (H0, B)
+    C = np.array([at[p][0] for p in pts]).reshape(len(pts), N)
+    B = np.array([at[p][1] for p in pts]).reshape(len(pts), N, N)
+    return C, B, G
 
 
 def cumulative_triangle(
     h1: PiecewisePoly, h2: PiecewisePoly, basis: LegendreBasis, points: Sequence
 ) -> np.ndarray:
     """B[i] = raw triangle-kernel matrix of h1 (x) (h2 1_(0, points_i]) 1_C."""
-    N = basis.N
-    pts = [Q(p) for p in points]
-    out = np.zeros((len(pts), N, N))
-    for u in range(N):
-        Hu = h1.mul_poly(basis.poly(u + 1)).antiderivative()
-        for v in range(N):
-            F = (h2.mul_poly(basis.poly(v + 1)) * Hu).antiderivative()
-            scale = math.sqrt(basis.weight(u + 1) * basis.weight(v + 1))
-            for i, p in enumerate(pts):
-                out[i, u, v] = float(F.eval(p)) * scale
-    return out
+    return _float_kernels(h1, h2, basis, points, 0)[1]
 
 
 def cumulative_coeffs(
     h: PiecewisePoly, basis: LegendreBasis, points: Sequence
 ) -> np.ndarray:
     """C[i, j] = <h 1_(0, points_i], e_j> as floats."""
-    pts = [Q(p) for p in points]
-    out = np.zeros((len(pts), basis.N))
-    for j in range(1, basis.N + 1):
-        F = h.mul_poly(basis.poly(j)).antiderivative()
-        scale = math.sqrt(basis.weight(j))
-        for i, p in enumerate(pts):
-            out[i, j - 1] = float(F.eval(p)) * scale
-    return out
+    return _float_kernels(h, PiecewisePoly(()), basis, points, 0)[0]
 
 
 def qv_rhs_quadratics(
     h1: PiecewisePoly, h2: PiecewisePoly, basis: LegendreBasis, t
 ) -> tuple:
-    """Exact ingredients of the limit object, as float arrays.
+    """Float ingredients of the limit object.
 
     G[u,v] = int_0^t h2(s)^2 c_u(s) c_v(s) ds with c_u(s) = <h1 1_(0,s], e_u>,
     g[u]   = int_0^t h2(s)^2 c_u(s)^2 ds  (the skewness-correction weights).
     """
+    G = _float_kernels(h1, h2, basis, [], t)[2]
+    return G, np.diag(G).copy()
+
+
+def legendre_float_cumulative(N: int, depth: int, t=1):
+    """(B, G, g) of :func:`cumulative_triangle` on the dyadic grid of (0, t]
+    of the given depth and :func:`qv_rhs_quadratics`, for h1 = h2 = 1."""
     t = Q(t)
-    N = basis.N
-    h2sq = h2 * h2
-    cs = [h1.mul_poly(basis.poly(u + 1)).antiderivative() for u in range(N)]
-    G = np.zeros((N, N))
-    g = np.zeros(N)
-    for u in range(N):
-        for v in range(u, N):
-            F = (h2sq * (cs[u] * cs[v])).antiderivative()
-            val = float(F.eval(t)) * math.sqrt(
-                basis.weight(u + 1) * basis.weight(v + 1)
-            )
-            G[u, v] = G[v, u] = val
-        g[u] = G[u, u]
-    return G, g
+    one = PiecewisePoly.constant(1)
+    points = [t * Q(k, 2**depth) for k in range(2**depth + 1)]
+    _, B, G = _float_kernels(one, one, LegendreBasis(N), points, t)
+    return B, G, np.diag(G).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +161,11 @@ def _dyadic_strides(depths: Sequence[int]) -> tuple:
     return dmax, [2 ** (dmax - d) for d in depths]
 
 
+def _quadratic_form(X: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """x' A x for each row x of X, by one matrix product."""
+    return np.einsum("pi,pi->p", X @ A, X)
+
+
 def _qv_rows(
     B: np.ndarray,
     G: np.ndarray,
@@ -147,23 +179,23 @@ def _qv_rows(
     limit object, one row per stride of the cumulative kernels ``B``.
 
     All rows share one sample of ``paths`` realizations.  QV = sum_k
-    (x' A_k x - tr A_k)^2 over the increment kernels A_k of ``B[::stride]``;
-    RHS = x' G x + m3 g.x is the per-realization limit quadratic form.
+    (x' A_k x - tr A_k)^2 over the increment kernels A_k of ``B[::stride]``,
+    accumulated one increment at a time; RHS = x' G x + m3 g.x is the
+    per-realization limit quadratic form.
     """
     if paths < 2:
         raise ValueError("paths must be >= 2 for a standard error")
     N = G.shape[0]
     m3 = float(standardized_moments(law, 3)[3])
     X = sample(law, seed, paths * N).reshape(paths, N)
-    RHS = np.einsum("pi,ij,pj->p", X, G, X) + m3 * (X @ g)
+    RHS = _quadratic_form(X, G) + m3 * (X @ g)
     rows = []
     for stride in strides:
         Bd = B[::stride]
-        A = Bd[1:] - Bd[:-1]
-        A = 0.5 * (A + np.transpose(A, (0, 2, 1)))
-        tr = np.trace(A, axis1=1, axis2=2)
-        inc = np.einsum("pi,kij,pj->pk", X, A, X) - tr[None, :]
-        QV = (inc * inc).sum(axis=1)
+        QV = np.zeros(paths)
+        for A in Bd[1:] - Bd[:-1]:
+            inc = _quadratic_form(X, A) - np.trace(A)
+            QV += inc * inc
         err = (QV - RHS) ** 2
         rows.append(
             {
@@ -217,46 +249,15 @@ def qv_joint_refinement(
     The QV limit needs the truncation to outrun the mesh (N / 2^depth -> oo,
     as in (4, 1), (16, 2), (64, 3)); a lockstep schedule such as
     N = 2^(depth+1) leaves a mean gap that settles near -0.053 for the
-    normal law (see the module docstring).  Uses the stable float Legendre
-    engine (constant h1 = h2 = 1)."""
+    normal law (see the module docstring).  Kernels come from the float
+    Gauss-Legendre engine with h1 = h2 = 1, so deep schedules such as
+    (256, 5) take seconds."""
     rows = []
     for N, d in pairs:
-        B, G, g = legendre_float_cumulative(N, d, float(t))
+        B, G, g = legendre_float_cumulative(N, d, t)
         (row,) = _qv_rows(B, G, g, [1], law, paths, seed)
         rows.append({"N": N, "depth": d, **row})
     return {"paths": paths, "seed": seed, "rows": rows}
-
-
-def legendre_float_cumulative(N: int, depth: int, t: float = 1.0):
-    """Float-stable cumulative kernels for h1 = h2 = 1 via Legendre-basis ops.
-
-    Returns (B, G, g) matching :func:`cumulative_triangle` and
-    :func:`qv_rhs_quadratics`; used for truncations too large for exact
-    rational construction.  Stability comes from never leaving the Legendre
-    coefficient basis (power-basis conversion is catastrophically ill-
-    conditioned at these degrees).
-    """
-    from numpy.polynomial import legendre as L
-
-    es = []
-    for j in range(1, N + 1):
-        c = np.zeros(j)
-        c[j - 1] = math.sqrt(2 * j - 1)
-        es.append(c)
-    Hs = [0.5 * L.legint(c, lbnd=-1) for c in es]
-    ts = np.linspace(0.0, t, 2**depth + 1)
-    B = np.zeros((len(ts), N, N))
-    G = np.zeros((N, N))
-    g = np.zeros(N)
-    for u in range(N):
-        for v in range(N):
-            F = 0.5 * L.legint(L.legmul(es[v], Hs[u]))
-            vals = L.legval(2 * ts - 1.0, F)
-            B[:, u, v] = vals - vals[0]
-            FG = 0.5 * L.legint(L.legmul(Hs[u], Hs[v]))
-            G[u, v] = L.legval(2 * t - 1.0, FG) - L.legval(-1.0, FG)
-        g[u] = G[u, u]
-    return B, G, g
 
 
 def riemann_experiment(
@@ -281,7 +282,7 @@ def riemann_experiment(
     K, _ = triangle_kernel(h, g, basis)
     A = K.floats()
     X = sample(law, seed, paths * N).reshape(paths, N)
-    I = np.einsum("pi,ij,pj->p", X, A, X) - np.trace(A)
+    I = _quadratic_form(X, A) - np.trace(A)
     rows = []
     for d, stride in zip(depths, strides):
         ch = C_h[::stride]

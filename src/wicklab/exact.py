@@ -221,6 +221,9 @@ class RadSum:
         return other.terms == self.terms
 
     def __hash__(self):
+        # equal values hash equal: a rational value compares == to its Fraction
+        if self.is_rational:
+            return hash(self.rational())
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self):

@@ -178,6 +178,25 @@ def test_radsum_rational_detection():
     assert t.is_rational and t.rational() == 0
 
 
+def test_radsum_hashes_as_its_value():
+    assert RadSum(Q(1, 2)) in {Q(1, 2)}
+    assert RadSum(Q(0)) in {0} and RadSum(Q(3)) in {3}
+    assert hash(Rad(Q(2), 3)) == hash(RadSum({3: Q(2)}))
+    assert len({Rad(Q(1, 2)), Q(1, 2), RadSum(Q(1, 2))}) == 1
+
+
+@pytest.mark.parametrize("N", [16, 32])
+def test_black_box_quadrature_at_high_truncation(N):
+    from wicklab.chaos.basis import coeffs_of_callable
+
+    b = LegendreBasis(N)
+    one = coeffs_of_callable(lambda x: 1.0, b)
+    assert np.abs(one - coeffs_of(PiecewisePoly.constant(1), b).floats()).max() < 1e-13
+    quad = coeffs_of_callable(lambda x: x * x, b, t_cut=Q(1, 3))
+    exact = coeffs_of(PiecewisePoly.from_poly([0, 0, 1]), b, t_cut=Q(1, 3)).floats()
+    assert np.abs(quad - exact).max() < 1e-13
+
+
 def test_black_box_quadrature_fallback():
     import math
 

@@ -1,11 +1,12 @@
 """Convergence experiments: Riemann sums, quadratic variation, bound grids."""
 
+import math
 from fractions import Fraction as Q
 
 import numpy as np
 import pytest
 
-from wicklab.chaos.basis import LegendreBasis, PiecewisePoly
+from wicklab.chaos.basis import LegendreBasis, PiecewisePoly, coeffs_of, triangle_kernel
 from wicklab.chaos.experiments import (
     cumulative_coeffs,
     cumulative_triangle,
@@ -22,15 +23,60 @@ from wicklab.laws import Law
 ONE = PiecewisePoly.constant(1)
 
 
+def exact_G(h1, h2, basis, t):
+    """G[u,v] = int_0^t h2^2 c_u c_v with c_u(s) = <h1 1_(0,s], e_u>, built
+    exactly as a piecewise-polynomial antiderivative and then rounded."""
+    N = basis.N
+    h2sq = h2 * h2
+    cs = [h1.mul_poly(basis.poly(u + 1)).antiderivative() for u in range(N)]
+    G = np.zeros((N, N))
+    for u in range(N):
+        for v in range(u, N):
+            F = (h2sq * (cs[u] * cs[v])).antiderivative()
+            scale = math.sqrt(basis.weight(u + 1) * basis.weight(v + 1))
+            G[u, v] = G[v, u] = float(F.eval(Q(t))) * scale
+    return G
+
+
+def exact_B(h1, h2, basis, t):
+    """The raw triangle kernel of h1 (x) (h2 1_(0,t]) 1_C, exact then rounded."""
+    _, raw = triangle_kernel(h1, h2, basis, t_cut=Q(t))
+    return np.array([[float(e) for e in row] for row in raw])
+
+
+def close(a, b):
+    return np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+
 def test_exact_and_float_kernel_engines_agree():
     b = LegendreBasis(12)
-    pts = [Q(k, 8) for k in range(9)]
-    Bex = cumulative_triangle(ONE, ONE, b, pts)
-    Bfl, Gfl, _ = legendre_float_cumulative(12, 3, 1.0)
-    assert np.abs(Bex - Bfl).max() < 1e-13
-    Gex, gex = qv_rhs_quadratics(ONE, ONE, b, 1)
-    assert np.abs(Gex - Gfl).max() < 1e-13
-    assert np.abs(np.diag(Gex) - gex).max() == 0
+    Bfl, Gfl, gfl = legendre_float_cumulative(12, 3, 1.0)
+    assert Bfl.shape == (9, 12, 12) and not Bfl[0].any()
+    for k in (1, 3, 8):
+        assert close(Bfl[k], exact_B(ONE, ONE, b, Q(k, 8)))
+    assert close(Gfl, exact_G(ONE, ONE, b, 1))
+    assert np.array_equal(np.diag(Gfl), gfl)
+
+
+# non-dyadic cuts; h1 vanishes on (5/7, 1] and h2 on (2/7, 1/3]
+H1 = PiecewisePoly(((Q(0), Q(1, 3), (Q(1), Q(2))), (Q(1, 3), Q(5, 7), (Q(-1), Q(0), Q(3)))))
+H2 = PiecewisePoly(((Q(0), Q(2, 7), (Q(2),)), (Q(1, 3), Q(1), (Q(1), Q(-3, 2)))))
+
+
+@pytest.mark.parametrize("N", [3, 16])
+def test_float_kernels_match_exact_on_piecewise_h(N):
+    b = LegendreBasis(N)
+    points = [Q(0), Q(1, 5), Q(2, 7), Q(1, 2), Q(5, 7), Q(9, 10)]
+    B = cumulative_triangle(H1, H2, b, points)
+    assert B.shape == (len(points), N, N) and not B[0].any()
+    for p, Bp in zip(points[1:], B[1:]):
+        assert close(Bp, exact_B(H1, H2, b, p)), p
+    C = cumulative_coeffs(H1, b, points)
+    for p, Cp in zip(points[1:], C[1:]):
+        assert close(Cp, coeffs_of(H1, b, t_cut=p).floats()), p
+    G, g = qv_rhs_quadratics(H1, H2, b, Q(9, 10))
+    assert close(G, exact_G(H1, H2, b, Q(9, 10)))
+    assert np.array_equal(np.diag(G), g)
 
 
 def test_cumulative_coeffs_monotone_resolution():
