@@ -14,6 +14,7 @@ and isometry identities checkable without floats.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -48,14 +49,19 @@ __all__ = [
 
 def shifted_legendre(n: int) -> Poly:
     """Exact coefficients of L_n(2x-1) on [0,1] (unnormalized, L_n(1) = 1)."""
-    if n == 0:
-        return [Q(1)]
+    return next(itertools.islice(_shifted_legendre_polys(), n, None))
+
+
+def _shifted_legendre_polys():
+    """L_0(2x-1), L_1(2x-1), ... by the three-term recurrence, one pass."""
     prev, cur = [Q(1)], [Q(-1), Q(2)]  # L_0, L_1 in the shifted variable
-    for k in range(1, n):
+    yield prev
+    k = 1
+    while True:
+        yield cur
         nxt = p_scale(p_mul([Q(-1), Q(2)], cur), Q(2 * k + 1, k + 1))
         nxt = p_add(nxt, p_scale(prev, Q(-k, k + 1)))
-        prev, cur = cur, nxt
-    return cur
+        prev, cur, k = cur, nxt, k + 1
 
 
 @functools.lru_cache(maxsize=64)
@@ -113,9 +119,8 @@ class LegendreBasis:
 
     @functools.cached_property
     def _polys(self) -> tuple:
-        # built on first use: the float paths never need them, and at N = 256
-        # the exact coefficients take about a minute
-        return tuple(tuple(shifted_legendre(j)) for j in range(self.N))
+        # built on first use: the float paths never need them
+        return tuple(tuple(p) for p in itertools.islice(_shifted_legendre_polys(), self.N))
 
     def poly(self, j: int) -> Poly:
         """Unnormalized part of e_j (1-based index)."""

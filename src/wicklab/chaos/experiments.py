@@ -42,7 +42,7 @@ import numpy as np
 
 from ..exact import Q
 from ..laws import Law, sample, standardized_moments
-from .basis import LegendreBasis, PiecewisePoly, gauss_legendre, triangle_kernel
+from .basis import LegendreBasis, PiecewisePoly, gauss_legendre
 from .tensors import GammaTables
 
 __all__ = [
@@ -279,8 +279,8 @@ def riemann_experiment(
     points = [Q(k, 2**dmax) for k in range(2**dmax + 1)]
     C_h = cumulative_coeffs(h, basis, points)
     C_g = cumulative_coeffs(g, basis, points)
-    K, _ = triangle_kernel(h, g, basis)
-    A = K.floats()
+    B = cumulative_triangle(h, g, basis, [1])[0]
+    A = 0.5 * (B + B.T)
     X = sample(law, seed, paths * N).reshape(paths, N)
     I = _quadratic_form(X, A) - np.trace(A)
     rows = []

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..exact import Q, RadSum
 from .basis import LegendreBasis, PiecewisePoly, SymmetricKernel2, coeffs_of, triangle_kernel
-from .tensors import GammaTables, SymTensor
+from .tensors import GammaTables, SymTensor, contraction1
 
 __all__ = [
     "phi",
@@ -271,21 +271,6 @@ def _diag_kernel(K: SymmetricKernel2) -> SymmetricKernel2:
         for u in range(K.N)
     )
     return SymmetricKernel2(rows)
-
-
-def contraction1(K: SymmetricKernel2) -> SymmetricKernel2:
-    """(f ~1 f)(s,t) = int f(s,u) f(t,u) du: the matrix square, entrywise."""
-    N = K.N
-    rows = []
-    for u in range(N):
-        row = []
-        for v in range(N):
-            acc = RadSum()
-            for w in range(N):
-                acc = acc + K.entries[u][w] * K.entries[v][w]
-            row.append(acc)
-        rows.append(tuple(row))
-    return SymmetricKernel2(tuple(rows))
 
 
 def contraction1_series(K: SymmetricKernel2) -> SymTensor:

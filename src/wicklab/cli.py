@@ -26,6 +26,9 @@ from .report import Check, ExperimentReport
 QUICK_TRUNCATION = 8
 QUICK_PATHS = 10_000
 QUICK_MAX_DEPTH = 6
+# Largest truncation of the exact fourth-moment commands (order4, bound4):
+# one exact E[J^4] at N = 16 takes well under a second.
+MAX_EXACT_TRUNCATION = 16
 
 
 def parse_piecewise(text: str) -> chaos.PiecewisePoly:
@@ -107,6 +110,14 @@ def _at_least_one(args, option: str) -> None:
     """Reject a size below 1, which would leave nothing to check."""
     if getattr(args, option) < 1:
         raise ValueError(f"--{option} must be >= 1")
+
+
+def _exact_truncation(args) -> int:
+    """--truncation of a command on the exact tensor engine; above its limit
+    is bad input."""
+    if args.truncation > MAX_EXACT_TRUNCATION:
+        raise ValueError(f"--truncation must be <= {MAX_EXACT_TRUNCATION} for exact fourth moments")
+    return args.truncation
 
 
 def _open_for_write(path: str, option: str):
@@ -329,7 +340,7 @@ def run_chaos_order4(args) -> ExperimentReport:
     _at_least_one(args, "draws")
     _at_least_one(args, "truncation")
     law = laws.parse_law(args.law)
-    N = min(args.truncation, 8)
+    N = _exact_truncation(args)
     rep = ExperimentReport(
         "chaos order4", {"law": law.label(), "truncation": N, "draws": args.draws, "seed": args.seed}
     )
@@ -394,7 +405,7 @@ def run_chaos_qv(args) -> ExperimentReport:
 def run_chaos_bound4(args) -> ExperimentReport:
     law = laws.parse_law(args.law)
     _at_least_one(args, "grid")
-    N = min(args.truncation, 8)
+    N = _exact_truncation(args)
     rep = ExperimentReport(
         "chaos bound4", {"law": law.label(), "truncation": N, "grid": args.grid}
     )

@@ -2,8 +2,10 @@
 
 ``perfbench/tracer.py`` wraps each function in its ``TARGETS`` for
 ``perfbench/run.py --trace 1`` and reads the grid size off the kernel
-engines' results.  A renamed or deleted target would break the traced run
-and drop its per-layer metrics, so these tests fail first.
+engines' results, and term and radicand counts off the tensor layer's.  A
+renamed or deleted target, or a result without the attribute a count reads,
+would break the traced run and drop its per-layer metrics, so these tests
+fail first.
 """
 
 import importlib
@@ -13,8 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from wicklab.chaos.basis import LegendreBasis, PiecewisePoly
-from wicklab.chaos import experiments
+from wicklab.chaos.basis import LegendreBasis, PiecewisePoly, SymmetricKernel2
+from wicklab.chaos import experiments, identities
+from wicklab.chaos.tensors import GammaTables, SymTensor
+from wicklab.laws import Law
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -55,3 +59,28 @@ def test_traced_kernel_engines_report_grid_points():
     calls = {name: cell[0] for name, cell in tracer.per_item()[None].items()}
     for name in ("cumulative_triangle", "cumulative_coeffs", "legendre_float_cumulative"):
         assert calls[f"chaos.experiments.{name}"] == 1
+
+
+def test_traced_tensor_layer_reports_terms_and_radicands():
+    perfbench_tracer = load_tracer()
+    for module, _, _ in perfbench_tracer.TARGETS:
+        importlib.import_module(module)
+    tracer = perfbench_tracer.Tracer()
+    originals = (SymTensor.__dict__["sym_square"], SymTensor.annihilated, identities.fourth_moment_lhs)
+    K = SymmetricKernel2.basis_element(2, 1, 1)  # f = e_1 o e_1
+    tables = GammaTables.for_law(Law.exponential(1))  # every gamma - Gamma gap is nonzero
+    tracer.install()
+    try:
+        lhs = identities.fourth_moment_lhs(K, tables)
+    finally:
+        tracer.uninstall()
+    assert originals == (
+        SymTensor.__dict__["sym_square"], SymTensor.annihilated, identities.fourth_moment_lhs
+    )
+    calls = {name: cell[0] for name, cell in tracer.per_item()[None].items()}
+    assert calls["chaos.tensors.SymTensor.sym_square"] == 1
+    assert calls["chaos.tensors.SymTensor.annihilated"] == 6
+    # one term each: e_1^4, its four annihilations, and the two annihilated
+    # contractions (both m3 e_1)
+    assert tracer.counts[None]["chaos.tensors.terms"] == 7
+    assert tracer.counts[None]["exact.radicands"] == len(lhs.terms) == 1

@@ -24,6 +24,15 @@ def test_shifted_legendre_first_rows():
     assert shifted_legendre(2) == [1, -6, 6]
 
 
+def test_basis_polys_match_shifted_legendre_and_closed_form():
+    # one pass of the recurrence gives every e_j; the closed form
+    # L_n(2x-1) = sum_k (-1)^(n+k) C(n,k) C(n+k,k) x^k is an independent check
+    basis = LegendreBasis(20)
+    for j in range(20):
+        closed = [(-1) ** (j + k) * math.comb(j, k) * math.comb(j + k, k) for k in range(j + 1)]
+        assert basis.poly(j + 1) == shifted_legendre(j) == closed
+
+
 def test_basis_orthonormal_exact():
     assert LegendreBasis(8).orthonormality_defect() == 0
 

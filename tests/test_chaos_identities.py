@@ -1,5 +1,6 @@
 """Product identity, integration by parts, norms, isometries, order decomposition."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as Q
@@ -37,7 +38,7 @@ from wicklab.chaos.identities import (
 )
 from wicklab.chaos.tensors import GammaTables, SymTensor, hermite_connection
 from wicklab.exact import Rad, RadSum
-from wicklab.laws import Law, sample, standardized_moments
+from wicklab.laws import Law, MomentSequence, sample, standardized_moments
 
 ONE = PiecewisePoly.constant(1)
 X = PiecewisePoly.from_poly([0, 1])
@@ -551,6 +552,60 @@ def test_cross_order_expectations_vanish():
 
 
 # --- fourth moment ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("N", [3, 8, 12])
+def test_fourth_moment_gaussian_closed_form_exact(N):
+    # Magnus (1978): E[(x'Ax - tr A)^4] = 12 (tr A^2)^2 + 48 tr A^4 for
+    # standard normal x, equal as rationals, not to a tolerance
+    tab = GammaTables.for_law(Law.normal())
+    K = random_sym_kernel(random.Random(N), N)
+    A = [[e.rational() for e in row] for row in K.entries]
+    A2 = [[sum((A[i][k] * A[k][j] for k in range(N)), Q(0)) for j in range(N)] for i in range(N)]
+    tr2 = sum((A2[i][i] for i in range(N)), Q(0))
+    tr4 = sum((A2[i][j] * A2[j][i] for i in range(N) for j in range(N)), Q(0))
+    assert fourth_moment_lhs(K, tab) == 12 * tr2**2 + 48 * tr4
+
+
+# a standardized law on five atoms with m3 != 0: the fewest atoms the tables accept
+FIVE_ATOMS = (
+    (Q(-7, 4), Q(1, 9)),
+    (Q(-1), Q(1, 9)),
+    (Q(-1, 4), Q(1, 3)),
+    (Q(1, 2), Q(1, 3)),
+    (Q(2), Q(1, 9)),
+)
+
+
+def enumerated_fourth_moment(K, atoms):
+    """E[(x'Ax - tr A)^4] summed over all len(atoms)^N coordinate tuples."""
+    N = K.N
+    trace = sum((K.entries[i][i] for i in range(N)), RadSum())
+    acc = RadSum()
+    for draw in itertools.product(atoms, repeat=N):
+        xs = [x for x, _ in draw]
+        J = -trace
+        for u in range(N):
+            for v in range(N):
+                J = J + K.entries[u][v] * (xs[u] * xs[v])
+        J2 = J * J
+        acc = acc + J2 * J2 * math.prod(p for _, p in draw)
+    return acc
+
+
+@pytest.mark.parametrize("kind", ["rational N=4", "triangle N=3"])
+def test_fourth_moment_matches_five_atom_enumeration(kind):
+    moments = MomentSequence(tuple(sum(p * x**n for x, p in FIVE_ATOMS) for n in range(9)))
+    tab = GammaTables(moments, label="five atoms")
+    assert (moments[1], moments[2]) == (0, 1) and tab.m3 != 0
+    if kind == "rational N=4":
+        K = random_sym_kernel(random.Random(83), 4)
+    else:
+        K, _ = triangle_kernel(X, PW, LegendreBasis(3))
+    lhs = fourth_moment_lhs(K, tab)
+    if kind == "triangle N=3":
+        assert len(lhs.terms) > 1  # radicals survive, so the RadSum path is exercised
+    assert lhs == enumerated_fourth_moment(K, FIVE_ATOMS)
 
 
 def test_fourth_moment_trivial_and_small_increment():

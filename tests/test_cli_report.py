@@ -114,6 +114,23 @@ def test_chaos_order4(capsys):
     assert row(rep, "order_identity_worst_residual")["value"] < 1e-10
 
 
+def test_chaos_order4_beyond_eight(capsys):
+    code, rep = run_cli(
+        capsys, "chaos", "order4", "--law", "exponential:1", "--truncation", "12", "--draws", "2"
+    )
+    assert code == 0
+    assert rep["config"]["truncation"] == 12
+    assert row(rep, "order_identity_worst_residual")["value"] < 1e-10
+
+
+@pytest.mark.parametrize("command", ["order4", "bound4"])
+def test_exact_truncation_above_limit_names_the_option(capsys, command):
+    assert main(["chaos", command, "--law", "normal", "--truncation", "17"]) == 2
+    captured = capsys.readouterr()
+    assert "error: --truncation must be <= 16" in captured.err
+    assert captured.out == ""
+
+
 def test_chaos_qv_joint_csv(tmp_path, capsys):
     csv = tmp_path / "qv.csv"
     code, rep = run_cli(
