@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -405,16 +407,63 @@ def coeffs_of_callable(
     raise QuadratureError(residual)
 
 
+# ---------------------------------------------------------------------------
+# exact kernel engine: one sweep over the breakpoints
+#
+# On each interval (a, b] between breakpoints every function involved is a
+# polynomial: H_u(y) = int_0^y h L_u is the running value H_u(a) plus the
+# antiderivative of h L_u from a, and g L_v is one product.  Their rows are
+# scaled to one integer denominator each, so the interval's contribution
+# H M G^T, with M the Hankel moment matrix, only multiplies and adds Python
+# ints; a Fraction is made once per kernel entry at the end.
+
+
+def _scaled(rows: Sequence[Sequence[Fraction]]) -> tuple:
+    """(int_rows, den): rational rows over the lcm of their denominators."""
+    den = math.lcm(*(x.denominator for r in rows for x in r))
+    return [[x.numerator * (den // x.denominator) for x in r] for r in rows], den
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(operator.mul, a, b))
+
+
+def _h_rows(
+    c: Optional[tuple], polys: Sequence[Poly], a: Fraction, b: Fraction, H: list
+) -> tuple:
+    """Power-basis rows of H_u(y) = int_0^y h L_u on (a, b], where h has the
+    coefficients c there (None on a gap), from the values ``H`` at a.
+    Returns the rows and the values at b."""
+    if not c:
+        return [[x] for x in H], H
+    rows = []
+    for L, start in zip(polys, H):
+        A = p_antideriv(p_mul(c, L))
+        rows.append(p_add(A, [start - p_eval(A, a)]))
+    return rows, [p_eval(r, b) for r in rows]
+
+
+def _moments(a: Fraction, b: Fraction, n: int) -> tuple:
+    """(M, den): M[m] / den = int_a^b y^m dy for m < n, the entries of the
+    Hankel moment matrix int_a^b y^(i+j) dy."""
+    q = math.lcm(a.denominator, b.denominator)
+    A, B = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
+    lc = math.lcm(*range(1, n + 1))
+    M = [(B ** (m + 1) - A ** (m + 1)) * q ** (n - 1 - m) * (lc // (m + 1)) for m in range(n)]
+    return M, q**n * lc
+
+
 def coeffs_of(
     h: PiecewisePoly, basis: LegendreBasis, t_cut: Optional[Fraction] = None
 ) -> ChaosVector:
-    """Exact coefficients <h * 1_{(0,t]}, e_j> for piecewise-polynomial h."""
+    """Exact coefficients <h * 1_{(0,t]}, e_j> for piecewise-polynomial h:
+    the values H_j(1) of the kernel sweep's running integrals."""
     hh = h if t_cut is None else h.cut(t_cut)
-    out = []
-    for j in range(1, basis.N + 1):
-        val = hh.mul_poly(basis.poly(j)).integral()
-        out.append(Rad(val, basis.weight(j)))
-    return ChaosVector(tuple(out))
+    polys = basis._polys
+    H = [Q(0)] * basis.N
+    for lo, hi, c in hh.pieces:
+        _, H = _h_rows(c, polys, lo, hi, H)
+    return ChaosVector(tuple(Rad(x, basis.weight(j)) for j, x in enumerate(H, 1)))
 
 
 def triangle_kernel(
@@ -424,16 +473,39 @@ def triangle_kernel(
 
     Returns ``(sym, raw)``: ``raw[u][v] = <h (x) g 1_C, e_u (x) e_v>`` and
     ``sym`` the symmetrized kernel (raw + raw^T)/2 driving the integral.
+
+    One sweep over the merged breakpoints of h and g 1_(0,t]: on each interval
+    the rows H of H_u(y) = int_0^y h L_u and G of g L_v give
+    raw[u][v] / sqrt((2u-1)(2v-1)) += (H M G^T)[u][v], in integers.
     """
     gg = g if t_cut is None else g.cut(t_cut)
     N = basis.N
-    inner = [h.mul_poly(basis.poly(u)).antiderivative() for u in range(1, N + 1)]
-    raw = [[None] * N for _ in range(N)]
-    for u in range(N):
-        for v in range(N):
-            integrand = (gg.mul_poly(basis.poly(v + 1))) * inner[u]
-            raw[u][v] = Rad(integrand.integral(), basis.weight(u + 1) * basis.weight(v + 1))
+    polys = basis._polys
+    end = gg.pieces[-1][1] if gg.pieces else Q(0)
+    cuts = sorted({x for f in (h, gg) for lo, hi, _ in f.pieces for x in (lo, hi) if x <= end})
+    H = [Q(0)] * N
+    num, den = [[0] * N for _ in range(N)], 1
+    for a, b in zip(cuts, cuts[1:]):
+        rows, H = _h_rows(h._piece_at(a, b), polys, a, b, H)
+        G, gden = _scaled([p_mul(gg._piece_at(a, b) or (), L) for L in polys])
+        nG = max(map(len, G))
+        if not nG:  # g vanishes here
+            continue
+        Hn, hden = _scaled(rows)
+        M, mden = _moments(a, b, max(map(len, Hn)) + nG - 1)
+        HM = [[_dot(r, M[j:]) for j in range(nG)] for r in Hn]
+        step = hden * mden * gden
+        new = math.lcm(den, step)
+        old_f, step_f = new // den, new // step
+        num = [
+            [x * old_f + _dot(hm, Gv) * step_f for x, Gv in zip(row, G)]
+            for row, hm in zip(num, HM)
+        ]
+        den = new
+    w = [basis.weight(j) for j in range(1, N + 1)]
+    raw = tuple(tuple(Rad(Q(num[u][v], den), w[u] * w[v]) for v in range(N)) for u in range(N))
     sym = tuple(
-        tuple((raw[u][v] + raw[v][u]) * Q(1, 2) for v in range(N)) for u in range(N)
+        tuple(Rad(Q(num[u][v] + num[v][u], 2 * den), w[u] * w[v]) for v in range(N))
+        for u in range(N)
     )
-    return SymmetricKernel2(sym), tuple(tuple(row) for row in raw)
+    return SymmetricKernel2(sym), raw

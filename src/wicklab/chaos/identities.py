@@ -353,7 +353,8 @@ def fourth_moment_check(
 
     with C4k the annihilation sup-constants and exact (untruncated) norms.
     The report carries both sides; ``holds`` compares the certified upper
-    end of ``lhs_bounds`` with ``rhs``.
+    end of ``lhs_bounds`` with ``rhs``.  Its ``constants`` are the tables'
+    shared read-only :attr:`GammaTables.bound_constants`.
 
     The printed constant is too small.  With h1 = h2 = 1 and (s, t) = (0, 1)
     the symmetric kernel is exactly (1/2) e_1 (x) e_1 at every truncation,
@@ -369,11 +370,10 @@ def fourth_moment_check(
     h2st = _restrict_above(h2, s, t)
     K, _ = triangle_kernel(h1, h2st, basis)
     lhs = fourth_moment_lhs(K, tables)
-    c41, c42, c43, c44 = (tables.c_const(k) for k in (1, 2, 3, 4))
-    const = Q(7, 2) * c41 + c42 + c43 + c44 + 2
+    constants = tables.bound_constants
     n1 = (h1 * h1).integral()
     n2 = (h2st * h2st).integral()
-    rhs = const * n1**2 * n2**2
+    rhs = constants["const"] * n1**2 * n2**2
     lo, hi = lhs.bounds()
     return {
         "lhs": lhs,
@@ -381,7 +381,7 @@ def fourth_moment_check(
         "lhs_bounds": (lo, hi),
         "rhs": rhs,
         "holds": hi <= rhs,
-        "constants": {"C41": c41, "C42": c42, "C43": c43, "C44": c44, "const": const},
+        "constants": constants,
         "norms": {"h1_sq": n1, "h2_strip_sq": n2},
     }
 

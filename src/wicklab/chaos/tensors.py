@@ -49,7 +49,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from operator import eq
-from typing import Dict
+from types import MappingProxyType
+from typing import Dict, Mapping
 
 from ..exact import Q, RadSum, _split_square, as_fraction
 from ..laws import Law, MomentSequence, standardized_moments
@@ -160,17 +161,10 @@ def _add_scaled(terms: dict, t: tuple, lam: dict, c: int) -> None:
         del terms[t]
 
 
-def _radsum(c: dict, den: int) -> RadSum:
-    return RadSum({w: Fraction(n, den) for w, n in c.items()})
-
-
 def _int_kernel(K: SymmetricKernel2) -> tuple:
     """(rows, D): a_uv = sum_w (rows[u][v][w] / D) sqrt(w), one common D."""
-    D = math.lcm(*(q.denominator for row in K.entries for e in row for q in e.terms.values()))
-    rows = [
-        [{w: q.numerator * (D // q.denominator) for w, q in e.terms.items()} for e in row]
-        for row in K.entries
-    ]
+    D = math.lcm(*(e._den for row in K.entries for e in row))
+    rows = [[{w: n * (D // e._den) for w, n in e._num.items()} for e in row] for row in K.entries]
     return rows, D
 
 
@@ -184,7 +178,7 @@ def contraction1(K: SymmetricKernel2) -> SymmetricKernel2:
             acc: dict = {}
             for w in range(N):
                 _madd(acc, rows[u][w], rows[v][w], 1)
-            out[u][v] = out[v][u] = _radsum(acc, D * D)
+            out[u][v] = out[v][u] = RadSum._of(acc, D * D)
     return SymmetricKernel2(tuple(tuple(r) for r in out))
 
 
@@ -338,6 +332,17 @@ class GammaTables:
         (order 4, k = 0..4), built with the tables."""
         return self._c_const[k]
 
+    @functools.cached_property
+    def bound_constants(self) -> Mapping:
+        """The printed increment bound's constants, built once per law:
+        C41..C44 and const = 7/2 C41 + C42 + C43 + C44 + 2.  Every
+        ``fourth_moment_check`` report on these tables shares this one
+        mapping, so it is read-only (a mappingproxy, which cannot be
+        pickled: copy it with ``dict()`` first)."""
+        c = {f"C4{k}": self.c_const(k) for k in (1, 2, 3, 4)}
+        c["const"] = Q(7, 2) * c["C41"] + c["C42"] + c["C43"] + c["C44"] + 2
+        return MappingProxyType(c)
+
 
 # ---------------------------------------------------------------------------
 # symmetric tensors in signature form
@@ -369,7 +374,7 @@ class SymTensor:
 
     @property
     def terms(self) -> Dict[tuple, RadSum]:
-        return {t: _radsum(c, self._den) for t, c in self._c.items()}
+        return {t: RadSum._of(c, self._den) for t, c in self._c.items()}
 
     def __eq__(self, other):
         if not isinstance(other, SymTensor):
@@ -381,15 +386,15 @@ class SymTensor:
             raise ValueError("signature length does not match tensor order")
         if any(a > b for a, b in zip(t, t[1:])):
             t = tuple(sorted(t))
-        parts = RadSum(coeff).terms
+        parts = RadSum(coeff)
         if not parts:
             return
-        den = math.lcm(self._den, *(q.denominator for q in parts.values()))
+        den = math.lcm(self._den, parts._den)
         if den != self._den:
             f = den // self._den
             self._c = {s: {w: n * f for w, n in lam.items()} for s, lam in self._c.items()}
             self._den = den
-        lam = {w: q.numerator * (den // q.denominator) for w, q in parts.items()}
+        lam = {w: n * (den // parts._den) for w, n in parts._num.items()}
         _add_scaled(self._c, t, lam, 1)
 
     def scaled(self, c) -> "SymTensor":
@@ -481,4 +486,4 @@ class SymTensor:
             mu = other._c.get(t)
             if mu is not None:
                 _madd(acc, lam, mu, weights[_mask(t)])
-        return _radsum(acc, self._den * other._den * tables._h_den**n)
+        return RadSum._of(acc, self._den * other._den * tables._h_den**n)

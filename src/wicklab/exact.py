@@ -148,7 +148,8 @@ def Rad(q, w: int = 1) -> "RadSum":
     if w <= 0:
         raise ValueError("radicand must be positive")
     s, w0 = _split_square(w)
-    return RadSum({w0: as_fraction(q) * s})
+    q = as_fraction(q)
+    return RadSum._of({w0: q.numerator * s}, q.denominator)
 
 
 class RadSum:
@@ -158,22 +159,48 @@ class RadSum:
     one-term values; annihilation operators mix coefficients with different
     radicands, so fourth-moment expectations have several terms.  Supports
     ring arithmetic, exact equality, and certified rational enclosures for
-    comparisons against rationals.  ``terms`` maps each radicand to its
-    nonzero rational coefficient and is never mutated after construction.
+    comparisons against rationals.
+
+    A value is held as integer numerators over one positive denominator in
+    lowest terms, ``q_w = _num[w] / _den``, so a sum over many radicands
+    keeps one denominator, not one Fraction per term, and equal values have
+    equal fields.  ``terms`` reads the coefficients as ``{radicand:
+    Fraction}``, omitting zeros; values are never mutated after construction.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms=None):
         if isinstance(terms, RadSum):
-            self.terms = terms.terms
-        elif isinstance(terms, dict):
-            self.terms = {w: q for w, q in terms.items() if q}
+            self._num, self._den = terms._num, terms._den
+            return
+        if isinstance(terms, dict):
+            qs = {w: q for w, q in terms.items() if q}
         elif terms is None:
-            self.terms = {}
+            qs = {}
         else:
             q = as_fraction(terms)
-            self.terms = {1: q} if q else {}
+            qs = {1: q} if q else {}
+        # over the lcm of reduced denominators the numerators share no factor
+        # with it, so the fields are already in lowest terms
+        den = math.lcm(*(q.denominator for q in qs.values()))
+        self._num = {w: q.numerator * (den // q.denominator) for w, q in qs.items()}
+        self._den = den
+
+    @classmethod
+    def _of(cls, num: dict, den: int) -> "RadSum":
+        """sum_w (num[w] / den) sqrt(w) for integers num[w] and den > 0."""
+        num = {w: n for w, n in num.items() if n}
+        g = math.gcd(den, *num.values())
+        out = cls.__new__(cls)
+        out._num = {w: n // g for w, n in num.items()} if g > 1 else num
+        out._den = den // g
+        return out
+
+    @property
+    def terms(self) -> dict:
+        den = self._den
+        return {w: Fraction(n, den) for w, n in self._num.items()}
 
     @staticmethod
     def _coerce(x) -> "RadSum":
@@ -181,17 +208,19 @@ class RadSum:
 
     def __add__(self, other):
         other = self._coerce(other)
-        if not other.terms:
+        if not other._num:
             return self
-        out = dict(self.terms)
-        for w, q in other.terms.items():
-            out[w] = out[w] + q if w in out else q
-        return RadSum(out)
+        den = math.lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        out = {w: n * fa for w, n in self._num.items()}
+        for w, n in other._num.items():
+            out[w] = out[w] + n * fb if w in out else n * fb
+        return RadSum._of(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RadSum({w: -q for w, q in self.terms.items()})
+        return RadSum._of({w: -n for w, n in self._num.items()}, self._den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -201,15 +230,16 @@ class RadSum:
 
     def __mul__(self, other):
         if isinstance(other, (Fraction, int)):
-            return RadSum({w: q * other for w, q in self.terms.items()})
+            p, q = other.numerator, other.denominator
+            return RadSum._of({w: n * p for w, n in self._num.items()}, self._den * q)
         other = self._coerce(other)
-        out: dict[int, Fraction] = {}
-        for w1, q1 in self.terms.items():
-            for w2, q2 in other.terms.items():
+        out: dict[int, int] = {}
+        for w1, n1 in self._num.items():
+            for w2, n2 in other._num.items():
                 s, w0 = (w1, 1) if w1 == w2 else _split_square(w1 * w2)
-                q = q1 * q2 if s == 1 else q1 * q2 * s
-                out[w0] = out[w0] + q if w0 in out else q
-        return RadSum(out)
+                v = n1 * n2 if s == 1 else n1 * n2 * s
+                out[w0] = out[w0] + v if w0 in out else v
+        return RadSum._of(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -218,7 +248,7 @@ class RadSum:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
-        return other.terms == self.terms
+        return other._den == self._den and other._num == self._num
 
     def __hash__(self):
         # equal values hash equal: a rational value compares == to its Fraction
@@ -230,26 +260,27 @@ class RadSum:
         return f"RadSum({self.terms!r})"
 
     def __float__(self):
-        return float(sum(float(q) * math.sqrt(w) for w, q in self.terms.items()))
+        den = self._den
+        return float(sum(n / den * math.sqrt(w) for w, n in self._num.items()))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     @property
     def is_rational(self) -> bool:
-        return all(w == 1 for w in self.terms)
+        return all(w == 1 for w in self._num)
 
     def rational(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self!r} carries surviving radicals")
-        return self.terms.get(1, Q(0))
+        return Fraction(self._num.get(1, 0), self._den)
 
     def square(self) -> Fraction:
         """The square, which must be rational: a sum whose radicands do not
         cancel in it (such as sqrt(3) + sqrt(5)) raises ValueError."""
-        if len(self.terms) == 1:
-            ((w, q),) = self.terms.items()
-            return q * q * w
+        if len(self._num) == 1:
+            ((w, n),) = self._num.items()
+            return Fraction(n * n * w, self._den * self._den)
         sq = self * self
         if not sq.is_rational:
             raise ValueError(f"square of {self!r} is not rational: incompatible radicands")
@@ -258,17 +289,16 @@ class RadSum:
     def bounds(self, digits: int = 30) -> tuple[Fraction, Fraction]:
         """Certified rational enclosure lo <= value <= hi."""
         scale = 10**digits
-        lo = hi = Q(0)
-        for w, q in self.terms.items():
+        lo = hi = 0
+        for w, n in self._num.items():
             r = math.isqrt(w * scale * scale)
-            slo, shi = Q(r, scale), Q(r + 1, scale)
-            if q >= 0:
-                lo += q * slo
-                hi += q * shi
+            if n >= 0:
+                lo += n * r
+                hi += n * (r + 1)
             else:
-                lo += q * shi
-                hi += q * slo
-        return lo, hi
+                lo += n * (r + 1)
+                hi += n * r
+        return Fraction(lo, self._den * scale), Fraction(hi, self._den * scale)
 
     def certified_le(self, bound: Fraction, digits: int = 30) -> bool:
         """True when value <= bound, provably at the given enclosure width."""

@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wicklab.chaos.basis import (
     ChaosVector,
@@ -90,6 +91,78 @@ def test_triangle_kernel_swap_transpose():
         for v in range(5):
             total = raw_hg[u][v] + raw_gh[v][u]
             assert total == ch.coeffs[u] * cg.coeffs[v]
+
+
+def test_triangle_kernel_swap_transpose_n12():
+    # the same identity at a truncation where the kernel rows reach degree 11,
+    # on pieces with gaps and breakpoints in thirds, fifths and eighths
+    b = LegendreBasis(12)
+    h = PiecewisePoly(((Q(0), Q(1, 3), (1, Q(-2, 5))), (Q(2, 5), Q(7, 8), (0, Q(3, 2), -1))))
+    g = PiecewisePoly(((Q(1, 8), Q(3, 5), (Q(2, 3),)), (Q(2, 3), Q(1), (-1, 0, 0, Q(5, 4)))))
+    _, raw_hg = triangle_kernel(h, g, b)
+    _, raw_gh = triangle_kernel(g, h, b)
+    ch = coeffs_of(h, b)
+    cg = coeffs_of(g, b)
+    for u in range(12):
+        for v in range(12):
+            assert raw_hg[u][v] + raw_gh[v][u] == ch.coeffs[u] * cg.coeffs[v]
+
+
+# --- the kernel sweep against the piecewise-product definition ---------------
+
+
+def _triangle_kernel_oracle(h, g, basis, t_cut=None):
+    """triangle_kernel by its definition: N^2 piecewise products against the
+    antiderivatives of h e_u, integrated with Fractions."""
+    gg = g if t_cut is None else g.cut(t_cut)
+    N = basis.N
+    inner = [h.mul_poly(basis.poly(u)).antiderivative() for u in range(1, N + 1)]
+    raw = [[None] * N for _ in range(N)]
+    for u in range(N):
+        for v in range(N):
+            integrand = (gg.mul_poly(basis.poly(v + 1))) * inner[u]
+            raw[u][v] = Rad(integrand.integral(), basis.weight(u + 1) * basis.weight(v + 1))
+    sym = tuple(tuple((raw[u][v] + raw[v][u]) * Q(1, 2) for v in range(N)) for u in range(N))
+    return SymmetricKernel2(sym), tuple(tuple(row) for row in raw)
+
+
+def _coeffs_oracle(h, basis, t_cut=None):
+    hh = h if t_cut is None else h.cut(t_cut)
+    return tuple(
+        Rad(hh.mul_poly(basis.poly(j)).integral(), basis.weight(j)) for j in range(1, basis.N + 1)
+    )
+
+
+# breakpoints with mixed denominators: thirds, fifths and eighths
+_GRID = sorted({Q(i, d) for d in (3, 5, 8) for i in range(d + 1)})
+
+
+@st.composite
+def _piecewise(draw):
+    """1-3 pieces of degree 0-3, separated by gaps."""
+    m = draw(st.integers(1, 3))
+    grid = st.lists(st.sampled_from(_GRID), min_size=2 * m, max_size=2 * m, unique=True)
+    pts = sorted(draw(grid))
+    coeff = st.builds(Q, st.integers(-4, 4), st.integers(1, 6))
+    return PiecewisePoly(
+        tuple(
+            (lo, hi, tuple(draw(st.lists(coeff, min_size=1, max_size=4))))
+            for lo, hi in zip(pts[::2], pts[1::2])
+        )
+    )
+
+
+@given(_piecewise(), _piecewise(), st.integers(1, 10), st.data())
+@settings(max_examples=40, deadline=None)
+def test_triangle_kernel_and_coeffs_match_definition(h, g, N, data):
+    b = LegendreBasis(N)
+    lo, hi, _ = data.draw(st.sampled_from(g.pieces))
+    t_cut = data.draw(st.sampled_from([None, Q(0), (lo + hi) / 2, hi, Q(1)]))
+    sym, raw = triangle_kernel(h, g, b, t_cut=t_cut)
+    sym_ref, raw_ref = _triangle_kernel_oracle(h, g, b, t_cut=t_cut)
+    assert raw == raw_ref
+    assert sym.entries == sym_ref.entries
+    assert coeffs_of(h, b, t_cut=t_cut).coeffs == _coeffs_oracle(h, b, t_cut=t_cut)
 
 
 def test_triangle_parseval_tail():

@@ -139,3 +139,17 @@ def test_rad_arithmetic_matches_floats(q, s, w, xs, ys):
     lo60, hi60 = x.bounds(60)  # a finer enclosure nests inside
     assert lo <= lo60 <= hi60 <= hi
     assert float(lo) - 1e-12 * mx <= float(x) <= float(hi) + 1e-12 * mx
+
+
+@given(rad_terms, rad_terms)
+@settings(max_examples=60, deadline=None)
+def test_radsum_one_form_per_value(xs, ys):
+    # a value has one integer-over-denominator form: sums reached by
+    # different routes compare and hash equal, and its terms rebuild it
+    x, _, _ = _rad_sum(xs)
+    y, _, _ = _rad_sum(ys)
+    assert (x + y) - y == x
+    assert hash((x + y) - y) == hash(x)
+    assert x * y == y * x
+    assert sum((Rad(q, w) for q, w in reversed(xs)), RadSum()) == x
+    assert RadSum(x.terms) == x and RadSum(x.terms).terms == x.terms
