@@ -1,6 +1,7 @@
 """Convergence experiments: Riemann sums, quadratic variation, bound grids."""
 
 import math
+import tracemalloc
 from fractions import Fraction as Q
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from wicklab.chaos.basis import LegendreBasis, PiecewisePoly, coeffs_of, triangle_kernel
 from wicklab.chaos.experiments import (
+    _qv_rows,
     cumulative_coeffs,
     cumulative_triangle,
     fourth_moment_grid,
@@ -18,7 +20,7 @@ from wicklab.chaos.experiments import (
     riemann_experiment,
 )
 from wicklab.chaos.tensors import GammaTables
-from wicklab.laws import Law
+from wicklab.laws import Law, sample, standardized_moments
 
 ONE = PiecewisePoly.constant(1)
 
@@ -164,3 +166,104 @@ def test_integral_is_centered_mc():
     xs = sample(Law.exponential(1), 17, n * 8).reshape(n, 8)
     vals = np.einsum("pi,ij,pj->p", xs, A, xs) - np.trace(A)
     assert abs(vals.mean()) < 5 * vals.std() / np.sqrt(n)
+
+
+def _qv_rows_oracle(B, G, g, strides, law, paths, seed):
+    """The per-increment QV body: every increment of every stride gets its
+    own quadratic form over all paths at once."""
+    N = G.shape[0]
+    m3 = float(standardized_moments(law, 3)[3])
+    X = sample(law, seed, paths * N).reshape(paths, N)
+    RHS = np.einsum("pi,pi->p", X @ G, X) + m3 * (X @ g)
+    rows = []
+    for stride in strides:
+        Bd = B[::stride]
+        QV = np.zeros(paths)
+        for A in Bd[1:] - Bd[:-1]:
+            inc = np.einsum("pi,pi->p", X @ A, X) - np.trace(A)
+            QV += inc * inc
+        err = (QV - RHS) ** 2
+        rows.append(
+            {
+                "err": {"mean": err.mean(), "stderr": err.std(ddof=1) / math.sqrt(paths)},
+                "qv": {"mean": QV.mean(), "stderr": QV.std(ddof=1) / math.sqrt(paths)},
+                "rhs": {"mean": RHS.mean(), "stderr": RHS.std(ddof=1) / math.sqrt(paths)},
+                "mean_gap": abs(QV.mean() - RHS.mean()),
+                "mean_gap_stderr": math.sqrt(QV.std(ddof=1) ** 2 + RHS.std(ddof=1) ** 2)
+                / math.sqrt(paths),
+            }
+        )
+    return rows
+
+
+def _dyadic_kernels(h1, h2, N, dmax):
+    basis = LegendreBasis(N)
+    B = cumulative_triangle(h1, h2, basis, [Q(k, 2**dmax) for k in range(2**dmax + 1)])
+    G, g = qv_rhs_quadratics(h1, h2, basis, 1)
+    return B, G, g
+
+
+def assert_rows_match(rows, expected):
+    assert len(rows) == len(expected)
+    for row, exp in zip(rows, expected):
+        for key in ("err", "qv", "rhs"):
+            for stat in ("mean", "stderr"):
+                assert row[key][stat] == pytest.approx(exp[key][stat], rel=1e-12, abs=0), (key, stat)
+        for key in ("mean_gap", "mean_gap_stderr"):
+            assert row[key] == pytest.approx(exp[key], rel=1e-12, abs=0), key
+
+
+# The body walks the paths in blocks of 2**19 // (8 (N + 2**depth)) rows:
+# 2048 at N = 16 and 3855 at N = 1 (depth 4), so 7777 and 20001 paths end on
+# a partial block.
+@pytest.mark.parametrize(
+    "h1, h2, N, depths, paths, law",
+    [
+        (ONE, ONE, 8, [3, 1, 2], 3000, Law.exponential(1)),
+        (ONE, ONE, 8, [1, 3], 3000, Law.normal()),
+        (H1, H2, 8, [2, 2, 1, 2], 3000, Law.exponential(1)),
+        (ONE, ONE, 8, [0], 3000, Law.normal()),
+        (H1, ONE, 1, [2, 0, 4], 20_001, Law.exponential(1)),
+        (H1, H2, 16, [4, 1, 3], 7777, Law.normal()),
+    ],
+)
+def test_qv_rows_match_per_increment_oracle(h1, h2, N, depths, paths, law):
+    rep = qv_experiment(h1, h2, Q(1), N, law, depths, paths, 3)
+    dmax = max(depths)
+    B, G, g = _dyadic_kernels(h1, h2, N, dmax)
+    expected = _qv_rows_oracle(B, G, g, [2 ** (dmax - d) for d in depths], law, paths, 3)
+    assert [row["depth"] for row in rep["rows"]] == list(depths)
+    assert_rows_match(rep["rows"], expected)
+    # the finest increments are the oracle's own, in the oracle's order
+    for row, exp, d in zip(rep["rows"], expected, depths):
+        if d == dmax:
+            assert row["qv"]["mean"] == exp["qv"]["mean"]
+
+
+def test_qv_joint_refinement_matches_per_increment_oracle():
+    law = Law.exponential(1)
+    rep = qv_joint_refinement(law, [(64, 3)], 10_000, 42)
+    B, G, g = legendre_float_cumulative(64, 3, 1)
+    assert_rows_match(rep["rows"], _qv_rows_oracle(B, G, g, [1], law, 10_000, 42))
+
+
+def _traced_peak(body, *args) -> int:
+    tracemalloc.start()
+    try:
+        body(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "N, dmax, paths, law",
+    [(16, 7, 2000, Law.normal()), (8, 6, 20_000, Law.exponential(1))],
+)
+def test_qv_rows_peak_memory_within_per_increment_oracle(N, dmax, paths, law):
+    # a block's rows and pending increments, with the table of QV per depth,
+    # must not cost more memory than the per-increment body's products
+    B, G, g = _dyadic_kernels(ONE, ONE, N, dmax)
+    strides = [2 ** (dmax - d) for d in range(1, dmax + 1)]
+    args = (B, G, g, strides, law, paths, 5)
+    assert _traced_peak(_qv_rows, *args) <= _traced_peak(_qv_rows_oracle, *args)
