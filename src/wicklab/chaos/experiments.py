@@ -32,7 +32,8 @@ suite):
 
 ``qv_experiment``/``riemann_experiment`` therefore report per-depth error
 tables at fixed N (the literal contract), and ``qv_joint_refinement`` runs
-a (N, depth) schedule chosen by the caller.
+the same kernels and body, for any h1 and h2, along a (N, depth) schedule
+chosen by the caller.
 """
 
 from __future__ import annotations
@@ -135,7 +136,11 @@ def qv_rhs_quadratics(
 
 def legendre_float_cumulative(N: int, depth: int, t=1):
     """(B, G, g) of :func:`cumulative_triangle` on the dyadic grid of (0, t]
-    of the given depth and :func:`qv_rhs_quadratics`, for h1 = h2 = 1."""
+    of the given depth and :func:`qv_rhs_quadratics`, for h1 = h2 = 1.
+
+    No experiment calls it (they take ``_qv_kernels`` for any h1, h2); it
+    stays while the benchmark's tracer lists it as a kernel layer.  It calls
+    the sweep, not the traced wrappers, so a traced call is one span."""
     t = Q(t)
     one = PiecewisePoly.constant(1)
     points = [t * Q(k, 2**depth) for k in range(2**depth + 1)]
@@ -240,6 +245,13 @@ def _qv_rows(
     return rows
 
 
+def _qv_kernels(h1: PiecewisePoly, h2: PiecewisePoly, basis: LegendreBasis, t, depth: int):
+    """(B, G, g) of the QV experiments: :func:`cumulative_triangle` on the
+    dyadic grid of (0, t] of the given depth, :func:`qv_rhs_quadratics` at t."""
+    points = [t * Q(k, 2**depth) for k in range(2**depth + 1)]
+    return (cumulative_triangle(h1, h2, basis, points), *qv_rhs_quadratics(h1, h2, basis, t))
+
+
 def qv_experiment(
     h1: PiecewisePoly,
     h2: PiecewisePoly,
@@ -260,16 +272,14 @@ def qv_experiment(
     basis = basis or LegendreBasis(N)
     t = Q(t)
     dmax, strides = _dyadic_strides(depths)
-    points = [t * Q(k, 2**dmax) for k in range(2**dmax + 1)]
-    B = cumulative_triangle(h1, h2, basis, points)
-    G, g = qv_rhs_quadratics(h1, h2, basis, t)
-    rows = _qv_rows(B, G, g, strides, law, paths, seed)
+    rows = _qv_rows(*_qv_kernels(h1, h2, basis, t, dmax), strides, law, paths, seed)
     rows = [{"depth": d, **row} for d, row in zip(depths, rows)]
     return {"t": str(t), "N": N, "paths": paths, "seed": seed, "rows": rows}
 
 
 def qv_joint_refinement(
-    law: Law, pairs: Sequence[tuple], paths: int, seed: int, t=Q(1)
+    law: Law, pairs: Sequence[tuple], paths: int, seed: int, t=1,
+    h1: PiecewisePoly = PiecewisePoly.constant(1), h2: PiecewisePoly = PiecewisePoly.constant(1),
 ) -> dict:
     """Partition quadratic variation against the limit object along a
     schedule of (N, depth) pairs, each at its own truncation.
@@ -277,13 +287,12 @@ def qv_joint_refinement(
     The QV limit needs the truncation to outrun the mesh (N / 2^depth -> oo,
     as in (4, 1), (16, 2), (64, 3)); a lockstep schedule such as
     N = 2^(depth+1) leaves a mean gap that settles near -0.053 for the
-    normal law (see the module docstring).  Kernels come from the float
-    Gauss-Legendre engine with h1 = h2 = 1, so deep schedules such as
-    (256, 5) take seconds."""
+    normal law with h1 = h2 = 1 (see the module docstring).  Each row is
+    :func:`qv_experiment`'s at that N and depth (same kernels, same sample);
+    deep schedules such as (256, 5) take seconds."""
     rows = []
     for N, d in pairs:
-        B, G, g = legendre_float_cumulative(N, d, t)
-        (row,) = _qv_rows(B, G, g, [1], law, paths, seed)
+        (row,) = _qv_rows(*_qv_kernels(h1, h2, LegendreBasis(N), Q(t), d), [1], law, paths, seed)
         rows.append({"N": N, "depth": d, **row})
     return {"paths": paths, "seed": seed, "rows": rows}
 

@@ -250,7 +250,8 @@ def order_tensors(K: SymmetricKernel2, tables: GammaTables) -> dict:
     """
     ff = SymTensor.sym_square(K)
     contr = SymTensor.from_kernel(contraction1(K))
-    diag_contr = SymTensor.from_kernel(contraction1(_diag_kernel(K)))
+    # (pi_1 f) ~1 (pi_1 f) = sum_j a_jj^2 e_j o e_j
+    diag_contr = SymTensor(2, {(j, j): K.at(j, j) * K.at(j, j) for j in range(1, K.N + 1)})
     t4 = ff
     t3 = ff.annihilated(1, tables)
     t2 = contr.scaled(Q(4)) + ff.annihilated(2, tables)
@@ -261,16 +262,6 @@ def order_tensors(K: SymmetricKernel2, tables: GammaTables) -> dict:
     )
     t0 = RadSum(2 * K.norm2()) + ff.annihilated(4, tables).terms.get((), 0)
     return {"t4": t4, "t3": t3, "t2": t2, "t1": t1, "t0": t0}
-
-
-def _diag_kernel(K: SymmetricKernel2) -> SymmetricKernel2:
-    """pi_1 f: the diagonal part of a symmetric kernel."""
-    zero = RadSum()
-    rows = tuple(
-        tuple(K.entries[u][v] if u == v else zero for v in range(K.N))
-        for u in range(K.N)
-    )
-    return SymmetricKernel2(rows)
 
 
 def contraction1_series(K: SymmetricKernel2) -> SymTensor:

@@ -20,7 +20,7 @@ import time
 
 from . import chaos, discrete, laws, rademacher, wick
 from .chaos.identities import ito_residual
-from .exact import Q
+from .exact import Q, as_fraction
 from .report import Check, ExperimentReport
 
 QUICK_TRUNCATION = 8
@@ -31,15 +31,51 @@ QUICK_MAX_DEPTH = 6
 MAX_EXACT_TRUNCATION = 16
 
 
-def parse_piecewise(text: str) -> chaos.PiecewisePoly:
-    data = json.loads(text)
-    if isinstance(data, list):
-        return chaos.PiecewisePoly.from_poly([Q(c) for c in data])
-    pieces = tuple(
-        (Q(p["lo"]), Q(p["hi"]), tuple(Q(c) for c in p["coeffs"]))
-        for p in data["pieces"]
+def _from_json(text: str, option: str, build):
+    """build(json.loads(text)); a missing key, a wrong shape or a number that
+    is not an exact rational is bad input that names the option."""
+    try:
+        return build(json.loads(text))
+    except KeyError as exc:
+        raise ValueError(f"{option}: missing key {exc}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"{option}: a rational with denominator 0") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{option}: {exc}") from None
+
+
+def _rationals(data) -> list:
+    """A JSON list of ints or rational strings ("1/3"), as Fractions."""
+    if not isinstance(data, list):
+        raise TypeError(f"expected a JSON list, got {json.dumps(data)}")
+    return [as_fraction(x) for x in data]
+
+
+def parse_piecewise(text: str, option: str = "function") -> chaos.PiecewisePoly:
+    """A bare coefficient list or {"pieces": [{"lo", "hi", "coeffs"}, ...]};
+    PiecewisePoly reads every rational with as_fraction."""
+
+    def build(data):
+        if isinstance(data, list):
+            return chaos.PiecewisePoly.from_poly(data)
+        if not isinstance(data, dict):
+            raise TypeError(f"expected a JSON list or {{\"pieces\": [...]}}, got {json.dumps(data)}")
+        return chaos.PiecewisePoly(
+            tuple((p["lo"], p["hi"], _rationals(p["coeffs"])) for p in data["pieces"])
+        )
+
+    return _from_json(text, option, build)
+
+
+ONE = chaos.PiecewisePoly.constant(1)
+
+
+def _functions(args, h1: chaos.PiecewisePoly = ONE, h2: chaos.PiecewisePoly = ONE) -> tuple:
+    """--h1 and --h2 if given, else the defaults h1 and h2."""
+    return (
+        parse_piecewise(args.h1, "--h1") if args.h1 else h1,
+        parse_piecewise(args.h2, "--h2") if args.h2 else h2,
     )
-    return chaos.PiecewisePoly(pieces)
 
 
 def parse_fraction_list(text: str) -> list:
@@ -132,9 +168,9 @@ def _decreasing(xs: list) -> bool:
     return all(a > b for a, b in zip(xs, xs[1:]))
 
 
-def _joint_refinement_errors(law: laws.Law, pairs, paths: int, seed: int) -> list:
+def _joint_refinement_errors(law: laws.Law, pairs, paths: int, seed: int, **functions) -> list:
     """Mean squared QV errors along an (N, depth) schedule."""
-    rows = chaos.qv_joint_refinement(law, pairs, paths, seed)["rows"]
+    rows = chaos.qv_joint_refinement(law, pairs, paths, seed, **functions)["rows"]
     return [row["err"]["mean"] for row in rows]
 
 
@@ -225,9 +261,9 @@ def run_discrete_nmax(args) -> ExperimentReport:
 def run_discrete_check(args) -> ExperimentReport:
     if len(args.rv) < 2:
         raise ValueError("discrete check needs at least two --rv")
-    weights = [Q(x) for x in json.loads(args.space)]
+    weights = _from_json(args.space, "--space", _rationals)
     sp = discrete.FiniteSpace(tuple(weights))
-    rvs = [discrete.DiscreteRV(tuple(Q(v) for v in json.loads(r))) for r in args.rv]
+    rvs = [discrete.DiscreteRV(tuple(_from_json(r, "--rv", _rationals))) for r in args.rv]
     rep = ExperimentReport(
         "discrete check",
         {"space": weights, "rvs": [list(r.values) for r in rvs]},
@@ -278,18 +314,15 @@ def run_chaos_norm(args) -> ExperimentReport:
     law = laws.parse_law(args.law)
     N = args.truncation
     rep = ExperimentReport(
-        "chaos norm", {"law": law.label(), "truncation": N, "count": args.count, "seed": args.seed}
+        "chaos norm",
+        {"law": law.label(), "truncation": N, "count": args.count, "seed": args.seed,
+         "h1": args.h1, "h2": args.h2},
     )
     tab = chaos.GammaTables.for_law(law)
     basis = chaos.LegendreBasis(N)
     rng = random.Random(args.seed)
     if args.h1 or args.h2:
-        pairs = [
-            (
-                parse_piecewise(args.h1) if args.h1 else chaos.PiecewisePoly.constant(1),
-                parse_piecewise(args.h2) if args.h2 else chaos.PiecewisePoly.constant(1),
-            )
-        ]
+        pairs = [_functions(args)]
     else:
         pairs = [(_random_piecewise(rng), _random_piecewise(rng)) for _ in range(args.count)]
     for i, out in enumerate(_norm_identities(pairs, basis, tab)):
@@ -309,14 +342,15 @@ def run_chaos_ito(args) -> ExperimentReport:
     law = laws.parse_law(args.law)
     N = args.truncation
     rep = ExperimentReport(
-        "chaos ito", {"law": law.label(), "truncation": N, "paths": args.paths, "seed": args.seed}
+        "chaos ito",
+        {"law": law.label(), "truncation": N, "paths": args.paths, "seed": args.seed,
+         "h1": args.h1, "h2": args.h2},
     )
     basis = chaos.LegendreBasis(N)
-    h = parse_piecewise(args.h1) if args.h1 else chaos.PiecewisePoly.from_poly([0, 1])
-    g = (
-        parse_piecewise(args.h2)
-        if args.h2
-        else chaos.PiecewisePoly(((Q(0), Q(1, 2), (Q(1),)), (Q(1, 2), Q(1), (Q(0), Q(2)))))
+    h, g = _functions(
+        args,
+        chaos.PiecewisePoly.from_poly([0, 1]),
+        chaos.PiecewisePoly(((Q(0), Q(1, 2), (Q(1),)), (Q(1, 2), Q(1), (Q(0), Q(2))))),
     )
     br = chaos.ito_bracket(h, g, basis)
     rep.add(
@@ -357,8 +391,7 @@ def run_chaos_qv(args) -> ExperimentReport:
     law = laws.parse_law(args.law)
     N = args.truncation
     depths = [int(d) for d in args.depths.split(",") if d]
-    h1 = parse_piecewise(args.h1) if args.h1 else chaos.PiecewisePoly.constant(1)
-    h2 = parse_piecewise(args.h2) if args.h2 else chaos.PiecewisePoly.constant(1)
+    h1, h2 = _functions(args)
     rep = ExperimentReport(
         "chaos qv",
         {
@@ -367,6 +400,8 @@ def run_chaos_qv(args) -> ExperimentReport:
             "depths": depths,
             "paths": args.paths,
             "seed": args.seed,
+            "h1": args.h1,
+            "h2": args.h2,
             "joint": bool(args.joint),
         },
     )
@@ -395,7 +430,7 @@ def run_chaos_qv(args) -> ExperimentReport:
         )
     if args.joint:
         pairs = [(4, 1), (8, 2), (16, 3), (32, 4)]
-        errs = _joint_refinement_errors(law, pairs, args.paths, args.seed)
+        errs = _joint_refinement_errors(law, pairs, args.paths, args.seed, h1=h1, h2=h2)
         rep.add(
             Check("joint_refinement_error_decreasing", "estimate", errs, passed=_decreasing(errs))
         )
@@ -411,10 +446,9 @@ def run_chaos_bound4(args) -> ExperimentReport:
     )
     tab = chaos.GammaTables.for_law(law)
     basis = chaos.LegendreBasis(N)
-    one = chaos.PiecewisePoly.constant(1)
     m = args.grid
     pairs = [(Q(k, m), Q(k + 1, m)) for k in range(m)]
-    out = chaos.fourth_moment_grid(one, one, basis, tab, pairs)
+    out = chaos.fourth_moment_grid(ONE, ONE, basis, tab, pairs)
     for row in out["rows"]:
         rep.add(
             Check(
@@ -548,12 +582,11 @@ def run_all(args) -> ExperimentReport:
         iso = all(chaos.isometry_check(_random_kernel(rng, 5), "C", tab) == 0 for _ in range(10))
         rep.add(Check(f"isometry_C_{law.label()}", "exact", iso, passed=iso))
 
-    one = chaos.PiecewisePoly.constant(1)
     # Riemann sums at fixed truncation only track the integral while the
     # partition stays within the basis resolution (~log2 N dyadic levels)
     max_depth = min(QUICK_MAX_DEPTH if quick else 7, max(1, N.bit_length() - 1))
     depths = list(range(1, max_depth + 1))
-    table = chaos.riemann_experiment(one, one, N, laws.Law.normal(), depths, paths, seed)
+    table = chaos.riemann_experiment(ONE, ONE, N, laws.Law.normal(), depths, paths, seed)
     errs = [row["err"]["mean"] for row in table["rows"]]
     rep.add(Check("riemann_error_decreasing", "estimate", errs, passed=_decreasing(errs)))
     jerrs = _joint_refinement_errors(laws.Law.normal(), [(4, 1), (8, 2), (16, 3)], paths, seed)
@@ -561,7 +594,7 @@ def run_all(args) -> ExperimentReport:
         Check("qv_joint_refinement_decreasing", "estimate", jerrs, passed=_decreasing(jerrs))
     )
     qv_fixed = chaos.qv_experiment(
-        one, one, Q(1), N, laws.Law.normal(), depths, paths, seed
+        ONE, ONE, Q(1), N, laws.Law.normal(), depths, paths, seed
     )
     rep.add(
         Check(

@@ -28,10 +28,10 @@ Q = Fraction
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce int/str/Fraction to Fraction; floats are rejected on purpose."""
+    """Coerce int/str/Fraction to Fraction; floats and bools are rejected on purpose."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)

@@ -137,6 +137,18 @@ def test_qv_joint_refinement_converges():
         assert gap3 < max(gap0, 6 * last["mean_gap_stderr"])
 
 
+@pytest.mark.parametrize("t", [Q(9, 10), Q(1)])
+@pytest.mark.parametrize("N, d", [(3, 2), (16, 3)])
+def test_qv_joint_refinement_row_is_qv_experiment_row(N, d, t):
+    # one kernel route: the same kernels and the same sample give equal rows
+    law = Law.exponential(1)
+    (joint,) = qv_joint_refinement(law, [(N, d)], 3000, 11, t, h1=H1, h2=H2)["rows"]
+    (fixed,) = qv_experiment(H1, H2, t, N, law, [d], 3000, 11)["rows"]
+    assert (joint["N"], joint["depth"]) == (N, fixed["depth"])
+    for key in ("err", "qv", "rhs", "mean_gap", "mean_gap_stderr"):
+        assert joint[key] == fixed[key], key
+
+
 def test_qv_rhs_mean_matches_trace():
     # E[RHS] = tr G + m3 * 0 for centered laws
     b = LegendreBasis(8)

@@ -146,6 +146,26 @@ def test_chaos_qv_joint_csv(tmp_path, capsys):
     assert float(lines[1].split(",")[1]) == row(rep, "fixed_N_err_depth_1")["value"]
 
 
+def test_chaos_qv_joint_reads_h1_h2(capsys):
+    argv = ["chaos", "qv", "--law", "normal", "--truncation", "8", "--paths", "2000",
+            "--depths", "2", "--seed", "0", "--joint"]
+    _, default = run_cli(capsys, *argv)
+    _, given = run_cli(capsys, *argv, "--h1", '["0","5"]', "--h2", '["3"]')
+    assert (default["config"]["h1"], default["config"]["h2"]) == (None, None)
+    assert (given["config"]["h1"], given["config"]["h2"]) == ('["0","5"]', '["3"]')
+    # compare the errors, not the status: on this lockstep schedule the
+    # "decreasing" check can fail at 2000 paths
+    errs = [row(rep, "joint_refinement_error_decreasing")["value"] for rep in (default, given)]
+    assert len(errs[1]) == 4 and all(a != b for a, b in zip(*errs))
+
+
+@pytest.mark.parametrize("command, size", [("norm", "--count"), ("ito", "--paths")])
+def test_chaos_config_echoes_functions(capsys, command, size):
+    argv = ["chaos", command, "--law", "normal", "--truncation", "3", size, "3", "--h2", '["1","1"]']
+    _, rep = run_cli(capsys, *argv)
+    assert (rep["config"]["h1"], rep["config"]["h2"]) == (None, '["1","1"]')
+
+
 def test_chaos_bound4(capsys):
     code, rep = run_cli(
         capsys, "chaos", "bound4", "--law", "normal", "--truncation", "3", "--grid", "2"
@@ -205,6 +225,13 @@ UNOPENABLE = os.path.join(os.devnull, "report.json")  # a path below a file
          "--csv", UNOPENABLE],
         ["--out", UNOPENABLE, "discrete", "nmax", "--n", "3"],
         ["discrete", "check", "--space", '["1/2","1/2"]', "--rv", '["1","-1"]'],
+        *(
+            ["chaos", "norm", "--law", "normal", "--truncation", "3", "--h1", h1]
+            for h1 in ('{}', '{"pieces": [{"lo": "0"}]}', '"abc"', '{"pieces": 3}', '[null]',
+                       '[0.1]', '[true]')
+        ),
+        ["discrete", "check", "--space", '[null]', "--rv", '[1]', "--rv", '[1]'],
+        ["discrete", "check", "--space", '3', "--rv", '[1]', "--rv", '[1]'],
     ],
 )
 def test_bad_input_exits_2_with_message(capsys, argv):
@@ -217,6 +244,19 @@ def test_bad_input_exits_2_with_message(capsys, argv):
     assert "error:" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["chaos", "qv", "--law", "normal", "--h2", '{"pieces": [{"lo": "0"}]}'], "--h2"),
+        (["chaos", "ito", "--law", "normal", "--h1", '["1/3", 0.5]'], "--h1"),
+        (["discrete", "check", "--space", '["1/2","1/2"]', "--rv", '[1]', "--rv", '{}'], "--rv"),
+    ],
+)
+def test_malformed_json_names_the_option(capsys, argv, option):
+    assert main(argv) == 2
+    assert f"error: {option}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option", sorted(ZERO_SIZE))
