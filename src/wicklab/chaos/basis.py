@@ -28,7 +28,9 @@ from ..exact import (
     Q,
     Rad,
     RadSum,
+    _madd,
     as_fraction,
+    int_form,
     p_add,
     p_antideriv,
     p_eval,
@@ -263,16 +265,6 @@ class PiecewisePoly:
                 return p_eval(list(c), x)
         return Q(0)
 
-    def __call__(self, x: float) -> float:
-        xf = float(x)
-        for lo, hi, c in self.pieces:
-            if float(lo) < xf <= float(hi) or (xf == 0.0 and lo == 0):
-                acc = 0.0
-                for coef in reversed(c):
-                    acc = acc * xf + float(coef)
-                return acc
-        return 0.0
-
 
 # ---------------------------------------------------------------------------
 # coefficient containers
@@ -306,19 +298,22 @@ class ChaosVector:
 
 @dataclass(frozen=True)
 class SymmetricKernel2:
-    """Symmetric order-2 coefficient matrix a_jk = <f, e_j (x) e_k>."""
+    """Symmetric order-2 coefficient matrix a_jk = <f, e_j (x) e_k>, with its
+    integer form built once: a_jk = sum_w (rows[j][k][w] / den) sqrt(w).
+    Nothing may write into ``rows``."""
 
     entries: tuple  # tuple of N tuples of RadSum
 
     def __post_init__(self):
         n = len(self.entries)
-        for row in self.entries:
-            if len(row) != n:
-                raise ValueError("kernel matrix must be square")
-        for j in range(n):
-            for k in range(j):
-                if self.entries[j][k] != self.entries[k][j]:
-                    raise ValueError("kernel matrix must be symmetric")
+        if any(len(row) != n for row in self.entries):
+            raise ValueError("kernel matrix must be square")
+        nums, den = int_form(e for row in self.entries for e in row)
+        rows = tuple(tuple(nums[j * n : (j + 1) * n]) for j in range(n))
+        if any(rows[j][k] != rows[k][j] for j in range(n) for k in range(j)):
+            raise ValueError("kernel matrix must be symmetric")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "den", den)
 
     @property
     def N(self) -> int:
@@ -328,23 +323,26 @@ class SymmetricKernel2:
         """Entry a_jk, 1-based indices."""
         return self.entries[j - 1][k - 1]
 
+    def _sq_sum(self, keep) -> Fraction:
+        """Sum of a_jk^2 over the (j, k) that keep selects; only the sum is
+        checked to be rational.  Kernels built in this package (triangle,
+        rational, basis element, contraction) have one radicand per entry."""
+        acc: dict = {}
+        for j, row in enumerate(self.rows):
+            for k, x in enumerate(row):
+                if keep(j, k):
+                    _madd(acc, x, x, 1)
+        return RadSum._of(acc, self.den**2).rational()
+
     def norm2(self) -> Fraction:
         """Full tensor norm: sum over ordered pairs of squared entries."""
-        return sum((e.square() for row in self.entries for e in row), Q(0))
+        return self._sq_sum(lambda j, k: True)
 
     def diag_sq_sum(self) -> Fraction:
-        return sum((self.entries[j][j].square() for j in range(self.N)), Q(0))
+        return self._sq_sum(operator.eq)
 
     def offdiag_sq_sum(self) -> Fraction:
-        return sum(
-            (
-                self.entries[j][k].square()
-                for j in range(self.N)
-                for k in range(self.N)
-                if j != k
-            ),
-            Q(0),
-        )
+        return self._sq_sum(operator.ne)
 
     def floats(self) -> np.ndarray:
         return np.array([[float(e) for e in row] for row in self.entries])
@@ -362,49 +360,6 @@ class SymmetricKernel2:
         rows[j - 1][k - 1] = Rad(as_fraction(value))
         rows[k - 1][j - 1] = Rad(as_fraction(value))
         return SymmetricKernel2(tuple(tuple(r) for r in rows))
-
-
-# ---------------------------------------------------------------------------
-# exact projections
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to settle; carries the residual estimate."""
-
-    def __init__(self, residual: float):
-        self.residual = residual
-        super().__init__(f"quadrature did not converge (residual {residual:.3e})")
-
-
-def coeffs_of_callable(
-    f, basis: LegendreBasis, t_cut: Optional[float] = None, tol: float = 1e-10
-) -> np.ndarray:
-    """Float coefficients <f 1_(0,t], e_j> for a black-box integrand.
-
-    Composite Gauss-Legendre with dyadic refinement; raises
-    :class:`QuadratureError` with the last inter-level residual when the
-    refinement fails to settle below ``tol``.
-    """
-    hi = 1.0 if t_cut is None else float(t_cut)
-    nodes, wts, _ = gauss_legendre(12)
-
-    def level(m: int) -> np.ndarray:
-        edges = np.linspace(0.0, hi, m + 1)
-        out = np.zeros(basis.N)
-        for a, b in zip(edges, edges[1:]):
-            x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-            fx = np.array([f(t) for t in x])
-            out += 0.5 * (b - a) * ((wts * fx) @ basis.values(x))
-        return out
-
-    prev = level(1)
-    for m in (2, 4, 8, 16, 32, 64):
-        cur = level(m)
-        residual = float(np.abs(cur - prev).max())
-        if residual < tol:
-            return cur
-        prev = cur
-    raise QuadratureError(residual)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..exact import Q, RadSum
+from ..exact import Q, RadSum, _madd
 from .basis import LegendreBasis, PiecewisePoly, SymmetricKernel2, coeffs_of, triangle_kernel
 from .tensors import GammaTables, SymTensor, contraction1
 
@@ -251,7 +251,10 @@ def order_tensors(K: SymmetricKernel2, tables: GammaTables) -> dict:
     ff = SymTensor.sym_square(K)
     contr = SymTensor.from_kernel(contraction1(K))
     # (pi_1 f) ~1 (pi_1 f) = sum_j a_jj^2 e_j o e_j
-    diag_contr = SymTensor(2, {(j, j): K.at(j, j) * K.at(j, j) for j in range(1, K.N + 1)})
+    diag = {(j, j): {} for j in range(1, K.N + 1)}
+    for (j, _), sq in diag.items():
+        _madd(sq, K.rows[j - 1][j - 1], K.rows[j - 1][j - 1], 1)
+    diag_contr = SymTensor._of(2, {t: sq for t, sq in diag.items() if sq}, K.den**2)
     t4 = ff
     t3 = ff.annihilated(1, tables)
     t2 = contr.scaled(Q(4)) + ff.annihilated(2, tables)

@@ -31,12 +31,13 @@ per signature, a map {radicand w: integer c_w}, so that
     lam_t = sum_w (c_w / D) sqrt(w)        (w squarefree; only w = 1 for
                                             rational kernels).
 
-Kernels are scaled once to a common denominator, and every loop multiplies
-and adds Python ints; a product of two radicands is merged with the cached
-``_split_square``.  The law enters through integer tables built once per
-:class:`GammaTables`: the annihilation gaps (gamma - Gamma) scaled by the lcm
-E of their denominators, the h_k scaled likewise, and per (multiplicity
-pattern, k) a precompiled annihilation plan.  ``SymTensor.terms`` reads the
+Kernels carry their integer form (``SymmetricKernel2.rows`` over ``den``),
+and every loop multiplies and adds Python ints through the radicand
+arithmetic of :mod:`wicklab.exact` (``_madd``, ``_axpy``).  The law enters
+through integer tables built once per :class:`GammaTables`: the annihilation
+gaps (gamma - Gamma) scaled by the lcm E of their denominators, the h_k
+scaled likewise, and per (multiplicity pattern, k) a precompiled
+annihilation plan.  ``SymTensor.terms`` reads the
 coefficients back as :class:`~wicklab.exact.RadSum` values, and exact
 results leave as RadSum, with one division at the end.
 """
@@ -52,7 +53,7 @@ from operator import eq
 from types import MappingProxyType
 from typing import Dict, Mapping
 
-from ..exact import Q, RadSum, _split_square, as_fraction
+from ..exact import Q, RadSum, _axpy, _madd, as_fraction, int_form
 from ..laws import Law, MomentSequence, standardized_moments
 from ..wick import expect_poly
 from ..exact import p_add, p_eval_float, p_mul, p_scale
@@ -123,63 +124,6 @@ def _compositions(total: int, parts: int, minimum: int):
     for first in range(minimum, total - minimum * (parts - 1) + 1):
         for rest in _compositions(total - first, parts - 1, minimum):
             yield (first,) + rest
-
-
-# ---------------------------------------------------------------------------
-# integer coefficients: {radicand: int} over a denominator held by the caller
-
-
-def _madd(acc: dict, x: dict, y: dict, c: int) -> None:
-    """acc += c * x * y, dropping radicands whose coefficient reaches 0."""
-    for w1, n1 in x.items():
-        for w2, n2 in y.items():
-            if w1 == w2:
-                w0, v = 1, n1 * n2 * w1 * c
-            else:
-                s, w0 = _split_square(w1 * w2)
-                v = n1 * n2 * s * c
-            v += acc.get(w0, 0)
-            if v:
-                acc[w0] = v
-            else:
-                del acc[w0]
-
-
-def _add_scaled(terms: dict, t: tuple, lam: dict, c: int) -> None:
-    """terms[t] += c * lam; a signature whose coefficient reaches 0 leaves."""
-    cur = terms.get(t)
-    if cur is None:
-        terms[t] = {w: n * c for w, n in lam.items()}
-        return
-    for w, n in lam.items():
-        v = cur.get(w, 0) + n * c
-        if v:
-            cur[w] = v
-        else:
-            del cur[w]
-    if not cur:
-        del terms[t]
-
-
-def _int_kernel(K: SymmetricKernel2) -> tuple:
-    """(rows, D): a_uv = sum_w (rows[u][v][w] / D) sqrt(w), one common D."""
-    D = math.lcm(*(e._den for row in K.entries for e in row))
-    rows = [[{w: n * (D // e._den) for w, n in e._num.items()} for e in row] for row in K.entries]
-    return rows, D
-
-
-def contraction1(K: SymmetricKernel2) -> SymmetricKernel2:
-    """(f ~1 f)(s,t) = int f(s,u) f(t,u) du: the matrix square, entrywise."""
-    rows, D = _int_kernel(K)
-    N = K.N
-    out = [[None] * N for _ in range(N)]
-    for u in range(N):
-        for v in range(u + 1):
-            acc: dict = {}
-            for w in range(N):
-                _madd(acc, rows[u][w], rows[v][w], 1)
-            out[u][v] = out[v][u] = RadSum._of(acc, D * D)
-    return SymmetricKernel2(tuple(tuple(r) for r in out))
 
 
 @dataclass(frozen=True)
@@ -348,6 +292,30 @@ class GammaTables:
 # symmetric tensors in signature form
 
 
+def _add_scaled(terms: dict, t: tuple, lam: dict, c: int) -> None:
+    """terms[t] += c * lam; a signature whose coefficient reaches 0 leaves."""
+    cur = terms.get(t)
+    if cur is None:
+        terms[t] = {w: n * c for w, n in lam.items()}
+        return
+    _axpy(cur, lam, c)
+    if not cur:
+        del terms[t]
+
+
+def contraction1(K: SymmetricKernel2) -> SymmetricKernel2:
+    """(f ~1 f)(s,t) = int f(s,u) f(t,u) du: the matrix square, entrywise."""
+    N, den2 = K.N, K.den**2
+    out = [[None] * N for _ in range(N)]
+    for u, ru in enumerate(K.rows):
+        for v, rv in enumerate(K.rows[: u + 1]):
+            acc: dict = {}
+            for x, y in zip(ru, rv):
+                _madd(acc, x, y, 1)
+            out[u][v] = out[v][u] = RadSum._of(acc, den2)
+    return SymmetricKernel2(tuple(tuple(r) for r in out))
+
+
 class SymTensor:
     """Order-n symmetric tensor: {sorted index tuple: coefficient}.
 
@@ -386,16 +354,15 @@ class SymTensor:
             raise ValueError("signature length does not match tensor order")
         if any(a > b for a, b in zip(t, t[1:])):
             t = tuple(sorted(t))
-        parts = RadSum(coeff)
-        if not parts:
+        (lam,), d = int_form([coeff])
+        if not lam:
             return
-        den = math.lcm(self._den, parts._den)
+        den = math.lcm(self._den, d)
         if den != self._den:
             f = den // self._den
-            self._c = {s: {w: n * f for w, n in lam.items()} for s, lam in self._c.items()}
+            self._c = {s: {w: n * f for w, n in mu.items()} for s, mu in self._c.items()}
             self._den = den
-        lam = {w: n * (den // parts._den) for w, n in parts._num.items()}
-        _add_scaled(self._c, t, lam, 1)
+        _add_scaled(self._c, t, lam, den // d)
 
     def scaled(self, c) -> "SymTensor":
         c = as_fraction(c)
@@ -424,19 +391,17 @@ class SymTensor:
     def from_kernel(K: SymmetricKernel2) -> "SymTensor":
         """Order-2 signature form of a symmetric kernel: lam_(k,j) = 2 a_jk
         off the diagonal, lam_(j,j) = a_jj."""
-        rows, D = _int_kernel(K)
         coeffs = {}
-        for j in range(K.N):
-            for k in range(j + 1):
-                if rows[j][k]:
-                    f = 1 if j == k else 2
-                    coeffs[k + 1, j + 1] = {w: n * f for w, n in rows[j][k].items()}
-        return SymTensor._of(2, coeffs, D)
+        for j, row in enumerate(K.rows):
+            for k, x in enumerate(row[: j + 1]):
+                if x:
+                    coeffs[k + 1, j + 1] = {w: n * (1 if j == k else 2) for w, n in x.items()}
+        return SymTensor._of(2, coeffs, K.den)
 
     @staticmethod
     def sym_square(K: SymmetricKernel2) -> "SymTensor":
         """f o f in signature form: distinct-arrangement pairing sums."""
-        rows, D = _int_kernel(K)
+        rows = K.rows
         coeffs = {}
         for t in combinations_with_replacement(range(K.N), 4):
             acc: dict = {}
@@ -444,7 +409,7 @@ class SymTensor:
                 _madd(acc, rows[t[p]][t[q]], rows[t[r]][t[s]], c)
             if acc:
                 coeffs[tuple(j + 1 for j in t)] = acc
-        return SymTensor._of(4, coeffs, D * D)
+        return SymTensor._of(4, coeffs, K.den**2)
 
     # -- structure ----------------------------------------------------------------
     def annihilated(self, k: int, tables: GammaTables) -> "SymTensor":

@@ -9,7 +9,8 @@ Three layers live here:
   the one-term values ``q * sqrt(w)`` that carry orthonormal-basis
   coefficients exactly (a product of two coefficients with matching
   radicands collapses back to a rational); fourth-moment expectations mix
-  several radicands;
+  several radicands.  The integer form {radicand: int} over one denominator
+  that kernels and tensors hold (:func:`int_form`) has its arithmetic here;
 * exact linear algebra on rational matrices (rank, kernel, PSD test) via
   fraction-free elimination, so ranks never depend on float thresholds.
 """
@@ -34,7 +35,10 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"{x!r}: a rational with denominator 0") from None
     raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
 
 
@@ -142,6 +146,35 @@ def _split_square(w: int) -> tuple[int, int]:
     return s, w0 * w
 
 
+def _madd(acc: dict, x: dict, y: dict, c: int) -> None:
+    """acc += c * x * y (c != 0) in the integer form; zero coefficients leave acc."""
+    for w1, n1 in x.items():
+        for w2, n2 in y.items():
+            s, w0 = (w1, 1) if w1 == w2 else _split_square(w1 * w2)
+            v = n1 * n2 * s * c + acc.get(w0, 0)
+            if v:
+                acc[w0] = v
+            else:
+                del acc[w0]
+
+
+def _axpy(acc: dict, x: dict, c: int) -> None:
+    """acc += c * x (c != 0) in the integer form; zero coefficients leave acc."""
+    for w, n in x.items():
+        v = acc.get(w, 0) + n * c
+        if v:
+            acc[w] = v
+        else:
+            del acc[w]
+
+
+def int_form(values) -> tuple:
+    """(nums, den): value i = sum_w (nums[i][w] / den) sqrt(w), one den for all."""
+    values = [RadSum._coerce(v) for v in values]
+    den = math.lcm(*(v._den for v in values))
+    return [{w: n * (den // v._den) for w, n in v._num.items()} for v in values], den
+
+
 def Rad(q, w: int = 1) -> "RadSum":
     """Exact ``q * sqrt(w)`` for rational q and a positive integer w, as a
     one-term :class:`RadSum` with the square part of w moved into q."""
@@ -211,10 +244,8 @@ class RadSum:
         if not other._num:
             return self
         den = math.lcm(self._den, other._den)
-        fa, fb = den // self._den, den // other._den
-        out = {w: n * fa for w, n in self._num.items()}
-        for w, n in other._num.items():
-            out[w] = out[w] + n * fb if w in out else n * fb
+        out = {w: n * (den // self._den) for w, n in self._num.items()}
+        _axpy(out, other._num, den // other._den)
         return RadSum._of(out, den)
 
     __radd__ = __add__
@@ -234,11 +265,7 @@ class RadSum:
             return RadSum._of({w: n * p for w, n in self._num.items()}, self._den * q)
         other = self._coerce(other)
         out: dict[int, int] = {}
-        for w1, n1 in self._num.items():
-            for w2, n2 in other._num.items():
-                s, w0 = (w1, 1) if w1 == w2 else _split_square(w1 * w2)
-                v = n1 * n2 if s == 1 else n1 * n2 * s
-                out[w0] = out[w0] + v if w0 in out else v
+        _madd(out, self._num, other._num, 1)
         return RadSum._of(out, self._den * other._den)
 
     __rmul__ = __mul__

@@ -293,17 +293,10 @@ def hankel_psd(m: MomentSequence) -> bool:
 # samplers (centered, reduced)
 
 
-def _rng(seed: int, worker: int) -> np.random.Generator:
-    return np.random.default_rng([np.uint64(seed), np.uint64(worker)])
-
-
-def sample(law: Law, seed: int, count: int, worker: int = 0) -> np.ndarray:
-    """Deterministic i.i.d. draws from the centered reduced law.
-
-    The stream is a pure function of (seed, worker); concurrent workers get
-    independent streams by index.
-    """
-    rng = _rng(seed, worker)
+def sample(law: Law, seed: int, count: int) -> np.ndarray:
+    """Deterministic i.i.d. draws from the centered reduced law: the stream
+    is a pure function of the seed."""
+    rng = np.random.default_rng([np.uint64(seed), np.uint64(0)])
     if law.kind == "normal":
         return rng.standard_normal(count)
     if law.kind == "exponential":

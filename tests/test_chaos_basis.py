@@ -1,6 +1,7 @@
 """Basis exactness, piecewise-polynomial algebra, kernel coefficients."""
 
 import math
+import random
 from fractions import Fraction as Q
 
 import numpy as np
@@ -277,29 +278,51 @@ def test_radsum_hashes_as_its_value():
     assert len({Rad(Q(1, 2)), Q(1, 2), RadSum(Q(1, 2))}) == 1
 
 
-@pytest.mark.parametrize("N", [16, 32])
-def test_black_box_quadrature_at_high_truncation(N):
-    from wicklab.chaos.basis import coeffs_of_callable
-
-    b = LegendreBasis(N)
-    one = coeffs_of_callable(lambda x: 1.0, b)
-    assert np.abs(one - coeffs_of(PiecewisePoly.constant(1), b).floats()).max() < 1e-13
-    quad = coeffs_of_callable(lambda x: x * x, b, t_cut=Q(1, 3))
-    exact = coeffs_of(PiecewisePoly.from_poly([0, 0, 1]), b, t_cut=Q(1, 3)).floats()
-    assert np.abs(quad - exact).max() < 1e-13
+def _random_rational_kernel(seed, N):
+    rng = random.Random(seed)
+    rows = [[None] * N for _ in range(N)]
+    for j in range(N):
+        for k in range(j + 1):
+            rows[j][k] = rows[k][j] = Q(rng.randint(-5, 5), rng.randint(1, 6))
+    return SymmetricKernel2.from_rationals(rows)
 
 
-def test_black_box_quadrature_fallback():
-    import math
+def _two_piece_triangle_kernel(N):
+    h = PiecewisePoly(((Q(0), Q(1, 3), (1, 2)), (Q(1, 3), Q(1), (Q(-1, 2),))))
+    g = PiecewisePoly(((Q(0), Q(5, 7), (3, 0, 1)), (Q(5, 7), Q(1), (Q(1, 3),))))
+    return triangle_kernel(h, g, LegendreBasis(N))[0]
 
-    from wicklab.chaos.basis import QuadratureError, coeffs_of_callable
 
-    b = LegendreBasis(8)
-    exact = coeffs_of(PiecewisePoly.from_poly([0, 0, 1]), b, t_cut=Q(2, 3)).floats()
-    quad = coeffs_of_callable(lambda x: x * x, b, t_cut=2 / 3)
-    assert np.abs(exact - quad).max() < 1e-12
-    smooth = coeffs_of_callable(math.exp, b)
-    assert smooth[0] == pytest.approx(math.e - 1, rel=1e-12)
-    with pytest.raises(QuadratureError) as exc:
-        coeffs_of_callable(lambda x: math.sin(1 / (x + 1e-12)) / (x + 1e-12), b, tol=1e-12)
-    assert exc.value.residual > 0
+SQRT2_OFFDIAG = SymmetricKernel2(  # a_12 = sqrt(2)/2, as in the isometry unit cases
+    tuple(
+        tuple(Rad(Q(1, 2), 2) if {u, v} == {0, 1} else Rad(Q(0)) for v in range(3))
+        for u in range(3)
+    )
+)
+INTEGER_FORM_KERNELS = {
+    **{f"rational N={N}": (_random_rational_kernel, 31 + N, N) for N in (1, 3, 5)},
+    **{f"triangle N={N}": (_two_piece_triangle_kernel, N) for N in (3, 6, 8)},
+    "sqrt2 off-diagonal": (lambda: SQRT2_OFFDIAG,),
+}
+
+
+@pytest.mark.parametrize("contract", [False, True], ids=["kernel", "contraction"])
+@pytest.mark.parametrize("case", list(INTEGER_FORM_KERNELS))
+def test_kernel_integer_form_matches_entries(case, contract):
+    from wicklab.chaos.tensors import contraction1
+
+    make, *args = INTEGER_FORM_KERNELS[case]
+    K = make(*args)
+    if contract:
+        K = contraction1(K)
+    N = K.N
+    for j in range(N):
+        for k in range(N):
+            assert RadSum._of(K.rows[j][k], K.den) == K.entries[j][k]
+    # the squared sums against the entrywise RadSum route
+    squares = [[e.square() for e in row] for row in K.entries]
+    assert K.norm2() == sum((x for row in squares for x in row), Q(0))
+    assert K.diag_sq_sum() == sum((squares[j][j] for j in range(N)), Q(0))
+    assert K.offdiag_sq_sum() == sum(
+        (squares[j][k] for j in range(N) for k in range(N) if j != k), Q(0)
+    )

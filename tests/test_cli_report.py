@@ -232,6 +232,10 @@ UNOPENABLE = os.path.join(os.devnull, "report.json")  # a path below a file
         ),
         ["discrete", "check", "--space", '[null]', "--rv", '[1]', "--rv", '[1]'],
         ["discrete", "check", "--space", '3', "--rv", '[1]', "--rv", '[1]'],
+        ["rademacher", "verify", "--alphas", "1/0", "--depth", "1"],
+        ["rademacher", "verify", "--scheme", "jump_after", "--fx0", "1/0"],
+        ["chaos", "norm", "--law", "exponential:1/0"],
+        ["chaos", "norm", "--law", "gamma:2,1/0"],
     ],
 )
 def test_bad_input_exits_2_with_message(capsys, argv):
