@@ -10,11 +10,23 @@ which one float sweep evaluates at the dyadic grid: Gauss-Legendre rules with
 enough nodes on each interval between the breakpoints integrate every
 polynomial integrand exactly, so the kernels carry only rounding error (the
 exact kernels of the identities stay in ``triangle_kernel``).  Monte Carlo
-then takes one quadratic form per increment of the finest partition, in
-blocks of paths that stay in cache, and builds every coarser partition's
-increments as sums of adjacent finer ones.  Two hard facts shape the
-experiment design (both verified numerically here and recorded in the test
-suite):
+then takes one quadratic form per increment of the finest partition and
+builds every coarser partition's increments as sums of adjacent finer ones.
+
+Both Monte Carlo bodies draw the whole sample X once and walk it in blocks
+of rows sized by ``_BLOCK_BYTES``, so they hold X, a per-path table of
+results and one block's products, never a (paths x columns) product of the
+whole sample.  Each result is a row-by-row sum, so it does not depend on the
+block size as long as the BLAS rounds a block's matrix-matrix product as it
+rounds the whole one.  OpenBLAS 0.3.31 (AVX-512) does for the shapes the
+command line and the benchmark use; from N = 32 on it picks other kernels for
+some block shapes, which moved Riemann rows by at most 4e-16 relative.  A
+matrix-vector product (GEMV) split by rows rounds differently (about 3e-14
+relative at N = 256), so the linear term m3 g.x of the quadratic-variation
+limit stays one product over all paths.
+
+Two hard facts shape the experiment design (both verified numerically here
+and recorded in the test suite):
 
 * at fixed truncation N the path t -> Z_t is a polynomial quadratic form, so
   its partition quadratic variation tends to 0 as the mesh refines past the
@@ -168,6 +180,11 @@ def _dyadic_strides(depths: Sequence[int]) -> tuple:
     return dmax, [2 ** (dmax - d) for d in depths]
 
 
+# Bytes of work space per block of paths in the Monte Carlo bodies: a
+# block's rows and the products taken from them stay in cache.
+_BLOCK_BYTES = 2**19
+
+
 def _quadratic_form(X: np.ndarray, A: np.ndarray) -> np.ndarray:
     """x' A x for each row x of X, by one matrix product."""
     return np.einsum("pi,pi->p", X @ A, X)
@@ -192,29 +209,32 @@ def _qv_rows(
     Only the finest increments (stride 1) get a quadratic form: x' A x is
     linear in A, so an increment of stride 2s is the sum of two adjacent
     increments of stride s.  The paths are walked in blocks of
-    2^19 // (8 (N + K)) rows for K finest increments, which stay in cache.
-    Within a block the finest increments are taken in order, and each one
-    that completes a pair is added to its left sibling and carried up a
-    level, so the block holds one pending increment per level.  Each QV adds
-    its squared increments in increment order, as one form per increment
-    over all paths would.
+    ``_BLOCK_BYTES // (8 (N + K))`` rows for K finest increments, which stay
+    in cache.  Within a block the finest increments are taken in order, and
+    each one that completes a pair is added to its left sibling and carried
+    up a level, so the block holds one pending increment per level.  Each QV
+    adds its squared increments in increment order, as one form per
+    increment over all paths would.  The block also takes x' G x; the
+    linear term m3 g.x is one product over all paths after the walk, because
+    a matrix-vector product split by rows can round differently.
     """
     if paths < 2:
         raise ValueError("paths must be >= 2 for a standard error")
     N = G.shape[0]
     m3 = float(standardized_moments(law, 3)[3])
     X = sample(law, seed, paths * N).reshape(paths, N)
-    RHS = _quadratic_form(X, G) + m3 * (X @ g)
     A = B[1:] - B[:-1]
     K = len(A)
     traces = np.trace(A, axis1=1, axis2=2)
     levels = K.bit_length()  # strides 1, 2, 4, ..., K
     at_level = [[i for i, s in enumerate(strides) if s == 1 << l] for l in range(levels)]
     QV = np.zeros((len(strides), paths))
-    block = max(1, 2**19 // (8 * (N + K)))
+    RHS = np.empty(paths)
+    block = max(1, _BLOCK_BYTES // (8 * (N + K)))
     for lo in range(0, paths, block):
         Xb = X[lo : lo + block]
         QVb = QV[:, lo : lo + block]
+        RHS[lo : lo + block] = _quadratic_form(Xb, G)
         pending = []
         for k in range(K):
             inc = _quadratic_form(Xb, A[k]) - traces[k]
@@ -227,6 +247,7 @@ def _qv_rows(
                     break
                 inc = pending.pop() + inc
                 level += 1
+    RHS += m3 * (X @ g)
     rows = []
     for qv in QV:
         err = (qv - RHS) ** 2
@@ -310,7 +331,15 @@ def riemann_experiment(
 
     S_n = sum_k Phi(h 1_(0,t_k]) Phi(g 1_(t_k, t_{k+1}]) over the dyadic
     partition of depth d; I is the integral at the same truncation.
+
+    All depths share one sample of ``paths`` realizations, walked in blocks
+    of ``_BLOCK_BYTES // (8 (N + 3 2^dmax))`` rows: per block, I = x' A x -
+    tr A and, per depth, S = sum_k (x . c_h(t_k)) (x . dc_g(k)), whose
+    (S - I)^2 fill a (depths x paths) table; no (paths x 2^d) product of
+    the whole sample is held (see the module docstring for rounding).
     """
+    if paths < 2:
+        raise ValueError("paths must be >= 2 for a standard error")
     basis = LegendreBasis(N)
     dmax, strides = _dyadic_strides(depths)
     points = [Q(k, 2**dmax) for k in range(2**dmax + 1)]
@@ -318,18 +347,19 @@ def riemann_experiment(
     C_g = cumulative_coeffs(g, basis, points)
     B = cumulative_triangle(h, g, basis, [1])[0]
     A = 0.5 * (B + B.T)
+    trace = np.trace(A)
+    # per depth: left points c_h(t_k) and increments c_g(t_{k+1}) - c_g(t_k)
+    sums = [(C_h[::s][:-1].T, (C_g[::s][1:] - C_g[::s][:-1]).T) for s in strides]
     X = sample(law, seed, paths * N).reshape(paths, N)
-    I = _quadratic_form(X, A) - np.trace(A)
-    rows = []
-    for d, stride in zip(depths, strides):
-        ch = C_h[::stride]
-        cg = C_g[::stride]
-        dg = cg[1:] - cg[:-1]
-        left = X @ ch[:-1].T
-        right = X @ dg.T
-        S = (left * right).sum(axis=1)
-        err = (S - I) ** 2
-        rows.append({"depth": d, "err": _stats(err)})
+    err = np.empty((len(depths), paths))
+    block = max(1, _BLOCK_BYTES // (8 * (N + 3 * 2**dmax)))
+    for lo in range(0, paths, block):
+        Xb = X[lo : lo + block]
+        I = _quadratic_form(Xb, A) - trace
+        for row, (left, dg) in zip(err, sums):
+            S = ((Xb @ left) * (Xb @ dg)).sum(axis=1)
+            row[lo : lo + block] = (S - I) ** 2
+    rows = [{"depth": d, "err": _stats(e)} for d, e in zip(depths, err)]
     return {"N": N, "paths": paths, "seed": seed, "rows": rows}
 
 

@@ -295,32 +295,45 @@ def hankel_psd(m: MomentSequence) -> bool:
 
 def sample(law: Law, seed: int, count: int) -> np.ndarray:
     """Deterministic i.i.d. draws from the centered reduced law: the stream
-    is a pure function of the seed."""
+    is a pure function of the seed.  Each law is centred and scaled in place,
+    so a draw holds one float array."""
     rng = np.random.default_rng([np.uint64(seed), np.uint64(0)])
     if law.kind == "normal":
         return rng.standard_normal(count)
     if law.kind == "exponential":
         # (X - 1/lam) * lam is Exp(1) - 1 for every rate
-        return rng.exponential(1.0, count) - 1.0
+        x = rng.exponential(1.0, count)
+        x -= 1.0
+        return x
     if law.kind == "gamma":
         a, _b = law.params
         af = float(a)
-        return (rng.gamma(af, 1.0, count) - af) / math.sqrt(af)
+        x = rng.gamma(af, 1.0, count)
+        x -= af
+        x /= math.sqrt(af)
+        return x
     if law.kind == "gamma_combo":
         alpha, a1, b1, beta, a2, b2 = (float(x) for x in law.params)
-        x = alpha * rng.gamma(a1, 1.0 / b1, count)
-        y = beta * rng.gamma(a2, 1.0 / b2, count)
-        mean = alpha * a1 / b1 + beta * a2 / b2
-        var = alpha**2 * a1 / b1**2 + beta**2 * a2 / b2**2
-        return (x + y - mean) / math.sqrt(var)
+        x = rng.gamma(a1, 1.0 / b1, count)
+        x *= alpha
+        y = rng.gamma(a2, 1.0 / b2, count)
+        y *= beta
+        x += y
+        x -= alpha * a1 / b1 + beta * a2 / b2
+        x /= math.sqrt(alpha**2 * a1 / b1**2 + beta**2 * a2 / b2**2)
+        return x
     if law.kind == "poisson":
         (a,) = law.params
         af = float(a)
-        return (rng.poisson(af, count) - af) / math.sqrt(af)
+        x = rng.poisson(af, count) - af
+        x /= math.sqrt(af)
+        return x
     if law.kind == "binomial":
         N, p = law.params
         pf = float(p)
-        return (rng.binomial(N, pf, count) - N * pf) / math.sqrt(N * pf * (1 - pf))
+        x = rng.binomial(N, pf, count) - N * pf
+        x /= math.sqrt(N * pf * (1 - pf))
+        return x
     raise NoSamplerError(f"law kind {law.kind!r} has no sampler")
 
 

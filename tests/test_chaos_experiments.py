@@ -246,20 +246,29 @@ def test_qv_rows_match_per_increment_oracle(h1, h2, N, depths, paths, law):
     expected = _qv_rows_oracle(B, G, g, [2 ** (dmax - d) for d in depths], law, paths, 3)
     assert [row["depth"] for row in rep["rows"]] == list(depths)
     assert_rows_match(rep["rows"], expected)
-    # the finest increments are the oracle's own, in the oracle's order
+    # the block's x' G x plus one m3 g.x over all paths is the oracle's RHS,
+    # and the finest increments are the oracle's own, in the oracle's order
     for row, exp, d in zip(rep["rows"], expected, depths):
+        assert row["rhs"] == exp["rhs"]
         if d == dmax:
-            assert row["qv"]["mean"] == exp["qv"]["mean"]
+            assert {k: row[k] for k in exp} == exp
 
 
 def test_qv_joint_refinement_matches_per_increment_oracle():
     law = Law.exponential(1)
     rep = qv_joint_refinement(law, [(64, 3)], 10_000, 42)
-    B, G, g = legendre_float_cumulative(64, 3, 1)
-    assert_rows_match(rep["rows"], _qv_rows_oracle(B, G, g, [1], law, 10_000, 42))
+    B, G, g = _dyadic_kernels(ONE, ONE, 64, 3)
+    (expected,) = _qv_rows_oracle(B, G, g, [1], law, 10_000, 42)
+    # with the body's own kernels the one depth is the finest, so the whole
+    # row is the oracle's
+    (row,) = rep["rows"]
+    assert {k: row[k] for k in expected} == expected
 
 
 def _traced_peak(body, *args) -> int:
+    """Peak traced bytes of one call, after an untraced call has paid the
+    one-time allocations (imports, caches) that a first call would count."""
+    body(*args)
     tracemalloc.start()
     try:
         body(*args)
@@ -279,3 +288,68 @@ def test_qv_rows_peak_memory_within_per_increment_oracle(N, dmax, paths, law):
     strides = [2 ** (dmax - d) for d in range(1, dmax + 1)]
     args = (B, G, g, strides, law, paths, 5)
     assert _traced_peak(_qv_rows, *args) <= _traced_peak(_qv_rows_oracle, *args)
+
+
+def _riemann_oracle(h, g, N, law, depths, paths, seed):
+    """The full-array Riemann body: for each depth, the (paths x 2^d) products
+    of the whole sample with the left points and the increments."""
+    basis = LegendreBasis(N)
+    dmax = max(depths)
+    points = [Q(k, 2**dmax) for k in range(2**dmax + 1)]
+    C_h = cumulative_coeffs(h, basis, points)
+    C_g = cumulative_coeffs(g, basis, points)
+    B = cumulative_triangle(h, g, basis, [1])[0]
+    A = 0.5 * (B + B.T)
+    X = sample(law, seed, paths * N).reshape(paths, N)
+    I = np.einsum("pi,pi->p", X @ A, X) - np.trace(A)
+    rows = []
+    for d in depths:
+        stride = 2 ** (dmax - d)
+        ch = C_h[::stride]
+        cg = C_g[::stride]
+        dg = cg[1:] - cg[:-1]
+        left = X @ ch[:-1].T
+        right = X @ dg.T
+        S = (left * right).sum(axis=1)
+        err = (S - I) ** 2
+        rows.append(
+            {
+                "depth": d,
+                "err": {"mean": float(err.mean()), "stderr": float(err.std(ddof=1) / math.sqrt(paths))},
+            }
+        )
+    return rows
+
+
+# The body walks the paths in blocks of 2**19 // (8 (N + 3 2**dmax)) rows:
+# 2048 at N = 8 (depth 3) and 1024 at N = 16 (depth 4), so 5000 and 7777
+# paths end on a partial block.  (From N = 32 on, OpenBLAS may round a
+# block's products differently from the whole sample's, in the last bits.)
+@pytest.mark.parametrize(
+    "h, g, N, depths, paths, law",
+    [
+        (ONE, ONE, 8, [3, 1, 3, 2], 3000, Law.normal()),
+        (ONE, ONE, 8, [0], 3000, Law.normal()),
+        (H1, H2, 8, [2, 0, 3], 5000, Law.exponential(1)),
+        (H1, ONE, 16, [4, 1, 2, 3], 7777, Law.poisson(1)),
+        (ONE, H2, 1, [1, 3], 2, Law.exponential(1)),
+        (ONE, ONE, 16, [1, 2, 3, 4], 20_000, Law.normal()),
+    ],
+)
+def test_riemann_rows_match_full_array_oracle(h, g, N, depths, paths, law):
+    rep = riemann_experiment(h, g, N, law, depths, paths, 4)
+    assert (rep["N"], rep["paths"], rep["seed"]) == (N, paths, 4)
+    assert rep["rows"] == _riemann_oracle(h, g, N, law, depths, paths, 4)
+
+
+def test_riemann_peak_memory_below_half_the_full_array_oracle():
+    # a block's products and the (depths x paths) error table, against the
+    # whole sample's (paths x 2^d) products: about 0.3 of the oracle's peak
+    args = (ONE, ONE, 16, Law.normal(), [1, 2, 3, 4], 20_000, 5)
+    assert 2 * _traced_peak(riemann_experiment, *args) <= _traced_peak(_riemann_oracle, *args)
+
+
+@pytest.mark.parametrize("paths", [0, 1])
+def test_riemann_needs_two_paths(paths):
+    with pytest.raises(ValueError, match="paths must be >= 2"):
+        riemann_experiment(ONE, ONE, 4, Law.normal(), [1, 2], paths, 0)

@@ -154,6 +154,42 @@ def test_sampler_determinism():
         assert not np.array_equal(x, z)
 
 
+def _sample_reference(law, seed, count):
+    """The sampler as whole-array expressions, one new array per step."""
+    rng = np.random.default_rng([np.uint64(seed), np.uint64(0)])
+    if law.kind == "normal":
+        return rng.standard_normal(count)
+    if law.kind == "exponential":
+        return rng.exponential(1.0, count) - 1.0
+    if law.kind == "gamma":
+        af = float(law.params[0])
+        return (rng.gamma(af, 1.0, count) - af) / math.sqrt(af)
+    if law.kind == "gamma_combo":
+        alpha, a1, b1, beta, a2, b2 = (float(x) for x in law.params)
+        x = alpha * rng.gamma(a1, 1.0 / b1, count)
+        y = beta * rng.gamma(a2, 1.0 / b2, count)
+        mean = alpha * a1 / b1 + beta * a2 / b2
+        var = alpha**2 * a1 / b1**2 + beta**2 * a2 / b2**2
+        return (x + y - mean) / math.sqrt(var)
+    if law.kind == "poisson":
+        af = float(law.params[0])
+        return (rng.poisson(af, count) - af) / math.sqrt(af)
+    if law.kind == "binomial":
+        N, p = law.params
+        pf = float(p)
+        return (rng.binomial(N, pf, count) - N * pf) / math.sqrt(N * pf * (1 - pf))
+    raise AssertionError(law.kind)
+
+
+@pytest.mark.parametrize("law", CATALOG, ids=lambda law: law.label())
+def test_sampler_in_place_steps_match_whole_array_reference(law):
+    # centring and scaling in place rounds every draw as the expressions do
+    for seed, count in ((3, 1), (3, 1000), (8, 4097)):
+        x = sample(law, seed, count)
+        assert x.dtype == np.float64
+        assert np.array_equal(x, _sample_reference(law, seed, count))
+
+
 def test_sampler_standardization_clt():
     n = 10**6
     x = sample(Law.exponential(1), 7, n)
