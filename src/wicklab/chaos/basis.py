@@ -28,15 +28,14 @@ from ..exact import (
     Q,
     Rad,
     RadSum,
-    _madd,
     as_fraction,
-    int_form,
     p_add,
     p_antideriv,
     p_eval,
     p_integrate,
     p_mul,
     p_scale,
+    rad_form,
 )
 
 __all__ = [
@@ -291,48 +290,50 @@ class ChaosVector:
     def floats(self) -> np.ndarray:
         return np.array([float(c) for c in self.coeffs])
 
-    @staticmethod
-    def from_rationals(values: Sequence) -> "ChaosVector":
-        return ChaosVector(tuple(Rad(as_fraction(v)) for v in values))
-
 
 @dataclass(frozen=True)
 class SymmetricKernel2:
-    """Symmetric order-2 coefficient matrix a_jk = <f, e_j (x) e_k>, with its
-    integer form built once: a_jk = sum_w (rows[j][k][w] / den) sqrt(w).
-    Nothing may write into ``rows``."""
+    """Symmetric order-2 coefficient matrix a_jk = <f, e_j (x) e_k> =
+    (R[j][k] / den) sqrt(w_j w_k): R a symmetric integer matrix, den >= 1
+    reduced against R (so ``==`` is value equality for given weights), and
+    positive integer weights w (2j - 1 for triangle kernels, 1 for rational)."""
 
-    entries: tuple  # tuple of N tuples of RadSum
+    R: tuple  # N tuples of N ints
+    den: int
+    w: tuple  # N positive ints
 
     def __post_init__(self):
-        n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
+        R, den, w = tuple(map(tuple, self.R)), self.den, tuple(self.w)
+        n = len(R)
+        if any(len(row) != n for row in R):
             raise ValueError("kernel matrix must be square")
-        nums, den = int_form(e for row in self.entries for e in row)
-        rows = tuple(tuple(nums[j * n : (j + 1) * n]) for j in range(n))
-        if any(rows[j][k] != rows[k][j] for j in range(n) for k in range(j)):
+        if any(R[j][k] != R[k][j] for j in range(n) for k in range(j)):
             raise ValueError("kernel matrix must be symmetric")
-        object.__setattr__(self, "rows", rows)
+        if len(w) != n or any(x < 1 for x in w):
+            raise ValueError("need one positive integer weight per kernel row")
+        if den < 1:
+            raise ValueError("denominator must be a positive integer")
+        g = math.gcd(den, *(x for row in R for x in row))
+        if g > 1:
+            R, den = tuple(tuple(x // g for x in row) for row in R), den // g
+        object.__setattr__(self, "R", R)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "w", w)
 
     @property
     def N(self) -> int:
-        return len(self.entries)
+        return len(self.R)
 
     def at(self, j: int, k: int) -> RadSum:
         """Entry a_jk, 1-based indices."""
-        return self.entries[j - 1][k - 1]
+        return Rad(Q(self.R[j - 1][k - 1], self.den), self.w[j - 1] * self.w[k - 1])
 
     def _sq_sum(self, keep) -> Fraction:
-        """Sum of a_jk^2 over the (j, k) that keep selects; only the sum is
-        checked to be rational.  Kernels built in this package (triangle,
-        rational, basis element, contraction) have one radicand per entry."""
-        acc: dict = {}
-        for j, row in enumerate(self.rows):
-            for k, x in enumerate(row):
-                if keep(j, k):
-                    _madd(acc, x, x, 1)
-        return RadSum._of(acc, self.den**2).rational()
+        """Sum of a_jk^2 = R_jk^2 w_j w_k / den^2 over the (j, k) that keep
+        selects."""
+        R, w, n = self.R, self.w, range(self.N)
+        total = sum(R[j][k] ** 2 * w[j] * w[k] for j in n for k in n if keep(j, k))
+        return Q(total, self.den**2)
 
     def norm2(self) -> Fraction:
         """Full tensor norm: sum over ordered pairs of squared entries."""
@@ -345,21 +346,26 @@ class SymmetricKernel2:
         return self._sq_sum(operator.ne)
 
     def floats(self) -> np.ndarray:
-        return np.array([[float(e) for e in row] for row in self.entries])
+        """The entries as floats, each rounded as ``float(self.at(j, k))``."""
+        out = np.zeros((self.N, self.N))
+        for j, (row, wj) in enumerate(zip(self.R, self.w)):
+            for k, (x, wk) in enumerate(zip(row, self.w)):
+                if x:
+                    n, w0 = rad_form(x, wj * wk)
+                    out[j, k] = n / self.den * math.sqrt(w0)
+        return out
 
     @staticmethod
     def from_rationals(rows: Sequence[Sequence]) -> "SymmetricKernel2":
-        return SymmetricKernel2(
-            tuple(tuple(Rad(as_fraction(v)) for v in row) for row in rows)
-        )
+        R, den = _scaled([[as_fraction(v) for v in row] for row in rows])
+        return SymmetricKernel2(R, den, (1,) * len(R))
 
     @staticmethod
     def basis_element(N: int, j: int, k: int, value=1) -> "SymmetricKernel2":
         """value * (e_j o e_k): entries value at (j,k) and (k,j)."""
-        rows = [[Rad(Q(0)) for _ in range(N)] for _ in range(N)]
-        rows[j - 1][k - 1] = Rad(as_fraction(value))
-        rows[k - 1][j - 1] = Rad(as_fraction(value))
-        return SymmetricKernel2(tuple(tuple(r) for r in rows))
+        rows = [[0] * N for _ in range(N)]
+        rows[j - 1][k - 1] = rows[k - 1][j - 1] = value
+        return SymmetricKernel2.from_rationals(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +376,8 @@ class SymmetricKernel2:
 # antiderivative of h L_u from a, and g L_v is one product.  Their rows are
 # scaled to one integer denominator each, so the interval's contribution
 # H M G^T, with M the Hankel moment matrix, only multiplies and adds Python
-# ints; a Fraction is made once per kernel entry at the end.
+# ints; the symmetrized kernel stays in them, and a Fraction is made once per
+# raw entry at the end.
 
 
 def _scaled(rows: Sequence[Sequence[Fraction]]) -> tuple:
@@ -457,10 +464,7 @@ def triangle_kernel(
             for row, hm in zip(num, HM)
         ]
         den = new
-    w = [basis.weight(j) for j in range(1, N + 1)]
+    w = tuple(basis.weight(j) for j in range(1, N + 1))
     raw = tuple(tuple(Rad(Q(num[u][v], den), w[u] * w[v]) for v in range(N)) for u in range(N))
-    sym = tuple(
-        tuple(Rad(Q(num[u][v] + num[v][u], 2 * den), w[u] * w[v]) for v in range(N))
-        for u in range(N)
-    )
-    return SymmetricKernel2(sym), raw
+    sym = [[num[u][v] + num[v][u] for v in range(N)] for u in range(N)]
+    return SymmetricKernel2(sym, 2 * den, w), raw

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..exact import Q, RadSum, _madd
+from ..exact import Q, RadSum
 from .basis import LegendreBasis, PiecewisePoly, SymmetricKernel2, coeffs_of, triangle_kernel
 from .tensors import GammaTables, SymTensor, contraction1
 
@@ -249,53 +249,21 @@ def order_tensors(K: SymmetricKernel2, tables: GammaTables) -> dict:
     pointwise residual vanish.
     """
     ff = SymTensor.sym_square(K)
-    contr = SymTensor.from_kernel(contraction1(K))
-    # (pi_1 f) ~1 (pi_1 f) = sum_j a_jj^2 e_j o e_j
-    diag = {(j, j): {} for j in range(1, K.N + 1)}
-    for (j, _), sq in diag.items():
-        _madd(sq, K.rows[j - 1][j - 1], K.rows[j - 1][j - 1], 1)
-    diag_contr = SymTensor._of(2, {t: sq for t, sq in diag.items() if sq}, K.den**2)
+    contr4 = SymTensor.from_kernel(contraction1(K)).scaled(4)
+    # (pi_1 f) ~1 (pi_1 f) = sum_j a_jj^2 e_j o e_j, a_jj = R_jj w_j / den
+    R, w = K.R, K.w
+    diag = {(j + 1, j + 1): {1: (R[j][j] * w[j]) ** 2} for j in range(K.N) if R[j][j]}
+    diag_contr = SymTensor._of(2, diag, K.den**2)
     t4 = ff
     t3 = ff.annihilated(1, tables)
-    t2 = contr.scaled(Q(4)) + ff.annihilated(2, tables)
+    t2 = contr4 + ff.annihilated(2, tables)
     t1 = (
         ff.annihilated(3, tables)
-        + contr.scaled(Q(4)).annihilated(1, tables)
-        + diag_contr.scaled(Q(-6)).annihilated(1, tables)
+        + contr4.annihilated(1, tables)
+        + diag_contr.scaled(-6).annihilated(1, tables)
     )
     t0 = RadSum(2 * K.norm2()) + ff.annihilated(4, tables).terms.get((), 0)
     return {"t4": t4, "t3": t3, "t2": t2, "t1": t1, "t0": t0}
-
-
-def contraction1_series(K: SymmetricKernel2) -> SymTensor:
-    """Independent series route to the contraction, in signature form.
-
-    Spelled directly from the triple/double-sum expansion:
-      2(a_{j1j2}a_{j2j3} e_{j1}oe_{j3} + a_{j1j3}a_{j2j3} e_{j1}oe_{j2}
-        + a_{j1j2}a_{j1j3} e_{j2}oe_{j3})                   over j3<j2<j1
-      + 2(a_{j1j2}a_{j2} + a_{j1j2}a_{j1}) e_{j1}oe_{j2}    over j2<j1
-      + a_{j1j2}^2 (e_{j1}^2 + e_{j2}^2)                    over j2<j1
-      + a_j^2 e_j^2,
-    the e_j o e_k coefficients being exactly the signature coefficients.
-    """
-    N = K.N
-    out = SymTensor(2)
-    a = K.at
-    for j1 in range(1, N + 1):
-        for j2 in range(1, j1):
-            for j3 in range(1, j2):
-                out.add_term((j3, j1), a(j1, j2) * a(j2, j3) * Q(2))
-                out.add_term((j2, j1), a(j1, j3) * a(j2, j3) * Q(2))
-                out.add_term((j3, j2), a(j1, j2) * a(j1, j3) * Q(2))
-    for j1 in range(1, N + 1):
-        for j2 in range(1, j1):
-            out.add_term((j2, j1), (a(j1, j2) * a(j2, j2) + a(j1, j2) * a(j1, j1)) * Q(2))
-            sq = a(j1, j2) * a(j1, j2)
-            out.add_term((j1, j1), sq)
-            out.add_term((j2, j2), sq)
-    for j in range(1, N + 1):
-        out.add_term((j, j), a(j, j) * a(j, j))
-    return out
 
 
 def order_decomposition(

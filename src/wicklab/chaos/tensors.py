@@ -31,8 +31,9 @@ per signature, a map {radicand w: integer c_w}, so that
     lam_t = sum_w (c_w / D) sqrt(w)        (w squarefree; only w = 1 for
                                             rational kernels).
 
-Kernels carry their integer form (``SymmetricKernel2.rows`` over ``den``),
-and every loop multiplies and adds Python ints through the radicand
+Kernels are integer matrices R over den with weights w
+(``SymmetricKernel2``), so their readers sum Python ints and split one square
+per coefficient (``rad_form``); the tensor loops go through the radicand
 arithmetic of :mod:`wicklab.exact` (``_madd``, ``_axpy``).  The law enters
 through integer tables built once per :class:`GammaTables`: the annihilation
 gaps (gamma - Gamma) scaled by the lcm E of their denominators, the h_k
@@ -49,11 +50,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
-from operator import eq
+from operator import eq, mul
 from types import MappingProxyType
 from typing import Dict, Mapping
 
-from ..exact import Q, RadSum, _axpy, _madd, as_fraction, int_form
+from ..exact import Q, RadSum, _axpy, _madd, as_fraction, int_form, rad_form
 from ..laws import Law, MomentSequence, standardized_moments
 from ..wick import expect_poly
 from ..exact import p_add, p_eval_float, p_mul, p_scale
@@ -304,16 +305,16 @@ def _add_scaled(terms: dict, t: tuple, lam: dict, c: int) -> None:
 
 
 def contraction1(K: SymmetricKernel2) -> SymmetricKernel2:
-    """(f ~1 f)(s,t) = int f(s,u) f(t,u) du: the matrix square, entrywise."""
-    N, den2 = K.N, K.den**2
-    out = [[None] * N for _ in range(N)]
-    for u, ru in enumerate(K.rows):
-        for v, rv in enumerate(K.rows[: u + 1]):
-            acc: dict = {}
-            for x, y in zip(ru, rv):
-                _madd(acc, x, y, 1)
-            out[u][v] = out[v][u] = RadSum._of(acc, den2)
-    return SymmetricKernel2(tuple(tuple(r) for r in out))
+    """(f ~1 f)(s,t) = int f(s,u) f(t,u) du: the matrix square, entrywise.
+    With a_jk = (R_jk / den) sqrt(w_j w_k) it is R diag(w) R over den^2,
+    with the same weights."""
+    R, w = K.R, K.w
+    out = [[0] * K.N for _ in range(K.N)]
+    for u, ru in enumerate(R):
+        rw = [x * wk for x, wk in zip(ru, w)]
+        for v, rv in enumerate(R[: u + 1]):
+            out[u][v] = out[v][u] = sum(map(mul, rw, rv))
+    return SymmetricKernel2(out, K.den**2, w)
 
 
 class SymTensor:
@@ -354,7 +355,7 @@ class SymTensor:
             raise ValueError("signature length does not match tensor order")
         if any(a > b for a, b in zip(t, t[1:])):
             t = tuple(sorted(t))
-        (lam,), d = int_form([coeff])
+        lam, d = int_form(coeff)
         if not lam:
             return
         den = math.lcm(self._den, d)
@@ -391,24 +392,29 @@ class SymTensor:
     def from_kernel(K: SymmetricKernel2) -> "SymTensor":
         """Order-2 signature form of a symmetric kernel: lam_(k,j) = 2 a_jk
         off the diagonal, lam_(j,j) = a_jj."""
+        w = K.w
         coeffs = {}
-        for j, row in enumerate(K.rows):
+        for j, row in enumerate(K.R):
             for k, x in enumerate(row[: j + 1]):
                 if x:
-                    coeffs[k + 1, j + 1] = {w: n * (1 if j == k else 2) for w, n in x.items()}
+                    n, w0 = rad_form(x if j == k else 2 * x, w[j] * w[k])
+                    coeffs[k + 1, j + 1] = {w0: n}
         return SymTensor._of(2, coeffs, K.den)
 
     @staticmethod
     def sym_square(K: SymmetricKernel2) -> "SymTensor":
-        """f o f in signature form: distinct-arrangement pairing sums."""
-        rows = K.rows
+        """f o f in signature form: distinct-arrangement pairing sums.  Every
+        pairing of a signature t carries sqrt(w_t1 w_t2 w_t3 w_t4), so the
+        pairings sum as integers and each signature splits one square."""
+        R, w = K.R, K.w
         coeffs = {}
         for t in combinations_with_replacement(range(K.N), 4):
-            acc: dict = {}
+            acc = 0
             for c, p, q, r, s in _pairings(_mask(t)):
-                _madd(acc, rows[t[p]][t[q]], rows[t[r]][t[s]], c)
+                acc += c * R[t[p]][t[q]] * R[t[r]][t[s]]
             if acc:
-                coeffs[tuple(j + 1 for j in t)] = acc
+                n, w0 = rad_form(acc, w[t[0]] * w[t[1]] * w[t[2]] * w[t[3]])
+                coeffs[tuple(j + 1 for j in t)] = {w0: n}
         return SymTensor._of(4, coeffs, K.den**2)
 
     # -- structure ----------------------------------------------------------------

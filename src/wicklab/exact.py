@@ -9,8 +9,10 @@ Three layers live here:
   the one-term values ``q * sqrt(w)`` that carry orthonormal-basis
   coefficients exactly (a product of two coefficients with matching
   radicands collapses back to a rational); fourth-moment expectations mix
-  several radicands.  The integer form {radicand: int} over one denominator
-  that kernels and tensors hold (:func:`int_form`) has its arithmetic here;
+  several radicands.  Square parts are split only here: :func:`rad_form`
+  turns ``n * sqrt(w)`` into an integer over a squarefree radicand, and the
+  integer form {radicand: int} over one denominator that tensors hold
+  (:func:`int_form`) has its arithmetic here;
 * exact linear algebra on rational matrices (rank, kernel, PSD test) via
   fraction-free elimination, so ranks never depend on float thresholds.
 """
@@ -168,11 +170,17 @@ def _axpy(acc: dict, x: dict, c: int) -> None:
             del acc[w]
 
 
-def int_form(values) -> tuple:
-    """(nums, den): value i = sum_w (nums[i][w] / den) sqrt(w), one den for all."""
-    values = [RadSum._coerce(v) for v in values]
-    den = math.lcm(*(v._den for v in values))
-    return [{w: n * (den // v._den) for w, n in v._num.items()} for v in values], den
+def int_form(value) -> tuple:
+    """(num, den): value = sum_w (num[w] / den) sqrt(w), num a fresh dict."""
+    value = RadSum._coerce(value)
+    return dict(value._num), value._den
+
+
+def rad_form(n: int, w: int) -> tuple[int, int]:
+    """(m, w0) with n * sqrt(w) = m * sqrt(w0), w0 squarefree, for an
+    integer n and a positive integer w."""
+    s, w0 = _split_square(w)
+    return n * s, w0
 
 
 def Rad(q, w: int = 1) -> "RadSum":
@@ -180,9 +188,9 @@ def Rad(q, w: int = 1) -> "RadSum":
     one-term :class:`RadSum` with the square part of w moved into q."""
     if w <= 0:
         raise ValueError("radicand must be positive")
-    s, w0 = _split_square(w)
     q = as_fraction(q)
-    return RadSum._of({w0: q.numerator * s}, q.denominator)
+    n, w0 = rad_form(q.numerator, w)
+    return RadSum._of({w0: n}, q.denominator)
 
 
 class RadSum:

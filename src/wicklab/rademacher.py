@@ -129,10 +129,9 @@ def _qualifying_cells(ps: PartitionSystem, ks: Sequence[int], eps: Sequence[int]
 
 
 def joint_law(ps: PartitionSystem, ks: Sequence[int], eps: Sequence[int]) -> Fraction:
-    """Exact Lebesgue measure of {r_{k_1} = eps_1, ..., r_{k_N} = eps_N}."""
-    _check_tuple(ps, ks, eps)
-    ends = ps.levels[ks[-1]]
-    return sum((ends[j + 1] - ends[j] for j in _qualifying_cells(ps, ks, eps)), Q(0))
+    """Exact Lebesgue measure of {r_{k_1} = eps_1, ..., r_{k_N} = eps_N}: the
+    transport law under the diffuse CDF, whose cell measure is the length."""
+    return transport_joint_law(ps, JumpCDF.diffuse(), ks, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,12 @@ def _triangle_kernel_oracle(h, g, basis, t_cut=None):
             integrand = (gg.mul_poly(basis.poly(v + 1))) * inner[u]
             raw[u][v] = Rad(integrand.integral(), basis.weight(u + 1) * basis.weight(v + 1))
     sym = tuple(tuple((raw[u][v] + raw[v][u]) * Q(1, 2) for v in range(N)) for u in range(N))
-    return SymmetricKernel2(sym), tuple(tuple(row) for row in raw)
+    return sym, tuple(tuple(row) for row in raw)
+
+
+def entries(K):
+    """The entries of K as RadSum values, 0-based rows."""
+    return tuple(tuple(K.at(u, v) for v in range(1, K.N + 1)) for u in range(1, K.N + 1))
 
 
 def _coeffs_oracle(h, basis, t_cut=None):
@@ -162,7 +167,7 @@ def test_triangle_kernel_and_coeffs_match_definition(h, g, N, data):
     sym, raw = triangle_kernel(h, g, b, t_cut=t_cut)
     sym_ref, raw_ref = _triangle_kernel_oracle(h, g, b, t_cut=t_cut)
     assert raw == raw_ref
-    assert sym.entries == sym_ref.entries
+    assert entries(sym) == sym_ref
     assert coeffs_of(h, b, t_cut=t_cut).coeffs == _coeffs_oracle(h, b, t_cut=t_cut)
 
 
@@ -218,8 +223,26 @@ def test_piecewise_validation():
 def test_kernel_validation():
     with pytest.raises(ValueError):
         SymmetricKernel2.from_rationals([[0, 1], [2, 0]])
+    bad = [
+        (((0, 1), (1, 0), (0, 0)), 1, (1, 1)),  # not square
+        (((0, 1), (2, 0)), 1, (1, 1)),  # not symmetric
+        (((1, 0), (0, 1)), 1, (1, 1, 1)),  # one weight too many
+        (((1, 0), (0, 1)), 1, (1, 0)),  # a weight below 1
+        (((0, 0), (0, 0)), 0, (1, 1)),  # a zero denominator
+        (((1, 0), (0, 1)), -2, (1, 1)),  # a negative denominator
+    ]
+    for R, den, w in bad:  # ValueError, never ZeroDivisionError
+        with pytest.raises(ValueError):
+            SymmetricKernel2(R, den, w)
     K = SymmetricKernel2.from_rationals([[1, 2], [2, 3]])
     assert K.norm2() == 1 + 4 + 4 + 9
+    assert SymmetricKernel2.basis_element(3, 1, 2, Q(1, 2)) == SymmetricKernel2(
+        ((0, 1, 0), (1, 0, 0), (0, 0, 0)), 2, (1, 1, 1)
+    )
+    # entries with a common factor come out in lowest terms
+    K = SymmetricKernel2.from_rationals([[Q(2, 3), Q(4, 9)], [Q(4, 9), 0]])
+    assert (K.R, K.den) == (((6, 4), (4, 0)), 9)
+    assert K == SymmetricKernel2([[12, 8], [8, 0]], 18, [1, 1])
 
 
 def test_chaos_vector_dot_rational():
@@ -293,12 +316,8 @@ def _two_piece_triangle_kernel(N):
     return triangle_kernel(h, g, LegendreBasis(N))[0]
 
 
-SQRT2_OFFDIAG = SymmetricKernel2(  # a_12 = sqrt(2)/2, as in the isometry unit cases
-    tuple(
-        tuple(Rad(Q(1, 2), 2) if {u, v} == {0, 1} else Rad(Q(0)) for v in range(3))
-        for u in range(3)
-    )
-)
+# a_12 = sqrt(2)/2, as in the isometry unit cases
+SQRT2_OFFDIAG = SymmetricKernel2(((0, 1, 0), (1, 0, 0), (0, 0, 0)), 2, (1, 2, 1))
 INTEGER_FORM_KERNELS = {
     **{f"rational N={N}": (_random_rational_kernel, 31 + N, N) for N in (1, 3, 5)},
     **{f"triangle N={N}": (_two_piece_triangle_kernel, N) for N in (3, 6, 8)},
@@ -313,14 +332,21 @@ def test_kernel_integer_form_matches_entries(case, contract):
 
     make, *args = INTEGER_FORM_KERNELS[case]
     K = make(*args)
-    if contract:
-        K = contraction1(K)
     N = K.N
-    for j in range(N):
-        for k in range(N):
-            assert RadSum._of(K.rows[j][k], K.den) == K.entries[j][k]
-    # the squared sums against the entrywise RadSum route
-    squares = [[e.square() for e in row] for row in K.entries]
+    if contract:
+        # R diag(w) R over den^2 against the matrix square in RadSum arithmetic
+        C = contraction1(K)
+        n = range(1, N + 1)
+        for u in n:
+            for v in n:
+                assert C.at(u, v) == sum((K.at(u, k) * K.at(k, v) for k in n), RadSum())
+        K = C
+    floats = K.floats()
+    for j in range(1, N + 1):
+        for k in range(1, N + 1):
+            assert floats[j - 1, k - 1] == float(K.at(j, k))
+    # the integer squared sums against the entrywise RadSum route
+    squares = [[K.at(j, k).square() for k in range(1, N + 1)] for j in range(1, N + 1)]
     assert K.norm2() == sum((x for row in squares for x in row), Q(0))
     assert K.diag_sq_sum() == sum((squares[j][j] for j in range(N)), Q(0))
     assert K.offdiag_sq_sum() == sum(

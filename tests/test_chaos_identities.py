@@ -17,7 +17,6 @@ from wicklab.chaos.basis import (
 )
 from wicklab.chaos.identities import (
     contraction1,
-    contraction1_series,
     expected_integral_sq,
     fourth_moment_check,
     fourth_moment_lhs,
@@ -181,12 +180,12 @@ def test_component_expectations_against_moment_oracle():
                             exps[idx] += 1
                         e = monomial_expectation(m, exps)
                         if e:
-                            a1 = K1.entries[j][k].rational()
-                            a2 = K2.entries[jj][kk].rational()
+                            a1 = K1.at(j + 1, k + 1).rational()
+                            a2 = K2.at(jj + 1, kk + 1).rational()
                             acc += a1 * a2 * e
         direct = sum(
             (
-                (K1.entries[j][k] * K2.entries[j][k]).rational()
+                (K1.at(j + 1, k + 1) * K2.at(j + 1, k + 1)).rational()
                 for j in range(N)
                 for k in range(j)
             ),
@@ -317,15 +316,8 @@ def test_isometry_c_unit_cases():
     Kd = SymmetricKernel2.basis_element(3, 1, 1)
     assert weighted_norm(Kd, "C", tab) == 2  # E(X^2-1)^2 for the gaussian
     assert expected_integral_sq(Kd, tab) == 2
-    Ko = SymmetricKernel2(
-        tuple(
-            tuple(
-                Rad(Q(1, 2), 2) if {u, v} == {0, 1} else Rad(Q(0))
-                for v in range(3)
-            )
-            for u in range(3)
-        )
-    )  # a_12 = sqrt(2)/2: the normalized off-diagonal direction
+    # a_12 = sqrt(2)/2: the normalized off-diagonal direction
+    Ko = SymmetricKernel2(((0, 1, 0), (1, 0, 0), (0, 0, 0)), 2, (1, 2, 1))
     assert weighted_norm(Ko, "C", tab) == 2
     assert expected_integral_sq(Ko, tab) == 2
 
@@ -381,6 +373,37 @@ def test_operator_norm_bound():
 
 
 # --- contraction and annihilation ---------------------------------------------------
+
+
+def contraction1_series(K: SymmetricKernel2) -> SymTensor:
+    """Independent series route to the contraction, in signature form.
+
+    Spelled directly from the triple/double-sum expansion:
+      2(a_{j1j2}a_{j2j3} e_{j1}oe_{j3} + a_{j1j3}a_{j2j3} e_{j1}oe_{j2}
+        + a_{j1j2}a_{j1j3} e_{j2}oe_{j3})                   over j3<j2<j1
+      + 2(a_{j1j2}a_{j2} + a_{j1j2}a_{j1}) e_{j1}oe_{j2}    over j2<j1
+      + a_{j1j2}^2 (e_{j1}^2 + e_{j2}^2)                    over j2<j1
+      + a_j^2 e_j^2,
+    the e_j o e_k coefficients being exactly the signature coefficients.
+    """
+    N = K.N
+    out = SymTensor(2)
+    a = K.at
+    for j1 in range(1, N + 1):
+        for j2 in range(1, j1):
+            for j3 in range(1, j2):
+                out.add_term((j3, j1), a(j1, j2) * a(j2, j3) * Q(2))
+                out.add_term((j2, j1), a(j1, j3) * a(j2, j3) * Q(2))
+                out.add_term((j3, j2), a(j1, j2) * a(j1, j3) * Q(2))
+    for j1 in range(1, N + 1):
+        for j2 in range(1, j1):
+            out.add_term((j2, j1), (a(j1, j2) * a(j2, j2) + a(j1, j2) * a(j1, j1)) * Q(2))
+            sq = a(j1, j2) * a(j1, j2)
+            out.add_term((j1, j1), sq)
+            out.add_term((j2, j2), sq)
+    for j in range(1, N + 1):
+        out.add_term((j, j), a(j, j) * a(j, j))
+    return out
 
 
 def test_contraction_matrix_vs_series():
@@ -560,7 +583,7 @@ def test_fourth_moment_gaussian_closed_form_exact(N):
     # standard normal x, equal as rationals, not to a tolerance
     tab = GammaTables.for_law(Law.normal())
     K = random_sym_kernel(random.Random(N), N)
-    A = [[e.rational() for e in row] for row in K.entries]
+    A = [[K.at(i, j).rational() for j in range(1, N + 1)] for i in range(1, N + 1)]
     A2 = [[sum((A[i][k] * A[k][j] for k in range(N)), Q(0)) for j in range(N)] for i in range(N)]
     tr2 = sum((A2[i][i] for i in range(N)), Q(0))
     tr4 = sum((A2[i][j] * A2[j][i] for i in range(N) for j in range(N)), Q(0))
@@ -580,14 +603,14 @@ FIVE_ATOMS = (
 def enumerated_fourth_moment(K, atoms):
     """E[(x'Ax - tr A)^4] summed over all len(atoms)^N coordinate tuples."""
     N = K.N
-    trace = sum((K.entries[i][i] for i in range(N)), RadSum())
+    trace = sum((K.at(i, i) for i in range(1, N + 1)), RadSum())
     acc = RadSum()
     for draw in itertools.product(atoms, repeat=N):
         xs = [x for x, _ in draw]
         J = -trace
         for u in range(N):
             for v in range(N):
-                J = J + K.entries[u][v] * (xs[u] * xs[v])
+                J = J + K.at(u + 1, v + 1) * (xs[u] * xs[v])
         J2 = J * J
         acc = acc + J2 * J2 * math.prod(p for _, p in draw)
     return acc
@@ -681,9 +704,9 @@ def test_phi2_cross_expectation_exact():
                     - monomial_expectation(m, [2 if i == k else 0 for i in range(N)])
                     + 1
                 )
-                acc += K1.entries[j][j].rational() * K2.entries[k][k].rational() * val
+                acc += K1.at(j + 1, j + 1).rational() * K2.at(k + 1, k + 1).rational() * val
         direct = (m[4] - 1) * sum(
-            (K1.entries[j][j].rational() * K2.entries[j][j].rational() for j in range(N)),
+            (K1.at(j, j).rational() * K2.at(j, j).rational() for j in range(1, N + 1)),
             Q(0),
         )
         assert acc == direct
