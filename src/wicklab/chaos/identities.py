@@ -7,13 +7,21 @@ Pointwise layer (floats, per realization): the product identity
 is algebraic at fixed truncation, as is the order decomposition of the
 squared integral; residuals are rounding noise only.
 
-Symbolic layer (exact): expectations are computed by signature pairing with
-the law's exact moments.  The key subtlety is the truncated norm of the
-triangle kernel: the full-space identity <f, f~> = 0 (the triangle and its
-transpose are disjoint) fails under truncation, so the squared norm entering
-the norm identity is evaluated through the symmetrization 2 ||f_sym||^2 =
-||f||^2 + <f, f~>, which is the truncation-consistent reading and restores
-exact equality at every N.
+Symbolic layer (exact): second moments and the order components are
+computed by signature pairing with the law's exact moments.  The fourth
+moment E[J^4] takes the cumulant route instead: a sum over the 15 multigraph
+classes of the eight index slots, evaluated in integer arithmetic on the
+kernel's R and w with one O(N^3) matrix product (``fourth_moment_lhs``).
+The order route, ord0^2 + sum_i E[(order i)^2] over ``order_tensors``, gives
+the same value and is kept as its check in the tests; the pointwise order
+identity (``order_decomposition``) still runs on it.
+
+The key subtlety is the truncated norm of the triangle kernel: the
+full-space identity <f, f~> = 0 (the triangle and its transpose are
+disjoint) fails under truncation, so the squared norm entering the norm
+identity is evaluated through the symmetrization 2 ||f_sym||^2 = ||f||^2 +
+<f, f~>, which is the truncation-consistent reading and restores exact
+equality at every N.
 """
 
 from __future__ import annotations
@@ -23,9 +31,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..exact import Q, RadSum
+from ..exact import Q, RadSum, rad_form
 from .basis import LegendreBasis, PiecewisePoly, SymmetricKernel2, coeffs_of, triangle_kernel
-from .tensors import GammaTables, SymTensor, contraction1
+from .tensors import GammaTables, SymTensor, _rwr, contraction1
 
 __all__ = [
     "phi",
@@ -292,13 +300,54 @@ def order_decomposition(
 
 
 def fourth_moment_lhs(K: SymmetricKernel2, tables: GammaTables) -> RadSum:
-    """E[(J_2 f)^4] exactly: orders are mutually orthogonal, so the fourth
-    moment is ord0^2 + sum_i E[(order i)^2]."""
-    ts = order_tensors(K, tables)
-    acc = ts["t0"] * ts["t0"]
-    for key in ("t1", "t2", "t3", "t4"):
-        acc = acc + ts[key].expect_product(ts[key], tables)
-    return acc
+    """E[(J_2 f)^4] exactly, by the cumulant expansion of E[(x'Ax - tr A)^4]
+    over the classes of :data:`~wicklab.chaos.tensors.FOURTH_MOMENT_CLASSES`.
+
+    With a_ij = (R_ij / den) sqrt(w_i w_j) every class is a sum of integers
+    over den^4.  The only O(N^3) step is T = R diag(w) R, since (A^2)_ij =
+    (T_ij / den^2) sqrt(w_i w_j).  The classes with two odd-degree vertices
+    (the kappa_5 kappa_3 and kappa_3^2 ones) carry sqrt(w_i w_j); they are
+    collected into one integer matrix M, whose diagonal is rational and whose
+    off-diagonal pairs are split once each.  The order route
+    (``order_tensors``: ord0^2 + sum_i E[(order i)^2]) gives the same value
+    and serves as its check.
+    """
+    R, w, N = K.R, K.w, K.N
+    # the class weights in table order, named by their cumulant products
+    c8, c6, c53a, c53b, c44a, c44b, c44c, c4a, c4b, c4c, c33a, c33b, c33c, c2a, c2b = (
+        tables._j4_weights
+    )
+    T = _rwr(K)
+    r = [R[i][i] * w[i] for i in range(N)]  # den * d_i
+    t = [T[i][i] * w[i] for i in range(N)]  # den^2 * (A^2)_ii
+    r2, tr2 = sum(x * x for x in r), sum(t)  # den^2 * (sum d_i^2, tr A^2)
+    q = (
+        c8 * sum(x**4 for x in r)
+        + c6 * sum(x * x * y for x, y in zip(r, t))
+        + c44a * r2 * r2
+        + c4a * r2 * tr2
+        + c4c * sum(y * y for y in t)
+        + c2a * tr2 * tr2
+    )
+    # the pair classes; M_ij sqrt(w_i w_j) / den^4 collects the odd ones
+    M = [[0] * N for _ in range(N)]
+    for i, (Ri, Ti, ri) in enumerate(zip(R, T, r)):
+        for j, (x, y, rj, tj) in enumerate(zip(Ri, Ti, r, t)):
+            if not (x or y):
+                continue
+            p = w[i] * w[j]
+            x2p = x * x * p  # den^2 * a_ij^2
+            q += (c44b * ri * rj + c44c * x2p) * x2p + (c4b * ri * x + c2b * y) * y * p
+            M[i][j] = x * ri * (c53a * ri * rj + c53b * x2p + c33a * tj) + y * (
+                c33b * ri * rj + c33c * x2p
+            )
+    num = {1: q + sum(M[i][i] * w[i] for i in range(N))}
+    for i in range(N):
+        for j in range(i):
+            if M[i][j] + M[j][i]:
+                n, w0 = rad_form(M[i][j] + M[j][i], w[i] * w[j])
+                num[w0] = num.get(w0, 0) + n
+    return RadSum._of(num, tables._j4_den * K.den**4)
 
 
 def fourth_moment_check(

@@ -117,6 +117,42 @@ def _pairings(mask: tuple) -> tuple:
     )
 
 
+# E[J^4] for J = x'Ax - tr A and i.i.d. standardized x is a cumulant
+# expansion over the set partitions of the eight index slots (factor s holds
+# slots 2s, 2s+1).  A singleton block drops (kappa_1 = 0), and so does a
+# block that is exactly one factor's slot pair (the - tr A centring); 572
+# partitions remain.  Each gives a multigraph on its blocks with the four
+# factors as edges, and a block of n slots carries kappa_n (kappa_2 = 1).
+# The 15 classes up to isomorphism, as (number of partitions, edges), with
+# the sum each stands for (d_i = a_ii, sums over i, j unrestricted):
+FOURTH_MOMENT_CLASSES = (
+    (1, ((0, 0), (0, 0), (0, 0), (0, 0))),  # k8 sum d_i^4
+    (24, ((0, 0), (0, 0), (0, 1), (0, 1))),  # k6 sum d_i^2 a_ij^2
+    (24, ((0, 0), (0, 0), (0, 1), (1, 1))),  # k5 k3 sum d_i^2 a_ij d_j
+    (32, ((0, 0), (0, 1), (0, 1), (0, 1))),  # k5 k3 sum d_i a_ij^3
+    (3, ((0, 0), (0, 0), (1, 1), (1, 1))),  # k4^2 (sum d_i^2)^2
+    (24, ((0, 0), (0, 1), (0, 1), (1, 1))),  # k4^2 sum d_i a_ij^2 d_j
+    (8, ((0, 1), (0, 1), (0, 1), (0, 1))),  # k4^2 sum a_ij^4
+    (12, ((0, 0), (0, 0), (1, 2), (1, 2))),  # k4 (sum d_i^2) tr A^2
+    (96, ((0, 0), (0, 1), (1, 2), (0, 2))),  # k4 sum d_i (A^3)_ii
+    (48, ((0, 1), (0, 1), (0, 2), (0, 2))),  # k4 sum (A^2)_ii^2
+    (96, ((0, 0), (0, 1), (1, 2), (1, 2))),  # k3^2 sum d_i a_ij (A^2)_jj
+    (48, ((0, 0), (0, 2), (1, 2), (1, 1))),  # k3^2 d' A^2 d
+    (96, ((0, 1), (0, 1), (0, 2), (1, 2))),  # k3^2 sum a_ij^2 (A^2)_ij
+    (12, ((0, 1), (0, 1), (2, 3), (2, 3))),  # (tr A^2)^2
+    (48, ((0, 1), (1, 2), (2, 3), (0, 3))),  # tr A^4
+)
+
+
+def _cumulants(m: MomentSequence, n: int) -> list:
+    """kappa_0..kappa_n from the raw moments: kappa_k = m_k -
+    sum_{j<k} C(k-1, j-1) kappa_j m_(k-j)."""
+    kappa = [Q(0)]
+    for k in range(1, n + 1):
+        kappa.append(m[k] - sum(math.comb(k - 1, j - 1) * kappa[j] * m[k - j] for j in range(1, k)))
+    return kappa
+
+
 def _compositions(total: int, parts: int, minimum: int):
     if parts == 1:
         if total >= minimum:
@@ -135,7 +171,8 @@ class GammaTables:
     Hankel form (so E[P_k^2] > 0 through k = 4); finite-support laws with
     fewer than five atoms are rejected.  Construction also builds the
     integer tables the tensor loops read (annihilation plans per
-    multiplicity pattern, pairing weights) and the sup constants C4k.
+    multiplicity pattern, pairing weights), the sup constants C4k and the
+    integer weights of the E[J^4] classes.
     """
 
     moments: MomentSequence
@@ -187,6 +224,9 @@ class GammaTables:
         prod_runs h_alpha as an integer over ``_h_den``^n.  The sup constant
         C4k is the largest |W| / E^k over the order-4 plans: their patterns are
         the compositions of 4, and each plan entry one composition of k.
+        ``_j4_weights`` holds, per :data:`FOURTH_MOMENT_CLASSES` entry, its
+        count times the cumulants of its vertex degrees, as an integer over
+        ``_j4_den``.
         """
         ann = {(a, k): self.ann_coeff(a, k) for a in range(1, 5) for k in range(1, a + 1)}
         E = math.lcm(*(q.denominator for q in ann.values()))
@@ -214,6 +254,14 @@ class GammaTables:
             for k in range(MAX_ORDER + 1)
         }
         object.__setattr__(self, "_c_const", c_const)
+        kappa = _cumulants(self.moments, 8)
+        weights = []
+        for count, edges in FOURTH_MOMENT_CLASSES:
+            degrees = [sum(e.count(v) for e in edges) for v in range(4)]
+            weights.append(count * math.prod(kappa[d] for d in degrees if d))
+        L = math.lcm(*(q.denominator for q in weights))
+        object.__setattr__(self, "_j4_den", L)
+        object.__setattr__(self, "_j4_weights", tuple(int(q * L) for q in weights))
 
     @staticmethod
     def _plan(runs: tuple, k: int, gaps: dict, E: int) -> tuple:
@@ -304,17 +352,23 @@ def _add_scaled(terms: dict, t: tuple, lam: dict, c: int) -> None:
         del terms[t]
 
 
-def contraction1(K: SymmetricKernel2) -> SymmetricKernel2:
-    """(f ~1 f)(s,t) = int f(s,u) f(t,u) du: the matrix square, entrywise.
-    With a_jk = (R_jk / den) sqrt(w_j w_k) it is R diag(w) R over den^2,
-    with the same weights."""
+def _rwr(K: SymmetricKernel2) -> list:
+    """R diag(w) R as N lists of ints: (A^2)_jk = (out_jk / den^2)
+    sqrt(w_j w_k) for the kernel's matrix A."""
     R, w = K.R, K.w
     out = [[0] * K.N for _ in range(K.N)]
     for u, ru in enumerate(R):
         rw = [x * wk for x, wk in zip(ru, w)]
         for v, rv in enumerate(R[: u + 1]):
             out[u][v] = out[v][u] = sum(map(mul, rw, rv))
-    return SymmetricKernel2(out, K.den**2, w)
+    return out
+
+
+def contraction1(K: SymmetricKernel2) -> SymmetricKernel2:
+    """(f ~1 f)(s,t) = int f(s,u) f(t,u) du: the matrix square, entrywise.
+    With a_jk = (R_jk / den) sqrt(w_j w_k) it is R diag(w) R over den^2,
+    with the same weights."""
+    return SymmetricKernel2(_rwr(K), K.den**2, K.w)
 
 
 class SymTensor:

@@ -25,8 +25,9 @@ from .report import Check, ExperimentReport
 QUICK_TRUNCATION = 8
 QUICK_PATHS = 10_000
 QUICK_MAX_DEPTH = 6
-# Largest truncation of the exact fourth-moment commands (order4, bound4):
-# one exact E[J^4] at N = 16 takes well under a second.
+# Largest truncation of the exact fourth-moment commands (order4, bound4).
+# It guards order4's order tensors, whose term count grows as N^4; bound4's
+# E[J^4] is O(N^3) and would stand a larger cap.
 MAX_EXACT_TRUNCATION = 16
 
 

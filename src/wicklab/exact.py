@@ -295,8 +295,10 @@ class RadSum:
         return f"RadSum({self.terms!r})"
 
     def __float__(self):
+        # fsum rounds the exact sum of the per-term floats once, so equal
+        # values give equal floats whatever order their terms were built in
         den = self._den
-        return float(sum(n / den * math.sqrt(w) for w, n in self._num.items()))
+        return math.fsum(n / den * math.sqrt(w) for w, n in self._num.items())
 
     def __bool__(self):
         return bool(self._num)

@@ -353,10 +353,12 @@ def parse_law(spec: str) -> Law:
 
     def params(*names):
         if len(args) != len(names):
-            raise ValueError(f"law spec {spec!r} needs the parameters {kind}:{','.join(names)}")
+            form = f"{kind}:{','.join(names)}" if names else kind
+            raise ValueError(f"law spec {spec!r} needs the parameters {form}")
         return args
 
     if kind in ("normal", "gauss", "gaussian", "n01"):
+        params()
         return Law.normal()
     if kind in ("exponential", "exp"):
         (rate,) = params("RATE")

@@ -66,18 +66,24 @@ def test_traced_tensor_layer_reports_terms_and_radicands():
     for module, _, _ in perfbench_tracer.TARGETS:
         importlib.import_module(module)
     tracer = perfbench_tracer.Tracer()
-    originals = (SymTensor.__dict__["sym_square"], SymTensor.annihilated, identities.fourth_moment_lhs)
+    originals = (
+        SymTensor.__dict__["sym_square"], SymTensor.annihilated,
+        identities.order_tensors, identities.fourth_moment_lhs,
+    )
     K = SymmetricKernel2.basis_element(2, 1, 1)  # f = e_1 o e_1
     tables = GammaTables.for_law(Law.exponential(1))  # every gamma - Gamma gap is nonzero
     tracer.install()
     try:
+        identities.order_tensors(K, tables)
         lhs = identities.fourth_moment_lhs(K, tables)
     finally:
         tracer.uninstall()
     assert originals == (
-        SymTensor.__dict__["sym_square"], SymTensor.annihilated, identities.fourth_moment_lhs
+        SymTensor.__dict__["sym_square"], SymTensor.annihilated,
+        identities.order_tensors, identities.fourth_moment_lhs,
     )
     calls = {name: cell[0] for name, cell in tracer.per_item()[None].items()}
+    # the order build makes the tensor calls; fourth_moment_lhs makes none
     assert calls["chaos.tensors.SymTensor.sym_square"] == 1
     assert calls["chaos.tensors.SymTensor.annihilated"] == 6
     # one term each: e_1^4, its four annihilations, and the two annihilated

@@ -35,7 +35,12 @@ from wicklab.chaos.identities import (
     sandwich_bounds,
     weighted_norm,
 )
-from wicklab.chaos.tensors import GammaTables, SymTensor, hermite_connection
+from wicklab.chaos.tensors import (
+    FOURTH_MOMENT_CLASSES,
+    GammaTables,
+    SymTensor,
+    hermite_connection,
+)
 from wicklab.exact import Rad, RadSum
 from wicklab.laws import Law, MomentSequence, sample, standardized_moments
 
@@ -618,9 +623,8 @@ def enumerated_fourth_moment(K, atoms):
 
 @pytest.mark.parametrize("kind", ["rational N=4", "triangle N=3"])
 def test_fourth_moment_matches_five_atom_enumeration(kind):
-    moments = MomentSequence(tuple(sum(p * x**n for x, p in FIVE_ATOMS) for n in range(9)))
-    tab = GammaTables(moments, label="five atoms")
-    assert (moments[1], moments[2]) == (0, 1) and tab.m3 != 0
+    tab = five_atom_tables()
+    assert (tab.moments[1], tab.moments[2]) == (0, 1) and tab.m3 != 0
     if kind == "rational N=4":
         K = random_sym_kernel(random.Random(83), 4)
     else:
@@ -629,6 +633,88 @@ def test_fourth_moment_matches_five_atom_enumeration(kind):
     if kind == "triangle N=3":
         assert len(lhs.terms) > 1  # radicals survive, so the RadSum path is exercised
     assert lhs == enumerated_fourth_moment(K, FIVE_ATOMS)
+
+
+def order_route_fourth_moment(K, tab):
+    """E[J^4] by the order decomposition: the orders are mutually orthogonal,
+    so it is ord0^2 + sum_i E[(order i)^2]."""
+    ts = order_tensors(K, tab)
+    acc = ts["t0"] * ts["t0"]
+    for key in ("t1", "t2", "t3", "t4"):
+        acc = acc + ts[key].expect_product(ts[key], tab)
+    return acc
+
+
+def five_atom_tables():
+    moments = MomentSequence(tuple(sum(p * x**n for x, p in FIVE_ATOMS) for n in range(9)))
+    return GammaTables(moments, label="five atoms")
+
+
+@pytest.mark.parametrize("N", [3, 8, 12])
+@pytest.mark.parametrize("kind", ["rational", "triangle"])
+def test_fourth_moment_cumulant_route_equals_order_route(N, kind):
+    if kind == "rational":
+        K = random_sym_kernel(random.Random(N), N)
+    else:
+        K, _ = triangle_kernel(X, PW, LegendreBasis(N))
+    tables = [GammaTables.for_law(law) for law in (Law.normal(), Law.exponential(1), Law.poisson(1))]
+    for tab in tables + [five_atom_tables()]:
+        assert fourth_moment_lhs(K, tab) == order_route_fourth_moment(K, tab), tab.label
+
+
+def test_fourth_moment_cumulant_route_at_n32():
+    # two-piece h1, h2 at N = 32: 263 distinct squarefree radicands survive
+    h1 = PiecewisePoly(((Q(0), Q(3, 8), (1, 2)), (Q(3, 8), Q(1), (Q(-1, 2), 3))))
+    h2 = PiecewisePoly(((Q(0), Q(5, 8), (2, -1)), (Q(5, 8), Q(1), (Q(3, 2), 1))))
+    K, _ = triangle_kernel(h1, h2, LegendreBasis(32))
+    tab = GammaTables.for_law(Law.exponential(1))
+    lhs = fourth_moment_lhs(K, tab)
+    assert len(lhs.terms) == 263
+    assert lhs == order_route_fourth_moment(K, tab)
+
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+
+
+def _canonical_multigraph(edges, n_vertices):
+    """The least sorted edge list over all relabellings of the vertices."""
+    return min(
+        tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges))
+        for perm in itertools.permutations(range(n_vertices))
+    )
+
+
+def test_fourth_moment_classes_derived_from_set_partitions():
+    # E[(x'Ax - tr A)^4] sums over partitions of the 8 slots (factor s holds
+    # slots 2s, 2s+1) with every block of size >= 2 (kappa_1 = 0) and no block
+    # equal to a factor's own pair (the centring); blocks are vertices and
+    # factors are edges
+    counts = {}
+    for part in _set_partitions(list(range(8))):
+        if any(len(b) < 2 or (len(b) == 2 and min(b) % 2 == 0 and max(b) == min(b) + 1)
+               for b in part):
+            continue
+        block = {slot: v for v, b in enumerate(part) for slot in b}
+        edges = [(block[2 * s], block[2 * s + 1]) for s in range(4)]
+        key = _canonical_multigraph(edges, len(part))
+        counts[key] = counts.get(key, 0) + 1
+    assert sum(counts.values()) == 572 and len(counts) == 15
+    table = {}
+    for count, edges in FOURTH_MOMENT_CLASSES:
+        n_vertices = 1 + max(v for e in edges for v in e)
+        table[_canonical_multigraph(edges, n_vertices)] = count
+    assert table == counts
+    assert [c for c, _ in FOURTH_MOMENT_CLASSES] == [
+        1, 24, 24, 32, 3, 24, 8, 12, 96, 48, 96, 48, 96, 12, 48
+    ]
 
 
 def test_fourth_moment_trivial_and_small_increment():

@@ -263,6 +263,14 @@ def test_bad_input_exits_2_with_message(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("spec", ["normal:1", "gaussian:0,1"])
+def test_law_without_parameters_rejects_them(capsys, spec):
+    assert main(["chaos", "bound4", "--law", spec, "--truncation", "2"]) == 2
+    captured = capsys.readouterr()
+    assert f"error: law spec {spec!r} needs the parameters" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv, option",
     [

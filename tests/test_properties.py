@@ -6,6 +6,9 @@ from fractions import Fraction as Q
 
 from hypothesis import given, settings, strategies as st
 
+from wicklab.chaos.basis import SymmetricKernel2
+from wicklab.chaos.identities import fourth_moment_lhs
+from wicklab.chaos.tensors import GammaTables
 from wicklab.discrete import DiscreteRV, FiniteSpace, independent, independent_oracle
 from wicklab.exact import Rad, RadSum
 from wicklab.laws import Law, MomentSequence, inverse_laplace_coeffs, moments
@@ -151,5 +154,52 @@ def test_radsum_one_form_per_value(xs, ys):
     assert (x + y) - y == x
     assert hash((x + y) - y) == hash(x)
     assert x * y == y * x
-    assert sum((Rad(q, w) for q, w in reversed(xs)), RadSum()) == x
+    backwards = sum((Rad(q, w) for q, w in reversed(xs)), RadSum())
+    assert backwards == x and float(backwards) == float(x)
     assert RadSum(x.terms) == x and RadSum(x.terms).terms == x.terms
+
+
+def test_radsum_float_ignores_term_order():
+    # summed left to right, these per-term floats round differently in the
+    # two orders; the value's float does not
+    terms = [(Q(1, 10), 2), (Q(1, 10), 3), (Q(2, 10), 5)]
+    x = sum((Rad(q, w) for q, w in terms), RadSum())
+    y = sum((Rad(q, w) for q, w in reversed(terms)), RadSum())
+    floats = [float(q) * math.sqrt(w) for q, w in terms]
+    assert sum(floats) != sum(reversed(floats))
+    assert x == y and float(x) == float(y) == math.fsum(floats)
+
+
+TABLES = [GammaTables.for_law(law) for law in (Law.normal(), Law.exponential(1), Law.poisson(1))]
+
+
+@st.composite
+def rational_kernels(draw):
+    """A symmetric kernel with small rational entries, N = 1..5."""
+    n = draw(st.integers(1, 5))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            rows[i][j] = rows[j][i] = draw(entry)
+    return rows
+
+
+@given(rational_kernels(), st.fractions(min_value=-3, max_value=3, max_denominator=5),
+       st.sampled_from(TABLES))
+@settings(max_examples=40, deadline=None)
+def test_fourth_moment_is_homogeneous_of_degree_four(rows, c, tab):
+    K = SymmetricKernel2.from_rationals(rows)
+    cK = SymmetricKernel2.from_rationals([[c * v for v in row] for row in rows])
+    assert fourth_moment_lhs(cK, tab) == fourth_moment_lhs(K, tab) * c**4
+
+
+@given(rational_kernels(), st.data(), st.sampled_from(TABLES))
+@settings(max_examples=40, deadline=None)
+def test_fourth_moment_invariant_under_index_permutation(rows, data, tab):
+    n = len(rows)
+    perm = data.draw(st.permutations(range(n)))
+    permuted = [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    assert fourth_moment_lhs(SymmetricKernel2.from_rationals(permuted), tab) == fourth_moment_lhs(
+        SymmetricKernel2.from_rationals(rows), tab
+    )
