@@ -13,17 +13,19 @@ exact kernels of the identities stay in ``triangle_kernel``).  Monte Carlo
 then takes one quadratic form per increment of the finest partition and
 builds every coarser partition's increments as sums of adjacent finer ones.
 
-Both Monte Carlo bodies draw the whole sample X once and walk it in blocks
-of rows sized by ``_BLOCK_BYTES``, so they hold X, a per-path table of
-results and one block's products, never a (paths x columns) product of the
-whole sample.  Each result is a row-by-row sum, so it does not depend on the
-block size as long as the BLAS rounds a block's matrix-matrix product as it
-rounds the whole one.  OpenBLAS 0.3.31 (AVX-512) does for the shapes the
-command line and the benchmark use; from N = 32 on it picks other kernels for
-some block shapes, which moved Riemann rows by at most 4e-16 relative.  A
-matrix-vector product (GEMV) split by rows rounds differently (about 3e-14
-relative at N = 256), so the linear term m3 g.x of the quadratic-variation
-limit stays one product over all paths.
+Both Monte Carlo bodies walk the sample X in blocks of rows sized by
+``_BLOCK_BYTES`` and draw each block from one ``Sampler`` stream just before
+using it, so X is never held whole: a body holds its per-path tables of
+results and one block's rows and products.  The stream's blocks concatenate
+to the whole draw, so each block holds the rows that the same block of X
+drawn at once would.  Each result is a row-by-row sum, so it does not depend
+on the block size as long as the BLAS rounds a block's matrix-matrix product
+as it rounds the whole one.  OpenBLAS 0.3.31 (AVX-512) does for the shapes
+the command line and the benchmark use; from N = 32 on it picks other
+kernels for some block shapes, which moved Riemann rows by at most 4e-16
+relative.  A matrix-vector product (GEMV) split by rows can round
+differently, so the linear term m3 g.x of the quadratic-variation limit is a
+row-wise ``einsum``, which sums each row on its own whatever the block.
 
 Two hard facts shape the experiment design (both verified numerically here
 and recorded in the test suite):
@@ -56,7 +58,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..exact import Q
-from ..laws import Law, sample, standardized_moments
+from ..laws import Law, Sampler, standardized_moments
 from .basis import LegendreBasis, PiecewisePoly, gauss_legendre
 from .tensors import GammaTables
 
@@ -190,6 +192,15 @@ def _quadratic_form(X: np.ndarray, A: np.ndarray) -> np.ndarray:
     return np.einsum("pi,pi->p", X @ A, X)
 
 
+def _path_blocks(law: Law, seed: int, paths: int, N: int, block: int):
+    """(lo, X[lo : lo + block]) over the rows of the (paths x N) sample X of
+    ``law`` and ``seed``, each block drawn from one stream as it is asked for."""
+    stream = Sampler(law, seed)
+    for lo in range(0, paths, block):
+        rows = min(block, paths - lo)
+        yield lo, stream.draw(rows * N).reshape(rows, N)
+
+
 def _qv_rows(
     B: np.ndarray,
     G: np.ndarray,
@@ -214,15 +225,16 @@ def _qv_rows(
     each one that completes a pair is added to its left sibling and carried
     up a level, so the block holds one pending increment per level.  Each QV
     adds its squared increments in increment order, as one form per
-    increment over all paths would.  The block also takes x' G x; the
-    linear term m3 g.x is one product over all paths after the walk, because
-    a matrix-vector product split by rows can round differently.
+    increment over all paths would.  The block also takes
+    RHS = x' G x + m3 g.x, the linear term by a row-wise ``einsum`` that a
+    split by rows does not round differently.  Each block is drawn just
+    before it is walked, so the call holds the QV and RHS tables and one
+    block, never the whole sample; the RHS statistics are taken once.
     """
     if paths < 2:
         raise ValueError("paths must be >= 2 for a standard error")
     N = G.shape[0]
     m3 = float(standardized_moments(law, 3)[3])
-    X = sample(law, seed, paths * N).reshape(paths, N)
     A = B[1:] - B[:-1]
     K = len(A)
     traces = np.trace(A, axis1=1, axis2=2)
@@ -231,10 +243,11 @@ def _qv_rows(
     QV = np.zeros((len(strides), paths))
     RHS = np.empty(paths)
     block = max(1, _BLOCK_BYTES // (8 * (N + K)))
-    for lo in range(0, paths, block):
-        Xb = X[lo : lo + block]
+    for lo, Xb in _path_blocks(law, seed, paths, N, block):
         QVb = QV[:, lo : lo + block]
-        RHS[lo : lo + block] = _quadratic_form(Xb, G)
+        RHSb = RHS[lo : lo + block]
+        RHSb[:] = _quadratic_form(Xb, G)
+        RHSb += m3 * np.einsum("pi,i->p", Xb, g)
         pending = []
         for k in range(K):
             inc = _quadratic_form(Xb, A[k]) - traces[k]
@@ -247,7 +260,7 @@ def _qv_rows(
                     break
                 inc = pending.pop() + inc
                 level += 1
-    RHS += m3 * (X @ g)
+    rhs, rhs_sd = _stats(RHS), RHS.std(ddof=1)
     rows = []
     for qv in QV:
         err = (qv - RHS) ** 2
@@ -255,11 +268,10 @@ def _qv_rows(
             {
                 "err": _stats(err),
                 "qv": _stats(qv),
-                "rhs": _stats(RHS),
-                "mean_gap": float(abs(qv.mean() - RHS.mean())),
+                "rhs": dict(rhs),
+                "mean_gap": float(abs(qv.mean() - rhs["mean"])),
                 "mean_gap_stderr": float(
-                    math.sqrt(qv.std(ddof=1) ** 2 + RHS.std(ddof=1) ** 2)
-                    / math.sqrt(paths)
+                    math.sqrt(qv.std(ddof=1) ** 2 + rhs_sd**2) / math.sqrt(paths)
                 ),
             }
         )
@@ -332,11 +344,12 @@ def riemann_experiment(
     S_n = sum_k Phi(h 1_(0,t_k]) Phi(g 1_(t_k, t_{k+1}]) over the dyadic
     partition of depth d; I is the integral at the same truncation.
 
-    All depths share one sample of ``paths`` realizations, walked in blocks
-    of ``_BLOCK_BYTES // (8 (N + 3 2^dmax))`` rows: per block, I = x' A x -
-    tr A and, per depth, S = sum_k (x . c_h(t_k)) (x . dc_g(k)), whose
-    (S - I)^2 fill a (depths x paths) table; no (paths x 2^d) product of
-    the whole sample is held (see the module docstring for rounding).
+    All depths share one sample of ``paths`` realizations, drawn and walked
+    in blocks of ``_BLOCK_BYTES // (8 (N + 3 2^dmax))`` rows: per block,
+    I = x' A x - tr A and, per depth, S = sum_k (x . c_h(t_k)) (x . dc_g(k)),
+    whose (S - I)^2 fill a (depths x paths) table; neither the whole sample
+    nor a (paths x 2^d) product of it is held (see the module docstring for
+    rounding).
     """
     if paths < 2:
         raise ValueError("paths must be >= 2 for a standard error")
@@ -350,11 +363,9 @@ def riemann_experiment(
     trace = np.trace(A)
     # per depth: left points c_h(t_k) and increments c_g(t_{k+1}) - c_g(t_k)
     sums = [(C_h[::s][:-1].T, (C_g[::s][1:] - C_g[::s][:-1]).T) for s in strides]
-    X = sample(law, seed, paths * N).reshape(paths, N)
     err = np.empty((len(depths), paths))
     block = max(1, _BLOCK_BYTES // (8 * (N + 3 * 2**dmax)))
-    for lo in range(0, paths, block):
-        Xb = X[lo : lo + block]
+    for lo, Xb in _path_blocks(law, seed, paths, N, block):
         I = _quadratic_form(Xb, A) - trace
         for row, (left, dg) in zip(err, sums):
             S = ((Xb @ left) * (Xb @ dg)).sum(axis=1)

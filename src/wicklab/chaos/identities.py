@@ -243,6 +243,32 @@ def sandwich_bounds(tables: GammaTables) -> tuple:
 # order decomposition
 
 
+def _orders(K: SymmetricKernel2, tables: GammaTables, take):
+    """(name, take(component)) for the five components of
+    :func:`order_tensors`, in the order t4, t3, t2, t1, t0.
+
+    Each component is built as late as it can be and handed to ``take`` at
+    once, so a ``take`` that evaluates it lets it go before the next is
+    built: only f o f and the contraction that later orders reuse stay alive.
+    """
+    ff = SymTensor.sym_square(K)
+    yield "t4", take(ff)
+    yield "t3", take(ff.annihilated(1, tables))
+    contr4 = SymTensor.from_kernel(contraction1(K)).scaled(4)
+    yield "t2", take(contr4 + ff.annihilated(2, tables))
+    # (pi_1 f) ~1 (pi_1 f) = sum_j a_jj^2 e_j o e_j, a_jj = R_jj w_j / den
+    R, w = K.R, K.w
+    diag = {(j + 1, j + 1): {1: (R[j][j] * w[j]) ** 2} for j in range(K.N) if R[j][j]}
+    diag_contr = SymTensor._of(2, diag, K.den**2)
+    yield "t1", take(
+        ff.annihilated(3, tables)
+        + contr4.annihilated(1, tables)
+        + diag_contr.scaled(-6).annihilated(1, tables)
+    )
+    del contr4, diag_contr
+    yield "t0", take(RadSum(2 * K.norm2()) + ff.annihilated(4, tables).terms.get((), 0))
+
+
 def order_tensors(K: SymmetricKernel2, tables: GammaTables) -> dict:
     """The five exact components of (Phi_2 + Phi a_1^2)(f) squared.
 
@@ -256,35 +282,20 @@ def order_tensors(K: SymmetricKernel2, tables: GammaTables) -> dict:
     contraction would change the identity, and only this reading makes the
     pointwise residual vanish.
     """
-    ff = SymTensor.sym_square(K)
-    contr4 = SymTensor.from_kernel(contraction1(K)).scaled(4)
-    # (pi_1 f) ~1 (pi_1 f) = sum_j a_jj^2 e_j o e_j, a_jj = R_jj w_j / den
-    R, w = K.R, K.w
-    diag = {(j + 1, j + 1): {1: (R[j][j] * w[j]) ** 2} for j in range(K.N) if R[j][j]}
-    diag_contr = SymTensor._of(2, diag, K.den**2)
-    t4 = ff
-    t3 = ff.annihilated(1, tables)
-    t2 = contr4 + ff.annihilated(2, tables)
-    t1 = (
-        ff.annihilated(3, tables)
-        + contr4.annihilated(1, tables)
-        + diag_contr.scaled(-6).annihilated(1, tables)
-    )
-    t0 = RadSum(2 * K.norm2()) + ff.annihilated(4, tables).terms.get((), 0)
-    return {"t4": t4, "t3": t3, "t2": t2, "t1": t1, "t0": t0}
+    return dict(_orders(K, tables, lambda t: t))
 
 
 def order_decomposition(
     K: SymmetricKernel2, tables: GammaTables, xs: np.ndarray
 ) -> dict:
-    """The five order components on a realization, plus the identity residual."""
-    ts = order_tensors(K, tables)
+    """The five order components on a realization, plus the identity residual.
+
+    Each component is evaluated as soon as it is built and then dropped."""
     pv = tables.p_values(xs)
-    o4 = ts["t4"].phi_eval(pv)
-    o3 = ts["t3"].phi_eval(pv)
-    o2 = ts["t2"].phi_eval(pv)
-    o1 = ts["t1"].phi_eval(pv)
-    o0 = float(ts["t0"])
+    orders = dict(
+        _orders(K, tables, lambda t: t.phi_eval(pv) if isinstance(t, SymTensor) else float(t))
+    )
+    o0, o1, o2, o3, o4 = (orders[f"t{i}"] for i in range(5))
     direct = j2_eval(K.floats(), xs) ** 2
     total = o0 + o1 + o2 + o3 + o4
     return {

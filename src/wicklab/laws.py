@@ -34,6 +34,7 @@ __all__ = [
     "MomentSequence",
     "InverseLaplaceCoeffs",
     "NoSamplerError",
+    "Sampler",
     "moments",
     "standardized_moments",
     "inverse_laplace_coeffs",
@@ -293,48 +294,74 @@ def hankel_psd(m: MomentSequence) -> bool:
 # samplers (centered, reduced)
 
 
+# Draws per step when a stream fills its result: an integer-valued law holds
+# one step's integer draws beside the float result, never a whole draw's.
+_FILL_STEP = 2**16
+
+_SAMPLED_KINDS = ("normal", "exponential", "gamma", "gamma_combo", "poisson", "binomial")
+
+
+class Sampler:
+    """One seeded stream of i.i.d. draws from the centered reduced law.
+
+    Successive ``draw`` calls continue the stream, and their results
+    concatenate ``==`` to ``sample(law, seed, total)`` however the total is
+    split: every law takes its variates from numpy one draw after another
+    (gamma_combo its two gammas interleaved), so no draw depends on how many
+    were asked for at once.
+    """
+
+    def __init__(self, law: Law, seed: int):
+        if law.kind not in _SAMPLED_KINDS:
+            raise NoSamplerError(f"law kind {law.kind!r} has no sampler")
+        self.law = law
+        self._rng = np.random.default_rng([np.uint64(seed), np.uint64(0)])
+
+    def draw(self, count: int) -> np.ndarray:
+        """The next ``count`` draws, as one float64 array filled in steps of
+        ``_FILL_STEP`` draws and centred and scaled in place."""
+        out = np.empty(count)
+        for lo in range(0, count, _FILL_STEP):
+            self._fill(out[lo : lo + _FILL_STEP])
+        return out
+
+    def _fill(self, out: np.ndarray) -> None:
+        rng, kind, params, n = self._rng, self.law.kind, self.law.params, len(out)
+        if kind == "normal":
+            rng.standard_normal(out=out)
+        elif kind == "exponential":
+            # (X - 1/lam) * lam is Exp(1) - 1 for every rate
+            rng.standard_exponential(out=out)
+            out -= 1.0
+        elif kind == "gamma":
+            af = float(params[0])
+            rng.standard_gamma(af, out=out)
+            out -= af
+            out /= math.sqrt(af)
+        elif kind == "gamma_combo":
+            alpha, a1, b1, beta, a2, b2 = (float(x) for x in params)
+            xy = rng.gamma((a1, a2), (1.0 / b1, 1.0 / b2), (n, 2))
+            xy *= (alpha, beta)
+            np.add(xy[:, 0], xy[:, 1], out=out)
+            out -= alpha * a1 / b1 + beta * a2 / b2
+            out /= math.sqrt(alpha**2 * a1 / b1**2 + beta**2 * a2 / b2**2)
+        elif kind == "poisson":
+            af = float(params[0])
+            out[:] = rng.poisson(af, n)
+            out -= af
+            out /= math.sqrt(af)
+        else:  # binomial
+            N, p = params
+            pf = float(p)
+            out[:] = rng.binomial(N, pf, n)
+            out -= N * pf
+            out /= math.sqrt(N * pf * (1 - pf))
+
+
 def sample(law: Law, seed: int, count: int) -> np.ndarray:
-    """Deterministic i.i.d. draws from the centered reduced law: the stream
-    is a pure function of the seed.  Each law is centred and scaled in place,
-    so a draw holds one float array."""
-    rng = np.random.default_rng([np.uint64(seed), np.uint64(0)])
-    if law.kind == "normal":
-        return rng.standard_normal(count)
-    if law.kind == "exponential":
-        # (X - 1/lam) * lam is Exp(1) - 1 for every rate
-        x = rng.exponential(1.0, count)
-        x -= 1.0
-        return x
-    if law.kind == "gamma":
-        a, _b = law.params
-        af = float(a)
-        x = rng.gamma(af, 1.0, count)
-        x -= af
-        x /= math.sqrt(af)
-        return x
-    if law.kind == "gamma_combo":
-        alpha, a1, b1, beta, a2, b2 = (float(x) for x in law.params)
-        x = rng.gamma(a1, 1.0 / b1, count)
-        x *= alpha
-        y = rng.gamma(a2, 1.0 / b2, count)
-        y *= beta
-        x += y
-        x -= alpha * a1 / b1 + beta * a2 / b2
-        x /= math.sqrt(alpha**2 * a1 / b1**2 + beta**2 * a2 / b2**2)
-        return x
-    if law.kind == "poisson":
-        (a,) = law.params
-        af = float(a)
-        x = rng.poisson(af, count) - af
-        x /= math.sqrt(af)
-        return x
-    if law.kind == "binomial":
-        N, p = law.params
-        pf = float(p)
-        x = rng.binomial(N, pf, count) - N * pf
-        x /= math.sqrt(N * pf * (1 - pf))
-        return x
-    raise NoSamplerError(f"law kind {law.kind!r} has no sampler")
+    """Deterministic i.i.d. draws from the centered reduced law: the first
+    ``count`` draws of ``Sampler(law, seed)``, a pure function of the seed."""
+    return Sampler(law, seed).draw(count)
 
 
 # ---------------------------------------------------------------------------

@@ -349,6 +349,17 @@ def test_riemann_peak_memory_below_half_the_full_array_oracle():
     assert 2 * _traced_peak(riemann_experiment, *args) <= _traced_peak(_riemann_oracle, *args)
 
 
+@pytest.mark.parametrize("law", [Law.normal(), Law.poisson(1)], ids=Law.label)
+def test_monte_carlo_bodies_never_hold_the_whole_sample(law):
+    # each block of paths is drawn just before it is used: at N = 32, depth 2
+    # and 2e4 paths the sample alone is 4.9 MiB, and each body peaks below half
+    N, paths = 32, 20_000
+    sample_bytes = 8 * paths * N
+    B, G, g = _dyadic_kernels(ONE, ONE, N, 2)
+    assert 2 * _traced_peak(_qv_rows, B, G, g, [2, 1], law, paths, 5) < sample_bytes
+    assert 2 * _traced_peak(riemann_experiment, ONE, ONE, N, law, [1, 2], paths, 5) < sample_bytes
+
+
 @pytest.mark.parametrize("paths", [0, 1])
 def test_riemann_needs_two_paths(paths):
     with pytest.raises(ValueError, match="paths must be >= 2"):

@@ -553,6 +553,19 @@ def test_order_decomposition_hermite_square():
     assert res["residual"] < 1e-12
 
 
+def test_order_decomposition_evaluates_the_order_tensors():
+    # both read one build of the orders: each evaluated order is the
+    # evaluation of the matching exact component
+    law = Law.exponential(1)
+    tab = GammaTables.for_law(law)
+    K = random_sym_kernel(random.Random(37), 5)
+    xs = sample(law, 37, 5)
+    ts = order_tensors(K, tab)
+    pv = tab.p_values(xs)
+    expected = (float(ts["t0"]), *(ts[f"t{i}"].phi_eval(pv) for i in range(1, 5)))
+    assert order_decomposition(K, tab, xs)["orders"] == expected
+
+
 def test_order_components_mean_zero_and_fourth_moment_mc():
     law = Law.exponential(1)
     tab = GammaTables.for_law(law)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from wicklab import laws
 from wicklab.cli import main, parse_piecewise
 from wicklab.report import Check, ExperimentReport
 
@@ -117,6 +118,19 @@ def test_chaos_ito(capsys):
     # default h(s) = s, g = 1 on (0, 1/2] and 2s after: int h g = 1/8 + 7/12
     assert row(rep, "bracket")["value"]["exact"] == "17/24"
     assert row(rep, "pointwise_residual_max")["passed"] is True
+
+
+def test_chaos_ito_draws_only_the_checked_paths(capsys, monkeypatch):
+    # the residual is checked on the first 200 paths, so only they are drawn,
+    # and they are the first 200 rows of the whole sample
+    argv = ("chaos", "ito", "--law", "exponential:1", "--truncation", "6", "--seed", "3")
+    _, first = run_cli(capsys, *argv, "--paths", "200")
+    counts = []
+    sample = laws.sample
+    monkeypatch.setattr(laws, "sample", lambda *a: counts.append(a[2]) or sample(*a))
+    _, rep = run_cli(capsys, *argv, "--paths", "100000")
+    assert counts == [200 * 6]
+    assert row(rep, "pointwise_residual_max") == row(first, "pointwise_residual_max")
 
 
 def test_chaos_order4(capsys):

@@ -1,16 +1,20 @@
 """Moment sequences, reciprocal-series coefficients, samplers."""
 
 import math
+import tracemalloc
 from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wicklab.exact import mat_rank
 from wicklab.laws import (
     Law,
     MomentSequence,
     NoSamplerError,
+    Sampler,
+    _FILL_STEP,
     hankel_psd,
     inverse_laplace_coeffs,
     moments,
@@ -143,6 +147,8 @@ def test_custom_law_order_guard():
         moments(law, 3)
     with pytest.raises(NoSamplerError):
         sample(law, 1, 10)
+    with pytest.raises(NoSamplerError):
+        Sampler(law, 1)
 
 
 def test_sampler_determinism():
@@ -166,8 +172,10 @@ def _sample_reference(law, seed, count):
         return (rng.gamma(af, 1.0, count) - af) / math.sqrt(af)
     if law.kind == "gamma_combo":
         alpha, a1, b1, beta, a2, b2 = (float(x) for x in law.params)
-        x = alpha * rng.gamma(a1, 1.0 / b1, count)
-        y = beta * rng.gamma(a2, 1.0 / b2, count)
+        # the two gammas interleaved, one pair per draw
+        pairs = [(rng.gamma(a1, 1.0 / b1), rng.gamma(a2, 1.0 / b2)) for _ in range(count)]
+        x = alpha * np.array([p[0] for p in pairs])
+        y = beta * np.array([p[1] for p in pairs])
         mean = alpha * a1 / b1 + beta * a2 / b2
         var = alpha**2 * a1 / b1**2 + beta**2 * a2 / b2**2
         return (x + y - mean) / math.sqrt(var)
@@ -184,10 +192,44 @@ def _sample_reference(law, seed, count):
 @pytest.mark.parametrize("law", CATALOG, ids=lambda law: law.label())
 def test_sampler_in_place_steps_match_whole_array_reference(law):
     # centring and scaling in place rounds every draw as the expressions do
-    for seed, count in ((3, 1), (3, 1000), (8, 4097)):
+    for seed, count in ((3, 1), (3, 1000), (8, 4097), (5, _FILL_STEP + 1)):
         x = sample(law, seed, count)
         assert x.dtype == np.float64
         assert np.array_equal(x, _sample_reference(law, seed, count))
+
+
+@given(
+    st.sampled_from(CATALOG),
+    st.integers(0, 2**32),
+    st.lists(st.integers(0, 40), min_size=1, max_size=8),
+)
+@example(Law.gamma_combo(1, 2, 3, 2, Q(1, 2), 1), 5, [1, 1, 1])
+@example(Law.poisson(1), 5, [16, 1])
+@example(Law.binomial(3, Q(1, 2)), 5, [17, 0])
+@example(Law.normal(), 5, [_FILL_STEP - 1, 2, _FILL_STEP + 3])
+@settings(max_examples=60, deadline=None)
+def test_stream_blocks_concatenate_to_sample(law, seed, sizes):
+    # successive draws of one stream are the whole draw, however it is split:
+    # 1-draw blocks, empty ones, a split before or after the last draw
+    stream = Sampler(law, seed)
+    blocks = [stream.draw(k) for k in sizes]
+    assert [len(b) for b in blocks] == sizes
+    assert np.array_equal(np.concatenate(blocks), sample(law, seed, sum(sizes)))
+
+
+@pytest.mark.parametrize("law", [Law.poisson(1), Law.binomial(3, Q(1, 2))], ids=Law.label)
+def test_integer_laws_fill_one_float_array(law):
+    # the integer draws are taken one fill step at a time, so the draw holds
+    # its float result and one step's integers, not a whole int64 draw
+    count = 16 * _FILL_STEP
+    sample(law, 1, _FILL_STEP)
+    tracemalloc.start()
+    try:
+        sample(law, 1, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * count + 3 * 8 * _FILL_STEP
 
 
 def test_sampler_standardization_clt():
