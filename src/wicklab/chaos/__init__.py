@@ -30,7 +30,6 @@ from .identities import (
     phi11,
     product_identity_residual,
     isometry_check,
-    weighted_norm,
 )
 from .experiments import (
     fourth_moment_grid,
@@ -55,7 +54,6 @@ __all__ = [
     "integral_eval",
     "ito_bracket",
     "norm_identity",
-    "weighted_norm",
     "isometry_check",
     "order_decomposition",
     "order_tensors",

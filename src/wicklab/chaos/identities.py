@@ -7,7 +7,12 @@ Pointwise layer (floats, per realization): the product identity
 is algebraic at fixed truncation, as is the order decomposition of the
 squared integral; residuals are rounding noise only.
 
-Symbolic layer (exact): second moments and the order components are
+Symbolic layer (exact): the second moment E[J_2(f)^2] has one closed form,
+``expected_integral_sq``, in the kernel's squared entries and m4.
+``isometry_check`` compares it with a second route, the signature pairing
+E[Phi_2(f)^2] = ||f||_A^2, which reads the law only through the
+orthogonal-polynomial norms h_alpha, plus the order-1 term m3^2 sum_j a_jj^2
+by which E[J_2(f)^2] exceeds ||f||_A^2.  The order components are
 computed by signature pairing with the law's exact moments.  The fourth
 moment E[J^4] takes the cumulant route instead: a sum over the 15 multigraph
 classes of the eight index slots, evaluated in integer arithmetic on the
@@ -27,7 +32,6 @@ equality at every N.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -44,7 +48,6 @@ __all__ = [
     "j2_eval",
     "ito_bracket",
     "norm_identity",
-    "weighted_norm",
     "isometry_check",
     "sandwich_bounds",
     "order_tensors",
@@ -153,9 +156,11 @@ def ito_residual(
 
 
 def expected_integral_sq(K: SymmetricKernel2, tables: GammaTables) -> Fraction:
-    """E[I(h,g)^2] for the symmetrized kernel, exact:
-    4 sum_{j>k} a_jk^2 + (m4 - 1) sum_j a_jj^2."""
-    off = K.offdiag_sq_sum()  # ordered pairs, so this is 2 sum_{j>k}
+    """E[J_2(f)^2] for the symmetric kernel f, exact: the second-order isometry
+
+        2 sum_{j != k} a_jk^2 + (m4 - 1) sum_j a_jj^2.
+    """
+    off = K.offdiag_sq_sum()  # ordered pairs, so this is sum_{j != k}
     diag = K.diag_sq_sum()
     return 2 * off + (tables.m4 - 1) * diag
 
@@ -165,7 +170,6 @@ def norm_identity(
     g: PiecewisePoly,
     basis: LegendreBasis,
     tables: GammaTables,
-    t_cut: Optional[Fraction] = None,
 ) -> dict:
     """Both sides of the squared-norm identity, exact rationals.
 
@@ -174,7 +178,7 @@ def norm_identity(
     identically; ``symmetrization_gap`` records <f, f~>_N, the term that the
     full space kills and truncation does not.
     """
-    K, raw = triangle_kernel(h, g, basis, t_cut=t_cut)
+    K, raw = triangle_kernel(h, g, basis)
     N = K.N
     # lhs: E[I^2] assembled from the component expectations of the raw kernel
     # (off-diagonal route uses the symmetrized coefficients b_jk + b_kj, the
@@ -204,33 +208,23 @@ def norm_identity(
 
 
 # ---------------------------------------------------------------------------
-# weighted norms and isometries
+# isometries
 
 
-def weighted_norm(K: SymmetricKernel2, variant: str, tables: GammaTables) -> Fraction:
-    """Squared weighted norms of a symmetric kernel.
+def isometry_check(K: SymmetricKernel2, tables: GammaTables) -> Fraction:
+    """|E[J_2(f)^2] - (||f||_A^2 + m3^2 sum_j a_jj^2)|, exactly zero.
 
-    B: identity off the diagonal, E(X^2-1)^2 on it (isometry norms for the
-    two quadratic components separately); C: 2 off the diagonal, E(X^2-1)^2
-    on it (the second-order isometry); A: the signature-weighted norm that
-    makes the pure order-2 map an isometry, ||f||_A^2 = E[Phi_2(f)^2] =
-    sum_t lam_t^2 prod h_alpha.  E[J_2(f)^2] exceeds it by m3^2 sum_j a_jj^2,
-    the order-1 component contributed by the annihilation part.
+    The two sides are two routes to one value.  E[J_2(f)^2] is the closed
+    form :func:`expected_integral_sq`.  ||f||_A^2 = E[Phi_2(f)^2] =
+    sum_t lam_t^2 prod h_alpha is the signature-weighted norm that makes the
+    pure order-2 map an isometry, the pairing of f with itself; it reads the
+    law only through the orthogonal-polynomial norms h_alpha, not through
+    m4.  E[J_2(f)^2] exceeds ||f||_A^2 by m3^2 sum_j a_jj^2, the order-1
+    component contributed by the annihilation part.
     """
-    m4_1 = tables.m4 - 1
-    if variant == "B":
-        return K.offdiag_sq_sum() + m4_1 * K.diag_sq_sum()
-    if variant == "C":
-        return 2 * K.offdiag_sq_sum() + m4_1 * K.diag_sq_sum()
-    if variant == "A":
-        T = SymTensor.from_kernel(K)
-        return T.expect_product(T, tables).rational()
-    raise ValueError("variant must be one of A, B, C")
-
-
-def isometry_check(K: SymmetricKernel2, variant: str, tables: GammaTables) -> Fraction:
-    """|E[J_2(f)^2] - ||f||_variant^2|, exactly zero for variant C."""
-    return abs(expected_integral_sq(K, tables) - weighted_norm(K, variant, tables))
+    T = SymTensor.from_kernel(K)
+    pairing = T.expect_product(T, tables).rational()
+    return abs(expected_integral_sq(K, tables) - (pairing + tables.m3**2 * K.diag_sq_sum()))
 
 
 def sandwich_bounds(tables: GammaTables) -> tuple:

@@ -143,13 +143,11 @@ class JumpCDF:
     """A distribution function with at most one jump, seen in probability scale.
 
     ``fx0`` is the pre-jump value F(X_0) and ``delta`` the jump height; the
-    continuous parts are piecewise affine and only enter through validation.
-    ``segments`` optionally records them as (x_lo, x_hi, F_lo, F_hi) tuples.
+    continuous parts are piecewise affine and do not enter.
     """
 
     fx0: Fraction
     delta: Fraction
-    segments: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fx0", as_fraction(self.fx0))
@@ -158,9 +156,6 @@ class JumpCDF:
             raise ValueError("jump height must be nonnegative")
         if self.delta > 0 and not (0 < self.fx0 and self.fx0 + self.delta < 1):
             raise ValueError("need 0 < F(X_0) and F(X_0) + delta < 1")
-        for lo, hi, flo, fhi in self.segments:
-            if not (lo <= hi and flo <= fhi):
-                raise ValueError("segments must be nondecreasing")
 
     @staticmethod
     def diffuse() -> "JumpCDF":
@@ -169,9 +164,7 @@ class JumpCDF:
     @staticmethod
     def uniform_with_jump(x0, delta) -> "JumpCDF":
         """F(x) = x up to x0, then x + delta (identity transport plus one jump)."""
-        x0, delta = as_fraction(x0), as_fraction(delta)
-        segs = ((Q(0), x0, Q(0), x0), (x0, 1 - delta, x0 + delta, Q(1)))
-        return JumpCDF(x0, delta, segs)
+        return JumpCDF(x0, delta)
 
     def cell_measure(self, lo: Fraction, hi: Fraction) -> Fraction:
         """Pullback measure of the open cell ]lo, hi[ under this CDF."""

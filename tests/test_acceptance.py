@@ -351,11 +351,11 @@ def test_criterion_8_isometries():
                     for v in range(u):
                         rows[v][u] = rows[u][v]
                 K = chaos.SymmetricKernel2.from_rationals(rows)
-                ok &= isometry_check(K, "C", tab) == 0
+                ok &= isometry_check(K, tab) == 0
                 n2 = K.norm2()
                 e2 = expected_integral_sq(K, tab)
                 ok &= a * n2 <= e2 <= b * n2
-    assert report(8, ok, "variant-C residual exactly zero and sandwich bounds on a 10^3-kernel sweep")
+    assert report(8, ok, "two-route isometry residual exactly zero and sandwich bounds on a 10^3-kernel sweep")
 
 
 # -- 9 ------------------------------------------------------------------------

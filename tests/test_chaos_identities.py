@@ -33,7 +33,6 @@ from wicklab.chaos.identities import (
     phi11,
     product_identity_residual,
     sandwich_bounds,
-    weighted_norm,
 )
 from wicklab.chaos.tensors import (
     FOURTH_MOMENT_CLASSES,
@@ -42,7 +41,7 @@ from wicklab.chaos.tensors import (
     hermite_connection,
 )
 from wicklab.exact import Rad, RadSum
-from wicklab.laws import Law, MomentSequence, sample, standardized_moments
+from wicklab.laws import Law, MomentSequence, parse_law, sample, standardized_moments
 
 ONE = PiecewisePoly.constant(1)
 X = PiecewisePoly.from_poly([0, 1])
@@ -313,18 +312,33 @@ def test_isometry_c_exact_zero_sweep():
         tab = GammaTables.for_law(law)
         for _ in range(25):
             K = random_sym_kernel(rng, 6)
-            assert isometry_check(K, "C", tab) == 0
+            assert isometry_check(K, tab) == 0
 
 
 def test_isometry_c_unit_cases():
     tab = GammaTables.for_law(Law.normal())
     Kd = SymmetricKernel2.basis_element(3, 1, 1)
-    assert weighted_norm(Kd, "C", tab) == 2  # E(X^2-1)^2 for the gaussian
-    assert expected_integral_sq(Kd, tab) == 2
+    assert expected_integral_sq(Kd, tab) == 2  # E(X^2-1)^2 for the gaussian
     # a_12 = sqrt(2)/2: the normalized off-diagonal direction
     Ko = SymmetricKernel2(((0, 1, 0), (1, 0, 0), (0, 0, 0)), 2, (1, 2, 1))
-    assert weighted_norm(Ko, "C", tab) == 2
     assert expected_integral_sq(Ko, tab) == 2
+
+
+@pytest.mark.parametrize(
+    "spec", ["normal", "exponential:1", "poisson:1", "binomial:4,1/2", "five atoms"]
+)
+def test_pairing_side_closed_form(spec):
+    # the pairing side of isometry_check, E[Phi_2(f)^2], equals
+    # 2 sum_{j != k} a_jk^2 + (m4 - 1 - m3^2) sum_j a_jj^2
+    tab = five_atom_tables() if spec == "five atoms" else GammaTables.for_law(parse_law(spec))
+    rng = random.Random(41)
+    kernels = [random_sym_kernel(rng, N) for N in (1, 3, 6) for _ in range(4)]
+    tri, _ = triangle_kernel(X, PW, LegendreBasis(5))
+    assert max(tri.w) > 1  # radicands survive in the entries
+    for K in kernels + [tri]:
+        T = SymTensor.from_kernel(K)
+        closed = 2 * K.offdiag_sq_sum() + (tab.m4 - 1 - tab.m3**2) * K.diag_sq_sum()
+        assert T.expect_product(T, tab) == closed
 
 
 def test_b_isometries_componentwise_mc():
@@ -618,8 +632,8 @@ FIVE_ATOMS = (
 )
 
 
-def enumerated_fourth_moment(K, atoms):
-    """E[(x'Ax - tr A)^4] summed over all len(atoms)^N coordinate tuples."""
+def enumerated_moment(K, atoms, power):
+    """E[(x'Ax - tr A)^power] summed over all len(atoms)^N coordinate tuples."""
     N = K.N
     trace = sum((K.at(i, i) for i in range(1, N + 1)), RadSum())
     acc = RadSum()
@@ -630,7 +644,7 @@ def enumerated_fourth_moment(K, atoms):
             for v in range(N):
                 J = J + K.at(u + 1, v + 1) * (xs[u] * xs[v])
         J2 = J * J
-        acc = acc + J2 * J2 * math.prod(p for _, p in draw)
+        acc = acc + (J2 if power == 2 else J2 * J2) * math.prod(p for _, p in draw)
     return acc
 
 
@@ -645,7 +659,18 @@ def test_fourth_moment_matches_five_atom_enumeration(kind):
     lhs = fourth_moment_lhs(K, tab)
     if kind == "triangle N=3":
         assert len(lhs.terms) > 1  # radicals survive, so the RadSum path is exercised
-    assert lhs == enumerated_fourth_moment(K, FIVE_ATOMS)
+    assert lhs == enumerated_moment(K, FIVE_ATOMS, 4)
+
+
+@pytest.mark.parametrize("kind", ["rational N=4", "triangle N=3"])
+def test_second_moment_matches_five_atom_enumeration(kind):
+    # an oracle independent of both sides of isometry_check, with m3 != 0
+    tab = five_atom_tables()
+    if kind == "rational N=4":
+        K = random_sym_kernel(random.Random(83), 4)
+    else:
+        K, _ = triangle_kernel(X, PW, LegendreBasis(3))
+    assert enumerated_moment(K, FIVE_ATOMS, 2) == expected_integral_sq(K, tab)
 
 
 def order_route_fourth_moment(K, tab):

@@ -75,6 +75,7 @@ def test_rademacher_infeasible_scheme_is_an_error(capsys):
 
 
 GOLDEN_ALL_QUICK = Path(__file__).parent / "data" / "all_quick_seed42.json"
+GOLDEN_ALL = Path(__file__).parent / "data" / "all_seed42.json"
 
 
 def golden_view(report):
@@ -94,6 +95,12 @@ def test_all_quick_matches_golden(capsys):
     code, rep = run_cli(capsys, "all", "--quick", "--seed", "42")
     assert code == 0
     assert golden_view(rep) == json.loads(GOLDEN_ALL_QUICK.read_text())
+
+
+def test_all_matches_golden(capsys):
+    code, rep = run_cli(capsys, "all", "--seed", "42")
+    assert code == 0
+    assert golden_view(rep) == json.loads(GOLDEN_ALL.read_text())
 
 
 def row(rep, name):
