@@ -20,6 +20,7 @@ from .basis import (
 from .tensors import GammaTables, SymTensor
 from .identities import (
     fourth_moment_check,
+    fourth_moment_grid,
     integral_eval,
     ito_bracket,
     norm_identity,
@@ -32,7 +33,6 @@ from .identities import (
     isometry_check,
 )
 from .experiments import (
-    fourth_moment_grid,
     qv_experiment,
     qv_joint_refinement,
     riemann_experiment,

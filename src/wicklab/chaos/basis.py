@@ -198,12 +198,6 @@ class PiecewisePoly:
             out.append((lo, min(hi, t), c))
         return PiecewisePoly(tuple(out))
 
-    def mul_poly(self, q: Sequence) -> "PiecewisePoly":
-        q = list(q)
-        return PiecewisePoly(
-            tuple((lo, hi, tuple(p_mul(list(c), q))) for lo, hi, c in self.pieces)
-        )
-
     def __mul__(self, other: "PiecewisePoly") -> "PiecewisePoly":
         cuts = sorted(
             {x for lo, hi, _ in self.pieces for x in (lo, hi)}
@@ -239,23 +233,6 @@ class PiecewisePoly:
 
     def integral(self) -> Fraction:
         return sum((p_integrate(list(c), lo, hi) for lo, hi, c in self.pieces), Q(0))
-
-    def antiderivative(self) -> "PiecewisePoly":
-        """F(x) = integral over (0, x], extended by constants across gaps."""
-        out = []
-        acc = Q(0)
-        cursor = Q(0)
-        for lo, hi, c in self.pieces:
-            if lo > cursor:
-                out.append((cursor, lo, (acc,)))
-            F = p_antideriv(list(c))
-            shift = acc - p_eval(F, lo)
-            out.append((lo, hi, tuple(p_add(F, [shift])) or (Q(0),)))
-            acc = acc + p_integrate(list(c), lo, hi)
-            cursor = hi
-        if cursor < 1:
-            out.append((cursor, Q(1), (acc,)))
-        return PiecewisePoly(tuple(out))
 
     def eval(self, x) -> Fraction:
         x = as_fraction(x)

@@ -1,4 +1,5 @@
-"""Monte Carlo convergence experiments for the stochastic integral.
+"""Monte Carlo convergence experiments for the stochastic integral, and the
+float kernels they run on (the exact bound grid is in ``identities``).
 
 The process under study is Z_t = the integral of Phi(h1)_s against
 d Phi(h2)_s up to t, realized at truncation N through its kernel matrix.
@@ -60,7 +61,6 @@ import numpy as np
 from ..exact import Q
 from ..laws import Law, Sampler, standardized_moments
 from .basis import LegendreBasis, PiecewisePoly, gauss_legendre
-from .tensors import GammaTables
 
 __all__ = [
     "cumulative_triangle",
@@ -69,7 +69,6 @@ __all__ = [
     "qv_experiment",
     "qv_joint_refinement",
     "riemann_experiment",
-    "fourth_moment_grid",
     "legendre_float_cumulative",
 ]
 
@@ -372,42 +371,3 @@ def riemann_experiment(
             row[lo : lo + block] = (S - I) ** 2
     rows = [{"depth": d, "err": _stats(e)} for d, e in zip(depths, err)]
     return {"N": N, "paths": paths, "seed": seed, "rows": rows}
-
-
-def fourth_moment_grid(
-    h1: PiecewisePoly,
-    h2: PiecewisePoly,
-    basis: LegendreBasis,
-    tables: GammaTables,
-    pairs: Sequence[tuple],
-) -> dict:
-    """Increment fourth moments against the printed bound on an (s,t) grid,
-    plus the log-log slope of the fourth moment in the increment width.
-
-    Each row carries the exact ``lhs`` (a RadSum) and ``rhs`` (a Fraction);
-    the slope is a float fit to the lhs values at s = 0."""
-    from .identities import fourth_moment_check
-
-    rows = []
-    for s, t in pairs:
-        chk = fourth_moment_check(h1, h2, Q(s), Q(t), basis, tables)
-        rows.append(
-            {
-                "s": str(Q(s)),
-                "t": str(Q(t)),
-                "lhs": chk["lhs"],
-                "rhs": chk["rhs"],
-                "holds": chk["holds"],
-            }
-        )
-    # slope: fourth moment of Z_t - Z_s versus t - s, at s = 0
-    widths, lhss = [], []
-    for k in range(1, 7):
-        tau = Q(1, 2**k)
-        chk = fourth_moment_check(h1, h2, Q(0), tau, basis, tables)
-        widths.append(float(tau))
-        lhss.append(chk["lhs_float"])
-    lw = np.log(np.array(widths))
-    ll = np.log(np.array(lhss))
-    slope = float(np.polyfit(lw, ll, 1)[0])
-    return {"rows": rows, "slope": slope, "all_hold": all(r["holds"] for r in rows)}

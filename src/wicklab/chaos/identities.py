@@ -8,18 +8,20 @@ is algebraic at fixed truncation, as is the order decomposition of the
 squared integral; residuals are rounding noise only.
 
 Symbolic layer (exact): the second moment E[J_2(f)^2] has one closed form,
-``expected_integral_sq``, in the kernel's squared entries and m4.
-``isometry_check`` compares it with a second route, the signature pairing
-E[Phi_2(f)^2] = ||f||_A^2, which reads the law only through the
-orthogonal-polynomial norms h_alpha, plus the order-1 term m3^2 sum_j a_jj^2
-by which E[J_2(f)^2] exceeds ||f||_A^2.  The order components are
-computed by signature pairing with the law's exact moments.  The fourth
-moment E[J^4] takes the cumulant route instead: a sum over the 15 multigraph
-classes of the eight index slots, evaluated in integer arithmetic on the
-kernel's R and w with one O(N^3) matrix product (``fourth_moment_lhs``).
+``expected_integral_sq``, in the kernel's squared entries and m4.  Two
+checks set it against a second route: ``norm_identity`` against the
+component expectations of the raw triangle kernel, and ``isometry_check``
+against the signature pairing E[Phi_2(f)^2] = ||f||_A^2, which reads the law
+only through the orthogonal-polynomial norms h_alpha, plus the order-1 term
+m3^2 sum_j a_jj^2 by which E[J_2(f)^2] exceeds ||f||_A^2.  The order
+components are computed by signature pairing with the law's exact moments.
+The fourth moment E[J^4] takes the cumulant route instead: a sum over the 15
+multigraph classes of the eight index slots, evaluated in integer arithmetic
+on the kernel's R and w with one O(N^3) matrix product (``fourth_moment_lhs``).
 The order route, ord0^2 + sum_i E[(order i)^2] over ``order_tensors``, gives
 the same value and is kept as its check in the tests; the pointwise order
-identity (``order_decomposition``) still runs on it.
+identity (``order_decomposition``) still runs on it.  ``fourth_moment_grid``
+sets E|Z_t - Z_s|^4 against the printed bound over an (s, t) grid.
 
 The key subtlety is the truncated norm of the triangle kernel: the
 full-space identity <f, f~> = 0 (the triangle and its transpose are
@@ -32,6 +34,7 @@ equality at every N.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -53,6 +56,7 @@ __all__ = [
     "order_tensors",
     "order_decomposition",
     "fourth_moment_check",
+    "fourth_moment_grid",
     "fourth_moment_lhs",
 ]
 
@@ -173,10 +177,11 @@ def norm_identity(
 ) -> dict:
     """Both sides of the squared-norm identity, exact rationals.
 
-    lhs = E[I^2] from the quadratic components; rhs = truncated kernel norm
-    (through the symmetrization) + (m4 - 3)-weighted diagonal.  The two agree
-    identically; ``symmetrization_gap`` records <f, f~>_N, the term that the
-    full space kills and truncation does not.
+    lhs = E[I^2] from the quadratic components of the raw kernel; rhs = the
+    closed form :func:`expected_integral_sq` of the symmetrized kernel, which
+    is 2 ||f_sym||^2 + (m4 - 3) sum_j a_jj^2 (``second_term`` is the second
+    summand).  The two agree identically; ``symmetrization_gap`` records
+    <f, f~>_N, the term that the full space kills and truncation does not.
     """
     K, raw = triangle_kernel(h, g, basis)
     N = K.N
@@ -188,10 +193,7 @@ def norm_identity(
         for k in range(j):
             lhs += ((raw[j][k] + raw[k][j]) * (raw[j][k] + raw[k][j])).rational()
         lhs += raw[j][j].square() * (tables.m4 - 1)
-    # rhs: the kernel-norm formula at the same truncation, through the
-    # symmetrization (the full-space form; truncation keeps <f, f~> alive)
-    diag = K.diag_sq_sum()
-    rhs = 2 * K.norm2() + (tables.m4 - 3) * diag
+    rhs = expected_integral_sq(K, tables)
     plain = sum((e.square() for row in raw for e in row), Q(0))
     gap = sum(
         ((raw[u][v] * raw[v][u]).rational() for u in range(N) for v in range(N)),
@@ -203,7 +205,7 @@ def norm_identity(
         "equal": lhs == rhs,
         "plain_norm": plain,
         "symmetrization_gap": gap,
-        "second_term": (tables.m4 - 3) * diag,
+        "second_term": (tables.m4 - 3) * K.diag_sq_sum(),
     }
 
 
@@ -237,30 +239,30 @@ def sandwich_bounds(tables: GammaTables) -> tuple:
 # order decomposition
 
 
-def _orders(K: SymmetricKernel2, tables: GammaTables, take):
-    """(name, take(component)) for the five components of
-    :func:`order_tensors`, in the order t4, t3, t2, t1, t0.
+def _orders(K: SymmetricKernel2, tables: GammaTables):
+    """(name, component) for the five components of :func:`order_tensors`,
+    in the order t4, t3, t2, t1, t0.
 
-    Each component is built as late as it can be and handed to ``take`` at
-    once, so a ``take`` that evaluates it lets it go before the next is
-    built: only f o f and the contraction that later orders reuse stay alive.
+    Each component is built only when asked for, so a caller that evaluates
+    each and drops it before asking again holds one at a time, beside f o f
+    and the contraction that later orders reuse.
     """
     ff = SymTensor.sym_square(K)
-    yield "t4", take(ff)
-    yield "t3", take(ff.annihilated(1, tables))
+    yield "t4", ff
+    yield "t3", ff.annihilated(1, tables)
     contr4 = SymTensor.from_kernel(contraction1(K)).scaled(4)
-    yield "t2", take(contr4 + ff.annihilated(2, tables))
+    yield "t2", contr4 + ff.annihilated(2, tables)
     # (pi_1 f) ~1 (pi_1 f) = sum_j a_jj^2 e_j o e_j, a_jj = R_jj w_j / den
     R, w = K.R, K.w
     diag = {(j + 1, j + 1): {1: (R[j][j] * w[j]) ** 2} for j in range(K.N) if R[j][j]}
     diag_contr = SymTensor._of(2, diag, K.den**2)
-    yield "t1", take(
+    yield "t1", (
         ff.annihilated(3, tables)
         + contr4.annihilated(1, tables)
         + diag_contr.scaled(-6).annihilated(1, tables)
     )
     del contr4, diag_contr
-    yield "t0", take(RadSum(2 * K.norm2()) + ff.annihilated(4, tables).terms.get((), 0))
+    yield "t0", RadSum(2 * K.norm2()) + ff.annihilated(4, tables).terms.get((), 0)
 
 
 def order_tensors(K: SymmetricKernel2, tables: GammaTables) -> dict:
@@ -276,7 +278,7 @@ def order_tensors(K: SymmetricKernel2, tables: GammaTables) -> dict:
     contraction would change the identity, and only this reading makes the
     pointwise residual vanish.
     """
-    return dict(_orders(K, tables, lambda t: t))
+    return dict(_orders(K, tables))
 
 
 def order_decomposition(
@@ -286,9 +288,10 @@ def order_decomposition(
 
     Each component is evaluated as soon as it is built and then dropped."""
     pv = tables.p_values(xs)
-    orders = dict(
-        _orders(K, tables, lambda t: t.phi_eval(pv) if isinstance(t, SymTensor) else float(t))
-    )
+    orders = {}
+    for name, t in _orders(K, tables):
+        orders[name] = t.phi_eval(pv) if isinstance(t, SymTensor) else float(t)
+        del t
     o0, o1, o2, o3, o4 = (orders[f"t{i}"] for i in range(5))
     direct = j2_eval(K.floats(), xs) ** 2
     total = o0 + o1 + o2 + o3 + o4
@@ -400,6 +403,43 @@ def fourth_moment_check(
         "constants": constants,
         "norms": {"h1_sq": n1, "h2_strip_sq": n2},
     }
+
+
+def fourth_moment_grid(
+    h1: PiecewisePoly,
+    h2: PiecewisePoly,
+    basis: LegendreBasis,
+    tables: GammaTables,
+    pairs: Sequence[tuple],
+) -> dict:
+    """Increment fourth moments against the printed bound on an (s,t) grid,
+    plus the log-log slope of the fourth moment in the increment width.
+
+    Each row carries the exact ``lhs`` (a RadSum) and ``rhs`` (a Fraction);
+    the slope is a float fit to the lhs values at s = 0."""
+    rows = []
+    for s, t in pairs:
+        chk = fourth_moment_check(h1, h2, Q(s), Q(t), basis, tables)
+        rows.append(
+            {
+                "s": str(Q(s)),
+                "t": str(Q(t)),
+                "lhs": chk["lhs"],
+                "rhs": chk["rhs"],
+                "holds": chk["holds"],
+            }
+        )
+    # slope: fourth moment of Z_t - Z_s versus t - s, at s = 0
+    widths, lhss = [], []
+    for k in range(1, 7):
+        tau = Q(1, 2**k)
+        chk = fourth_moment_check(h1, h2, Q(0), tau, basis, tables)
+        widths.append(float(tau))
+        lhss.append(chk["lhs_float"])
+    lw = np.log(np.array(widths))
+    ll = np.log(np.array(lhss))
+    slope = float(np.polyfit(lw, ll, 1)[0])
+    return {"rows": rows, "slope": slope, "all_hold": all(r["holds"] for r in rows)}
 
 
 def _restrict_above(h: PiecewisePoly, s: Fraction, t: Fraction) -> PiecewisePoly:

@@ -298,14 +298,11 @@ class GammaTables:
     def gamma(self, n: int, k: int) -> Fraction:
         return self._gamma[n][k] if 0 <= k <= n <= 4 else Q(0)
 
-    def Gamma(self, n: int, k: int) -> int:
-        return hermite_connection(n, k)
-
     def ann_coeff(self, alpha: int, k: int) -> Fraction:
         """gamma_{alpha, alpha-k} - Gamma_{alpha, alpha-k} (0 when alpha < k)."""
         if k > alpha:
             return Q(0)
-        return self.gamma(alpha, alpha - k) - self.Gamma(alpha, alpha - k)
+        return self.gamma(alpha, alpha - k) - hermite_connection(alpha, alpha - k)
 
     @property
     def m3(self) -> Fraction:

@@ -109,22 +109,6 @@ def _factorization(ps: rademacher.PartitionSystem, cdf: rademacher.JumpCDF, tupl
     return rows
 
 
-def _bilinear_and_oracle(sp: discrete.FiniteSpace, b, c) -> tuple:
-    """The bilinear A-matrix independence test and the brute-force oracle."""
-    return discrete.independent(sp, b, c), discrete.independent_oracle(sp, b, c)
-
-
-def _max_system(N: int) -> tuple:
-    """The maximal independent system on N atoms and its atom condition."""
-    sp, bs = discrete.build_max_system(N)
-    return sp, bs, discrete.atom_condition(sp, bs)
-
-
-def _norm_identities(pairs, basis: chaos.LegendreBasis, tab: chaos.GammaTables) -> list:
-    """Both sides of the squared-norm identity for each (h, g) pair."""
-    return [chaos.norm_identity(h, g, basis, tab) for h, g in pairs]
-
-
 def _worst_order_residual(draws, tab: chaos.GammaTables) -> float:
     """Largest relative residual of the pointwise order decomposition over
     (kernel, realization) draws."""
@@ -164,12 +148,6 @@ def _open_for_write(path: str, option: str):
 
 def _decreasing(xs: list) -> bool:
     return all(a > b for a, b in zip(xs, xs[1:]))
-
-
-def _joint_refinement_errors(law: laws.Law, pairs, paths: int, seed: int, **functions) -> list:
-    """Mean squared QV errors along an (N, depth) schedule."""
-    rows = chaos.qv_joint_refinement(law, pairs, paths, seed, **functions)["rows"]
-    return [row["err"]["mean"] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +246,8 @@ def run_discrete_check(args) -> ExperimentReport:
     )
     for i in range(len(rvs)):
         for j in range(i + 1, len(rvs)):
-            a_test, oracle = _bilinear_and_oracle(sp, rvs[i], rvs[j])
+            a_test = discrete.independent(sp, rvs[i], rvs[j])
+            oracle = discrete.independent_oracle(sp, rvs[i], rvs[j])
             rep.add(
                 Check(
                     f"independent({i},{j})",
@@ -283,7 +262,8 @@ def run_discrete_check(args) -> ExperimentReport:
 
 
 def run_discrete_maxsystem(args) -> ExperimentReport:
-    sp, bs, atoms = _max_system(args.N)
+    sp, bs = discrete.build_max_system(args.N)
+    atoms = discrete.atom_condition(sp, bs)
     rep = ExperimentReport("discrete maxsystem", {"N": args.N})
     rep.add(Check("atom_condition", "exact", atoms, passed=atoms))
     pairwise = all(
@@ -323,7 +303,8 @@ def run_chaos_norm(args) -> ExperimentReport:
         pairs = [_functions(args)]
     else:
         pairs = [(_random_piecewise(rng), _random_piecewise(rng)) for _ in range(args.count)]
-    for i, out in enumerate(_norm_identities(pairs, basis, tab)):
+    for i, (h, g) in enumerate(pairs):
+        out = chaos.norm_identity(h, g, basis, tab)
         rep.add(
             Check(
                 f"norm_identity_{i}",
@@ -434,7 +415,8 @@ def run_chaos_qv(args) -> ExperimentReport:
         )
     if args.joint:
         pairs = [(4, 1), (8, 2), (16, 3), (32, 4)]
-        errs = _joint_refinement_errors(law, pairs, args.paths, args.seed, h1=h1, h2=h2)
+        joint = chaos.qv_joint_refinement(law, pairs, args.paths, args.seed, h1=h1, h2=h2)
+        errs = [row["err"]["mean"] for row in joint["rows"]]
         rep.add(
             Check("joint_refinement_error_decreasing", "estimate", errs, passed=_decreasing(errs))
         )
@@ -542,7 +524,7 @@ def run_all(args) -> ExperimentReport:
     rep.add(Check("rademacher_exact_independence", "exact", rad_ok, passed=rad_ok))
 
     ex1 = rademacher.build_partition([Q(1, 2), Q(1, 2)], 2)
-    jump = rademacher.JumpCDF.uniform_with_jump(Q(1, 2), Q(1, 4))
+    jump = rademacher.JumpCDF(Q(1, 2), Q(1, 4))
     e12 = rademacher.transport_product_expectation(ex1, jump, [1, 2])
     e1e2 = rademacher.transport_product_expectation(
         ex1, jump, [1]
@@ -558,7 +540,7 @@ def run_all(args) -> ExperimentReport:
 
     # discrete layer
     rep.add(Check("n_max_8", "exact", discrete.n_max(8), passed=discrete.n_max(8) == 4))
-    atoms = _max_system(3)[2]
+    atoms = discrete.atom_condition(*discrete.build_max_system(3))
     rep.add(Check("max_system_3", "exact", atoms, passed=atoms))
     sweep_ok = True
     for _ in range(100):
@@ -567,7 +549,7 @@ def run_all(args) -> ExperimentReport:
         spc = discrete.FiniteSpace(tuple(Q(x, sum(w)) for x in w))
         b = discrete.DiscreteRV(tuple(Q(rng.randint(-2, 2)) for _ in range(n)))
         c = discrete.DiscreteRV(tuple(Q(rng.randint(-2, 2)) for _ in range(n)))
-        a_test, oracle = _bilinear_and_oracle(spc, b, c)
+        a_test, oracle = discrete.independent(spc, b, c), discrete.independent_oracle(spc, b, c)
         sweep_ok = sweep_ok and a_test == oracle
     rep.add(Check("bilinear_vs_oracle_sweep", "exact", sweep_ok, passed=sweep_ok))
     rank = discrete.walsh_gram_rank([Q(-1), Q(3), Q(-2)], [Q(1, 3)] * 3, 2)
@@ -578,7 +560,7 @@ def run_all(args) -> ExperimentReport:
     for law in (laws.Law.normal(), laws.Law.exponential(1)):
         tab = chaos.GammaTables.for_law(law)
         pairs = [(_random_piecewise(rng), _random_piecewise(rng)) for _ in range(3)]
-        ok = all(out["equal"] for out in _norm_identities(pairs, basis8, tab))
+        ok = all(chaos.norm_identity(h, g, basis8, tab)["equal"] for h, g in pairs)
         rep.add(Check(f"norm_identity_{law.label()}", "exact", ok, passed=ok))
         xs_all = laws.sample(law, seed, 50 * 5).reshape(50, 5)
         worst = _worst_order_residual(((_random_kernel(rng, 5), xs) for xs in xs_all), tab)
@@ -593,7 +575,8 @@ def run_all(args) -> ExperimentReport:
     table = chaos.riemann_experiment(ONE, ONE, N, laws.Law.normal(), depths, paths, seed)
     errs = [row["err"]["mean"] for row in table["rows"]]
     rep.add(Check("riemann_error_decreasing", "estimate", errs, passed=_decreasing(errs)))
-    jerrs = _joint_refinement_errors(laws.Law.normal(), [(4, 1), (8, 2), (16, 3)], paths, seed)
+    joint = chaos.qv_joint_refinement(laws.Law.normal(), [(4, 1), (8, 2), (16, 3)], paths, seed)
+    jerrs = [row["err"]["mean"] for row in joint["rows"]]
     rep.add(
         Check("qv_joint_refinement_decreasing", "estimate", jerrs, passed=_decreasing(jerrs))
     )

@@ -22,7 +22,6 @@ from .exact import Q, as_fraction, mat_rank
 __all__ = [
     "FiniteSpace",
     "DiscreteRV",
-    "IndepMatrix",
     "a_matrix",
     "independent",
     "independent_oracle",
@@ -83,18 +82,13 @@ class DiscreteRV:
         return self.ncd == 1
 
 
-@dataclass(frozen=True)
-class IndepMatrix:
-    A: tuple  # rows of exact rationals
-
-
-def a_matrix(sp: FiniteSpace) -> IndepMatrix:
+def a_matrix(sp: FiniteSpace) -> tuple:
+    """The rows of A: a_ii = p_i^2 - p_i, a_ij = p_i p_j (i != j)."""
     n, p = sp.n, sp.p
-    rows = tuple(
+    return tuple(
         tuple(p[i] * p[i] - p[i] if i == j else p[i] * p[j] for j in range(n))
         for i in range(n)
     )
-    return IndepMatrix(rows)
 
 
 def _check_space(sp: FiniteSpace, *rvs: DiscreteRV) -> None:
@@ -104,17 +98,14 @@ def _check_space(sp: FiniteSpace, *rvs: DiscreteRV) -> None:
 
 
 def independent(sp: FiniteSpace, b: DiscreteRV, c: DiscreteRV) -> bool:
-    """Bilinear test over indicator functions of value-level sets."""
+    """Bilinear test over indicator functions of value-level sets:
+    (1_B, A 1_C) = sum_{i in B, j in C} a_ij vanishes for every pair."""
     _check_space(sp, b, c)
-    A = a_matrix(sp).A
-    for ib in b.level_sets().values():
-        fb = [1 if i in set(ib) else 0 for i in range(sp.n)]
-        for ic in c.level_sets().values():
-            gc = [Q(1) if i in set(ic) else Q(0) for i in range(sp.n)]
-            Ag = [sum(A[i][j] * gc[j] for j in range(sp.n)) for i in range(sp.n)]
-            if sum(fb[i] * Ag[i] for i in range(sp.n)) != 0:
-                return False
-    return True
+    A = a_matrix(sp)
+    cs = list(c.level_sets().values())
+    return all(
+        sum(A[i][j] for i in ib for j in ic) == 0 for ib in b.level_sets().values() for ic in cs
+    )
 
 
 def independent_oracle(sp: FiniteSpace, b: DiscreteRV, c: DiscreteRV) -> bool:

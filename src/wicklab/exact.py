@@ -414,12 +414,6 @@ def mat_psd(rows: Sequence[Sequence[Fraction]]) -> bool:
     return True
 
 
-def binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def gen_binom(a: Fraction, k: int) -> Fraction:
     """Generalized binomial coefficient C(a, k) for rational a."""
     num = Q(1)

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import Q, as_fraction, binom, frac_str, mat_psd
+from .exact import Q, as_fraction, frac_str, mat_psd
 
 __all__ = [
     "Law",
@@ -77,7 +77,7 @@ class MomentSequence:
         for n in range(self.order + 1):
             s = Q(0)
             for k in range(n + 1):
-                s += binom(n, k) * a**k * b ** (n - k) * self.m[k]
+                s += math.comb(n, k) * a**k * b ** (n - k) * self.m[k]
             out.append(s)
         return MomentSequence(tuple(out))
 
@@ -212,13 +212,13 @@ def _moments_poisson(a: Fraction, K: int) -> list:
     # Touchard/Bell recursion m_{n+1} = a * sum_k C(n,k) m_k
     out = [Q(1)]
     for n in range(K):
-        out.append(a * sum(binom(n, k) * out[k] for k in range(n + 1)))
+        out.append(a * sum(math.comb(n, k) * out[k] for k in range(n + 1)))
     return out
 
 
 def _moments_binomial(N: int, p: Fraction, K: int) -> list:
     q = 1 - p
-    weights = [binom(N, k) * p**k * q ** (N - k) for k in range(N + 1)]
+    weights = [math.comb(N, k) * p**k * q ** (N - k) for k in range(N + 1)]
     return [sum(w * Q(k) ** n for k, w in enumerate(weights)) for n in range(K + 1)]
 
 
@@ -242,7 +242,7 @@ def moments(law: Law, K: int) -> MomentSequence:
         for n in range(K + 1):
             s = Q(0)
             for k in range(n + 1):
-                s += binom(n, k) * alpha**k * mx[k] * beta ** (n - k) * my[n - k]
+                s += math.comb(n, k) * alpha**k * mx[k] * beta ** (n - k) * my[n - k]
             out.append(s)
         return MomentSequence(tuple(out))
     if law.kind == "poisson":
@@ -272,7 +272,7 @@ def inverse_laplace_coeffs(m: MomentSequence, K: int) -> InverseLaplaceCoeffs:
         raise ValueError(f"need moments to order {K}, have {m.order}")
     a = [Q(1)]
     for n in range(1, K + 1):
-        a.append(-sum(binom(n, k) * m[k] * a[n - k] for k in range(1, n + 1)))
+        a.append(-sum(math.comb(n, k) * m[k] * a[n - k] for k in range(1, n + 1)))
     return InverseLaplaceCoeffs(tuple(a))
 
 

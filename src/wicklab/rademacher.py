@@ -58,9 +58,6 @@ class PartitionSystem:
     def depth(self) -> int:
         return len(self.levels) - 1
 
-    def cell(self, k: int, j: int) -> tuple:
-        return self.levels[k][j], self.levels[k][j + 1]
-
 
 def build_partition(alphas: Sequence, depth: int) -> PartitionSystem:
     """Refine (0,1] ``depth`` times with the given split ratios."""
@@ -160,11 +157,6 @@ class JumpCDF:
     @staticmethod
     def diffuse() -> "JumpCDF":
         return JumpCDF(Q(0), Q(0))
-
-    @staticmethod
-    def uniform_with_jump(x0, delta) -> "JumpCDF":
-        """F(x) = x up to x0, then x + delta (identity transport plus one jump)."""
-        return JumpCDF(x0, delta)
 
     def cell_measure(self, lo: Fraction, hi: Fraction) -> Fraction:
         """Pullback measure of the open cell ]lo, hi[ under this CDF."""

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Poly, Q, binom, gen_binom, p_add, p_compose, p_deriv, p_mul, p_scale, p_trim
+from .exact import Poly, Q, gen_binom, p_add, p_compose, p_deriv, p_mul, p_scale, p_trim
 from .laws import InverseLaplaceCoeffs, MomentSequence, inverse_laplace_coeffs
 
 __all__ = [
@@ -85,7 +85,7 @@ def wick_explicit(m: MomentSequence, n: int) -> WickPolynomial:
     a = _coeffs_for(m, n)
     coeffs = [Q(0)] * (n + 1)
     for k in range(n + 1):
-        coeffs[n - k] = binom(n, k) * a[k]
+        coeffs[n - k] = math.comb(n, k) * a[k]
     return WickPolynomial(tuple(coeffs), m)
 
 
@@ -93,7 +93,7 @@ def recurrence_aux(m: MomentSequence, K: int) -> list:
     """b_n = sum_k C(n,k) k m_k a_{n-k}, the weights of the first recurrence."""
     a = _coeffs_for(m, K)
     return [
-        sum(binom(n, k) * k * m[k] * a[n - k] for k in range(n + 1)) for n in range(K + 1)
+        sum(math.comb(n, k) * k * m[k] * a[n - k] for k in range(n + 1)) for n in range(K + 1)
     ]
 
 
@@ -105,7 +105,7 @@ def wick_recurrence1(m: MomentSequence, n: int) -> WickPolynomial:
         lead = p_mul([-m[1], Q(1)], ws[d - 1])
         tail: Poly = []
         for k in range(d - 1):
-            tail = p_add(tail, p_scale(ws[k], Q(binom(d, k)) * b[d - k]))
+            tail = p_add(tail, p_scale(ws[k], Q(math.comb(d, k)) * b[d - k]))
         ws.append(p_add(lead, p_scale(tail, Q(-1, d))))
     return WickPolynomial(_as_dense(ws[n], n), m)
 
@@ -117,7 +117,7 @@ def wick_recurrence2(m: MomentSequence, n: int) -> WickPolynomial:
         acc: Poly = []
         for k in range(1, d + 1):
             factor = [Q(-d) * m[k], Q(k) * m[k - 1]]  # k*x*m_{k-1} - d*m_k
-            acc = p_add(acc, p_scale(p_mul(ws[d - k], factor), Q(binom(d, k))))
+            acc = p_add(acc, p_scale(p_mul(ws[d - k], factor), Q(math.comb(d, k))))
         ws.append(p_scale(acc, Q(1, d)))
     return WickPolynomial(_as_dense(ws[n], n), m)
 
@@ -184,7 +184,7 @@ def laguerre_wick(a: Fraction, b: Fraction, n: int, law_tag: MomentSequence) -> 
     bx = [Q(0), b]
     for k in range(n):
         term = p_compose(laguerre(n - k, a - 1), bx)
-        acc = p_add(acc, p_scale(term, Q(-1) ** (n - k) * binom(n - 1, k)))
+        acc = p_add(acc, p_scale(term, Q(-1) ** (n - k) * math.comb(n - 1, k)))
     acc = p_scale(acc, Q(math.factorial(n)) / b**n)
     return WickPolynomial(_as_dense(acc, n), law_tag)
 

@@ -25,11 +25,12 @@ import numpy as np
 import pytest
 
 import wicklab.chaos as chaos
-from wicklab.chaos.experiments import fourth_moment_grid, qv_joint_refinement
+from wicklab.chaos.experiments import qv_joint_refinement
 from wicklab.chaos.identities import (
     isometry_check,
     expected_integral_sq,
     fourth_moment_check,
+    fourth_moment_grid,
     norm_identity,
     order_decomposition,
     product_identity_residual,
@@ -224,7 +225,7 @@ def test_criterion_4_rademacher_independence():
                 ok &= joint_law(ps, ks, eps) == expected
         # worked counterexample: jump of 1/4 at probability level 1/2
         ps2 = build_partition([Q(1, 2), Q(1, 2)], 2)
-        cdf = JumpCDF.uniform_with_jump(Q(1, 2), Q(1, 4))
+        cdf = JumpCDF(Q(1, 2), Q(1, 4))
         e12 = transport_product_expectation(ps2, cdf, [1, 2])
         e1e2 = transport_product_expectation(ps2, cdf, [1]) * transport_product_expectation(
             ps2, cdf, [2]

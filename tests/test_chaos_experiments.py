@@ -12,15 +12,17 @@ from wicklab.chaos.experiments import (
     _qv_rows,
     cumulative_coeffs,
     cumulative_triangle,
-    fourth_moment_grid,
     legendre_float_cumulative,
     qv_experiment,
     qv_joint_refinement,
     qv_rhs_quadratics,
     riemann_experiment,
 )
+from wicklab.chaos.identities import fourth_moment_grid
 from wicklab.chaos.tensors import GammaTables
 from wicklab.laws import Law, sample, standardized_moments
+
+from oracles import antiderivative, mul_poly
 
 ONE = PiecewisePoly.constant(1)
 
@@ -30,11 +32,11 @@ def exact_G(h1, h2, basis, t):
     exactly as a piecewise-polynomial antiderivative and then rounded."""
     N = basis.N
     h2sq = h2 * h2
-    cs = [h1.mul_poly(basis.poly(u + 1)).antiderivative() for u in range(N)]
+    cs = [antiderivative(mul_poly(h1, basis.poly(u + 1))) for u in range(N)]
     G = np.zeros((N, N))
     for u in range(N):
         for v in range(u, N):
-            F = (h2sq * (cs[u] * cs[v])).antiderivative()
+            F = antiderivative(h2sq * (cs[u] * cs[v]))
             scale = math.sqrt(basis.weight(u + 1) * basis.weight(v + 1))
             G[u, v] = G[v, u] = float(F.eval(Q(t))) * scale
     return G

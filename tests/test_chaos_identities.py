@@ -8,6 +8,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
+from wicklab.chaos import identities
 from wicklab.chaos.basis import (
     LegendreBasis,
     PiecewisePoly,
@@ -83,7 +84,7 @@ def test_tables_gaussian_matches_hermite():
     tab = GammaTables.for_law(Law.normal())
     for n in range(5):
         for k in range(n + 1):
-            assert tab.gamma(n, k) == tab.Gamma(n, k)
+            assert tab.gamma(n, k) == hermite_connection(n, k)
         assert tab.h(n) == math.factorial(n)
 
 
@@ -294,6 +295,20 @@ def test_norm_identity_truncation_gap_is_the_transpose_pairing():
     tab = GammaTables.for_law(Law.exponential(1))
     rep = norm_identity(X, PW, LegendreBasis(6), tab)
     assert rep["lhs"] == rep["plain_norm"] + rep["symmetrization_gap"] + rep["second_term"]
+
+
+def test_norm_identity_rhs_is_the_closed_form(monkeypatch):
+    # rhs reads expected_integral_sq, so a wrong diagonal factor there,
+    # m4 - 1 - m3^2 for m4 - 1, breaks the identity for a skewed law
+    tab = GammaTables.for_law(Law.exponential(1))
+    b = LegendreBasis(6)
+    assert norm_identity(PW, ONE, b, tab)["equal"]
+
+    def wrong(K, tables):
+        return 2 * K.offdiag_sq_sum() + (tables.m4 - 1 - tables.m3**2) * K.diag_sq_sum()
+
+    monkeypatch.setattr(identities, "expected_integral_sq", wrong)
+    assert not norm_identity(PW, ONE, b, tab)["equal"]
 
 
 def test_phi11_operator_norm_one():

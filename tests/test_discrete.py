@@ -22,14 +22,14 @@ from wicklab.exact import mat_rank
 
 def test_a_matrix_small():
     sp = FiniteSpace((Q(1, 2), Q(1, 2)))
-    A = a_matrix(sp).A
+    A = a_matrix(sp)
     assert A == ((Q(-1, 4), Q(1, 4)), (Q(1, 4), Q(-1, 4)))
 
 
 def test_a_matrix_kernel_is_constants():
     for p in [(Q(1, 2), Q(1, 4), Q(1, 4)), (Q(1, 6),) * 6, (Q(2, 5), Q(2, 5), Q(1, 5))]:
         sp = FiniteSpace(p)
-        A = a_matrix(sp).A
+        A = a_matrix(sp)
         assert all(sum(row) == 0 for row in A)  # A * 1 = 0
         assert mat_rank([list(r) for r in A]) == sp.n - 1
         assert [list(r) for r in A] == [

@@ -127,7 +127,7 @@ def test_counterexample_jump_at_cell_boundary():
     # identity CDF with a jump of 1/4 at probability level 1/2: the dyadic
     # pair (r_1 o F, r_2 o F) is correlated
     ps = build_partition([Q(1, 2)] * 2, 2)
-    cdf = JumpCDF.uniform_with_jump(Q(1, 2), Q(1, 4))
+    cdf = JumpCDF(Q(1, 2), Q(1, 4))
     e12 = transport_product_expectation(ps, cdf, [1, 2])
     e1 = transport_product_expectation(ps, cdf, [1])
     e2 = transport_product_expectation(ps, cdf, [2])
@@ -140,7 +140,7 @@ def test_counterexample_jump_interior():
     # the product of expectations are computed, not hard-coded (the printed
     # source values for this example do not match any transport convention)
     ps = build_partition([Q(1, 2)] * 2, 2)
-    cdf = JumpCDF.uniform_with_jump(Q(3, 8), Q(1, 4))
+    cdf = JumpCDF(Q(3, 8), Q(1, 4))
     e12 = transport_product_expectation(ps, cdf, [1, 2])
     e1 = transport_product_expectation(ps, cdf, [1])
     e2 = transport_product_expectation(ps, cdf, [2])
