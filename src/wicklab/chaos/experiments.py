@@ -59,7 +59,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..exact import Q
-from ..laws import Law, Sampler, standardized_moments
+from ..laws import Law, Sampler, moments
 from .basis import LegendreBasis, PiecewisePoly, gauss_legendre
 
 __all__ = [
@@ -191,13 +191,27 @@ def _quadratic_form(X: np.ndarray, A: np.ndarray) -> np.ndarray:
     return np.einsum("pi,pi->p", X @ A, X)
 
 
-def _path_blocks(law: Law, seed: int, paths: int, N: int, block: int):
-    """(lo, X[lo : lo + block]) over the rows of the (paths x N) sample X of
-    ``law`` and ``seed``, each block drawn from one stream as it is asked for."""
+def _path_blocks(law: Law, seed: int, paths: int, N: int, columns: int):
+    """(lo, X[lo : lo + rows]) over the (paths x N) sample X of ``law`` and
+    ``seed``, each block drawn from one stream as it is asked for, in blocks of
+    ``_BLOCK_BYTES // (8 (N + columns))`` rows for ``columns`` products a row."""
+    if paths < 2:
+        raise ValueError("paths must be >= 2 for a standard error")
+    block = max(1, _BLOCK_BYTES // (8 * (N + columns)))
     stream = Sampler(law, seed)
-    for lo in range(0, paths, block):
-        rows = min(block, paths - lo)
-        yield lo, stream.draw(rows * N).reshape(rows, N)
+    return (
+        (lo, stream.draw(min(block, paths - lo) * N).reshape(-1, N))
+        for lo in range(0, paths, block)
+    )
+
+
+def _skewness(law: Law) -> float:
+    """The skewness c3 / c2^(3/2) of the law from its exact central moments
+    c2 and c3, as a float: c2 need not be a rational square, as it must be
+    for exact standardized moments."""
+    m = moments(law, 3)
+    c2 = m[2] - m[1] ** 2
+    return float(m[3] - 3 * m[1] * m[2] + 2 * m[1] ** 3) / float(c2) ** 1.5
 
 
 def _qv_rows(
@@ -214,15 +228,16 @@ def _qv_rows(
 
     All rows share one sample of ``paths`` realizations.  QV = sum_k
     (x' A_k x - tr A_k)^2 over the increment kernels A_k of ``B[::stride]``;
-    RHS = x' G x + m3 g.x is the per-realization limit quadratic form.
+    RHS = x' G x + m3 g.x is the per-realization limit quadratic form, with
+    the law's skewness m3 (:func:`_skewness`).
 
     Only the finest increments (stride 1) get a quadratic form: x' A x is
     linear in A, so an increment of stride 2s is the sum of two adjacent
-    increments of stride s.  The paths are walked in blocks of
-    ``_BLOCK_BYTES // (8 (N + K))`` rows for K finest increments, which stay
-    in cache.  Within a block the finest increments are taken in order, and
-    each one that completes a pair is added to its left sibling and carried
-    up a level, so the block holds one pending increment per level.  Each QV
+    increments of stride s.  The paths are walked in the blocks of
+    :func:`_path_blocks` for K finest increments, which stay in cache.
+    Within a block the finest increments are taken in order, and each one
+    that completes a pair is added to its left sibling and carried up a
+    level, so the block holds one pending increment per level.  Each QV
     adds its squared increments in increment order, as one form per
     increment over all paths would.  The block also takes
     RHS = x' G x + m3 g.x, the linear term by a row-wise ``einsum`` that a
@@ -230,21 +245,19 @@ def _qv_rows(
     before it is walked, so the call holds the QV and RHS tables and one
     block, never the whole sample; the RHS statistics are taken once.
     """
-    if paths < 2:
-        raise ValueError("paths must be >= 2 for a standard error")
     N = G.shape[0]
-    m3 = float(standardized_moments(law, 3)[3])
     A = B[1:] - B[:-1]
     K = len(A)
+    blocks = _path_blocks(law, seed, paths, N, K)
+    m3 = _skewness(law)
     traces = np.trace(A, axis1=1, axis2=2)
     levels = K.bit_length()  # strides 1, 2, 4, ..., K
     at_level = [[i for i, s in enumerate(strides) if s == 1 << l] for l in range(levels)]
     QV = np.zeros((len(strides), paths))
     RHS = np.empty(paths)
-    block = max(1, _BLOCK_BYTES // (8 * (N + K)))
-    for lo, Xb in _path_blocks(law, seed, paths, N, block):
-        QVb = QV[:, lo : lo + block]
-        RHSb = RHS[lo : lo + block]
+    for lo, Xb in blocks:
+        QVb = QV[:, lo : lo + len(Xb)]
+        RHSb = RHS[lo : lo + len(Xb)]
         RHSb[:] = _quadratic_form(Xb, G)
         RHSb += m3 * np.einsum("pi,i->p", Xb, g)
         pending = []
@@ -299,9 +312,12 @@ def qv_experiment(
 
     For each dyadic depth d: QV_d = sum_k (x' A_k x - tr A_k)^2 over the 2^d
     increment kernels A_k; RHS is the per-realization limit quadratic form.
-    Reports E|QV_d - RHS|^2 with stderr, and the two means.
+    Reports E|QV_d - RHS|^2 with stderr, and the two means.  A given
+    ``basis`` must have N functions.
     """
     basis = basis or LegendreBasis(N)
+    if basis.N != N:
+        raise ValueError(f"basis has {basis.N} functions, truncation N is {N}")
     t = Q(t)
     dmax, strides = _dyadic_strides(depths)
     rows = _qv_rows(*_qv_kernels(h1, h2, basis, t, dmax), strides, law, paths, seed)
@@ -344,16 +360,15 @@ def riemann_experiment(
     partition of depth d; I is the integral at the same truncation.
 
     All depths share one sample of ``paths`` realizations, drawn and walked
-    in blocks of ``_BLOCK_BYTES // (8 (N + 3 2^dmax))`` rows: per block,
+    in blocks of :func:`_path_blocks` for 3 2^dmax columns: per block,
     I = x' A x - tr A and, per depth, S = sum_k (x . c_h(t_k)) (x . dc_g(k)),
     whose (S - I)^2 fill a (depths x paths) table; neither the whole sample
     nor a (paths x 2^d) product of it is held (see the module docstring for
     rounding).
     """
-    if paths < 2:
-        raise ValueError("paths must be >= 2 for a standard error")
     basis = LegendreBasis(N)
     dmax, strides = _dyadic_strides(depths)
+    blocks = _path_blocks(law, seed, paths, N, 3 * 2**dmax)
     points = [Q(k, 2**dmax) for k in range(2**dmax + 1)]
     C_h = cumulative_coeffs(h, basis, points)
     C_g = cumulative_coeffs(g, basis, points)
@@ -363,11 +378,10 @@ def riemann_experiment(
     # per depth: left points c_h(t_k) and increments c_g(t_{k+1}) - c_g(t_k)
     sums = [(C_h[::s][:-1].T, (C_g[::s][1:] - C_g[::s][:-1]).T) for s in strides]
     err = np.empty((len(depths), paths))
-    block = max(1, _BLOCK_BYTES // (8 * (N + 3 * 2**dmax)))
-    for lo, Xb in _path_blocks(law, seed, paths, N, block):
+    for lo, Xb in blocks:
         I = _quadratic_form(Xb, A) - trace
         for row, (left, dg) in zip(err, sums):
             S = ((Xb @ left) * (Xb @ dg)).sum(axis=1)
-            row[lo : lo + block] = (S - I) ** 2
+            row[lo : lo + len(Xb)] = (S - I) ** 2
     rows = [{"depth": d, "err": _stats(e)} for d, e in zip(depths, err)]
     return {"N": N, "paths": paths, "seed": seed, "rows": rows}

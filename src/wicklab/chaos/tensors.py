@@ -186,11 +186,15 @@ class GammaTables:
             raise ValueError("tables expect a centered reduced law")
         polys = [[Q(1)]]
         hs = [Q(1)]
+        gamma = [[Q(0)] * 5 for _ in range(5)]
+        gamma[0][0] = Q(1)
         for n in range(1, 5):
             p = [Q(0)] * n + [Q(1)]  # monic x^n
+            # E[p P_k] = E[x^n P_k] as p - x^n spans P_0..P_(k-1), so each
+            # projection coefficient is gamma_{n,k}: x^n = P_n + sum_k gamma_{n,k} P_k
             for k in range(n):
-                num = expect_poly(p_mul(p, polys[k]), m)
-                p = p_add(p, p_scale(polys[k], -num / hs[k]))
+                gamma[n][k] = expect_poly(p_mul(p, polys[k]), m) / hs[k]
+                p = p_add(p, p_scale(polys[k], -gamma[n][k]))
             h = expect_poly(p_mul(p, p), m)
             if h <= 0:
                 raise ValueError(
@@ -198,11 +202,7 @@ class GammaTables:
                 )
             polys.append(p)
             hs.append(h)
-        gamma = [[Q(0)] * 5 for _ in range(5)]
-        for n in range(5):
-            xn = [Q(0)] * n + [Q(1)]
-            for k in range(n + 1):
-                gamma[n][k] = expect_poly(p_mul(xn, polys[k]), m) / hs[k]
+            gamma[n][n] = Q(1)
         object.__setattr__(self, "_polys", tuple(tuple(p) for p in polys))
         object.__setattr__(self, "_h", tuple(hs))
         object.__setattr__(self, "_gamma", tuple(tuple(r) for r in gamma))

@@ -24,7 +24,6 @@ from .report import Check, ExperimentReport
 
 QUICK_TRUNCATION = 8
 QUICK_PATHS = 10_000
-QUICK_MAX_DEPTH = 6
 # Largest truncation of the exact fourth-moment commands (order4, bound4).
 # It guards order4's order tensors, whose term count grows as N^4; bound4's
 # E[J^4] is O(N^3) and would stand a larger cap.
@@ -556,7 +555,7 @@ def run_all(args) -> ExperimentReport:
     rep.add(Check("walsh_gram_rank_3_2", "exact", rank, passed=rank == 9))
 
     # chaos layer
-    basis8 = chaos.LegendreBasis(min(N, 8))
+    basis8 = chaos.LegendreBasis(8)
     for law in (laws.Law.normal(), laws.Law.exponential(1)):
         tab = chaos.GammaTables.for_law(law)
         pairs = [(_random_piecewise(rng), _random_piecewise(rng)) for _ in range(3)]
@@ -570,8 +569,7 @@ def run_all(args) -> ExperimentReport:
 
     # Riemann sums at fixed truncation only track the integral while the
     # partition stays within the basis resolution (~log2 N dyadic levels)
-    max_depth = min(QUICK_MAX_DEPTH if quick else 7, max(1, N.bit_length() - 1))
-    depths = list(range(1, max_depth + 1))
+    depths = list(range(1, N.bit_length()))
     table = chaos.riemann_experiment(ONE, ONE, N, laws.Law.normal(), depths, paths, seed)
     errs = [row["err"]["mean"] for row in table["rows"]]
     rep.add(Check("riemann_error_decreasing", "estimate", errs, passed=_decreasing(errs)))

@@ -125,10 +125,7 @@ def n_max(n: int) -> int:
     """Largest size of a globally independent family on n atoms."""
     if n < 1:
         raise ValueError("need at least one atom")
-    k = 1
-    while 2**k <= n:
-        k += 1
-    return k  # max{k : 2^(k-1) <= n}
+    return n.bit_length()  # max{k : 2^(k-1) <= n}
 
 
 def necessary_conditions(sp: FiniteSpace, c: DiscreteRV, bs: Sequence[DiscreteRV]) -> dict:
@@ -157,17 +154,9 @@ def necessary_conditions(sp: FiniteSpace, c: DiscreteRV, bs: Sequence[DiscreteRV
             break
     report["level_sets_at_least_two"] = {"ok": bad is None, "witness": bad}
 
-    # q <= min_{j != k} min(N_j, n - N_j): evaluated for every k, tightest kept
-    if c.ncd >= 2:
-        mins = [min(s, n - s) for s in c_sizes]
-        bounds = []
-        for k in range(len(mins)):
-            others = [m for i, m in enumerate(mins) if i != k]
-            if others:
-                bounds.append(min(others))
-        q_bound = min(bounds) if bounds else n
-    else:
-        q_bound = n
+    # q <= min_{j != k} min(N_j, n - N_j) for each k; with two or more level
+    # sets the tightest of these is the smallest min(N_j, n - N_j) of all
+    q_bound = min(min(s, n - s) for s in c_sizes) if c.ncd >= 2 else n
     bad_q = next((i for i, b in enumerate(bs) if not b.is_constant() and b.ncd > q_bound), None)
     report["distinct_value_bound"] = {"ok": bad_q is None, "bound": q_bound, "witness": bad_q}
 

@@ -13,8 +13,8 @@ Three layers live here:
   turns ``n * sqrt(w)`` into an integer over a squarefree radicand, and the
   integer form {radicand: int} over one denominator that tensors hold
   (:func:`int_form`) has its arithmetic here;
-* exact linear algebra on rational matrices (rank, kernel, PSD test) via
-  fraction-free elimination, so ranks never depend on float thresholds.
+* exact linear algebra on rational matrices (rank, PSD test) by Gaussian
+  elimination over Fractions, so ranks never depend on float thresholds.
 """
 
 from __future__ import annotations
@@ -149,11 +149,14 @@ def _split_square(w: int) -> tuple[int, int]:
 
 
 def _madd(acc: dict, x: dict, y: dict, c: int) -> None:
-    """acc += c * x * y (c != 0) in the integer form; zero coefficients leave acc."""
+    """acc += c * x * y (c != 0) in the integer form; zero coefficients leave acc.
+    Squarefree w1, w2 with g = gcd(w1, w2) have w1 w2 = g^2 (w1/g)(w2/g), the
+    last factor squarefree, as w1/g, w2/g and g are pairwise coprime."""
     for w1, n1 in x.items():
         for w2, n2 in y.items():
-            s, w0 = (w1, 1) if w1 == w2 else _split_square(w1 * w2)
-            v = n1 * n2 * s * c + acc.get(w0, 0)
+            g = math.gcd(w1, w2)
+            w0 = (w1 // g) * (w2 // g)
+            v = n1 * n2 * g * c + acc.get(w0, 0)
             if v:
                 acc[w0] = v
             else:
@@ -215,22 +218,24 @@ class RadSum:
         if isinstance(terms, RadSum):
             self._num, self._den = terms._num, terms._den
             return
-        if isinstance(terms, dict):
-            qs = {w: q for w, q in terms.items() if q}
-        elif terms is None:
-            qs = {}
-        else:
-            q = as_fraction(terms)
-            qs = {1: q} if q else {}
-        # over the lcm of reduced denominators the numerators share no factor
-        # with it, so the fields are already in lowest terms
-        den = math.lcm(*(q.denominator for q in qs.values()))
-        self._num = {w: q.numerator * (den // q.denominator) for w, q in qs.items()}
-        self._den = den
+        if not isinstance(terms, dict):
+            terms = {} if terms is None else {1: as_fraction(terms)}
+        # {radicand: rational} over the lcm of the denominators, each radicand
+        # split into its square part and a squarefree key (rad_form)
+        den = math.lcm(*(q.denominator for q in terms.values()))
+        num: dict = {}
+        for w, q in terms.items():
+            if w < 1:
+                raise ValueError(f"radicand must be a positive integer, got {w}")
+            n, w0 = rad_form(q.numerator * (den // q.denominator), w)
+            num[w0] = num.get(w0, 0) + n
+        out = RadSum._of(num, den)
+        self._num, self._den = out._num, out._den
 
     @classmethod
     def _of(cls, num: dict, den: int) -> "RadSum":
-        """sum_w (num[w] / den) sqrt(w) for integers num[w] and den > 0."""
+        """sum_w (num[w] / den) sqrt(w) for integers num[w] and den > 0 and
+        keys w that are already squarefree: no square part is split here."""
         num = {w: n for w, n in num.items() if n}
         g = math.gcd(den, *num.values())
         out = cls.__new__(cls)
@@ -375,42 +380,30 @@ def mat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return rank
 
 
-def mat_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    m = [list(map(Fraction, r)) for r in rows]
-    n = len(m)
-    det = Q(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Q(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
-
-
 def mat_psd(rows: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact PSD test for a symmetric rational matrix.
+    """Exact PSD test for a symmetric rational matrix, by one pass of
+    symmetric elimination in index order.
 
-    All principal minors must be nonnegative; matrices here are tiny (the
-    Hankel blocks are at most 5x5), so the 2^n enumeration is fine.
+    Each step takes the Schur complement of a positive pivot, which is PSD
+    exactly when the matrix is.  A negative pivot is a negative diagonal
+    entry of a complement, so the matrix is not PSD.  A zero pivot beside a
+    non-zero entry b of its row gives a 2x2 principal minor -b^2 < 0, so it
+    needs a zero row, and then its index drops out.
     """
     n = len(rows)
     for i in range(n):
         for j in range(i):
             if rows[i][j] != rows[j][i]:
                 raise ValueError("matrix is not symmetric")
-    for mask in range(1, 1 << n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        sub = [[rows[i][j] for j in idx] for i in idx]
-        if mat_det(sub) < 0:
+    m = [list(map(Fraction, r)) for r in rows]
+    for k in range(n):
+        p, row = m[k][k], m[k][k + 1 :]
+        if p < 0 or (p == 0 and any(row)):
             return False
+        for i in range(k + 1, n):
+            if m[i][k]:  # column k mirrors row k: zero under a zero pivot
+                f = m[i][k] / p
+                m[i][k + 1 :] = [a - f * b for a, b in zip(m[i][k + 1 :], row)]
     return True
 
 

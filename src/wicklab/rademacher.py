@@ -25,6 +25,7 @@ is exactly what the three alpha schemes below arrange.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -88,16 +89,9 @@ def evaluate_r(ps: PartitionSystem, k: int, x) -> int:
         raise ValueError(f"level {k} outside [0, {ps.depth}]")
     if k == 0:
         return 1
-    ends = ps.levels[k]
-    # binary search for the cell with a_j < x <= a_{j+1}
-    lo, hi = 0, len(ends) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ends[mid] < x:
-            lo = mid
-        else:
-            hi = mid
-    return -1 if lo % 2 else 1
+    # the cell j with a_j < x <= a_{j+1}
+    j = bisect_left(ps.levels[k], x) - 1
+    return -1 if j % 2 else 1
 
 
 def phi_factor(ps: PartitionSystem, k: int, eps: int) -> Fraction:

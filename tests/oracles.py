@@ -1,11 +1,16 @@
-"""Piecewise-polynomial helpers for the test oracles: products with a
-polynomial and running integrals, both exact.  The library's kernel engines
-never build these; the tests use them to write kernels by their definition."""
+"""Routes the library no longer takes, kept as test oracles.
+
+Piecewise-polynomial products with a polynomial and running integrals, both
+exact: the kernel engines never build these, and the tests use them to write
+kernels by their definition.  The rest are the earlier, longer routes to
+values the library now reaches by a direct rule; property tests set each
+against the rule that replaced it."""
 
 from fractions import Fraction as Q
 
 from wicklab.chaos.basis import PiecewisePoly
 from wicklab.exact import p_add, p_antideriv, p_eval, p_integrate, p_mul
+from wicklab.wick import expect_poly
 
 
 def mul_poly(h: PiecewisePoly, q) -> PiecewisePoly:
@@ -30,3 +35,66 @@ def antiderivative(h: PiecewisePoly) -> PiecewisePoly:
     if cursor < 1:
         out.append((cursor, Q(1), (acc,)))
     return PiecewisePoly(tuple(out))
+
+
+def det(rows) -> Q:
+    """Determinant by Gaussian elimination with row swaps."""
+    m = [list(map(Q, r)) for r in rows]
+    n = len(m)
+    out = Q(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if piv is None:
+            return Q(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            out = -out
+        out *= m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return out
+
+
+def principal_minor_psd(rows) -> bool:
+    """A symmetric matrix is PSD iff all 2^n - 1 principal minors are >= 0."""
+    n = len(rows)
+    for mask in range(1, 1 << n):
+        idx = [i for i in range(n) if mask >> i & 1]
+        if det([[rows[i][j] for j in idx] for i in idx]) < 0:
+            return False
+    return True
+
+
+def gamma_by_projection(tab, n: int, k: int) -> Q:
+    """gamma_{n,k} = E[x^n P_k] / h_k, the coefficient of P_k in x^n."""
+    xn = [Q(0)] * n + [Q(1)]
+    return expect_poly(p_mul(xn, tab.ortho_poly(k)), tab.moments) / tab.h(k)
+
+
+def n_max_by_counting(n: int) -> int:
+    """max{k : 2^(k-1) <= n}, counted up from k = 1."""
+    k = 1
+    while 2**k <= n:
+        k += 1
+    return k
+
+
+def q_bound_by_exclusion(c_sizes, n: int) -> int:
+    """min over k of min_{j != k} min(N_j, n - N_j), for level-set sizes N_j."""
+    if len(c_sizes) < 2:
+        return n
+    mins = [min(s, n - s) for s in c_sizes]
+    return min(min(m for i, m in enumerate(mins) if i != k) for k in range(len(mins)))
+
+
+def cell_by_bisection(ends, x) -> int:
+    """The j with ends[j] < x <= ends[j + 1], by a hand-written binary search."""
+    lo, hi = 0, len(ends) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ends[mid] < x:
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -10,6 +10,7 @@ import pytest
 from wicklab.chaos.basis import LegendreBasis, PiecewisePoly, coeffs_of, triangle_kernel
 from wicklab.chaos.experiments import (
     _qv_rows,
+    _skewness,
     cumulative_coeffs,
     cumulative_triangle,
     legendre_float_cumulative,
@@ -115,6 +116,22 @@ def test_qv_reproducibility_and_trivial_t():
     rep0 = qv_experiment(ONE, ONE, Q(0), 8, Law.normal(), [2], 500, 11)
     row = rep0["rows"][0]
     assert row["qv"]["mean"] == 0 and row["rhs"]["mean"] == 0
+
+
+def test_qv_basis_must_match_the_truncation():
+    with pytest.raises(ValueError, match="truncation"):
+        qv_experiment(ONE, ONE, Q(1), 8, Law.normal(), [1], 100, 0, basis=LegendreBasis(4))
+
+
+@pytest.mark.parametrize(
+    "law",
+    [Law.normal(), Law.exponential(1), Law.exponential(2), Law.poisson(1), Law.gamma(4, 1),
+     Law.binomial(4, Q(1, 2))],
+    ids=Law.label,
+)
+def test_skewness_is_the_standardized_third_moment(law):
+    # where the variance is a rational square both routes exist and agree
+    assert _skewness(law) == float(standardized_moments(law, 3)[3])
 
 
 def test_qv_fixed_truncation_collapses_past_resolution():

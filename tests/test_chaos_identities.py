@@ -44,6 +44,8 @@ from wicklab.chaos.tensors import (
 from wicklab.exact import Rad, RadSum
 from wicklab.laws import Law, MomentSequence, parse_law, sample, standardized_moments
 
+from oracles import gamma_by_projection
+
 ONE = PiecewisePoly.constant(1)
 X = PiecewisePoly.from_poly([0, 1])
 PW = PiecewisePoly(((Q(0), Q(1, 3), (1, 2)), (Q(1, 2), Q(1), (Q(-1, 2), 0, 1))))
@@ -98,6 +100,18 @@ def test_tables_orthogonality():
         for i in range(5):
             for j in range(i):
                 assert expect_poly(p_mul(tab.ortho_poly(i), tab.ortho_poly(j)), m) == 0
+
+
+def test_gamma_is_the_projection_coefficient():
+    # the Gram-Schmidt coefficients recorded while building P_n are
+    # E[x^n P_k] / h_k, with gamma_{n,n} = 1
+    laws = (Law.normal(), Law.exponential(1), Law.exponential(2), Law.poisson(1),
+            Law.binomial(4, Q(1, 2)))
+    for tab in [GammaTables.for_law(law) for law in laws] + [five_atom_tables()]:
+        for n in range(5):
+            for k in range(5):
+                expected = gamma_by_projection(tab, n, k) if k <= n else 0
+                assert tab.gamma(n, k) == expected, (tab.label, n, k)
 
 
 def test_tables_reject_degenerate_support():

@@ -165,6 +165,13 @@ def test_exact_truncation_above_limit_names_the_option(capsys, command):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("law", ["gamma:2,3", "poisson:2", "binomial:3,1/2", "gammacombo:1,2,3,1,1,1"])
+def test_chaos_qv_runs_on_laws_without_exact_standardization(capsys, law):
+    # the variance of each is not a rational square
+    code, rep = run_cli(capsys, "chaos", "qv", "--law", law, "--paths", "500", "--depths", "1,2")
+    assert code == 0 and rep["status"] == "pass"
+
+
 def test_chaos_qv_joint_csv(tmp_path, capsys):
     csv = tmp_path / "qv.csv"
     code, rep = run_cli(

@@ -4,16 +4,31 @@ import itertools
 import math
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from wicklab.chaos.basis import SymmetricKernel2
 from wicklab.chaos.identities import fourth_moment_lhs
 from wicklab.chaos.tensors import GammaTables
-from wicklab.discrete import DiscreteRV, FiniteSpace, independent, independent_oracle
-from wicklab.exact import Rad, RadSum
+from wicklab.discrete import (
+    DiscreteRV,
+    FiniteSpace,
+    independent,
+    independent_oracle,
+    n_max,
+    necessary_conditions,
+)
+from wicklab.exact import Rad, RadSum, _madd, _split_square, mat_psd
 from wicklab.laws import Law, MomentSequence, inverse_laplace_coeffs, moments
-from wicklab.rademacher import build_partition, joint_law, phi_factor
+from wicklab.rademacher import build_partition, evaluate_r, joint_law, phi_factor
 from wicklab.wick import wick_explicit, wick_recurrence1, wick_recurrence2
+
+from oracles import (
+    cell_by_bisection,
+    n_max_by_counting,
+    principal_minor_psd,
+    q_bound_by_exclusion,
+)
 
 rationals_01 = st.fractions(min_value=Q(1, 100), max_value=Q(99, 100))
 
@@ -157,6 +172,119 @@ def test_radsum_one_form_per_value(xs, ys):
     backwards = sum((Rad(q, w) for q, w in reversed(xs)), RadSum())
     assert backwards == x and float(backwards) == float(x)
     assert RadSum(x.terms) == x and RadSum(x.terms).terms == x.terms
+
+
+@given(st.dictionaries(radicands, rationals, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_radsum_dict_is_the_sum_of_its_terms(terms):
+    # the dict constructor splits square parts as Rad does, so both routes
+    # reach one form
+    x = RadSum(terms)
+    assert x == sum((Rad(q, w) for w, q in terms.items()), RadSum())
+    assert all(_split_square(w) == (1, w) for w in x.terms)
+
+
+def test_radsum_dict_splits_square_parts():
+    assert RadSum({12: 1}) == Rad(1, 12) == Rad(2, 3)
+    assert hash(RadSum({12: 1})) == hash(Rad(1, 12))
+    assert RadSum({4: 1}).rational() == 2
+    assert not RadSum({12: 1}) - Rad(1, 12)
+    assert RadSum({3: 1, 12: Q(-1, 2)}) == 0
+
+
+@pytest.mark.parametrize("w", [0, -3])
+def test_radsum_dict_rejects_radicands_below_one(w):
+    with pytest.raises(ValueError, match="radicand"):
+        RadSum({w: 1})
+
+
+SQUAREFREE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+squarefree = st.sets(st.sampled_from(SQUAREFREE_PRIMES)).map(math.prod)
+
+
+@given(squarefree, squarefree, st.integers(-9, 9).filter(bool), st.integers(-9, 9).filter(bool))
+@settings(max_examples=120, deadline=None)
+def test_radical_product_by_gcd_matches_trial_division(w1, w2, n1, n2):
+    acc: dict = {}
+    _madd(acc, {w1: n1}, {w2: n2}, 3)
+    s, w0 = _split_square(w1 * w2)
+    assert acc == {w0: 3 * n1 * n2 * s}
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rationals with n <= 5: random (mostly indefinite), Gram
+    matrices B B' of rank below n (PSD and singular), and Gram matrices with
+    one entry moved (often indefinite with a zero pivot on the way)."""
+    n = draw(st.integers(1, 5))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    kind = draw(st.sampled_from(["random", "gram", "perturbed gram"]))
+    if kind == "random":
+        rows = [[Q(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                rows[i][j] = rows[j][i] = draw(entry)
+        return rows
+    r = draw(st.integers(0, n))
+    B = [[draw(entry) for _ in range(r)] for _ in range(n)]
+    rows = [[sum((a * b for a, b in zip(B[i], B[j])), Q(0)) for j in range(n)] for i in range(n)]
+    if kind == "perturbed gram":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        d = draw(entry)
+        rows[i][j] += d
+        if i != j:
+            rows[j][i] += d
+    return rows
+
+
+@given(symmetric_matrices())
+@settings(max_examples=150, deadline=None)
+def test_psd_pivot_pass_matches_principal_minors(rows):
+    assert mat_psd(rows) == principal_minor_psd(rows)
+
+
+@pytest.mark.parametrize(
+    "rows, psd",
+    [
+        ([[1, 1], [1, 1]], True),  # rank 1
+        ([[0, 0], [0, 2]], True),  # zero pivot, zero row
+        ([[1, 2], [2, 1]], False),  # negative pivot
+        ([[0, 1], [1, 0]], False),  # zero pivot, non-zero row
+        ([[1, 1, 2], [1, 1, 3], [2, 3, 5]], False),  # the same, one step in
+        ([[1, 1, 1], [1, 1, 1], [1, 1, 2]], True),  # a zero pivot one step in
+    ],
+    ids=["rank one", "zero row", "negative pivot", "zero pivot beside b", "b one step in",
+         "zero row one step in"],
+)
+def test_psd_pivot_cases(rows, psd):
+    rows = [[Q(x) for x in row] for row in rows]
+    assert mat_psd(rows) == principal_minor_psd(rows) == psd
+
+
+def test_n_max_is_the_bit_length():
+    assert all(n_max(n) == n_max_by_counting(n) for n in range(1, 3000))
+
+
+@given(st.lists(st.integers(-2, 2), min_size=2, max_size=9))
+@settings(max_examples=200, deadline=None)
+def test_q_bound_is_the_smallest_level_set_bound(values):
+    n = len(values)
+    sp = FiniteSpace.uniform(n)
+    c = DiscreteRV(tuple(values))
+    sizes = [len(idx) for idx in c.level_sets().values()]
+    bound = necessary_conditions(sp, c, [])["distinct_value_bound"]["bound"]
+    assert bound == q_bound_by_exclusion(sizes, n)
+
+
+@given(st.lists(rationals_01, min_size=1, max_size=5), st.data())
+@settings(max_examples=100, deadline=None)
+def test_evaluate_r_matches_bisection(alphas, data):
+    ps = build_partition(alphas, len(alphas))
+    k = data.draw(st.integers(1, ps.depth))
+    ends = ps.levels[k]
+    # the endpoints themselves and points between them
+    x = data.draw(st.sampled_from(ends[1:]) | st.fractions(min_value=Q(1, 10**6), max_value=1))
+    assert evaluate_r(ps, k, x) == (-1 if cell_by_bisection(ends, x) % 2 else 1)
 
 
 def test_radsum_float_ignores_term_order():
