@@ -11,22 +11,27 @@ which one float sweep evaluates at the dyadic grid: Gauss-Legendre rules with
 enough nodes on each interval between the breakpoints integrate every
 polynomial integrand exactly, so the kernels carry only rounding error (the
 exact kernels of the identities stay in ``triangle_kernel``).  Monte Carlo
-then takes one quadratic form per increment of the finest partition and
-builds every coarser partition's increments as sums of adjacent finer ones.
+then takes one quadratic form per increment of the finest partition, as one
+(increments x paths) table per block of paths, and builds every coarser
+partition's table from the finer one by summing adjacent pairs of rows.
 
 Both Monte Carlo bodies walk the sample X in blocks of rows sized by
 ``_BLOCK_BYTES`` and draw each block from one ``Sampler`` stream just before
 using it, so X is never held whole: a body holds its per-path tables of
-results and one block's rows and products.  The stream's blocks concatenate
-to the whole draw, so each block holds the rows that the same block of X
-drawn at once would.  Each result is a row-by-row sum, so it does not depend
-on the block size as long as the BLAS rounds a block's matrix-matrix product
-as it rounds the whole one.  OpenBLAS 0.3.31 (AVX-512) does for the shapes
-the command line and the benchmark use; from N = 32 on it picks other
-kernels for some block shapes, which moved Riemann rows by at most 4e-16
-relative.  A matrix-vector product (GEMV) split by rows can round
-differently, so the linear term m3 g.x of the quadratic-variation limit is a
-row-wise ``einsum``, which sums each row on its own whatever the block.
+results and one block's rows and products.  The quadratic-variation body
+also caps a block at the bytes of the whole sample, so a small sample is
+walked in several blocks rather than padded with work space.  The stream's
+blocks concatenate to the whole draw, so each block holds the rows that the
+same block of X drawn at once would.  Each result is a row-by-row sum, so
+it does not depend on the block size as long as the BLAS rounds a block's
+matrix-matrix product as it rounds the whole one.  OpenBLAS 0.3.31
+(AVX-512) does for the shapes the command line and the benchmark use; for
+N = 17-19, 25-27, 33-35 and N > 40 it takes other edge kernels for some
+block shapes, and numpy sends a one-row block through GEMV, which moves
+single rows in the last bits (Riemann rows by at most 4e-16 relative).  A
+matrix-vector product split by rows can round differently, so the linear
+term m3 g.x of the quadratic-variation limit is a row-wise ``einsum``,
+which sums each row on its own whatever the block.
 
 Two hard facts shape the experiment design (both verified numerically here
 and recorded in the test suite):
@@ -191,13 +196,13 @@ def _quadratic_form(X: np.ndarray, A: np.ndarray) -> np.ndarray:
     return np.einsum("pi,pi->p", X @ A, X)
 
 
-def _path_blocks(law: Law, seed: int, paths: int, N: int, columns: int):
+def _path_blocks(law: Law, seed: int, paths: int, N: int, rows: int):
     """(lo, X[lo : lo + rows]) over the (paths x N) sample X of ``law`` and
-    ``seed``, each block drawn from one stream as it is asked for, in blocks of
-    ``_BLOCK_BYTES // (8 (N + columns))`` rows for ``columns`` products a row."""
+    ``seed``, each block drawn from one stream as it is asked for (blocks of
+    at least one row)."""
     if paths < 2:
         raise ValueError("paths must be >= 2 for a standard error")
-    block = max(1, _BLOCK_BYTES // (8 * (N + columns)))
+    block = max(1, rows)
     stream = Sampler(law, seed)
     return (
         (lo, stream.draw(min(block, paths - lo) * N).reshape(-1, N))
@@ -233,58 +238,63 @@ def _qv_rows(
 
     Only the finest increments (stride 1) get a quadratic form: x' A x is
     linear in A, so an increment of stride 2s is the sum of two adjacent
-    increments of stride s.  The paths are walked in the blocks of
-    :func:`_path_blocks` for K finest increments, which stay in cache.
-    Within a block the finest increments are taken in order, and each one
-    that completes a pair is added to its left sibling and carried up a
-    level, so the block holds one pending increment per level.  Each QV
-    adds its squared increments in increment order, as one form per
-    increment over all paths would.  The block also takes
+    increments of stride s.  Per block of paths, each chunk of K // N finest
+    increments is one batched product Y = Xb @ A_k (k in the chunk), no
+    larger than the block's (K x rows) table of increments, which one
+    ``einsum`` of Y with Xb fills: the BLAS calls and row sums of one form
+    per increment, so the same bits.  Each read level's QV is the table's
+    squares summed over k in order (numpy sums a single column pairwise, so
+    a one-row block adds in Python), and the next level's table is the sums
+    of adjacent pairs of rows.  A block has
+    ``min(_BLOCK_BYTES, 8 paths N) // (8 (N + 3K))`` rows (at least one) --
+    its rows, its table, the next level's and one product -- so it never
+    costs more than the whole sample would.  The block also takes
     RHS = x' G x + m3 g.x, the linear term by a row-wise ``einsum`` that a
     split by rows does not round differently.  Each block is drawn just
-    before it is walked, so the call holds the QV and RHS tables and one
-    block, never the whole sample; the RHS statistics are taken once.
+    before it is used, so the call holds the QV and RHS tables and one
+    block, never the whole sample.
     """
     N = G.shape[0]
     A = B[1:] - B[:-1]
     K = len(A)
-    blocks = _path_blocks(law, seed, paths, N, K)
+    traces = np.trace(A, axis1=1, axis2=2)[:, None]
+    chunk = max(1, K // N)
+    block = min(_BLOCK_BYTES, 8 * paths * N) // (8 * (N + 3 * K))
+    blocks = _path_blocks(law, seed, paths, N, block)
     m3 = _skewness(law)
-    traces = np.trace(A, axis1=1, axis2=2)
-    levels = K.bit_length()  # strides 1, 2, 4, ..., K
-    at_level = [[i for i, s in enumerate(strides) if s == 1 << l] for l in range(levels)]
-    QV = np.zeros((len(strides), paths))
+    at_level = [[i for i, s in enumerate(strides) if s == 1 << l] for l in range(K.bit_length())]
+    top = 1 + max(l for l, at in enumerate(at_level) if at)  # the levels read
+    QV = np.empty((len(strides), paths))
     RHS = np.empty(paths)
     for lo, Xb in blocks:
-        QVb = QV[:, lo : lo + len(Xb)]
-        RHSb = RHS[lo : lo + len(Xb)]
+        n = len(Xb)
+        RHSb = RHS[lo : lo + n]
         RHSb[:] = _quadratic_form(Xb, G)
         RHSb += m3 * np.einsum("pi,i->p", Xb, g)
-        pending = []
-        for k in range(K):
-            inc = _quadratic_form(Xb, A[k]) - traces[k]
-            level = 0
-            while True:
-                for i in at_level[level]:
-                    QVb[i] += inc * inc
-                if not k >> level & 1:
-                    pending.append(inc)
-                    break
-                inc = pending.pop() + inc
-                level += 1
+        inc = np.empty((K, n))
+        for k in range(0, K, chunk):
+            np.einsum("kpi,pi->kp", np.matmul(Xb, A[k : k + chunk]), Xb, out=inc[k : k + chunk])
+        inc -= traces
+        for level in range(top):
+            up = inc[0::2] + inc[1::2] if level + 1 < top else None
+            if at_level[level]:
+                np.square(inc, out=inc)
+                # summed over k in order: numpy sums a lone column pairwise
+                qv = inc.sum(axis=0) if n > 1 else sum(inc[:, 0].tolist())
+                QV[at_level[level], lo : lo + n] = qv
+            inc = up
     rhs, rhs_sd = _stats(RHS), RHS.std(ddof=1)
     rows = []
     for qv in QV:
         err = (qv - RHS) ** 2
+        qv_mean, qv_sd = qv.mean(), qv.std(ddof=1)
         rows.append(
             {
                 "err": _stats(err),
-                "qv": _stats(qv),
+                "qv": {"mean": float(qv_mean), "stderr": float(qv_sd / math.sqrt(paths))},
                 "rhs": dict(rhs),
-                "mean_gap": float(abs(qv.mean() - rhs["mean"])),
-                "mean_gap_stderr": float(
-                    math.sqrt(qv.std(ddof=1) ** 2 + rhs_sd**2) / math.sqrt(paths)
-                ),
+                "mean_gap": float(abs(qv_mean - rhs["mean"])),
+                "mean_gap_stderr": float(math.sqrt(qv_sd**2 + rhs_sd**2) / math.sqrt(paths)),
             }
         )
     return rows
@@ -368,7 +378,7 @@ def riemann_experiment(
     """
     basis = LegendreBasis(N)
     dmax, strides = _dyadic_strides(depths)
-    blocks = _path_blocks(law, seed, paths, N, 3 * 2**dmax)
+    blocks = _path_blocks(law, seed, paths, N, _BLOCK_BYTES // (8 * (N + 3 * 2**dmax)))
     points = [Q(k, 2**dmax) for k in range(2**dmax + 1)]
     C_h = cumulative_coeffs(h, basis, points)
     C_g = cumulative_coeffs(g, basis, points)

@@ -33,7 +33,8 @@ per signature, a map {radicand w: integer c_w}, so that
 
 Kernels are integer matrices R over den with weights w
 (``SymmetricKernel2``), so their readers sum Python ints and split one square
-per coefficient (``rad_form``); the tensor loops go through the radicand
+per coefficient (``rad_form``, or for ``sym_square`` the gcd rule on weights
+split once per kernel); the tensor loops go through the radicand
 arithmetic of :mod:`wicklab.exact` (``_madd``, ``_axpy``).  The law enters
 through integer tables built once per :class:`GammaTables`: the annihilation
 gaps (gamma - Gamma) scaled by the lcm E of their denominators, the h_k
@@ -54,7 +55,9 @@ from operator import eq, mul
 from types import MappingProxyType
 from typing import Dict, Mapping
 
-from ..exact import Q, RadSum, _axpy, _madd, as_fraction, int_form, rad_form
+from ..exact import (
+    Q, RadSum, _axpy, _madd, _square_free_product, as_fraction, int_form, rad_form
+)
 from ..laws import Law, MomentSequence, standardized_moments
 from ..wick import expect_poly
 from ..exact import p_add, p_eval_float, p_mul, p_scale
@@ -456,16 +459,20 @@ class SymTensor:
     def sym_square(K: SymmetricKernel2) -> "SymTensor":
         """f o f in signature form: distinct-arrangement pairing sums.  Every
         pairing of a signature t carries sqrt(w_t1 w_t2 w_t3 w_t4), so the
-        pairings sum as integers and each signature splits one square."""
-        R, w = K.R, K.w
+        pairings sum as integers and each signature splits one square: the
+        weights are split once, their pairwise products by one gcd each, and
+        a signature's product by one more gcd of its two pairs."""
+        R = K.R
+        split = [rad_form(1, x) for x in K.w]
+        pair = [[_square_free_product(a, b) for b in split] for a in split]
         coeffs = {}
         for t in combinations_with_replacement(range(K.N), 4):
             acc = 0
             for c, p, q, r, s in _pairings(_mask(t)):
                 acc += c * R[t[p]][t[q]] * R[t[r]][t[s]]
             if acc:
-                n, w0 = rad_form(acc, w[t[0]] * w[t[1]] * w[t[2]] * w[t[3]])
-                coeffs[tuple(j + 1 for j in t)] = {w0: n}
+                root, w0 = _square_free_product(pair[t[0]][t[1]], pair[t[2]][t[3]])
+                coeffs[tuple(j + 1 for j in t)] = {w0: acc * root}
         return SymTensor._of(4, coeffs, K.den**2)
 
     # -- structure ----------------------------------------------------------------

@@ -148,6 +148,14 @@ def _split_square(w: int) -> tuple[int, int]:
     return s, w0 * w
 
 
+def _square_free_product(a: tuple, b: tuple) -> tuple[int, int]:
+    """(s, w) with sa^2 wa * sb^2 wb = s^2 w for a = (sa, wa), b = (sb, wb)
+    with wa, wb squarefree, by the gcd rule of :func:`_madd`: no factoring."""
+    (sa, wa), (sb, wb) = a, b
+    g = math.gcd(wa, wb)
+    return sa * sb * g, (wa // g) * (wb // g)
+
+
 def _madd(acc: dict, x: dict, y: dict, c: int) -> None:
     """acc += c * x * y (c != 0) in the integer form; zero coefficients leave acc.
     Squarefree w1, w2 with g = gcd(w1, w2) have w1 w2 = g^2 (w1/g)(w2/g), the

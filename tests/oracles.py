@@ -6,10 +6,16 @@ kernels by their definition.  The rest are the earlier, longer routes to
 values the library now reaches by a direct rule; property tests set each
 against the rule that replaced it."""
 
+import math
 from fractions import Fraction as Q
+from itertools import combinations_with_replacement
+
+import numpy as np
 
 from wicklab.chaos.basis import PiecewisePoly
-from wicklab.exact import p_add, p_antideriv, p_eval, p_integrate, p_mul
+from wicklab.chaos.experiments import _BLOCK_BYTES, _path_blocks, _quadratic_form, _skewness, _stats
+from wicklab.chaos.tensors import _mask, _pairings
+from wicklab.exact import RadSum, p_add, p_antideriv, p_eval, p_integrate, p_mul, rad_form
 from wicklab.wick import expect_poly
 
 
@@ -98,3 +104,68 @@ def cell_by_bisection(ends, x) -> int:
         else:
             hi = mid
     return lo
+
+
+def qv_rows_per_increment(B, G, g, strides, law, paths, seed, rows=None) -> list:
+    """The QV rows with one quadratic form per finest increment: each block of
+    ``rows`` paths (by default ``_BLOCK_BYTES // (8 (N + K))``) walks its K
+    increments in order and carries each completed pair up a level on a stack
+    of pending increments."""
+    N = G.shape[0]
+    A = B[1:] - B[:-1]
+    K = len(A)
+    if rows is None:
+        rows = _BLOCK_BYTES // (8 * (N + K))
+    blocks = _path_blocks(law, seed, paths, N, rows)
+    m3 = _skewness(law)
+    traces = np.trace(A, axis1=1, axis2=2)
+    levels = K.bit_length()  # strides 1, 2, 4, ..., K
+    at_level = [[i for i, s in enumerate(strides) if s == 1 << l] for l in range(levels)]
+    QV = np.zeros((len(strides), paths))
+    RHS = np.empty(paths)
+    for lo, Xb in blocks:
+        QVb = QV[:, lo : lo + len(Xb)]
+        RHSb = RHS[lo : lo + len(Xb)]
+        RHSb[:] = _quadratic_form(Xb, G)
+        RHSb += m3 * np.einsum("pi,i->p", Xb, g)
+        pending = []
+        for k in range(K):
+            inc = _quadratic_form(Xb, A[k]) - traces[k]
+            level = 0
+            while True:
+                for i in at_level[level]:
+                    QVb[i] += inc * inc
+                if not k >> level & 1:
+                    pending.append(inc)
+                    break
+                inc = pending.pop() + inc
+                level += 1
+    rhs, rhs_sd = _stats(RHS), RHS.std(ddof=1)
+    rows = []
+    for qv in QV:
+        err = (qv - RHS) ** 2
+        rows.append(
+            {
+                "err": _stats(err),
+                "qv": _stats(qv),
+                "rhs": dict(rhs),
+                "mean_gap": float(abs(qv.mean() - rhs["mean"])),
+                "mean_gap_stderr": float(
+                    math.sqrt(qv.std(ddof=1) ** 2 + rhs_sd**2) / math.sqrt(paths)
+                ),
+            }
+        )
+    return rows
+
+
+def sym_square_by_trial_division(K):
+    """f o f with each signature's radicand w_t1 w_t2 w_t3 w_t4 split by
+    trial division (``rad_form``), as ``{signature: RadSum}``."""
+    R, w = K.R, K.w
+    out = {}
+    for t in combinations_with_replacement(range(K.N), 4):
+        acc = sum(c * R[t[p]][t[q]] * R[t[r]][t[s]] for c, p, q, r, s in _pairings(_mask(t)))
+        if acc:
+            n, w0 = rad_form(acc, w[t[0]] * w[t[1]] * w[t[2]] * w[t[3]])
+            out[tuple(j + 1 for j in t)] = RadSum._of({w0: n}, K.den**2)
+    return out

@@ -6,9 +6,11 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wicklab.chaos.basis import LegendreBasis, PiecewisePoly, coeffs_of, triangle_kernel
 from wicklab.chaos.experiments import (
+    _BLOCK_BYTES,
     _qv_rows,
     _skewness,
     cumulative_coeffs,
@@ -23,7 +25,7 @@ from wicklab.chaos.identities import fourth_moment_grid
 from wicklab.chaos.tensors import GammaTables
 from wicklab.laws import Law, sample, standardized_moments
 
-from oracles import antiderivative, mul_poly
+from oracles import antiderivative, mul_poly, qv_rows_per_increment
 
 ONE = PiecewisePoly.constant(1)
 
@@ -244,9 +246,9 @@ def assert_rows_match(rows, expected):
             assert row[key] == pytest.approx(exp[key], rel=1e-12, abs=0), key
 
 
-# The body walks the paths in blocks of 2**19 // (8 (N + 2**depth)) rows:
-# 2048 at N = 16 and 3855 at N = 1 (depth 4), so 7777 and 20001 paths end on
-# a partial block.
+# The body walks the paths in blocks of
+# min(2**19, 8 paths N) // (8 (N + 3 2**depth)) rows: 1024 at N = 16 and 408
+# at N = 1 (depth 4), so 7777 and 20001 paths end on a partial block.
 @pytest.mark.parametrize(
     "h1, h2, N, depths, paths, law",
     [
@@ -284,6 +286,56 @@ def test_qv_joint_refinement_matches_per_increment_oracle():
     assert {k: row[k] for k in expected} == expected
 
 
+def _qv_block_rows(paths, N, K):
+    """Rows per block of ``_qv_rows``: its rows, increment table, the next
+    level's table and one product chunk in ``_BLOCK_BYTES``, capped at the
+    bytes of the whole sample."""
+    return max(1, min(_BLOCK_BYTES, 8 * paths * N) // (8 * (N + 3 * K)))
+
+
+def _last_block(paths, N, K) -> str:
+    rows = _qv_block_rows(paths, N, K)
+    last = (paths - 1) % rows + 1
+    return "one row" if last == 1 else "full" if last == rows else "partial"
+
+
+@st.composite
+def _qv_shapes(draw):
+    """(N, K, strides, paths): depths with repeats in any order, and a path
+    count whose last block of ``_qv_rows`` is full, one row or partial."""
+    N, dmax = draw(st.integers(1, 64)), draw(st.integers(0, 7))
+    K = 2**dmax
+    depths = draw(st.lists(st.integers(0, dmax), min_size=1, max_size=5))
+    most = max(2, min(600, 4_000_000 // (N * N * K)))
+    paths = draw(st.integers(2, most))
+    last = draw(st.sampled_from(["full", "one row", "partial"]))
+    paths = next((p for p in range(paths, 2 * most) if _last_block(p, N, K) == last), paths)
+    return N, K, [2 ** (dmax - d) for d in depths], paths
+
+
+@given(
+    _qv_shapes(), st.sampled_from([Law.normal(), Law.exponential(1)]), st.integers(0, 2**32 - 1)
+)
+@example((16, 128, [1, 16, 1], 2001), Law.normal(), 0)
+@example((17, 64, [64, 1, 2], 101), Law.exponential(1), 1)
+@example((64, 128, [128, 1], 5), Law.normal(), 2)
+@example((1, 1, [1, 1], 2), Law.exponential(1), 3)
+@settings(max_examples=60, deadline=None)
+def test_qv_rows_match_per_increment_body(shape, law, seed):
+    # the increment table, its level sums and the statistics tail give every
+    # row of the per-increment body on the same blocks of paths, whatever
+    # the shape (other blocks can move a row in the last bits through the
+    # BLAS, see the experiments module); the kernels need not be symmetric
+    N, K, strides, paths = shape
+    rng = np.random.default_rng(seed)
+    B, G = rng.standard_normal((K + 1, N, N)), rng.standard_normal((N, N))
+    g = rng.standard_normal(N)
+    rows = _qv_block_rows(paths, N, K)
+    assert _qv_rows(B, G, g, strides, law, paths, seed) == qv_rows_per_increment(
+        B, G, g, strides, law, paths, seed, rows
+    )
+
+
 def _traced_peak(body, *args) -> int:
     """Peak traced bytes of one call, after an untraced call has paid the
     one-time allocations (imports, caches) that a first call would count."""
@@ -298,7 +350,12 @@ def _traced_peak(body, *args) -> int:
 
 @pytest.mark.parametrize(
     "N, dmax, paths, law",
-    [(16, 7, 2000, Law.normal()), (8, 6, 20_000, Law.exponential(1))],
+    [
+        (16, 7, 2000, Law.normal()),
+        (8, 6, 20_000, Law.exponential(1)),
+        (8, 6, 911, Law.exponential(1)),
+        (16, 4, 2049, Law.normal()),
+    ],
 )
 def test_qv_rows_peak_memory_within_per_increment_oracle(N, dmax, paths, law):
     # a block's rows and pending increments, with the table of QV per depth,

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from wicklab.chaos.basis import SymmetricKernel2
 from wicklab.chaos.identities import fourth_moment_lhs
-from wicklab.chaos.tensors import GammaTables
+from wicklab.chaos.tensors import GammaTables, SymTensor
 from wicklab.discrete import (
     DiscreteRV,
     FiniteSpace,
@@ -18,7 +18,7 @@ from wicklab.discrete import (
     n_max,
     necessary_conditions,
 )
-from wicklab.exact import Rad, RadSum, _madd, _split_square, mat_psd
+from wicklab.exact import Rad, RadSum, _madd, _split_square, _square_free_product, mat_psd
 from wicklab.laws import Law, MomentSequence, inverse_laplace_coeffs, moments
 from wicklab.rademacher import build_partition, evaluate_r, joint_law, phi_factor
 from wicklab.wick import wick_explicit, wick_recurrence1, wick_recurrence2
@@ -28,6 +28,7 @@ from oracles import (
     n_max_by_counting,
     principal_minor_psd,
     q_bound_by_exclusion,
+    sym_square_by_trial_division,
 )
 
 rationals_01 = st.fractions(min_value=Q(1, 100), max_value=Q(99, 100))
@@ -209,6 +210,30 @@ def test_radical_product_by_gcd_matches_trial_division(w1, w2, n1, n2):
     _madd(acc, {w1: n1}, {w2: n2}, 3)
     s, w0 = _split_square(w1 * w2)
     assert acc == {w0: 3 * n1 * n2 * s}
+
+
+odd_weights = st.integers(0, 60).map(lambda k: 2 * k + 1)
+
+
+@given(st.lists(odd_weights, min_size=4, max_size=4))
+@settings(max_examples=120, deadline=None)
+def test_four_weight_radicand_by_gcd_matches_trial_division(w):
+    # odd weights reach squares (9, 25, 49) and shared factors (15, 21)
+    a = _square_free_product(_split_square(w[0]), _split_square(w[1]))
+    b = _square_free_product(_split_square(w[2]), _split_square(w[3]))
+    assert _square_free_product(a, b) == _split_square(math.prod(w))
+
+
+@given(st.integers(1, 5), st.data())
+@settings(max_examples=40, deadline=None)
+def test_sym_square_matches_trial_division_route(N, data):
+    w = data.draw(st.lists(odd_weights, min_size=N, max_size=N))
+    R = [[0] * N for _ in range(N)]
+    for j in range(N):
+        for k in range(j + 1):
+            R[j][k] = R[k][j] = data.draw(st.integers(-3, 3))
+    K = SymmetricKernel2(R, data.draw(st.integers(1, 4)), w)
+    assert SymTensor.sym_square(K).terms == sym_square_by_trial_division(K)
 
 
 @st.composite
