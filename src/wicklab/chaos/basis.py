@@ -353,8 +353,8 @@ class SymmetricKernel2:
 # antiderivative of h L_u from a, and g L_v is one product.  Their rows are
 # scaled to one integer denominator each, so the interval's contribution
 # H M G^T, with M the Hankel moment matrix, only multiplies and adds Python
-# ints; the symmetrized kernel stays in them, and a Fraction is made once per
-# raw entry at the end.
+# ints.  The running integer kernel and the values H_u, taken at given points,
+# are snapshots: h (x) g 1_(s, t] has the difference of those at t and s.
 
 
 def _scaled(rows: Sequence[Sequence[Fraction]]) -> tuple:
@@ -375,10 +375,8 @@ def _h_rows(
     Returns the rows and the values at b."""
     if not c:
         return [[x] for x in H], H
-    rows = []
-    for L, start in zip(polys, H):
-        A = p_antideriv(p_mul(c, L))
-        rows.append(p_add(A, [start - p_eval(A, a)]))
+    A = [p_antideriv(p_mul(c, L)) for L in polys]
+    rows = [p_add(F, [x - p_eval(F, a)]) for F, x in zip(A, H)]
     return rows, [p_eval(r, b) for r in rows]
 
 
@@ -392,16 +390,55 @@ def _moments(a: Fraction, b: Fraction, n: int) -> tuple:
     return M, q**n * lc
 
 
+def _kernel_sweep(
+    h: PiecewisePoly, g: PiecewisePoly, basis: LegendreBasis, points: Sequence[Fraction]
+) -> list:
+    """``(num, den, H)`` at each of the sorted points p, from one sweep over the
+    merged breakpoints of h, g and the points: num / den is the running integer
+    kernel of h (x) g 1_(p_0, p] (raw[u][v] / sqrt((2u-1)(2v-1))) and H the
+    values H_u(p).  Before p_0 only the H rows advance.  den grows by lcm, so
+    each snapshot's den divides every later one's."""
+    N, polys, p0, end = basis.N, basis._polys, points[0], points[-1]
+    cuts = sorted({*points, *(x for a, b, _ in h.pieces + g.pieces for x in (a, b) if x <= end)})
+    H, num, den = [Q(0)] * N, [[0] * N for _ in range(N)], 1
+    at = {cuts[0]: (num, den, H)}
+    for a, b in zip(cuts, cuts[1:]):
+        rows, H = _h_rows(h._piece_at(a, b), polys, a, b, H)
+        G, gden = _scaled([p_mul(g._piece_at(a, b) or (), L) for L in polys] if b > p0 else [])
+        nG = max(map(len, G), default=0)
+        if nG:  # g does not vanish here
+            Hn, hden = _scaled(rows)
+            M, mden = _moments(a, b, max(map(len, Hn)) + nG - 1)
+            HM = [[_dot(r, M[j:]) for j in range(nG)] for r in Hn]
+            step = hden * mden * gden
+            new = math.lcm(den, step)
+            old_f, step_f = new // den, new // step
+            num = [
+                [x * old_f + _dot(hm, Gv) * step_f for x, Gv in zip(row, G)]
+                for row, hm in zip(num, HM)
+            ]
+            den = new
+        at[b] = (num, den, H)
+    return [at[p] for p in points]
+
+
+def _increment(lo: tuple, hi: tuple, basis: LegendreBasis) -> SymmetricKernel2:
+    """The symmetrized kernel of h (x) g 1_(s, t] from the sweep's snapshots lo
+    at s and hi at t: their difference over hi's denominator."""
+    (n_s, d_s, _), (n_t, d_t, _) = lo, hi
+    f = d_t // d_s
+    D = [[x - y * f for x, y in zip(rt, rs)] for rt, rs in zip(n_t, n_s)]
+    sym = [[x + y for x, y in zip(row, col)] for row, col in zip(D, zip(*D))]
+    return SymmetricKernel2(sym, 2 * d_t, tuple(basis.weight(j) for j in range(1, basis.N + 1)))
+
+
 def coeffs_of(
     h: PiecewisePoly, basis: LegendreBasis, t_cut: Optional[Fraction] = None
 ) -> ChaosVector:
-    """Exact coefficients <h * 1_{(0,t]}, e_j> for piecewise-polynomial h:
-    the values H_j(1) of the kernel sweep's running integrals."""
-    hh = h if t_cut is None else h.cut(t_cut)
-    polys = basis._polys
-    H = [Q(0)] * basis.N
-    for lo, hi, c in hh.pieces:
-        _, H = _h_rows(c, polys, lo, hi, H)
+    """Exact coefficients <h * 1_{(0,t]}, e_j> for piecewise-polynomial h
+    (t = 1 by default): the values H_j(t) of the kernel sweep."""
+    t = Q(1) if t_cut is None else as_fraction(t_cut)
+    [(_, _, H)] = _kernel_sweep(h, h, basis, (t,))
     return ChaosVector(tuple(Rad(x, basis.weight(j)) for j, x in enumerate(H, 1)))
 
 
@@ -412,36 +449,11 @@ def triangle_kernel(
 
     Returns ``(sym, raw)``: ``raw[u][v] = <h (x) g 1_C, e_u (x) e_v>`` and
     ``sym`` the symmetrized kernel (raw + raw^T)/2 driving the integral.
-
-    One sweep over the merged breakpoints of h and g 1_(0,t]: on each interval
-    the rows H of H_u(y) = int_0^y h L_u and G of g L_v give
-    raw[u][v] / sqrt((2u-1)(2v-1)) += (H M G^T)[u][v], in integers.
+    Both come from the kernel sweep's snapshot at t (by default the end of g).
     """
-    gg = g if t_cut is None else g.cut(t_cut)
-    N = basis.N
-    polys = basis._polys
-    end = gg.pieces[-1][1] if gg.pieces else Q(0)
-    cuts = sorted({x for f in (h, gg) for lo, hi, _ in f.pieces for x in (lo, hi) if x <= end})
-    H = [Q(0)] * N
-    num, den = [[0] * N for _ in range(N)], 1
-    for a, b in zip(cuts, cuts[1:]):
-        rows, H = _h_rows(h._piece_at(a, b), polys, a, b, H)
-        G, gden = _scaled([p_mul(gg._piece_at(a, b) or (), L) for L in polys])
-        nG = max(map(len, G))
-        if not nG:  # g vanishes here
-            continue
-        Hn, hden = _scaled(rows)
-        M, mden = _moments(a, b, max(map(len, Hn)) + nG - 1)
-        HM = [[_dot(r, M[j:]) for j in range(nG)] for r in Hn]
-        step = hden * mden * gden
-        new = math.lcm(den, step)
-        old_f, step_f = new // den, new // step
-        num = [
-            [x * old_f + _dot(hm, Gv) * step_f for x, Gv in zip(row, G)]
-            for row, hm in zip(num, HM)
-        ]
-        den = new
-    w = tuple(basis.weight(j) for j in range(1, N + 1))
-    raw = tuple(tuple(Rad(Q(num[u][v], den), w[u] * w[v]) for v in range(N)) for u in range(N))
-    sym = [[num[u][v] + num[v][u] for v in range(N)] for u in range(N)]
-    return SymmetricKernel2(sym, 2 * den, w), raw
+    end = g.pieces[-1][1] if g.pieces else Q(0)
+    zero, snap = _kernel_sweep(h, g, basis, (Q(0), end if t_cut is None else as_fraction(t_cut)))
+    num, den, _ = snap
+    w = [basis.weight(j) for j in range(1, basis.N + 1)]
+    raw = tuple(tuple(Rad(Q(x, den), wu * wv) for x, wv in zip(row, w)) for row, wu in zip(num, w))
+    return _increment(zero, snap, basis), raw

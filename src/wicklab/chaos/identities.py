@@ -20,8 +20,10 @@ multigraph classes of the eight index slots, evaluated in integer arithmetic
 on the kernel's R and w with one O(N^3) matrix product (``fourth_moment_lhs``).
 The order route, ord0^2 + sum_i E[(order i)^2] over ``order_tensors``, gives
 the same value and is kept as its check in the tests; the pointwise order
-identity (``order_decomposition``) still runs on it.  ``fourth_moment_grid``
-sets E|Z_t - Z_s|^4 against the printed bound over an (s, t) grid.
+identity (``order_decomposition``) still runs on it.  ``fourth_moment_check``
+and ``fourth_moment_grid`` set E|Z_t - Z_s|^4 against the printed bound; the
+kernel of each increment (s, t] is the difference of the snapshots at t and s
+of one kernel sweep, and ||h2 1_(s,t]||^2 the integral of h2^2 over (s, t].
 
 The key subtlety is the truncated norm of the triangle kernel: the
 full-space identity <f, f~> = 0 (the triangle and its transpose are
@@ -38,8 +40,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..exact import Q, RadSum, rad_form
+from ..exact import Q, RadSum, as_fraction, rad_form
 from .basis import LegendreBasis, PiecewisePoly, SymmetricKernel2, coeffs_of, triangle_kernel
+from .basis import _increment, _kernel_sweep
 from .tensors import GammaTables, SymTensor, _rwr, contraction1
 
 __all__ = [
@@ -358,6 +361,25 @@ def fourth_moment_lhs(K: SymmetricKernel2, tables: GammaTables) -> RadSum:
     return RadSum._of(num, tables._j4_den * K.den**4)
 
 
+def _bound_rows(h1, h2, basis, tables, pairs):
+    """The :func:`fourth_moment_check` report of each exact (s, t) of pairs,
+    in turn, all from one kernel sweep over their points."""
+    if not all(0 <= s <= t <= 1 for s, t in pairs):
+        raise ValueError("need 0 <= s <= t <= 1")
+    points = sorted({x for pair in pairs for x in pair})
+    snaps = dict(zip(points, _kernel_sweep(h1, h2, basis, points)))
+    sq = h2 * h2
+    strip = {p: sq.cut(p).integral() for p in points}
+    n1, constants = (h1 * h1).integral(), tables.bound_constants
+    for s, t in pairs:
+        lhs = fourth_moment_lhs(_increment(snaps[s], snaps[t], basis), tables)
+        norms = {"h1_sq": n1, "h2_strip_sq": strip[t] - strip[s]}
+        rhs = constants["const"] * n1**2 * norms["h2_strip_sq"] ** 2
+        lo, hi = lhs.bounds()
+        row = {"lhs": lhs, "lhs_float": float(lhs), "lhs_bounds": (lo, hi), "rhs": rhs}
+        yield {**row, "holds": hi <= rhs, "constants": constants, "norms": norms}
+
+
 def fourth_moment_check(
     h1: PiecewisePoly,
     h2: PiecewisePoly,
@@ -370,10 +392,11 @@ def fourth_moment_check(
 
         (7/2 C41 + C42 + C43 + C44 + 2) ||h1||^4 ||h2 1_(s,t]||^4
 
-    with C4k the annihilation sup-constants and exact (untruncated) norms.
-    The report carries both sides; ``holds`` compares the certified upper
-    end of ``lhs_bounds`` with ``rhs``.  Its ``constants`` are the tables'
-    shared read-only :attr:`GammaTables.bound_constants`.
+    with C4k the annihilation sup-constants and exact (untruncated) norms,
+    for exact rationals s and t (int, str or Fraction).  The report carries
+    both sides; ``holds`` compares the certified upper end of ``lhs_bounds``
+    with ``rhs``.  Its ``constants`` are the tables' shared read-only
+    :attr:`GammaTables.bound_constants`.
 
     The printed constant is too small.  With h1 = h2 = 1 and (s, t) = (0, 1)
     the symmetric kernel is exactly (1/2) e_1 (x) e_1 at every truncation,
@@ -383,26 +406,7 @@ def fourth_moment_check(
     (c_D + 4 c_O) / 2 from the standardized moments (96 for normal, 7314
     for exponential:1); the proof is in that test.
     """
-    s, t = Q(s), Q(t)
-    if not (0 <= s <= t <= 1):
-        raise ValueError("need 0 <= s <= t <= 1")
-    h2st = _restrict_above(h2, s, t)
-    K, _ = triangle_kernel(h1, h2st, basis)
-    lhs = fourth_moment_lhs(K, tables)
-    constants = tables.bound_constants
-    n1 = (h1 * h1).integral()
-    n2 = (h2st * h2st).integral()
-    rhs = constants["const"] * n1**2 * n2**2
-    lo, hi = lhs.bounds()
-    return {
-        "lhs": lhs,
-        "lhs_float": float(lhs),
-        "lhs_bounds": (lo, hi),
-        "rhs": rhs,
-        "holds": hi <= rhs,
-        "constants": constants,
-        "norms": {"h1_sq": n1, "h2_strip_sq": n2},
-    }
+    return next(_bound_rows(h1, h2, basis, tables, [(as_fraction(s), as_fraction(t))]))
 
 
 def fourth_moment_grid(
@@ -415,38 +419,21 @@ def fourth_moment_grid(
     """Increment fourth moments against the printed bound on an (s,t) grid,
     plus the log-log slope of the fourth moment in the increment width.
 
-    Each row carries the exact ``lhs`` (a RadSum) and ``rhs`` (a Fraction);
-    the slope is a float fit to the lhs values at s = 0."""
-    rows = []
-    for s, t in pairs:
-        chk = fourth_moment_check(h1, h2, Q(s), Q(t), basis, tables)
-        rows.append(
-            {
-                "s": str(Q(s)),
-                "t": str(Q(t)),
-                "lhs": chk["lhs"],
-                "rhs": chk["rhs"],
-                "holds": chk["holds"],
-            }
-        )
+    One kernel sweep from 0 serves every row and the six slope widths 2^-k;
+    each row is :func:`fourth_moment_check`'s report, with the exact ``lhs``
+    (a RadSum) and ``rhs`` (a Fraction).  The slope is a float fit to the lhs
+    values at s = 0; a ``ValueError`` names the widths where the fourth
+    moment is 0."""
+    pairs = [tuple(map(as_fraction, pair)) for pair in pairs]
+    widths = [Q(1, 2**k) for k in range(1, 7)]
+    chks = list(_bound_rows(h1, h2, basis, tables, pairs + [(Q(0), tau) for tau in widths]))
+    rows = [
+        {"s": str(s), "t": str(t), **{k: c[k] for k in ("lhs", "rhs", "holds")}}
+        for (s, t), c in zip(pairs, chks)
+    ]
     # slope: fourth moment of Z_t - Z_s versus t - s, at s = 0
-    widths, lhss = [], []
-    for k in range(1, 7):
-        tau = Q(1, 2**k)
-        chk = fourth_moment_check(h1, h2, Q(0), tau, basis, tables)
-        widths.append(float(tau))
-        lhss.append(chk["lhs_float"])
-    lw = np.log(np.array(widths))
-    ll = np.log(np.array(lhss))
-    slope = float(np.polyfit(lw, ll, 1)[0])
+    lhss = [c["lhs_float"] for c in chks[len(pairs) :]]
+    if zero := [str(tau) for tau, x in zip(widths, lhss) if x == 0]:
+        raise ValueError(f"the fourth moment is 0 at widths {', '.join(zero)}: no log-log slope")
+    slope = float(np.polyfit(np.log([float(tau) for tau in widths]), np.log(lhss), 1)[0])
     return {"rows": rows, "slope": slope, "all_hold": all(r["holds"] for r in rows)}
-
-
-def _restrict_above(h: PiecewisePoly, s: Fraction, t: Fraction) -> PiecewisePoly:
-    """h * 1_(s, t]."""
-    out = []
-    for lo, hi, c in h.cut(t).pieces:
-        if hi <= s:
-            continue
-        out.append((max(lo, s), hi, c))
-    return PiecewisePoly(tuple(out))

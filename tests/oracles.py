@@ -1,10 +1,10 @@
 """Routes the library no longer takes, kept as test oracles.
 
-Piecewise-polynomial products with a polynomial and running integrals, both
-exact: the kernel engines never build these, and the tests use them to write
-kernels by their definition.  The rest are the earlier, longer routes to
-values the library now reaches by a direct rule; property tests set each
-against the rule that replaced it."""
+Piecewise-polynomial products with a polynomial, running integrals and
+restrictions to an interval, all exact: the kernel engines never build
+these, and the tests use them to write kernels by their definition.  The
+rest are the earlier, longer routes to values the library now reaches by a
+direct rule; property tests set each against the rule that replaced it."""
 
 import math
 from fractions import Fraction as Q
@@ -41,6 +41,12 @@ def antiderivative(h: PiecewisePoly) -> PiecewisePoly:
     if cursor < 1:
         out.append((cursor, Q(1), (acc,)))
     return PiecewisePoly(tuple(out))
+
+
+def restrict(h: PiecewisePoly, s, t) -> PiecewisePoly:
+    """h * 1_(s, t], the increment's factor that the kernel sweep replaces by
+    a difference of snapshots."""
+    return PiecewisePoly(tuple((max(lo, s), hi, c) for lo, hi, c in h.cut(t).pieces if hi > s))
 
 
 def det(rows) -> Q:

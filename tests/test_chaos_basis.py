@@ -1,5 +1,6 @@
 """Basis exactness, piecewise-polynomial algebra, kernel coefficients."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as Q
@@ -15,11 +16,13 @@ from wicklab.chaos.basis import (
     SymmetricKernel2,
     coeffs_of,
     shifted_legendre,
+    _increment,
+    _kernel_sweep,
     triangle_kernel,
 )
 from wicklab.exact import Rad, RadSum, p_eval
 
-from oracles import antiderivative, mul_poly
+from oracles import antiderivative, mul_poly, restrict
 
 
 def test_shifted_legendre_first_rows():
@@ -171,6 +174,28 @@ def test_triangle_kernel_and_coeffs_match_definition(h, g, N, data):
     assert raw == raw_ref
     assert entries(sym) == sym_ref
     assert coeffs_of(h, b, t_cut=t_cut).coeffs == _coeffs_oracle(h, b, t_cut=t_cut)
+
+
+@given(_piecewise(), _piecewise(), st.integers(1, 6), st.data())
+@settings(max_examples=40, deadline=None)
+def test_snapshot_differences_match_restricted_kernels(h, g, N, data):
+    # points from the grid that also holds every breakpoint, so they fall on
+    # breakpoints, inside pieces and in gaps; a repeated point gives s = t
+    b = LegendreBasis(N)
+    w = [b.weight(j) for j in range(1, N + 1)]
+    points = sorted(data.draw(st.lists(st.sampled_from(_GRID), min_size=1, max_size=3)))
+    snaps = _kernel_sweep(h, g, b, points)
+    for (s, lo), (t, hi) in itertools.combinations_with_replacement(zip(points, snaps), 2):
+        sym_ref, raw_ref = _triangle_kernel_oracle(h, restrict(g, s, t), b)
+        (n_s, d_s, _), (n_t, d_t, _) = lo, hi
+        raw = tuple(
+            tuple(Rad(Q(x, d_t) - Q(y, d_s), wu * wv) for x, y, wv in zip(rt, rs, w))
+            for rt, rs, wu in zip(n_t, n_s, w)
+        )
+        assert raw == raw_ref, (s, t)
+        assert entries(_increment(lo, hi, b)) == sym_ref, (s, t)
+    for t, (_, _, H) in zip(points, snaps):
+        assert tuple(map(Rad, H, w)) == _coeffs_oracle(h, b, t_cut=t)
 
 
 def test_triangle_parseval_tail():

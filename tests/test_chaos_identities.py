@@ -20,6 +20,7 @@ from wicklab.chaos.identities import (
     contraction1,
     expected_integral_sq,
     fourth_moment_check,
+    fourth_moment_grid,
     fourth_moment_lhs,
     integral_eval,
     isometry_check,
@@ -814,6 +815,46 @@ def test_fourth_moment_printed_bound_fails_at_late_increments():
     full = 3.75 / 16 + 15 / 16 + 9 / 16
     assert chk["lhs_float"] < full
     assert chk["lhs_float"] > 0.9 * full
+
+
+def test_fourth_moment_grid_rows_equal_per_pair_checks():
+    # one sweep's snapshot differences against one check per pair: s = t,
+    # s = 0, points on and off the breakpoints of h1 and h2
+    h2 = PiecewisePoly(((Q(0), Q(3, 5), (Q(2, 3), 1)), (Q(2, 3), Q(1), (-1, 0, Q(5, 4)))))
+    pairs = [(0, Q(1, 3)), (Q(1, 3), Q(1, 2)), (Q(1, 2), Q(1, 2)), (Q(3, 5), Q(2, 3)), ("1/8", 1)]
+    b = LegendreBasis(6)
+    for law in (Law.normal(), Law.exponential(1)):
+        tab = GammaTables.for_law(law)
+        rep = fourth_moment_grid(PW, h2, b, tab, pairs)
+        for (s, t), row in zip(pairs, rep["rows"]):
+            chk = fourth_moment_check(PW, h2, s, t, b, tab)
+            assert (row["s"], row["t"]) == (str(Q(s)), str(Q(t)))
+            assert list(row["lhs"].terms.items()) == list(chk["lhs"].terms.items())
+            assert (row["rhs"], row["holds"]) == (chk["rhs"], chk["holds"])
+        widths = [Q(1, 2**k) for k in range(1, 7)]
+        lhss = [fourth_moment_check(PW, h2, 0, tau, b, tab)["lhs_float"] for tau in widths]
+        slope = float(np.polyfit(np.log([float(x) for x in widths]), np.log(lhss), 1)[0])
+        assert rep["slope"] == slope
+
+
+def test_fourth_moment_grid_slope_names_widths_with_zero_moment():
+    # h2 vanishes on (0, 1/2], so Z_t - Z_0 = 0 at every slope width 2^-k
+    h2 = PiecewisePoly(((Q(1, 2), Q(1), (1,)),))
+    tab = GammaTables.for_law(Law.normal())
+    with pytest.raises(ValueError, match="widths 1/2, 1/4, 1/8, 1/16, 1/32, 1/64"):
+        fourth_moment_grid(ONE, h2, LegendreBasis(4), tab, [(Q(1, 2), Q(1))])
+
+
+def test_fourth_moment_endpoints_must_be_exact():
+    b, tab = LegendreBasis(4), GammaTables.for_law(Law.normal())
+    with pytest.raises(TypeError, match="exact rational"):
+        fourth_moment_check(ONE, ONE, 0.1, Q(1, 2), b, tab)
+    with pytest.raises(TypeError, match="exact rational"):
+        fourth_moment_grid(ONE, ONE, b, tab, [(0.1, Q(1, 2))])
+    chk = fourth_moment_check(ONE, ONE, "1/10", 1, b, tab)
+    assert chk["norms"]["h2_strip_sq"] == Q(9, 10)
+    with pytest.raises(ValueError, match="0 <= s <= t <= 1"):
+        fourth_moment_grid(ONE, ONE, b, tab, [(Q(1, 2), Q(1, 4))])
 
 
 def test_self_integral_identity_pointwise():
