@@ -11,9 +11,10 @@ which one float sweep evaluates at the dyadic grid: Gauss-Legendre rules with
 enough nodes on each interval between the breakpoints integrate every
 polynomial integrand exactly, so the kernels carry only rounding error (the
 exact kernels of the identities stay in ``triangle_kernel``).  Monte Carlo
-then takes one quadratic form per increment of the finest partition, as one
-(increments x paths) table per block of paths, and builds every coarser
-partition's table from the finer one by summing adjacent pairs of rows.
+fills tables of quadratic forms x' A_k x per block of paths (``_form_table``):
+one per increment of the finest partition for the quadratic variation, whose
+coarser partitions' tables are sums of adjacent pairs of rows, and one per
+depth for the Riemann sums, which are quadratic forms themselves.
 
 Both Monte Carlo bodies walk the sample X in blocks of rows sized by
 ``_BLOCK_BYTES`` and draw each block from one ``Sampler`` stream just before
@@ -28,10 +29,10 @@ matrix-matrix product as it rounds the whole one.  OpenBLAS 0.3.31
 (AVX-512) does for the shapes the command line and the benchmark use; for
 N = 17-19, 25-27, 33-35 and N > 40 it takes other edge kernels for some
 block shapes, and numpy sends a one-row block through GEMV, which moves
-single rows in the last bits (Riemann rows by at most 4e-16 relative).  A
-matrix-vector product split by rows can round differently, so the linear
-term m3 g.x of the quadratic-variation limit is a row-wise ``einsum``,
-which sums each row on its own whatever the block.
+single rows in the last bits.  A matrix-vector product split by rows can
+round differently, so the linear term m3 g.x of the quadratic-variation
+limit is a row-wise ``einsum``, which sums each row on its own whatever
+the block.
 
 Two hard facts shape the experiment design (both verified numerically here
 and recorded in the test suite):
@@ -63,7 +64,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..exact import Q
+from ..exact import Q, as_fraction
 from ..laws import Law, Sampler, moments
 from .basis import LegendreBasis, PiecewisePoly, gauss_legendre
 
@@ -97,8 +98,8 @@ def _float_kernels(
     nodes exactly, so the only error is rounding.
     """
     N = basis.N
-    pts = [Q(p) for p in points]
-    t = Q(t)
+    pts = [as_fraction(p) for p in points]
+    t = as_fraction(t)
     end = max([t, *pts])
     knots = {Q(0), t, *pts}
     for h in (h1, h2):
@@ -159,7 +160,7 @@ def legendre_float_cumulative(N: int, depth: int, t=1):
     No experiment calls it (they take ``_qv_kernels`` for any h1, h2); it
     stays while the benchmark's tracer lists it as a kernel layer.  It calls
     the sweep, not the traced wrappers, so a traced call is one span."""
-    t = Q(t)
+    t = as_fraction(t)
     one = PiecewisePoly.constant(1)
     points = [t * Q(k, 2**depth) for k in range(2**depth + 1)]
     _, B, G = _float_kernels(one, one, LegendreBasis(N), points, t)
@@ -194,6 +195,15 @@ _BLOCK_BYTES = 2**19
 def _quadratic_form(X: np.ndarray, A: np.ndarray) -> np.ndarray:
     """x' A x for each row x of X, by one matrix product."""
     return np.einsum("pi,pi->p", X @ A, X)
+
+
+def _form_table(Xb: np.ndarray, A: np.ndarray, out: np.ndarray) -> None:
+    """out[k] = x' A_k x for each row x of Xb: one batched product Xb @ A_k
+    per chunk of max(1, K // N) matrices (no larger than the table) and one
+    ``einsum``, so the bits of :func:`_quadratic_form` per matrix."""
+    chunk = max(1, len(A) // Xb.shape[1])
+    for k in range(0, len(A), chunk):
+        np.einsum("kpi,pi->kp", np.matmul(Xb, A[k : k + chunk]), Xb, out=out[k : k + chunk])
 
 
 def _path_blocks(law: Law, seed: int, paths: int, N: int, rows: int):
@@ -238,14 +248,11 @@ def _qv_rows(
 
     Only the finest increments (stride 1) get a quadratic form: x' A x is
     linear in A, so an increment of stride 2s is the sum of two adjacent
-    increments of stride s.  Per block of paths, each chunk of K // N finest
-    increments is one batched product Y = Xb @ A_k (k in the chunk), no
-    larger than the block's (K x rows) table of increments, which one
-    ``einsum`` of Y with Xb fills: the BLAS calls and row sums of one form
-    per increment, so the same bits.  Each read level's QV is the table's
-    squares summed over k in order (numpy sums a single column pairwise, so
-    a one-row block adds in Python), and the next level's table is the sums
-    of adjacent pairs of rows.  A block has
+    increments of stride s.  Per block of paths, :func:`_form_table` fills
+    the (K x rows) table of finest increments.  Each read level's QV is the
+    table's squares summed over k in order (numpy sums a single column
+    pairwise, so a one-row block adds in Python), and the next level's table
+    is the sums of adjacent pairs of rows.  A block has
     ``min(_BLOCK_BYTES, 8 paths N) // (8 (N + 3K))`` rows (at least one) --
     its rows, its table, the next level's and one product -- so it never
     costs more than the whole sample would.  The block also takes
@@ -258,7 +265,6 @@ def _qv_rows(
     A = B[1:] - B[:-1]
     K = len(A)
     traces = np.trace(A, axis1=1, axis2=2)[:, None]
-    chunk = max(1, K // N)
     block = min(_BLOCK_BYTES, 8 * paths * N) // (8 * (N + 3 * K))
     blocks = _path_blocks(law, seed, paths, N, block)
     m3 = _skewness(law)
@@ -268,12 +274,9 @@ def _qv_rows(
     RHS = np.empty(paths)
     for lo, Xb in blocks:
         n = len(Xb)
-        RHSb = RHS[lo : lo + n]
-        RHSb[:] = _quadratic_form(Xb, G)
-        RHSb += m3 * np.einsum("pi,i->p", Xb, g)
+        RHS[lo : lo + n] = _quadratic_form(Xb, G) + m3 * np.einsum("pi,i->p", Xb, g)
         inc = np.empty((K, n))
-        for k in range(0, K, chunk):
-            np.einsum("kpi,pi->kp", np.matmul(Xb, A[k : k + chunk]), Xb, out=inc[k : k + chunk])
+        _form_table(Xb, A, inc)
         inc -= traces
         for level in range(top):
             up = inc[0::2] + inc[1::2] if level + 1 < top else None
@@ -328,7 +331,7 @@ def qv_experiment(
     basis = basis or LegendreBasis(N)
     if basis.N != N:
         raise ValueError(f"basis has {basis.N} functions, truncation N is {N}")
-    t = Q(t)
+    t = as_fraction(t)
     dmax, strides = _dyadic_strides(depths)
     rows = _qv_rows(*_qv_kernels(h1, h2, basis, t, dmax), strides, law, paths, seed)
     rows = [{"depth": d, **row} for d, row in zip(depths, rows)]
@@ -348,9 +351,9 @@ def qv_joint_refinement(
     normal law with h1 = h2 = 1 (see the module docstring).  Each row is
     :func:`qv_experiment`'s at that N and depth (same kernels, same sample);
     deep schedules such as (256, 5) take seconds."""
-    rows = []
+    t, rows = as_fraction(t), []
     for N, d in pairs:
-        (row,) = _qv_rows(*_qv_kernels(h1, h2, LegendreBasis(N), Q(t), d), [1], law, paths, seed)
+        (row,) = _qv_rows(*_qv_kernels(h1, h2, LegendreBasis(N), t, d), [1], law, paths, seed)
         rows.append({"N": N, "depth": d, **row})
     return {"paths": paths, "seed": seed, "rows": rows}
 
@@ -367,31 +370,27 @@ def riemann_experiment(
     """E|S_n - I|^2 for the defining Riemann sums of the integral.
 
     S_n = sum_k Phi(h 1_(0,t_k]) Phi(g 1_(t_k, t_{k+1}]) over the dyadic
-    partition of depth d; I is the integral at the same truncation.
-
-    All depths share one sample of ``paths`` realizations, drawn and walked
-    in blocks of :func:`_path_blocks` for 3 2^dmax columns: per block,
-    I = x' A x - tr A and, per depth, S = sum_k (x . c_h(t_k)) (x . dc_g(k)),
-    whose (S - I)^2 fill a (depths x paths) table; neither the whole sample
-    nor a (paths x 2^d) product of it is held (see the module docstring for
-    rounding).
+    partition of depth d; I = x' A x - tr A is the integral at the same
+    truncation.  S_d = x' P_d x with P_d = sum_k c_h(t_k) (c_g(t_{k+1}) -
+    c_g(t_k))', so S_d - I = x' D_d x + tr A with D_d = sym(P_d) - A.  All
+    depths share one sample of ``paths`` realizations, drawn in blocks of
+    :func:`_path_blocks`; per block, :func:`_form_table` fills the block's
+    slice of the (depths x paths) table, which then holds (S_d - I)^2.
     """
     basis = LegendreBasis(N)
     dmax, strides = _dyadic_strides(depths)
-    blocks = _path_blocks(law, seed, paths, N, _BLOCK_BYTES // (8 * (N + 3 * 2**dmax)))
+    blocks = _path_blocks(law, seed, paths, N, _BLOCK_BYTES // (8 * (2 * N + len(depths))))
     points = [Q(k, 2**dmax) for k in range(2**dmax + 1)]
-    C_h = cumulative_coeffs(h, basis, points)
-    C_g = cumulative_coeffs(g, basis, points)
+    C_h, C_g = (cumulative_coeffs(f, basis, points) for f in (h, g))
     B = cumulative_triangle(h, g, basis, [1])[0]
     A = 0.5 * (B + B.T)
     trace = np.trace(A)
-    # per depth: left points c_h(t_k) and increments c_g(t_{k+1}) - c_g(t_k)
-    sums = [(C_h[::s][:-1].T, (C_g[::s][1:] - C_g[::s][:-1]).T) for s in strides]
+    P = np.array([C_h[::s][:-1].T @ (C_g[::s][1:] - C_g[::s][:-1]) for s in strides])
+    D = 0.5 * (P + P.transpose(0, 2, 1)) - A
     err = np.empty((len(depths), paths))
     for lo, Xb in blocks:
-        I = _quadratic_form(Xb, A) - trace
-        for row, (left, dg) in zip(err, sums):
-            S = ((Xb @ left) * (Xb @ dg)).sum(axis=1)
-            row[lo : lo + len(Xb)] = (S - I) ** 2
+        errb = err[:, lo : lo + len(Xb)]
+        _form_table(Xb, D, errb)
+        np.square(errb + trace, out=errb)
     rows = [{"depth": d, "err": _stats(e)} for d, e in zip(depths, err)]
     return {"N": N, "paths": paths, "seed": seed, "rows": rows}

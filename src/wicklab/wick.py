@@ -141,7 +141,8 @@ def ode_residual(w: WickPolynomial, m: MomentSequence, which: int) -> Poly:
     if which == 1:
         b = recurrence_aux(m, n)
         res = p_scale(p, Q(n))
-        res = p_add(res, p_scale(p_mul([-m[1], Q(1)], p_deriv(p)), Q(-1)))
+        if n:  # the drift term (x - m_1) W' vanishes with W' at n = 0
+            res = p_add(res, p_scale(p_mul([-m[1], Q(1)], p_deriv(p)), Q(-1)))
         for k in range(2, n + 1):
             res = p_add(res, p_scale(p_deriv(p, k), b[k] / math.factorial(k)))
         return p_trim(res)

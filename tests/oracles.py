@@ -12,10 +12,19 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from wicklab.chaos.basis import PiecewisePoly
-from wicklab.chaos.experiments import _BLOCK_BYTES, _path_blocks, _quadratic_form, _skewness, _stats
+from wicklab.chaos.basis import LegendreBasis, PiecewisePoly
+from wicklab.chaos.experiments import (
+    _BLOCK_BYTES,
+    _path_blocks,
+    _quadratic_form,
+    _skewness,
+    _stats,
+    cumulative_coeffs,
+    cumulative_triangle,
+)
 from wicklab.chaos.tensors import _mask, _pairings
 from wicklab.exact import RadSum, p_add, p_antideriv, p_eval, p_integrate, p_mul, rad_form
+from wicklab.laws import sample
 from wicklab.wick import expect_poly
 
 
@@ -161,6 +170,29 @@ def qv_rows_per_increment(B, G, g, strides, law, paths, seed, rows=None) -> list
                 ),
             }
         )
+    return rows
+
+
+def riemann_rows_by_products(h, g, N, law, depths, paths, seed) -> list:
+    """The Riemann rows by the sums' definition over the whole sample: for
+    each depth, S = sum_k (x . c_h(t_k)) (x . dc_g(k)) from the (paths x 2^d)
+    products of the sample with the left points and the increments, against
+    I = x' A x - tr A."""
+    basis = LegendreBasis(N)
+    dmax = max(depths)
+    points = [Q(k, 2**dmax) for k in range(2**dmax + 1)]
+    C_h = cumulative_coeffs(h, basis, points)
+    C_g = cumulative_coeffs(g, basis, points)
+    B = cumulative_triangle(h, g, basis, [1])[0]
+    A = 0.5 * (B + B.T)
+    X = sample(law, seed, paths * N).reshape(paths, N)
+    I = _quadratic_form(X, A) - np.trace(A)
+    rows = []
+    for d in depths:
+        stride = 2 ** (dmax - d)
+        ch, cg = C_h[::stride], C_g[::stride]
+        S = ((X @ ch[:-1].T) * (X @ (cg[1:] - cg[:-1]).T)).sum(axis=1)
+        rows.append({"depth": d, "err": _stats((S - I) ** 2)})
     return rows
 
 

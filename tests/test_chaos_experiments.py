@@ -25,7 +25,7 @@ from wicklab.chaos.identities import fourth_moment_grid
 from wicklab.chaos.tensors import GammaTables
 from wicklab.laws import Law, sample, standardized_moments
 
-from oracles import antiderivative, mul_poly, qv_rows_per_increment
+from oracles import antiderivative, mul_poly, qv_rows_per_increment, riemann_rows_by_products
 
 ONE = PiecewisePoly.constant(1)
 
@@ -57,7 +57,7 @@ def close(a, b):
 
 def test_exact_and_float_kernel_engines_agree():
     b = LegendreBasis(12)
-    Bfl, Gfl, gfl = legendre_float_cumulative(12, 3, 1.0)
+    Bfl, Gfl, gfl = legendre_float_cumulative(12, 3, 1)
     assert Bfl.shape == (9, 12, 12) and not Bfl[0].any()
     for k in (1, 3, 8):
         assert close(Bfl[k], exact_B(ONE, ONE, b, Q(k, 8)))
@@ -68,6 +68,26 @@ def test_exact_and_float_kernel_engines_agree():
 # non-dyadic cuts; h1 vanishes on (5/7, 1] and h2 on (2/7, 1/3]
 H1 = PiecewisePoly(((Q(0), Q(1, 3), (Q(1), Q(2))), (Q(1, 3), Q(5, 7), (Q(-1), Q(0), Q(3)))))
 H2 = PiecewisePoly(((Q(0), Q(2, 7), (Q(2),)), (Q(1, 3), Q(1), (Q(1), Q(-3, 2)))))
+RISE = PiecewisePoly(((Q(0), Q(1), (Q(1), Q(2))),))  # 1 + 2y
+FALL = PiecewisePoly(((Q(0), Q(1), (Q(3), Q(-1))),))  # 3 - y
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cumulative_triangle(ONE, ONE, LegendreBasis(2), [0.1]),
+        lambda: cumulative_coeffs(ONE, LegendreBasis(2), [Q(1, 2), 0.5]),
+        lambda: qv_rhs_quadratics(ONE, ONE, LegendreBasis(2), 0.1),
+        lambda: legendre_float_cumulative(2, 1, 0.1),
+        lambda: qv_experiment(ONE, ONE, 0.1, 2, Law.normal(), [1], 10, 0),
+        lambda: qv_joint_refinement(Law.normal(), [(2, 1)], 10, 0, t=0.1),
+    ],
+    ids=["triangle", "coeffs", "rhs", "legendre", "qv", "joint"],
+)
+def test_float_kernel_routes_take_exact_points_only(call):
+    # a float's binary expansion is not the rational it was written as
+    with pytest.raises(TypeError, match="exact rational"):
+        call()
 
 
 @pytest.mark.parametrize("N", [3, 16])
@@ -205,9 +225,8 @@ def _qv_rows_oracle(B, G, g, strides, law, paths, seed):
     """The per-increment QV body: every increment of every stride gets its
     own quadratic form over all paths at once."""
     N = G.shape[0]
-    m3 = float(standardized_moments(law, 3)[3])
     X = sample(law, seed, paths * N).reshape(paths, N)
-    RHS = np.einsum("pi,pi->p", X @ G, X) + m3 * (X @ g)
+    RHS = np.einsum("pi,pi->p", X @ G, X) + _skewness(law) * np.einsum("pi,i->p", X, g)
     rows = []
     for stride in strides:
         Bd = B[::stride]
@@ -248,7 +267,8 @@ def assert_rows_match(rows, expected):
 
 # The body walks the paths in blocks of
 # min(2**19, 8 paths N) // (8 (N + 3 2**depth)) rows: 1024 at N = 16 and 408
-# at N = 1 (depth 4), so 7777 and 20001 paths end on a partial block.
+# at N = 1 (depth 4) and 18 at N = 16 (depth 7, 456 paths), so 7777, 20001
+# and 456 paths end on a partial block.
 @pytest.mark.parametrize(
     "h1, h2, N, depths, paths, law",
     [
@@ -258,6 +278,7 @@ def assert_rows_match(rows, expected):
         (ONE, ONE, 8, [0], 3000, Law.normal()),
         (H1, ONE, 1, [2, 0, 4], 20_001, Law.exponential(1)),
         (H1, H2, 16, [4, 1, 3], 7777, Law.normal()),
+        (RISE, FALL, 16, [7, 2], 456, Law.exponential(1)),
     ],
 )
 def test_qv_rows_match_per_increment_oracle(h1, h2, N, depths, paths, law):
@@ -273,6 +294,16 @@ def test_qv_rows_match_per_increment_oracle(h1, h2, N, depths, paths, law):
         assert row["rhs"] == exp["rhs"]
         if d == dmax:
             assert {k: row[k] for k in exp} == exp
+
+
+@pytest.mark.parametrize("paths", [456, 2000])
+def test_qv_rows_match_per_increment_oracle_at_depth_7(paths):
+    # the oracle's m3 g.x is the body's row-wise einsum: one GEMV over all
+    # paths rounds the RHS mean differently at these shapes and this seed
+    law = Law.exponential(1)
+    (row,) = qv_experiment(RISE, FALL, Q(1), 16, law, [7], paths, 5)["rows"]
+    (expected,) = _qv_rows_oracle(*_dyadic_kernels(RISE, FALL, 16, 7), [1], law, paths, 5)
+    assert {k: row[k] for k in expected} == expected
 
 
 def test_qv_joint_refinement_matches_per_increment_oracle():
@@ -366,9 +397,8 @@ def test_qv_rows_peak_memory_within_per_increment_oracle(N, dmax, paths, law):
     assert _traced_peak(_qv_rows, *args) <= _traced_peak(_qv_rows_oracle, *args)
 
 
-def _riemann_oracle(h, g, N, law, depths, paths, seed):
-    """The full-array Riemann body: for each depth, the (paths x 2^d) products
-    of the whole sample with the left points and the increments."""
+def _riemann_kernels(h, g, N, depths):
+    """(D, tr A): the body's kernels x' D_d x + tr A = S_d - I, one per depth."""
     basis = LegendreBasis(N)
     dmax = max(depths)
     points = [Q(k, 2**dmax) for k in range(2**dmax + 1)]
@@ -376,18 +406,22 @@ def _riemann_oracle(h, g, N, law, depths, paths, seed):
     C_g = cumulative_coeffs(g, basis, points)
     B = cumulative_triangle(h, g, basis, [1])[0]
     A = 0.5 * (B + B.T)
-    X = sample(law, seed, paths * N).reshape(paths, N)
-    I = np.einsum("pi,pi->p", X @ A, X) - np.trace(A)
-    rows = []
+    D = []
     for d in depths:
-        stride = 2 ** (dmax - d)
-        ch = C_h[::stride]
-        cg = C_g[::stride]
-        dg = cg[1:] - cg[:-1]
-        left = X @ ch[:-1].T
-        right = X @ dg.T
-        S = (left * right).sum(axis=1)
-        err = (S - I) ** 2
+        s = 2 ** (dmax - d)
+        P = C_h[::s][:-1].T @ (C_g[::s][1:] - C_g[::s][:-1])
+        D.append(0.5 * (P + P.T) - A)
+    return D, np.trace(A)
+
+
+def _riemann_oracle(h, g, N, law, depths, paths, seed):
+    """The full-array Riemann body: for each depth, the quadratic form
+    x' D_d x + tr A = S_d - I over the whole sample at once."""
+    D, trace = _riemann_kernels(h, g, N, depths)
+    X = sample(law, seed, paths * N).reshape(paths, N)
+    rows = []
+    for d, Dd in zip(depths, D):
+        err = (np.einsum("pi,pi->p", X @ Dd, X) + trace) ** 2
         rows.append(
             {
                 "depth": d,
@@ -397,30 +431,68 @@ def _riemann_oracle(h, g, N, law, depths, paths, seed):
     return rows
 
 
-# The body walks the paths in blocks of 2**19 // (8 (N + 3 2**dmax)) rows:
-# 2048 at N = 8 (depth 3) and 1024 at N = 16 (depth 4), so 5000 and 7777
-# paths end on a partial block.  (From N = 32 on, OpenBLAS may round a
-# block's products differently from the whole sample's, in the last bits.)
-@pytest.mark.parametrize(
-    "h, g, N, depths, paths, law",
-    [
-        (ONE, ONE, 8, [3, 1, 3, 2], 3000, Law.normal()),
-        (ONE, ONE, 8, [0], 3000, Law.normal()),
-        (H1, H2, 8, [2, 0, 3], 5000, Law.exponential(1)),
-        (H1, ONE, 16, [4, 1, 2, 3], 7777, Law.poisson(1)),
-        (ONE, H2, 1, [1, 3], 2, Law.exponential(1)),
-        (ONE, ONE, 16, [1, 2, 3, 4], 20_000, Law.normal()),
-    ],
-)
+# The body walks the paths in blocks of 2**19 // (8 (2N + depths)) rows:
+# 3276 at N = 8 (four depths), 3449 at N = 8 (three) and 1820 at N = 16
+# (four), so 5000, 7777 and 20000 paths end on a partial block.  (At
+# N = 17-19, 25-27, 33-35 and N > 40, OpenBLAS may round a block's products
+# differently from the whole sample's, in the last bits.)
+RIEMANN_SHAPES = [
+    (ONE, ONE, 8, [3, 1, 3, 2], 3000, Law.normal()),
+    (ONE, ONE, 8, [0], 3000, Law.normal()),
+    (H1, H2, 8, [2, 0, 3], 5000, Law.exponential(1)),
+    (H1, ONE, 16, [4, 1, 2, 3], 7777, Law.poisson(1)),
+    (ONE, H2, 1, [1, 3], 2, Law.exponential(1)),
+    (ONE, ONE, 16, [1, 2, 3, 4], 20_000, Law.normal()),
+]
+
+
+@pytest.mark.parametrize("h, g, N, depths, paths, law", RIEMANN_SHAPES)
 def test_riemann_rows_match_full_array_oracle(h, g, N, depths, paths, law):
     rep = riemann_experiment(h, g, N, law, depths, paths, 4)
     assert (rep["N"], rep["paths"], rep["seed"]) == (N, paths, 4)
     assert rep["rows"] == _riemann_oracle(h, g, N, law, depths, paths, 4)
 
 
+@pytest.mark.parametrize("h, g, N, depths, paths, law", RIEMANN_SHAPES)
+def test_riemann_rows_match_the_sums_definition(h, g, N, depths, paths, law):
+    # one form per depth against the sums' own (paths x 2^d) products: the
+    # two round differently, in the last bits
+    rows = riemann_experiment(h, g, N, law, depths, paths, 4)["rows"]
+    expected = riemann_rows_by_products(h, g, N, law, depths, paths, 4)
+    assert [row["depth"] for row in rows] == [row["depth"] for row in expected]
+    for row, exp in zip(rows, expected):
+        for stat in ("mean", "stderr"):
+            assert row["err"][stat] == pytest.approx(exp["err"][stat], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "h, g, N, depths, law",
+    [
+        (ONE, ONE, 16, [1, 2, 3, 4], Law.normal()),
+        (H1, RISE, 8, [0, 1, 2, 3, 5], Law.exponential(1)),
+        (ONE, ONE, 12, [1, 3], Law.poisson(1)),
+    ],
+    ids=["normal", "exponential", "poisson"],
+)
+def test_riemann_error_mean_matches_closed_form(h, g, N, depths, law):
+    # S_d - I = x' D_d x + tr A for standardized iid x, so
+    # E|S_d - I|^2 = 2 sum_{j != k} D_jk^2 + (m4 - 1) sum_j D_jj^2 + (tr P_d)^2,
+    # as tr D_d + tr A = tr P_d
+    paths = 200_000
+    rep = riemann_experiment(h, g, N, law, depths, paths, 3)
+    m4 = float(standardized_moments(law, 4)[4])
+    D, trace = _riemann_kernels(h, g, N, depths)
+    for row, Dd in zip(rep["rows"], D):
+        diag = np.diag(Dd)
+        exact = 2 * ((Dd**2).sum() - (diag**2).sum()) + (m4 - 1) * (diag**2).sum()
+        exact += (diag.sum() + trace) ** 2
+        err = row["err"]
+        assert abs(err["mean"] - exact) < 5 * err["stderr"], (row["depth"], err, exact)
+
+
 def test_riemann_peak_memory_below_half_the_full_array_oracle():
-    # a block's products and the (depths x paths) error table, against the
-    # whole sample's (paths x 2^d) products: about 0.3 of the oracle's peak
+    # a block's rows and products and the (depths x paths) error table,
+    # against the whole sample and its product with each D_d
     args = (ONE, ONE, 16, Law.normal(), [1, 2, 3, 4], 20_000, 5)
     assert 2 * _traced_peak(riemann_experiment, *args) <= _traced_peak(_riemann_oracle, *args)
 

@@ -32,6 +32,15 @@ def test_wick_table_exponential(capsys):
     assert w3["value"]["coeffs"] == ["0", "0", "-3/2", "1"]
 
 
+@pytest.mark.parametrize("law", ["normal", "exponential:2"])
+def test_wick_table_at_max_n_0_is_w0(capsys, law):
+    # W_0 = 1 has no drift term in the first differential equation
+    code, rep = run_cli(capsys, "wick", "table", "--law", law, "--max-n", "0")
+    assert code == 0 and rep["status"] == "pass"
+    assert [r["name"] for r in rep["results"]] == ["W_0", "table_text"]
+    assert rep["results"][0]["value"]["coeffs"] == ["1"]
+
+
 def test_discrete_nmax(capsys):
     code, rep = run_cli(capsys, "discrete", "nmax", "--n", "8")
     assert code == 0
