@@ -14,7 +14,13 @@ exact kernels of the identities stay in ``triangle_kernel``).  Monte Carlo
 fills tables of quadratic forms x' A_k x per block of paths (``_form_table``):
 one per increment of the finest partition for the quadratic variation, whose
 coarser partitions' tables are sums of adjacent pairs of rows, and one per
-depth for the Riemann sums, which are quadratic forms themselves.
+depth for the Riemann sums, which are quadratic forms themselves.  A table
+of K forms in N variables takes one product per matrix, or, for K > N and
+N <= 32, one GEMM over each path's N (N + 1) / 2 products x_i x_j.  The
+first route rounds as one form per matrix over the whole sample does; the
+second sums in another order, so its forms, and the rows taken from them,
+can move in the last bits against the first.  Every table of ``wicklab
+all`` takes the first.
 
 Both Monte Carlo bodies walk the sample X in blocks of rows sized by
 ``_BLOCK_BYTES`` and draw each block from one ``Sampler`` stream just before
@@ -192,18 +198,75 @@ def _dyadic_strides(depths: Sequence[int]) -> tuple:
 _BLOCK_BYTES = 2**19
 
 
+# Bytes of float arrays one quadratic-variation call may hold: 2^dmax + 1
+# cumulative kernels of N^2 floats and (depths + 1) tables of ``paths``
+# floats.  It admits (N, depth) = (1024, 6), whose kernels take 545 MB.
+_QV_MAX_BYTES = 2**30
+
+
+def _check_qv_size(N: int, depths: Sequence[int], paths: int) -> None:
+    """Reject a quadratic-variation call whose kernels and tables would exceed
+    ``_QV_MAX_BYTES``, before any point of its grid is built."""
+    dmax = max(depths)
+    # past depth 64 the kernels alone exceed any cap
+    need = 8 * ((2 ** min(dmax, 64) + 1) * N * N + (len(depths) + 1) * paths)
+    if need > _QV_MAX_BYTES:
+        raise ValueError(
+            f"truncation {N}, depths up to {dmax} and {paths} paths need {need} bytes "
+            f"of kernels and tables, above the cap of {_QV_MAX_BYTES}"
+        )
+
+
 def _quadratic_form(X: np.ndarray, A: np.ndarray) -> np.ndarray:
     """x' A x for each row x of X, by one matrix product."""
     return np.einsum("pi,pi->p", X @ A, X)
 
 
-def _form_table(Xb: np.ndarray, A: np.ndarray, out: np.ndarray) -> None:
-    """out[k] = x' A_k x for each row x of Xb: one batched product Xb @ A_k
-    per chunk of max(1, K // N) matrices (no larger than the table) and one
-    ``einsum``, so the bits of :func:`_quadratic_form` per matrix."""
-    chunk = max(1, len(A) // Xb.shape[1])
-    for k in range(0, len(A), chunk):
-        np.einsum("kpi,pi->kp", np.matmul(Xb, A[k : k + chunk]), Xb, out=out[k : k + chunk])
+def _form_table(A: np.ndarray) -> tuple:
+    """(fill, work): fill(Xb, out) sets out[k] = x' A_k x for each row x of
+    Xb, and takes ``work`` floats of work space per row.  Of two routes, the
+    shape (K, N, N) of A chooses one:
+
+    * one product Xb @ A_k and one row-wise ``einsum`` per matrix, the bits
+      of :func:`_quadratic_form` per matrix (work: the product's N floats);
+    * for K > N and N <= 32, one GEMM: x' A x = sum_{i <= j} W_ij x_i x_j,
+      with W = A + A' above the diagonal and A_ii on it (the
+      half-vectorization identity), so a block takes its N (N + 1) / 2
+      products x_i x_j once and all K forms against the packed upper
+      triangles W_k, built here once for every block (work: the transposed
+      rows, the products and their temporary).  Its sums run in another
+      order, so a form can move in the last bits against the other route.
+
+    The GEMM route takes about half the multiply-adds, K N (N + 1) / 2 plus
+    the products per row against K N (N + 1), in one call instead of K.
+    With one BLAS thread on a 2-vCPU Xeon (AVX-512), filling the tables of
+    the quadratic-variation body by it took, over the per-matrix route, 0.16
+    of the time at (N, K) = (8, 64), 0.28 at (16, 128), 0.45 at (8, 9) and
+    0.57 at (16, 17); at K <= N it took 0.44 at (8, 8) and 0.84 at (8, 4),
+    but 3.2 at (64, 8).  The rule K > N keeps every table with K <= N, and
+    so every table of ``wicklab all``, on the per-matrix route's bits.  Past
+    N = 32 a block holds few rows of N^2 products: the whole body took 1.16
+    times as long at (48, 64) and 1.22 at (64, 128) (1.04 at (32, 64), 0.80
+    at (32, 128)), hence N <= 32.
+    """
+    K, N = A.shape[:2]
+    if K <= N or N > 32:
+
+        def fill(Xb: np.ndarray, out: np.ndarray) -> None:
+            for k, Ak in enumerate(A):
+                np.einsum("pi,pi->p", Xb @ Ak, Xb, out=out[k])
+
+        return fill, N
+    i, j = np.triu_indices(N)
+    W = A[:, i, j] + (i != j) * A[:, j, i]
+
+    def fill(Xb: np.ndarray, out: np.ndarray) -> None:
+        XT = np.ascontiguousarray(Xb.T)
+        F = XT[i]
+        F *= XT[j]
+        np.matmul(W, F, out=out)
+
+    return fill, N * (N + 2)
 
 
 def _path_blocks(law: Law, seed: int, paths: int, N: int, rows: int):
@@ -250,12 +313,13 @@ def _qv_rows(
     linear in A, so an increment of stride 2s is the sum of two adjacent
     increments of stride s.  Per block of paths, :func:`_form_table` fills
     the (K x rows) table of finest increments.  Each read level's QV is the
-    table's squares summed over k in order (numpy sums a single column
-    pairwise, so a one-row block adds in Python), and the next level's table
-    is the sums of adjacent pairs of rows.  A block has
-    ``min(_BLOCK_BYTES, 8 paths N) // (8 (N + 3K))`` rows (at least one) --
-    its rows, its table, the next level's and one product -- so it never
-    costs more than the whole sample would.  The block also takes
+    table's squares summed over k in order, in one ``einsum`` pass (which
+    sums a single column in another order, so a one-row block adds in
+    Python), and the next level's table is the sums of adjacent pairs of
+    rows.  A block has ``min(_BLOCK_BYTES, 8 paths N) // (8 (N + 2K + w))``
+    rows (at least one) -- its rows, its table, the next level's and the
+    form table's w floats of work space per row (:func:`_form_table`) --
+    so it never costs more than the whole sample would.  The block also takes
     RHS = x' G x + m3 g.x, the linear term by a row-wise ``einsum`` that a
     split by rows does not round differently.  Each block is drawn just
     before it is used, so the call holds the QV and RHS tables and one
@@ -265,7 +329,8 @@ def _qv_rows(
     A = B[1:] - B[:-1]
     K = len(A)
     traces = np.trace(A, axis1=1, axis2=2)[:, None]
-    block = min(_BLOCK_BYTES, 8 * paths * N) // (8 * (N + 3 * K))
+    fill, work = _form_table(A)
+    block = min(_BLOCK_BYTES, 8 * paths * N) // (8 * (N + 2 * K + work))
     blocks = _path_blocks(law, seed, paths, N, block)
     m3 = _skewness(law)
     at_level = [[i for i, s in enumerate(strides) if s == 1 << l] for l in range(K.bit_length())]
@@ -276,14 +341,16 @@ def _qv_rows(
         n = len(Xb)
         RHS[lo : lo + n] = _quadratic_form(Xb, G) + m3 * np.einsum("pi,i->p", Xb, g)
         inc = np.empty((K, n))
-        _form_table(Xb, A, inc)
+        fill(Xb, inc)
         inc -= traces
         for level in range(top):
             up = inc[0::2] + inc[1::2] if level + 1 < top else None
             if at_level[level]:
-                np.square(inc, out=inc)
-                # summed over k in order: numpy sums a lone column pairwise
-                qv = inc.sum(axis=0) if n > 1 else sum(inc[:, 0].tolist())
+                # summed over k in order: einsum sums a lone column otherwise
+                if n > 1:
+                    qv = np.einsum("kp,kp->p", inc, inc)
+                else:
+                    qv = sum(x * x for x in inc[:, 0].tolist())
                 QV[at_level[level], lo : lo + n] = qv
             inc = up
     rhs, rhs_sd = _stats(RHS), RHS.std(ddof=1)
@@ -333,6 +400,7 @@ def qv_experiment(
         raise ValueError(f"basis has {basis.N} functions, truncation N is {N}")
     t = as_fraction(t)
     dmax, strides = _dyadic_strides(depths)
+    _check_qv_size(N, depths, paths)
     rows = _qv_rows(*_qv_kernels(h1, h2, basis, t, dmax), strides, law, paths, seed)
     rows = [{"depth": d, **row} for d, row in zip(depths, rows)]
     return {"t": str(t), "N": N, "paths": paths, "seed": seed, "rows": rows}
@@ -352,6 +420,8 @@ def qv_joint_refinement(
     :func:`qv_experiment`'s at that N and depth (same kernels, same sample);
     deep schedules such as (256, 5) take seconds."""
     t, rows = as_fraction(t), []
+    for N, d in pairs:
+        _check_qv_size(N, [d], paths)
     for N, d in pairs:
         (row,) = _qv_rows(*_qv_kernels(h1, h2, LegendreBasis(N), t, d), [1], law, paths, seed)
         rows.append({"N": N, "depth": d, **row})
@@ -379,7 +449,6 @@ def riemann_experiment(
     """
     basis = LegendreBasis(N)
     dmax, strides = _dyadic_strides(depths)
-    blocks = _path_blocks(law, seed, paths, N, _BLOCK_BYTES // (8 * (2 * N + len(depths))))
     points = [Q(k, 2**dmax) for k in range(2**dmax + 1)]
     C_h, C_g = (cumulative_coeffs(f, basis, points) for f in (h, g))
     B = cumulative_triangle(h, g, basis, [1])[0]
@@ -387,10 +456,13 @@ def riemann_experiment(
     trace = np.trace(A)
     P = np.array([C_h[::s][:-1].T @ (C_g[::s][1:] - C_g[::s][:-1]) for s in strides])
     D = 0.5 * (P + P.transpose(0, 2, 1)) - A
-    err = np.empty((len(depths), paths))
+    fill, work = _form_table(D)
+    K = len(D)
+    blocks = _path_blocks(law, seed, paths, N, _BLOCK_BYTES // (8 * (N + K + work)))
+    err = np.empty((K, paths))
     for lo, Xb in blocks:
         errb = err[:, lo : lo + len(Xb)]
-        _form_table(Xb, D, errb)
+        fill(Xb, errb)
         np.square(errb + trace, out=errb)
     rows = [{"depth": d, "err": _stats(e)} for d, e in zip(depths, err)]
     return {"N": N, "paths": paths, "seed": seed, "rows": rows}

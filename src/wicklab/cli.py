@@ -123,6 +123,18 @@ def _rounding_check(name: str, worst: float) -> Check:
     return Check(name, "estimate", worst, tol=1e-10, passed=worst < 1e-10)
 
 
+def _seed(text: str) -> int:
+    """The value of a --seed option: an integer >= 0 that the samplers'
+    64-bit seed holds."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"must be >= 0 and < 2**64, got {seed}")
+    return seed
+
+
 def _at_least_one(args, option: str) -> None:
     """Reject a size below 1, which would leave nothing to check."""
     if getattr(args, option) < 1:
@@ -389,7 +401,13 @@ def run_chaos_qv(args) -> ExperimentReport:
             "joint": bool(args.joint),
         },
     )
-    table = chaos.qv_experiment(h1, h2, Q(1), N, law, depths, args.paths, args.seed)
+    try:
+        table = chaos.qv_experiment(h1, h2, Q(1), N, law, depths, args.paths, args.seed)
+        if args.joint:
+            pairs = [(4, 1), (8, 2), (16, 3), (32, 4)]
+            joint = chaos.qv_joint_refinement(law, pairs, args.paths, args.seed, h1=h1, h2=h2)
+    except ValueError as exc:
+        raise ValueError(f"--truncation/--depths/--paths: {exc}") from None
     if args.csv:
         with _open_for_write(args.csv, "--csv") as fh:
             fh.write("depth,estimate,stderr\n")
@@ -413,8 +431,6 @@ def run_chaos_qv(args) -> ExperimentReport:
             )
         )
     if args.joint:
-        pairs = [(4, 1), (8, 2), (16, 3), (32, 4)]
-        joint = chaos.qv_joint_refinement(law, pairs, args.paths, args.seed, h1=h1, h2=h2)
         errs = [row["err"]["mean"] for row in joint["rows"]]
         rep.add(
             Check("joint_refinement_error_decreasing", "estimate", errs, passed=_decreasing(errs))
@@ -617,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--delta", default="1/5")
     v.add_argument("--depth", type=int, default=8)
     v.add_argument("--tuples", type=int, default=3)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_seed, default=0)
     v.set_defaults(func=run_rademacher_verify)
 
     dc = sub.add_parser("discrete", help="finite-space independence")
@@ -638,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_options = {
         "law": {"required": True},
         "truncation": {"type": int, "default": 8},
-        "seed": {"type": int, "default": 0},
+        "seed": {"type": _seed, "default": 0},
         "paths": {"type": int, "default": QUICK_PATHS},
         "depths": {"default": "3,4,5,6"},
         "count": {"type": int, "default": 5},
@@ -663,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     al = sub.add_parser("all", help="the full verification battery")
     al.add_argument("--quick", action="store_true")
-    al.add_argument("--seed", type=int, default=42)
+    al.add_argument("--seed", type=_seed, default=42)
     al.set_defaults(func=run_all)
     return ap
 

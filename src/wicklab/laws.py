@@ -314,6 +314,8 @@ class Sampler:
     def __init__(self, law: Law, seed: int):
         if law.kind not in _SAMPLED_KINDS:
             raise NoSamplerError(f"law kind {law.kind!r} has no sampler")
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2**64): {seed}")
         self.law = law
         self._rng = np.random.default_rng([np.uint64(seed), np.uint64(0)])
 

@@ -11,7 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 from wicklab.chaos.basis import LegendreBasis, PiecewisePoly, coeffs_of, triangle_kernel
 from wicklab.chaos.experiments import (
     _BLOCK_BYTES,
+    _check_qv_size,
+    _form_table,
     _qv_rows,
+    _quadratic_form,
     _skewness,
     cumulative_coeffs,
     cumulative_triangle,
@@ -256,19 +259,29 @@ def _dyadic_kernels(h1, h2, N, dmax):
 
 
 def assert_rows_match(rows, expected):
+    """Every statistic within 1e-12 relative rounding, ``mean_gap`` on the
+    scale of the two means it is the difference of."""
     assert len(rows) == len(expected)
     for row, exp in zip(rows, expected):
         for key in ("err", "qv", "rhs"):
             for stat in ("mean", "stderr"):
                 assert row[key][stat] == pytest.approx(exp[key][stat], rel=1e-12, abs=0), (key, stat)
-        for key in ("mean_gap", "mean_gap_stderr"):
-            assert row[key] == pytest.approx(exp[key], rel=1e-12, abs=0), key
+        assert row["mean_gap_stderr"] == pytest.approx(exp["mean_gap_stderr"], rel=1e-12, abs=0)
+        scale = abs(exp["qv"]["mean"]) + abs(exp["rhs"]["mean"])
+        assert abs(row["mean_gap"] - exp["mean_gap"]) <= 1e-12 * scale, "mean_gap"
 
 
-# The body walks the paths in blocks of
-# min(2**19, 8 paths N) // (8 (N + 3 2**depth)) rows: 1024 at N = 16 and 408
-# at N = 1 (depth 4) and 18 at N = 16 (depth 7, 456 paths), so 7777, 20001
-# and 456 paths end on a partial block.
+def _gemm_route(N, K):
+    """Whether a table of K forms in N variables takes the GEMM route."""
+    return N < K and N <= 32
+
+
+# The body walks the paths in blocks of min(2**19, 8 paths N) // (8 (N + 2K + w))
+# rows, K = 2**depth, with w = N (N + 2) on the GEMM route (K > N, N <= 32)
+# and w = N otherwise: 1024 at N = 16 (depth 4), 555 at N = 1 (depth 4) and
+# 13 at N = 16 (depth 7, 456 paths), so 7777 and 20001 paths end on a
+# partial block and 456 on a one-row block.  N = 1 and depth 4, and N = 16
+# and depth 7, take the GEMM route.
 @pytest.mark.parametrize(
     "h1, h2, N, depths, paths, law",
     [
@@ -289,21 +302,24 @@ def test_qv_rows_match_per_increment_oracle(h1, h2, N, depths, paths, law):
     assert [row["depth"] for row in rep["rows"]] == list(depths)
     assert_rows_match(rep["rows"], expected)
     # the block's x' G x plus one m3 g.x over all paths is the oracle's RHS,
-    # and the finest increments are the oracle's own, in the oracle's order
+    # and the finest increments are the oracle's own, in the oracle's order,
+    # where the body takes one product per increment (off the GEMM route)
     for row, exp, d in zip(rep["rows"], expected, depths):
         assert row["rhs"] == exp["rhs"]
-        if d == dmax:
+        if d == dmax and not _gemm_route(N, 2**dmax):
             assert {k: row[k] for k in exp} == exp
 
 
 @pytest.mark.parametrize("paths", [456, 2000])
 def test_qv_rows_match_per_increment_oracle_at_depth_7(paths):
     # the oracle's m3 g.x is the body's row-wise einsum: one GEMV over all
-    # paths rounds the RHS mean differently at these shapes and this seed
+    # paths rounds the RHS mean differently at these shapes and this seed;
+    # the K = 128 increments at N = 16 take the GEMM route, within rounding
     law = Law.exponential(1)
     (row,) = qv_experiment(RISE, FALL, Q(1), 16, law, [7], paths, 5)["rows"]
     (expected,) = _qv_rows_oracle(*_dyadic_kernels(RISE, FALL, 16, 7), [1], law, paths, 5)
-    assert {k: row[k] for k in expected} == expected
+    assert row["rhs"] == expected["rhs"]
+    assert_rows_match([row], [expected])
 
 
 def test_qv_joint_refinement_matches_per_increment_oracle():
@@ -319,9 +335,12 @@ def test_qv_joint_refinement_matches_per_increment_oracle():
 
 def _qv_block_rows(paths, N, K):
     """Rows per block of ``_qv_rows``: its rows, increment table, the next
-    level's table and one product chunk in ``_BLOCK_BYTES``, capped at the
-    bytes of the whole sample."""
-    return max(1, min(_BLOCK_BYTES, 8 * paths * N) // (8 * (N + 3 * K)))
+    level's table and the form table's work space in ``_BLOCK_BYTES``, capped
+    at the bytes of the whole sample.  The work space is one product, or on
+    the GEMM route (K > N, N <= 32) the transposed rows, the products
+    x_i x_j and their temporary."""
+    work = N * (N + 2) if _gemm_route(N, K) else N
+    return max(1, min(_BLOCK_BYTES, 8 * paths * N) // (8 * (N + 2 * K + work)))
 
 
 def _last_block(paths, N, K) -> str:
@@ -351,20 +370,65 @@ def _qv_shapes(draw):
 @example((17, 64, [64, 1, 2], 101), Law.exponential(1), 1)
 @example((64, 128, [128, 1], 5), Law.normal(), 2)
 @example((1, 1, [1, 1], 2), Law.exponential(1), 3)
+@example((32, 64, [64, 1, 2], 33), Law.normal(), 4)
 @settings(max_examples=60, deadline=None)
 def test_qv_rows_match_per_increment_body(shape, law, seed):
     # the increment table, its level sums and the statistics tail give every
     # row of the per-increment body on the same blocks of paths, whatever
     # the shape (other blocks can move a row in the last bits through the
-    # BLAS, see the experiments module); the kernels need not be symmetric
+    # BLAS, see the experiments module): the same bits where the table takes
+    # one product per increment, within rounding on the GEMM route; the
+    # kernels need not be symmetric
     N, K, strides, paths = shape
     rng = np.random.default_rng(seed)
     B, G = rng.standard_normal((K + 1, N, N)), rng.standard_normal((N, N))
     g = rng.standard_normal(N)
-    rows = _qv_block_rows(paths, N, K)
-    assert _qv_rows(B, G, g, strides, law, paths, seed) == qv_rows_per_increment(
-        B, G, g, strides, law, paths, seed, rows
-    )
+    rows = _qv_rows(B, G, g, strides, law, paths, seed)
+    expected = qv_rows_per_increment(B, G, g, strides, law, paths, seed, _qv_block_rows(paths, N, K))
+    if _gemm_route(N, K):
+        assert_rows_match(rows, expected)
+    else:
+        assert rows == expected
+
+
+@st.composite
+def _form_shapes(draw):
+    """(K, N, rows): K on both sides of K = N, N on both sides of 32, and a
+    block of one row, a partial block or a full block of ``_qv_rows``."""
+    N = draw(st.one_of(st.integers(1, 24), st.integers(30, 36)))
+    K = draw(st.sampled_from([1, max(1, N - 1), N, N + 1, 2 * N, draw(st.integers(1, 80))]))
+    full = _qv_block_rows(10**6, N, K)
+    rows = draw(st.sampled_from([1, full, draw(st.integers(2, max(2, full - 1)))]))
+    return K, N, rows
+
+
+@given(_form_shapes(), st.integers(0, 2**32 - 1))
+@example((8, 8, 1), 0)
+@example((9, 8, 315), 1)
+@example((17, 16, 2), 2)
+@example((64, 8, 315), 3)
+@example((64, 32, 44), 4)
+@example((66, 33, 40), 5)
+@settings(max_examples=80, deadline=None)
+def test_form_table_matches_one_form_per_matrix(shape, seed):
+    # out[k] = x' A_k x for non-symmetric A_k: the per-matrix route's own
+    # bits, and the GEMM route within its rounding bound.  Each route sums
+    # at most N (N + 1) / 2 + 2N products of entries of A, x and x, so they
+    # differ by at most that many roundings of sum_ij |A_ij| |x_i| |x_j|.
+    K, N, rows = shape
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((K, N, N)) * np.exp(rng.standard_normal((K, N, N)))
+    X = rng.standard_normal((rows, N))
+    out = np.empty((K, rows))
+    fill, _ = _form_table(A)
+    fill(X, out)
+    expected = np.array([_quadratic_form(X, Ak) for Ak in A])
+    if not _gemm_route(N, K):
+        assert np.array_equal(out, expected)
+    else:
+        scale = np.einsum("kij,pi,pj->kp", np.abs(A), np.abs(X), np.abs(X))
+        bound = (N * (N + 1) // 2 + 2 * N + 3) * np.finfo(float).eps * scale
+        assert (np.abs(out - expected) <= bound).all()
 
 
 def _traced_peak(body, *args) -> int:
@@ -448,9 +512,17 @@ RIEMANN_SHAPES = [
 
 @pytest.mark.parametrize("h, g, N, depths, paths, law", RIEMANN_SHAPES)
 def test_riemann_rows_match_full_array_oracle(h, g, N, depths, paths, law):
+    # the same bits with one product per depth; with more depths than the
+    # truncation (N = 1, two depths) the GEMM route, within rounding
     rep = riemann_experiment(h, g, N, law, depths, paths, 4)
     assert (rep["N"], rep["paths"], rep["seed"]) == (N, paths, 4)
-    assert rep["rows"] == _riemann_oracle(h, g, N, law, depths, paths, 4)
+    expected = _riemann_oracle(h, g, N, law, depths, paths, 4)
+    if not _gemm_route(N, len(depths)):
+        assert rep["rows"] == expected
+    else:
+        for row, exp in zip(rep["rows"], expected, strict=True):
+            for stat in ("mean", "stderr"):
+                assert row["err"][stat] == pytest.approx(exp["err"][stat], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("h, g, N, depths, paths, law", RIEMANN_SHAPES)
@@ -506,6 +578,35 @@ def test_monte_carlo_bodies_never_hold_the_whole_sample(law):
     B, G, g = _dyadic_kernels(ONE, ONE, N, 2)
     assert 2 * _traced_peak(_qv_rows, B, G, g, [2, 1], law, paths, 5) < sample_bytes
     assert 2 * _traced_peak(riemann_experiment, ONE, ONE, N, law, [1, 2], paths, 5) < sample_bytes
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: qv_experiment(ONE, ONE, Q(1), 8, Law.normal(), [1, 30], 100, 0),
+        lambda: qv_experiment(ONE, ONE, Q(1), 10**6, Law.normal(), [1], 2, 0),
+        lambda: qv_experiment(ONE, ONE, Q(1), 2, Law.normal(), [1], 10**9, 0),
+        lambda: qv_joint_refinement(Law.normal(), [(4, 1), (1024, 10)], 100, 0),
+    ],
+    ids=["depth", "truncation", "paths", "joint"],
+)
+def test_qv_above_the_size_cap_returns_at_once(call):
+    # the request is rejected before any grid point or array is built: 2^30
+    # points alone would take minutes, and the arrays terabytes
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="above the cap"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+def test_qv_size_cap_admits_the_deep_points():
+    # (N, depth) = (1024, 6): 65 kernels of 1024^2 floats, 545 MB
+    _check_qv_size(1024, [6], 10_000)
+    _check_qv_size(512, [1, 2, 3, 4, 5, 6], 10_000)
 
 
 @pytest.mark.parametrize("paths", [0, 1])

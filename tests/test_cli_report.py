@@ -321,6 +321,43 @@ def test_malformed_json_names_the_option(capsys, argv, option):
     assert f"error: {option}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["all", "--quick", "--seed", "-1"],
+        ["chaos", "ito", "--law", "normal", "--seed", "-1"],
+        ["chaos", "qv", "--law", "normal", "--seed", "-1"],
+        ["chaos", "order4", "--law", "normal", "--seed", "-5"],
+        ["chaos", "norm", "--law", "normal", "--seed", "-1"],
+        ["rademacher", "verify", "--alphas", "1/2,1/3", "--seed", "-1"],
+        ["chaos", "qv", "--law", "normal", "--seed", str(2**64)],
+    ],
+    ids=lambda argv: " ".join(argv[: argv.index("--law") if "--law" in argv else 2] + argv[-1:]),
+)
+def test_seed_outside_uint64_names_the_option(capsys, argv):
+    # one seed type for every --seed: argparse rejects it before any run
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "error: argument --seed: must be >= 0 and < 2**64, got " in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "size",
+    [["--depths", "30"], ["--truncation", "1000000", "--depths", "1", "--paths", "2"]],
+    ids=["depths", "truncation"],
+)
+def test_chaos_qv_above_the_size_cap_names_the_options(capsys, size):
+    assert main(["chaos", "qv", "--law", "normal", *size]) == 2
+    captured = capsys.readouterr()
+    assert "error: --truncation/--depths/--paths: " in captured.err
+    assert "above the cap" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("option", sorted(ZERO_SIZE))
 def test_zero_size_input_names_the_option(capsys, option):
     assert main(ZERO_SIZE[option]) == 2

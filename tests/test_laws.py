@@ -151,6 +151,14 @@ def test_custom_law_order_guard():
         Sampler(law, 1)
 
 
+@pytest.mark.parametrize("seed", [-1, -5, 2**64])
+def test_sampler_rejects_a_seed_outside_uint64(seed):
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        Sampler(Law.normal(), seed)
+    with pytest.raises(ValueError, match="seed must be"):
+        sample(Law.exponential(1), seed, 3)
+
+
 def test_sampler_determinism():
     for law in CATALOG:
         x = sample(law, 123, 50)
