@@ -15,12 +15,12 @@ fills tables of quadratic forms x' A_k x per block of paths (``_form_table``):
 one per increment of the finest partition for the quadratic variation, whose
 coarser partitions' tables are sums of adjacent pairs of rows, and one per
 depth for the Riemann sums, which are quadratic forms themselves.  A table
-of K forms in N variables takes one product per matrix, or, for K > N and
-N <= 32, one GEMM over each path's N (N + 1) / 2 products x_i x_j.  The
-first route rounds as one form per matrix over the whole sample does; the
-second sums in another order, so its forms, and the rows taken from them,
-can move in the last bits against the first.  Every table of ``wicklab
-all`` takes the first.
+of K forms in N variables takes one product per matrix, or, for K > N, one
+GEMM over each path's N (N + 1) / 2 products x_i x_j.  The first route
+rounds as one form per matrix over the whole sample does; the second sums
+in another order, so its forms, and the rows taken from them, can move in
+the last bits against the first.  Every table of ``wicklab all`` takes the
+first.
 
 Both Monte Carlo bodies walk the sample X in blocks of rows sized by
 ``_BLOCK_BYTES`` and draw each block from one ``Sampler`` stream just before
@@ -198,22 +198,28 @@ def _dyadic_strides(depths: Sequence[int]) -> tuple:
 _BLOCK_BYTES = 2**19
 
 
-# Bytes of float arrays one quadratic-variation call may hold: 2^dmax + 1
-# cumulative kernels of N^2 floats and (depths + 1) tables of ``paths``
-# floats.  It admits (N, depth) = (1024, 6), whose kernels take 545 MB.
+# Bytes one quadratic-variation call may hold: 2^dmax + 1 grid points of an
+# N^2-float cumulative kernel, N floats of H and about 128 floats of Python
+# objects each (the sweep's point, knot, dict entry, small arrays and the
+# stacked kernels took 63 floats a point beyond N^2 + N at N = 1, 131 at
+# N = 8), and
+# (depths + 1) tables of ``paths`` floats.  It admits (N, depth) = (1024, 6),
+# whose kernels take 545 MB.
 _QV_MAX_BYTES = 2**30
+_POINT_FLOATS = 128
 
 
 def _check_qv_size(N: int, depths: Sequence[int], paths: int) -> None:
-    """Reject a quadratic-variation call whose kernels and tables would exceed
-    ``_QV_MAX_BYTES``, before any point of its grid is built."""
+    """Reject a quadratic-variation call whose kernels, grid points and tables
+    would exceed ``_QV_MAX_BYTES``, before any point of its grid is built."""
     dmax = max(depths)
-    # past depth 64 the kernels alone exceed any cap
-    need = 8 * ((2 ** min(dmax, 64) + 1) * N * N + (len(depths) + 1) * paths)
+    # past depth 64 the grid alone exceeds any cap
+    points = 2 ** min(dmax, 64) + 1
+    need = 8 * (points * (N * N + N + _POINT_FLOATS) + (len(depths) + 1) * paths)
     if need > _QV_MAX_BYTES:
         raise ValueError(
             f"truncation {N}, depths up to {dmax} and {paths} paths need {need} bytes "
-            f"of kernels and tables, above the cap of {_QV_MAX_BYTES}"
+            f"of kernels, grid points and tables, above the cap of {_QV_MAX_BYTES}"
         )
 
 
@@ -229,13 +235,13 @@ def _form_table(A: np.ndarray) -> tuple:
 
     * one product Xb @ A_k and one row-wise ``einsum`` per matrix, the bits
       of :func:`_quadratic_form` per matrix (work: the product's N floats);
-    * for K > N and N <= 32, one GEMM: x' A x = sum_{i <= j} W_ij x_i x_j,
-      with W = A + A' above the diagonal and A_ii on it (the
-      half-vectorization identity), so a block takes its N (N + 1) / 2
-      products x_i x_j once and all K forms against the packed upper
-      triangles W_k, built here once for every block (work: the transposed
-      rows, the products and their temporary).  Its sums run in another
-      order, so a form can move in the last bits against the other route.
+    * for K > N, one GEMM: x' A x = sum_{i <= j} W_ij x_i x_j, with
+      W = A + A' above the diagonal and A_ii on it (the half-vectorization
+      identity), so a block takes its N (N + 1) / 2 products x_i x_j once
+      and all K forms against the packed upper triangles W_k, built here
+      once for every block (work: the transposed rows, the products and
+      their temporary).  Its sums run in another order, so a form can move
+      in the last bits against the other route.
 
     The GEMM route takes about half the multiply-adds, K N (N + 1) / 2 plus
     the products per row against K N (N + 1), in one call instead of K.
@@ -245,12 +251,12 @@ def _form_table(A: np.ndarray) -> tuple:
     0.57 at (16, 17); at K <= N it took 0.44 at (8, 8) and 0.84 at (8, 4),
     but 3.2 at (64, 8).  The rule K > N keeps every table with K <= N, and
     so every table of ``wicklab all``, on the per-matrix route's bits.  Past
-    N = 32 a block holds few rows of N^2 products: the whole body took 1.16
-    times as long at (48, 64) and 1.22 at (64, 128) (1.04 at (32, 64), 0.80
-    at (32, 128)), hence N <= 32.
+    N = 32 a block of the body holds few rows of N^2 products, and the whole
+    body took 1.5 times as long on the GEMM route at (64, 128) and 8.8 at
+    (128, 256); no benchmark workload has K > N there yet.
     """
     K, N = A.shape[:2]
-    if K <= N or N > 32:
+    if K <= N:
 
         def fill(Xb: np.ndarray, out: np.ndarray) -> None:
             for k, Ak in enumerate(A):
