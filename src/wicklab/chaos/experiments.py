@@ -10,11 +10,14 @@ Increment kernels over a partition are differences of the cumulative kernel
 which one float sweep evaluates at the dyadic grid: Gauss-Legendre rules with
 enough nodes on each interval between the breakpoints integrate every
 polynomial integrand exactly, so the kernels carry only rounding error (the
-exact kernels of the identities stay in ``triangle_kernel``).  Monte Carlo
-fills tables of quadratic forms x' A_k x per block of paths (``_form_table``):
-one per increment of the finest partition for the quadratic variation, whose
-coarser partitions' tables are sums of adjacent pairs of rows, and one per
-depth for the Riemann sums, which are quadratic forms themselves.  A table
+exact kernels of the identities stay in ``triangle_kernel``).  A
+quadratic-variation call holds one stack of them, filled point by point and
+turned into increment kernels in place, and ``_check_qv_size`` counts what
+the call holds before any work.  Monte Carlo fills tables of quadratic
+forms x' A_k x per block of paths (``_form_table``): one per increment of
+the finest partition for the quadratic variation, whose coarser
+partitions' tables are sums of adjacent pairs of rows, and one per depth
+for the Riemann sums, which are quadratic forms themselves.  A table
 of K forms in N variables takes one product per matrix, or, for K > N, one
 GEMM over each path's N (N + 1) / 2 products x_i x_j.  The first route
 rounds as one form per matrix over the whole sample does; the second sums
@@ -22,14 +25,14 @@ in another order, so its forms, and the rows taken from them, can move in
 the last bits against the first.  Every table of ``wicklab all`` takes the
 first.
 
-Both Monte Carlo bodies walk the sample X in blocks of rows sized by
-``_BLOCK_BYTES`` and draw each block from one ``Sampler`` stream just before
-using it, so X is never held whole: a body holds its per-path tables of
-results and one block's rows and products.  The quadratic-variation body
-also caps a block at the bytes of the whole sample, so a small sample is
-walked in several blocks rather than padded with work space.  The stream's
-blocks concatenate to the whole draw, so each block holds the rows that the
-same block of X drawn at once would.  Each result is a row-by-row sum, so
+Both Monte Carlo bodies walk the sample X in blocks of rows sized by one
+rule (``_block_rows``): ``_BLOCK_BYTES``, or the bytes of the operand the
+form table multiplies where those are more, capped at the bytes of the
+whole sample.  Each block is drawn from one ``Sampler`` stream just before
+it is used, so X is never held whole: a body holds its per-path tables of
+results and one block's rows and products.  The stream's blocks
+concatenate to the whole draw, so each block holds the rows that the same
+block of X drawn at once would.  Each result is a row-by-row sum, so
 it does not depend on the block size as long as the BLAS rounds a block's
 matrix-matrix product as it rounds the whole one.  OpenBLAS 0.3.31
 (AVX-512) does for the shapes the command line and the benchmark use; for
@@ -101,7 +104,9 @@ def _float_kernels(
     points and t.  On each, every integrand is a polynomial: with
     n = deg h1 + deg h2 + N + 1 Gauss nodes the rule integrates B's and G's
     integrands exactly, and the spectral integration matrix gives H at the
-    nodes exactly, so the only error is rounding.
+    nodes exactly, so the only error is rounding.  The sweep writes each
+    point's H and running kernel into C and B as it passes the point, so
+    the stack B is the only array of its size it holds.
     """
     N = basis.N
     pts = [as_fraction(p) for p in points]
@@ -111,11 +116,15 @@ def _float_kernels(
     for h in (h1, h2):
         knots.update(x for lo, hi, _ in h.pieces for x in (lo, hi) if x < end)
     knots = sorted(knots)
+    at = {}  # the rows of C and B that take each point's snapshot
+    for i, p in enumerate(pts):
+        at.setdefault(p, []).append(i)
     x, w, S = gauss_legendre(h1.degree() + h2.degree() + N + 1)
+    C = np.zeros((len(pts), N))
+    B = np.zeros((len(pts), N, N))
     H0 = np.zeros(N)
-    B = np.zeros((N, N))
+    Bt = np.zeros((N, N))
     G = np.zeros((N, N))
-    at = {Q(0): (H0, B)}
     for a, b in zip(knots, knots[1:]):
         half = 0.5 * float(b - a)
         y = float(a) + half * (x + 1.0)
@@ -123,13 +132,13 @@ def _float_kernels(
         f1 = h1.values_on(a, b, y)[:, None] * E
         f2 = h2.values_on(a, b, y)[:, None] * (H0 + half * (S @ f1))
         wf2 = (half * w)[:, None] * f2
-        B = B + wf2.T @ E
+        Bt += wf2.T @ E
         if b <= t:
-            G = G + wf2.T @ f2
-        H0 = H0 + half * (w @ f1)
-        at[b] = (H0, B)
-    C = np.array([at[p][0] for p in pts]).reshape(len(pts), N)
-    B = np.array([at[p][1] for p in pts]).reshape(len(pts), N, N)
+            G += wf2.T @ f2
+        H0 += half * (w @ f1)
+        for i in at.get(b, ()):
+            C[i] = H0
+            B[i] = Bt
     return C, B, G
 
 
@@ -198,29 +207,45 @@ def _dyadic_strides(depths: Sequence[int]) -> tuple:
 _BLOCK_BYTES = 2**19
 
 
-# Bytes one quadratic-variation call may hold: 2^dmax + 1 grid points of an
-# N^2-float cumulative kernel, N floats of H and about 128 floats of Python
-# objects each (the sweep's point, knot, dict entry, small arrays and the
-# stacked kernels took 63 floats a point beyond N^2 + N at N = 1, 131 at
-# N = 8), and
-# (depths + 1) tables of ``paths`` floats.  It admits (N, depth) = (1024, 6),
-# whose kernels take 545 MB.
+# Bytes one quadratic-variation call may hold, counted before any work:
+#
+# * its one stack of 2^dmax + 1 cumulative kernels of N^2 floats, N floats of
+#   H and _POINT_FLOATS floats of Python objects per grid point (the point,
+#   its knot and its entry in the sweep's index: 36.5-37.5 floats at N <= 8
+#   and depths 11-16, traced);
+# * _SWEEP_FLOATS N^2 floats for G and the work space of a kernel sweep
+#   (7.0-9.7 N^2 traced at N = 64-512), which runs again beside the stack;
+# * the packed operand of the GEMM route, one block of paths (its bytes by
+#   :func:`_block_rows`), and the (depths + 1) tables of ``paths`` floats
+#   with three more for the statistics' temporaries.
+#
+# It admits (N, depth) = (1024, 6) at 10^4 paths: 546 MB of kernels, 82 MB
+# of block and 101 MB of sweep work space.
 _QV_MAX_BYTES = 2**30
-_POINT_FLOATS = 128
+_POINT_FLOATS = 40
+_SWEEP_FLOATS = 12
 
 
-def _check_qv_size(N: int, depths: Sequence[int], paths: int) -> None:
-    """Reject a quadratic-variation call whose kernels, grid points and tables
-    would exceed ``_QV_MAX_BYTES``, before any point of its grid is built."""
+def _check_qv_size(N: int, depths: Sequence[int], paths: int) -> int:
+    """The bytes a quadratic-variation call holds at most; a call above
+    ``_QV_MAX_BYTES`` is rejected before any point of its grid is built."""
     dmax = max(depths)
     # past depth 64 the grid alone exceeds any cap
-    points = 2 ** min(dmax, 64) + 1
-    need = 8 * (points * (N * N + N + _POINT_FLOATS) + (len(depths) + 1) * paths)
+    K = 2 ** min(dmax, 64)
+    gemm, work, operand = _form_route(K, N)
+    need = 8 * (
+        (K + 1) * (N * N + N + _POINT_FLOATS)
+        + _SWEEP_FLOATS * N * N
+        + gemm * operand
+        + _block_rows(N, K, paths, 2) * (N + 2 * K + work)
+        + (len(depths) + 4) * paths
+    )
     if need > _QV_MAX_BYTES:
         raise ValueError(
             f"truncation {N}, depths up to {dmax} and {paths} paths need {need} bytes "
-            f"of kernels, grid points and tables, above the cap of {_QV_MAX_BYTES}"
+            f"of kernels, grid points, work space and tables, above the cap of {_QV_MAX_BYTES}"
         )
+    return need
 
 
 def _quadratic_form(X: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -228,10 +253,19 @@ def _quadratic_form(X: np.ndarray, A: np.ndarray) -> np.ndarray:
     return np.einsum("pi,pi->p", X @ A, X)
 
 
-def _form_table(A: np.ndarray) -> tuple:
-    """(fill, work): fill(Xb, out) sets out[k] = x' A_k x for each row x of
-    Xb, and takes ``work`` floats of work space per row.  Of two routes, the
-    shape (K, N, N) of A chooses one:
+def _form_route(K: int, N: int) -> tuple:
+    """(gemm, work, operand) of a table of K forms in N variables: whether
+    :func:`_form_table` takes the GEMM route (K > N), its floats of work space
+    per row, and the floats of the operand its fill multiplies (the packed
+    W_k, or the K matrices)."""
+    if K > N:
+        return True, N * (N + 2), K * (N * (N + 1) // 2)
+    return False, N, K * N * N
+
+
+def _form_table(A: np.ndarray):
+    """fill(Xb, out), which sets out[k] = x' A_k x for each row x of Xb.  Of
+    two routes, the shape (K, N, N) of A chooses one (:func:`_form_route`):
 
     * one product Xb @ A_k and one row-wise ``einsum`` per matrix, the bits
       of :func:`_quadratic_form` per matrix (work: the product's N floats);
@@ -239,9 +273,10 @@ def _form_table(A: np.ndarray) -> tuple:
       W = A + A' above the diagonal and A_ii on it (the half-vectorization
       identity), so a block takes its N (N + 1) / 2 products x_i x_j once
       and all K forms against the packed upper triangles W_k, built here
-      once for every block (work: the transposed rows, the products and
-      their temporary).  Its sums run in another order, so a form can move
-      in the last bits against the other route.
+      once for every block, row by row of the A_k, with no temporary of
+      their size (work: the transposed rows, the products and their
+      temporary).  Its sums run in another order, so a form can move in the
+      last bits against the other route.
 
     The GEMM route takes about half the multiply-adds, K N (N + 1) / 2 plus
     the products per row against K N (N + 1), in one call instead of K.
@@ -250,21 +285,35 @@ def _form_table(A: np.ndarray) -> tuple:
     of the time at (N, K) = (8, 64), 0.28 at (16, 128), 0.45 at (8, 9) and
     0.57 at (16, 17); at K <= N it took 0.44 at (8, 8) and 0.84 at (8, 4),
     but 3.2 at (64, 8).  The rule K > N keeps every table with K <= N, and
-    so every table of ``wicklab all``, on the per-matrix route's bits.  Past
-    N = 32 a block of the body holds few rows of N^2 products, and the whole
-    body took 1.5 times as long on the GEMM route at (64, 128) and 8.8 at
-    (128, 256); no benchmark workload has K > N there yet.
+    so every table of ``wicklab all``, on the per-matrix route's bits.
+
+    A block of paths takes the bytes of the operand its fill multiplies, or
+    of the whole sample where those are fewer (:func:`_block_rows`).  A row
+    of the GEMM route holds N (N + 1) products, so at large N and few paths
+    the sample caps the block well below the packed W_k, and each block
+    reads W for few rows: the QV body took 1.0 times the per-matrix route's
+    time at (N, K) = (64, 128) and 2.6 times at (128, 256) with 2000 paths
+    (14 rows a block), but 0.75 and 0.70 times with 20 000.
     """
     K, N = A.shape[:2]
-    if K <= N:
+    if not _form_route(K, N)[0]:
 
         def fill(Xb: np.ndarray, out: np.ndarray) -> None:
             for k, Ak in enumerate(A):
                 np.einsum("pi,pi->p", Xb @ Ak, Xb, out=out[k])
 
-        return fill, N
+        return fill
+    # column-major: the BLAS rounds W @ F by another kernel for a row-major W,
+    # which moves forms in the last bits (N = 40, K = 64), and the QV rows
+    # have always had the column-major bits
+    W = np.empty((K, N * (N + 1) // 2), order="F")
+    lo = 0
+    for u in range(N):
+        hi = lo + N - u
+        np.add(A[:, u, u:], A[:, u:, u], out=W[:, lo:hi])
+        W[:, lo] = A[:, u, u]
+        lo = hi
     i, j = np.triu_indices(N)
-    W = A[:, i, j] + (i != j) * A[:, j, i]
 
     def fill(Xb: np.ndarray, out: np.ndarray) -> None:
         XT = np.ascontiguousarray(Xb.T)
@@ -272,20 +321,33 @@ def _form_table(A: np.ndarray) -> tuple:
         F *= XT[j]
         np.matmul(W, F, out=out)
 
-    return fill, N * (N + 2)
+    return fill
+
+
+def _block_rows(N: int, K: int, paths: int, tables: int) -> int:
+    """Rows per block of paths of a Monte Carlo body whose rows hold their N
+    draws, ``tables`` tables of K forms and the work space of the form table
+    (:func:`_form_route`): the rows that fit in ``_BLOCK_BYTES``, or in the
+    bytes of the operand the table's fill multiplies where those are more,
+    so that each pass over the operand serves a block at least its size
+    (the operand reuse of blocked matrix products; Goto & van de Geijn,
+    2008); capped at the bytes of the whole sample, so that a small sample
+    is walked in several blocks rather than padded with work space; and at
+    least one row."""
+    _, work, operand = _form_route(K, N)
+    size = min(max(_BLOCK_BYTES, 8 * operand), 8 * paths * N)
+    return max(1, size // (8 * (N + tables * K + work)))
 
 
 def _path_blocks(law: Law, seed: int, paths: int, N: int, rows: int):
     """(lo, X[lo : lo + rows]) over the (paths x N) sample X of ``law`` and
-    ``seed``, each block drawn from one stream as it is asked for (blocks of
-    at least one row)."""
+    ``seed``, each block drawn from one stream as it is asked for."""
     if paths < 2:
         raise ValueError("paths must be >= 2 for a standard error")
-    block = max(1, rows)
     stream = Sampler(law, seed)
     return (
-        (lo, stream.draw(min(block, paths - lo) * N).reshape(-1, N))
-        for lo in range(0, paths, block)
+        (lo, stream.draw(min(rows, paths - lo) * N).reshape(-1, N))
+        for lo in range(0, paths, rows)
     )
 
 
@@ -299,7 +361,7 @@ def _skewness(law: Law) -> float:
 
 
 def _qv_rows(
-    B: np.ndarray,
+    A: np.ndarray,
     G: np.ndarray,
     g: np.ndarray,
     strides: Sequence[int],
@@ -308,10 +370,11 @@ def _qv_rows(
     seed: int,
 ) -> list:
     """Monte Carlo statistics of the partition quadratic variation against the
-    limit object, one row per stride of the cumulative kernels ``B``.
+    limit object, one row per stride of the finest increment kernels ``A``.
 
     All rows share one sample of ``paths`` realizations.  QV = sum_k
-    (x' A_k x - tr A_k)^2 over the increment kernels A_k of ``B[::stride]``;
+    (x' A_k x - tr A_k)^2 over the increment kernels of the partition whose
+    increments are sums of ``stride`` adjacent ones of ``A``;
     RHS = x' G x + m3 g.x is the per-realization limit quadratic form, with
     the law's skewness m3 (:func:`_skewness`).
 
@@ -322,22 +385,18 @@ def _qv_rows(
     table's squares summed over k in order, in one ``einsum`` pass (which
     sums a single column in another order, so a one-row block adds in
     Python), and the next level's table is the sums of adjacent pairs of
-    rows.  A block has ``min(_BLOCK_BYTES, 8 paths N) // (8 (N + 2K + w))``
-    rows (at least one) -- its rows, its table, the next level's and the
-    form table's w floats of work space per row (:func:`_form_table`) --
-    so it never costs more than the whole sample would.  The block also takes
+    rows.  A block holds its rows, its table, the next level's and the form
+    table's work space (:func:`_block_rows`).  The block also takes
     RHS = x' G x + m3 g.x, the linear term by a row-wise ``einsum`` that a
     split by rows does not round differently.  Each block is drawn just
     before it is used, so the call holds the QV and RHS tables and one
     block, never the whole sample.
     """
     N = G.shape[0]
-    A = B[1:] - B[:-1]
     K = len(A)
     traces = np.trace(A, axis1=1, axis2=2)[:, None]
-    fill, work = _form_table(A)
-    block = min(_BLOCK_BYTES, 8 * paths * N) // (8 * (N + 2 * K + work))
-    blocks = _path_blocks(law, seed, paths, N, block)
+    fill = _form_table(A)
+    blocks = _path_blocks(law, seed, paths, N, _block_rows(N, K, paths, 2))
     m3 = _skewness(law)
     at_level = [[i for i, s in enumerate(strides) if s == 1 << l] for l in range(K.bit_length())]
     top = 1 + max(l for l, at in enumerate(at_level) if at)  # the levels read
@@ -377,10 +436,14 @@ def _qv_rows(
 
 
 def _qv_kernels(h1: PiecewisePoly, h2: PiecewisePoly, basis: LegendreBasis, t, depth: int):
-    """(B, G, g) of the QV experiments: :func:`cumulative_triangle` on the
-    dyadic grid of (0, t] of the given depth, :func:`qv_rhs_quadratics` at t."""
+    """(A, G, g) of the QV experiments: the increments A_k = B[k] - B[k-1] of
+    :func:`cumulative_triangle` on the dyadic grid of (0, t] of the given
+    depth, taken in place on its stack, and :func:`qv_rhs_quadratics` at t."""
     points = [t * Q(k, 2**depth) for k in range(2**depth + 1)]
-    return (cumulative_triangle(h1, h2, basis, points), *qv_rhs_quadratics(h1, h2, basis, t))
+    B = cumulative_triangle(h1, h2, basis, points)
+    for k in range(len(B) - 1, 0, -1):
+        B[k] -= B[k - 1]
+    return (B[1:], *qv_rhs_quadratics(h1, h2, basis, t))
 
 
 def qv_experiment(
@@ -462,9 +525,9 @@ def riemann_experiment(
     trace = np.trace(A)
     P = np.array([C_h[::s][:-1].T @ (C_g[::s][1:] - C_g[::s][:-1]) for s in strides])
     D = 0.5 * (P + P.transpose(0, 2, 1)) - A
-    fill, work = _form_table(D)
+    fill = _form_table(D)
     K = len(D)
-    blocks = _path_blocks(law, seed, paths, N, _BLOCK_BYTES // (8 * (N + K + work)))
+    blocks = _path_blocks(law, seed, paths, N, _block_rows(N, K, paths, 1))
     err = np.empty((K, paths))
     for lo, Xb in blocks:
         errb = err[:, lo : lo + len(Xb)]

@@ -193,6 +193,10 @@ def run_wick_table(args) -> ExperimentReport:
 def run_rademacher_verify(args) -> ExperimentReport:
     _at_least_one(args, "tuples")
     depth = args.depth
+    try:
+        rademacher.check_depth(depth)
+    except ValueError as exc:
+        raise ValueError(f"--depth: {exc}") from None
     cfg: dict = {"depth": depth}
     cdf = rademacher.JumpCDF.diffuse()
     if args.scheme:
@@ -273,7 +277,10 @@ def run_discrete_check(args) -> ExperimentReport:
 
 
 def run_discrete_maxsystem(args) -> ExperimentReport:
-    sp, bs = discrete.build_max_system(args.N)
+    try:
+        sp, bs = discrete.build_max_system(args.N)
+    except ValueError as exc:
+        raise ValueError(f"--N: {exc}") from None
     atoms = discrete.atom_condition(sp, bs)
     rep = ExperimentReport("discrete maxsystem", {"N": args.N})
     rep.add(Check("atom_condition", "exact", atoms, passed=atoms))

@@ -31,9 +31,15 @@ __all__ = [
     "atom_condition",
     "walsh_gram_rank",
     "GRAM_SIZE_CAP",
+    "MAX_ATOMS",
 ]
 
 GRAM_SIZE_CAP = 4096
+# Most atoms of a maximal system: its 2^N atoms give every pair of its N
+# variables a 4^N-entry exact matrix (``a_matrix``), so the cost grows about
+# fivefold per N.  ``discrete maxsystem --N 6``, the largest admitted, takes
+# 0.5 s end to end; N = 7 took 1.8 s and N = 8 10 s.
+MAX_ATOMS = 2**6
 
 
 @dataclass(frozen=True)
@@ -171,9 +177,13 @@ def necessary_conditions(sp: FiniteSpace, c: DiscreteRV, bs: Sequence[DiscreteRV
 
 
 def build_max_system(N: int):
-    """The dyadic block construction on 2^N uniform atoms: N sign variables."""
+    """The dyadic block construction on 2^N uniform atoms: N sign variables.
+    Above ``MAX_ATOMS`` atoms it is rejected before any atom is built."""
     if N < 1:
         raise ValueError("need N >= 1")
+    # past N = 64 the atoms alone exceed any cap
+    if 2 ** min(N, 64) > MAX_ATOMS:
+        raise ValueError(f"N = {N} needs 2^{N} atoms, above the cap of {MAX_ATOMS}")
     sp = FiniteSpace.uniform(2**N)
     bs = []
     for k in range(1, N + 1):

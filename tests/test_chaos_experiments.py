@@ -10,8 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from wicklab.chaos.basis import LegendreBasis, PiecewisePoly, coeffs_of, triangle_kernel
 from wicklab.chaos.experiments import (
-    _BLOCK_BYTES,
+    _block_rows,
     _check_qv_size,
+    _form_route,
     _form_table,
     _qv_rows,
     _quadratic_form,
@@ -271,24 +272,21 @@ def assert_rows_match(rows, expected):
         assert abs(row["mean_gap"] - exp["mean_gap"]) <= 1e-12 * scale, "mean_gap"
 
 
-def _form_work(N, K):
-    """Floats of work space per row of ``_form_table`` for K forms in N
-    variables, as the function itself reports it."""
-    return _form_table(np.zeros((K, N, N)))[1]
-
-
 def _gemm_route(N, K):
-    """Whether a table of K forms in N variables takes the GEMM route: its
-    work space is more than the per-matrix route's one product of N floats."""
-    return _form_work(N, K) != N
+    """Whether a table of K forms in N variables takes the GEMM route."""
+    return _form_route(K, N)[0]
 
 
-# The body walks the paths in blocks of min(2**19, 8 paths N) // (8 (N + 2K + w))
-# rows, K = 2**depth, with w the form table's work space per row (N (N + 2)
-# on the GEMM route, K > N, and N otherwise): 1024 at N = 16 (depth 4), 555
-# at N = 1 (depth 4) and 13 at N = 16 (depth 7, 456 paths), so 7777 and
-# 20001 paths end on a partial block and 456 on a one-row block.  N = 1 and depth 4, and N = 16
-# and depth 7, take the GEMM route.
+def _qv_block_rows(paths, N, K):
+    """Rows per block of ``_qv_rows``, whose rows hold two tables of K forms."""
+    return _block_rows(N, K, paths, 2)
+
+
+# The body walks the paths in blocks of ``_qv_block_rows`` rows, K = 2**depth:
+# 1024 at N = 16 (depth 4), 555 at N = 1 (depth 4) and 13 at N = 16 (depth 7,
+# 456 paths), so 7777 and 20001 paths end on a partial block and 456 on a
+# one-row block.  N = 1 and depth 4, and N = 16 and depth 7, take the GEMM
+# route.
 @pytest.mark.parametrize(
     "h1, h2, N, depths, paths, law",
     [
@@ -340,14 +338,6 @@ def test_qv_joint_refinement_matches_per_increment_oracle():
     assert {k: row[k] for k in expected} == expected
 
 
-def _qv_block_rows(paths, N, K):
-    """Rows per block of ``_qv_rows``: its rows, increment table, the next
-    level's table and the form table's work space in ``_BLOCK_BYTES``, capped
-    at the bytes of the whole sample."""
-    work = _form_work(N, K)
-    return max(1, min(_BLOCK_BYTES, 8 * paths * N) // (8 * (N + 2 * K + work)))
-
-
 def _last_block(paths, N, K) -> str:
     rows = _qv_block_rows(paths, N, K)
     last = (paths - 1) % rows + 1
@@ -376,6 +366,8 @@ def _qv_shapes(draw):
 @example((64, 128, [128, 1], 5), Law.normal(), 2)
 @example((1, 1, [1, 1], 2), Law.exponential(1), 3)
 @example((32, 64, [64, 1, 2], 33), Law.normal(), 4)
+@example((64, 128, [1, 2], 2000), Law.exponential(1), 5)
+@example((64, 64, [64, 1], 1501), Law.normal(), 6)
 @settings(max_examples=60, deadline=None)
 def test_qv_rows_match_per_increment_body(shape, law, seed):
     # the increment table, its level sums and the statistics tail give every
@@ -383,12 +375,14 @@ def test_qv_rows_match_per_increment_body(shape, law, seed):
     # the shape (other blocks can move a row in the last bits through the
     # BLAS, see the experiments module): the same bits where the table takes
     # one product per increment, within rounding on the GEMM route; the
-    # kernels need not be symmetric
+    # kernels need not be symmetric.  At (N, K) = (64, 128) and (64, 64) the
+    # operand of the form table outgrows _BLOCK_BYTES, and with more than
+    # 1024 paths it sets the blocks, on the GEMM and the per-matrix route
     N, K, strides, paths = shape
     rng = np.random.default_rng(seed)
     B, G = rng.standard_normal((K + 1, N, N)), rng.standard_normal((N, N))
     g = rng.standard_normal(N)
-    rows = _qv_rows(B, G, g, strides, law, paths, seed)
+    rows = _qv_rows(np.diff(B, axis=0), G, g, strides, law, paths, seed)
     expected = qv_rows_per_increment(B, G, g, strides, law, paths, seed, _qv_block_rows(paths, N, K))
     if _gemm_route(N, K):
         assert_rows_match(rows, expected)
@@ -425,8 +419,7 @@ def test_form_table_matches_one_form_per_matrix(shape, seed):
     A = rng.standard_normal((K, N, N)) * np.exp(rng.standard_normal((K, N, N)))
     X = rng.standard_normal((rows, N))
     out = np.empty((K, rows))
-    fill, _ = _form_table(A)
-    fill(X, out)
+    _form_table(A)(X, out)
     expected = np.array([_quadratic_form(X, Ak) for Ak in A])
     if not _gemm_route(N, K):
         assert np.array_equal(out, expected)
@@ -463,7 +456,34 @@ def test_qv_rows_peak_memory_within_per_increment_oracle(N, dmax, paths, law):
     B, G, g = _dyadic_kernels(ONE, ONE, N, dmax)
     strides = [2 ** (dmax - d) for d in range(1, dmax + 1)]
     args = (B, G, g, strides, law, paths, 5)
-    assert _traced_peak(_qv_rows, *args) <= _traced_peak(_qv_rows_oracle, *args)
+    assert _traced_peak(_qv_rows_of_cumulative, *args) <= _traced_peak(_qv_rows_oracle, *args)
+
+
+def _qv_rows_of_cumulative(B, *args):
+    """``_qv_rows`` on the increments of the cumulative kernels B, taken in a
+    copy, as the oracle takes its increments from B."""
+    return _qv_rows(np.diff(B, axis=0), *args)
+
+
+@pytest.mark.parametrize(
+    "N, dmax, paths", [(8, 6, 20_000), (16, 7, 2000), (128, 8, 2000), (256, 6, 2000)]
+)
+def test_qv_traced_peak_within_the_size_count(N, dmax, paths):
+    # what _check_qv_size counts bounds what the call holds, on the GEMM
+    # route (K > N: (8, 6), (16, 7), (128, 8)) and on the per-matrix route
+    depths = list(range(1, dmax + 1))
+    peak = _traced_peak(qv_experiment, ONE, ONE, Q(1), N, Law.normal(), depths, paths, 0)
+    assert peak <= _check_qv_size(N, depths, paths)
+
+
+def test_qv_holds_one_kernel_stack():
+    # the increments are taken in place on the stack of cumulative kernels,
+    # which the sweep fills as it goes: at (N, depth) = (256, 6) the stack is
+    # 34 MB, and the whole call holds 1.13 of it (2.09 when the sweep kept a
+    # copy per point and the body took the differences in another)
+    N, dmax = 256, 6
+    peak = _traced_peak(qv_experiment, ONE, ONE, Q(1), N, Law.normal(), [dmax], 2000, 0)
+    assert peak <= 1.2 * 8 * (2**dmax + 1) * N * N
 
 
 def _riemann_kernels(h, g, N, depths):
@@ -500,9 +520,11 @@ def _riemann_oracle(h, g, N, law, depths, paths, seed):
     return rows
 
 
-# The body walks the paths in blocks of 2**19 // (8 (2N + depths)) rows:
-# 3276 at N = 8 (four depths), 3449 at N = 8 (three) and 1820 at N = 16
-# (four), so 5000, 7777 and 20000 paths end on a partial block.  (At
+# The body walks the paths in blocks of ``_block_rows(N, len(depths), paths, 1)``
+# rows: 1200 at N = 8 (four depths, 3000 paths), 1411 at N = 8 (one depth,
+# 3000 paths), 2105 at N = 8 (three, 5000 paths), 1820 at N = 16 (four) and
+# one at N = 1, so 3000, 5000, 7777 and 20000 paths end on a partial block
+# and 2 paths at N = 1 on one-row blocks.  (At
 # N = 17-19, 25-27, 33-35 and N > 40, OpenBLAS may round a block's products
 # differently from the whole sample's, in the last bits.)
 RIEMANN_SHAPES = [
@@ -576,7 +598,7 @@ def test_monte_carlo_bodies_never_hold_the_whole_sample(law):
     N, paths = 32, 20_000
     sample_bytes = 8 * paths * N
     B, G, g = _dyadic_kernels(ONE, ONE, N, 2)
-    assert 2 * _traced_peak(_qv_rows, B, G, g, [2, 1], law, paths, 5) < sample_bytes
+    assert 2 * _traced_peak(_qv_rows_of_cumulative, B, G, g, [2, 1], law, paths, 5) < sample_bytes
     assert 2 * _traced_peak(riemann_experiment, ONE, ONE, N, law, [1, 2], paths, 5) < sample_bytes
 
 
@@ -606,7 +628,8 @@ def test_qv_above_the_size_cap_returns_at_once(call):
 
 
 def test_qv_size_cap_admits_the_deep_points():
-    # (N, depth) = (1024, 6): 65 kernels of 1024^2 floats, 545 MB, and the
+    # (N, depth) = (1024, 6) at 10^4 paths: 65 kernels of 1024^2 floats,
+    # 546 MB, a block of 82 MB and 101 MB of sweep work space; and the
     # shallow depths at small N
     _check_qv_size(1024, [6], 10_000)
     _check_qv_size(512, [1, 2, 3, 4, 5, 6], 10_000)

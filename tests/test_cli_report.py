@@ -358,6 +358,23 @@ def test_chaos_qv_above_the_size_cap_names_the_options(capsys, size):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["discrete", "maxsystem", "--N", "7"], "--N"),
+        (["discrete", "maxsystem", "--N", "100000"], "--N"),
+        (["rademacher", "verify", "--scheme", "jump_after", "--depth", "15"], "--depth"),
+        (["rademacher", "verify", "--alphas", "1/2", "--depth", "1000000000"], "--depth"),
+    ],
+)
+def test_exponential_size_above_the_cap_names_the_option(capsys, argv, option):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {option}: " in captured.err
+    assert "above the cap" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("option", sorted(ZERO_SIZE))
 def test_zero_size_input_names_the_option(capsys, option):
     assert main(ZERO_SIZE[option]) == 2

@@ -1,11 +1,13 @@
 """Finite-space independence: bilinear criterion vs the classical oracle."""
 
 import random
+import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
 
 from wicklab.discrete import (
+    MAX_ATOMS,
     DiscreteRV,
     FiniteSpace,
     a_matrix,
@@ -112,6 +114,25 @@ def test_build_max_system(N):
             assert independent(sp, bs[i], bs[j])
             assert independent_oracle(sp, bs[i], bs[j])
     assert len(bs) + 1 == n_max(2**N)  # plus the constant variable
+
+
+@pytest.mark.parametrize("N", [7, 10, 64, 10**9])
+def test_max_system_above_the_atom_cap_returns_at_once(N):
+    # rejected before any atom is built: at N = 10 the pairwise matrices
+    # alone would take minutes, and 2^(10^9) atoms could not be counted
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="above the cap"):
+            build_max_system(N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+def test_max_system_atom_cap_admits_n_6():
+    sp, _ = build_max_system(6)
+    assert sp.n == MAX_ATOMS
 
 
 def test_build_max_system_blocks():

@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
 
 from wicklab.rademacher import (
+    MAX_CELLS,
     AlphaScheme,
     InfeasibleSchemeError,
     JumpCDF,
@@ -267,3 +269,32 @@ def test_joint_law_matches_pointwise_sign_functions():
                 if all(evaluate_r(ps, k, x) == e for k, e in zip(ks, eps))
             )
             assert Q(hits, grid) == joint_law(ps, ks, list(eps))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: build_partition([Q(1, 2)] * 15, 15),
+        lambda: build_partition([Q(1, 3)], 10**9),
+        lambda: alpha_scheme("jump_after", JumpCDF(Q(3, 10), Q(1, 5)), 15),
+        lambda: alpha_scheme("jump_alternating", JumpCDF(Q(3, 10), Q(1, 5)), 10**6),
+    ],
+    ids=["partition", "huge depth", "scheme", "huge scheme"],
+)
+def test_partition_above_the_cell_cap_returns_at_once(call):
+    # rejected before any ratio or cell is built: jump_after took 9.7 s at
+    # depth 16 and 49 s at 20, and a scheme of depth 10^6 would run its
+    # exact ratios for far longer
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="above the cap"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+def test_partition_cell_cap_admits_depth_14():
+    ps = build_partition([Q(1, 3)] * 14, 14)
+    assert len(ps.levels[-1]) - 1 == MAX_CELLS
