@@ -14,7 +14,6 @@ import numpy as np
 
 from wicklab.chaos.basis import LegendreBasis, PiecewisePoly
 from wicklab.chaos.experiments import (
-    _BLOCK_BYTES,
     _path_blocks,
     _quadratic_form,
     _skewness,
@@ -121,16 +120,13 @@ def cell_by_bisection(ends, x) -> int:
     return lo
 
 
-def qv_rows_per_increment(B, G, g, strides, law, paths, seed, rows=None) -> list:
+def qv_rows_per_increment(B, G, g, strides, law, paths, seed, rows) -> list:
     """The QV rows with one quadratic form per finest increment: each block of
-    ``rows`` paths (by default ``_BLOCK_BYTES // (8 (N + K))``) walks its K
-    increments in order and carries each completed pair up a level on a stack
-    of pending increments."""
+    ``rows`` paths walks its K increments in order and carries each completed
+    pair up a level on a stack of pending increments."""
     N = G.shape[0]
     A = B[1:] - B[:-1]
     K = len(A)
-    if rows is None:
-        rows = _BLOCK_BYTES // (8 * (N + K))
     blocks = _path_blocks(law, seed, paths, N, rows)
     m3 = _skewness(law)
     traces = np.trace(A, axis1=1, axis2=2)
