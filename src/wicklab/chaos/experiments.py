@@ -207,20 +207,14 @@ def _dyadic_strides(depths: Sequence[int]) -> tuple:
 _BLOCK_BYTES = 2**19
 
 
-# Bytes one quadratic-variation call may hold, counted before any work:
-#
-# * its one stack of 2^dmax + 1 cumulative kernels of N^2 floats, N floats of
-#   H and _POINT_FLOATS floats of Python objects per grid point (the point,
-#   its knot and its entry in the sweep's index: 36.5-37.5 floats at N <= 8
-#   and depths 11-16, traced);
-# * _SWEEP_FLOATS N^2 floats for G and the work space of a kernel sweep
-#   (7.0-9.7 N^2 traced at N = 64-512), which runs again beside the stack;
-# * the packed operand of the GEMM route, one block of paths (its bytes by
-#   :func:`_block_rows`), and the (depths + 1) tables of ``paths`` floats
-#   with three more for the statistics' temporaries.
-#
-# It admits (N, depth) = (1024, 6) at 10^4 paths: 546 MB of kernels, 82 MB
-# of block and 101 MB of sweep work space.
+# Bytes one quadratic-variation call may hold, counted before any work: its
+# one stack of 2^dmax + 1 kernels of N^2 floats, with N floats of H and
+# _POINT_FLOATS of Python objects per grid point (36.5-37.5 traced at N <= 8);
+# _SWEEP_FLOATS N^2 floats of G and of the work space of a kernel sweep, which
+# runs again beside the stack (7.0-9.7 N^2 traced at N = 64-512); the GEMM
+# route's packed operand; one block (:func:`_block_rows`); and the
+# (depths + 1) tables of ``paths`` floats with three more for the
+# statistics.  It admits (N, depth) = (1024, 6) at 10^4 paths, at 729 MB.
 _QV_MAX_BYTES = 2**30
 _POINT_FLOATS = 40
 _SWEEP_FLOATS = 12
@@ -325,15 +319,12 @@ def _form_table(A: np.ndarray):
 
 
 def _block_rows(N: int, K: int, paths: int, tables: int) -> int:
-    """Rows per block of paths of a Monte Carlo body whose rows hold their N
-    draws, ``tables`` tables of K forms and the work space of the form table
-    (:func:`_form_route`): the rows that fit in ``_BLOCK_BYTES``, or in the
-    bytes of the operand the table's fill multiplies where those are more,
-    so that each pass over the operand serves a block at least its size
-    (the operand reuse of blocked matrix products; Goto & van de Geijn,
-    2008); capped at the bytes of the whole sample, so that a small sample
-    is walked in several blocks rather than padded with work space; and at
-    least one row."""
+    """Rows per block of paths of a Monte Carlo body whose rows hold N draws,
+    ``tables`` tables of K forms and the form table's work space
+    (:func:`_form_route`): the rows that fit in ``_BLOCK_BYTES`` or, where it
+    is larger, in the operand the form table multiplies, so that each pass
+    over the operand serves a block its size (Goto & van de Geijn, 2008);
+    at most the whole sample's bytes, and at least one row."""
     _, work, operand = _form_route(K, N)
     size = min(max(_BLOCK_BYTES, 8 * operand), 8 * paths * N)
     return max(1, size // (8 * (N + tables * K + work)))

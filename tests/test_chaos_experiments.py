@@ -479,8 +479,8 @@ def test_qv_traced_peak_within_the_size_count(N, dmax, paths):
 def test_qv_holds_one_kernel_stack():
     # the increments are taken in place on the stack of cumulative kernels,
     # which the sweep fills as it goes: at (N, depth) = (256, 6) the stack is
-    # 34 MB, and the whole call holds 1.13 of it (2.09 when the sweep kept a
-    # copy per point and the body took the differences in another)
+    # 34 MB and the whole call holds 1.13 of it, so a second copy of the
+    # kernels anywhere in the call would fail this
     N, dmax = 256, 6
     peak = _traced_peak(qv_experiment, ONE, ONE, Q(1), N, Law.normal(), [dmax], 2000, 0)
     assert peak <= 1.2 * 8 * (2**dmax + 1) * N * N
