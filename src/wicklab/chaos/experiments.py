@@ -26,13 +26,13 @@ the last bits against the first.  Every table of ``wicklab all`` takes the
 first.
 
 Both Monte Carlo bodies walk the sample X in blocks of rows sized by one
-rule (``_block_rows``): ``_BLOCK_BYTES``, or the bytes of the operand the
-form table multiplies where those are more, capped at the bytes of the
-whole sample.  Each block is drawn from one ``Sampler`` stream just before
-it is used, so X is never held whole: a body holds its per-path tables of
-results and one block's rows and products.  The stream's blocks
-concatenate to the whole draw, so each block holds the rows that the same
-block of X drawn at once would.  Each result is a row-by-row sum, so
+rule (``_block_rows``): ``_BLOCK_BYTES``, or on the GEMM route the bytes
+of the packed operand the form table multiplies where those are more,
+capped at the bytes of the whole sample.  Each block is drawn from one
+``Sampler`` stream just before it is used, so X is never held whole: a
+body holds its per-path tables of results and one block's rows and
+products.  The stream's blocks concatenate to the whole draw, so each
+block holds the rows that the same block of X drawn at once would.  Each result is a row-by-row sum, so
 it does not depend on the block size as long as the BLAS rounds a block's
 matrix-matrix product as it rounds the whole one.  OpenBLAS 0.3.31
 (AVX-512) does for the shapes the command line and the benchmark use; for
@@ -111,6 +111,8 @@ def _float_kernels(
     N = basis.N
     pts = [as_fraction(p) for p in points]
     t = as_fraction(t)
+    if min([t, *pts]) < 0:
+        raise ValueError(f"kernel points and t must be >= 0: {[*pts, t]}")
     end = max([t, *pts])
     knots = {Q(0), t, *pts}
     for h in (h1, h2):
@@ -214,7 +216,8 @@ _BLOCK_BYTES = 2**19
 # runs again beside the stack (7.0-9.7 N^2 traced at N = 64-512); the GEMM
 # route's packed operand; one block (:func:`_block_rows`); and the
 # (depths + 1) tables of ``paths`` floats with three more for the
-# statistics.  It admits (N, depth) = (1024, 6) at 10^4 paths, at 729 MB.
+# statistics.  It admits (N, depth) = (1024, 6) at 10^4 paths, at 647 MB,
+# and at 10^5 paths, at 651 MB.
 _QV_MAX_BYTES = 2**30
 _POINT_FLOATS = 40
 _SWEEP_FLOATS = 12
@@ -226,11 +229,11 @@ def _check_qv_size(N: int, depths: Sequence[int], paths: int) -> int:
     dmax = max(depths)
     # past depth 64 the grid alone exceeds any cap
     K = 2 ** min(dmax, 64)
-    gemm, work, operand = _form_route(K, N)
+    _, work, packed = _form_route(K, N)
     need = 8 * (
         (K + 1) * (N * N + N + _POINT_FLOATS)
         + _SWEEP_FLOATS * N * N
-        + gemm * operand
+        + packed
         + _block_rows(N, K, paths, 2) * (N + 2 * K + work)
         + (len(depths) + 4) * paths
     )
@@ -248,13 +251,13 @@ def _quadratic_form(X: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 def _form_route(K: int, N: int) -> tuple:
-    """(gemm, work, operand) of a table of K forms in N variables: whether
+    """(gemm, work, packed) of a table of K forms in N variables: whether
     :func:`_form_table` takes the GEMM route (K > N), its floats of work space
-    per row, and the floats of the operand its fill multiplies (the packed
-    W_k, or the K matrices)."""
+    per row, and the floats of the packed W_k it builds (none on the
+    per-matrix route, which multiplies the A_k as they are)."""
     if K > N:
         return True, N * (N + 2), K * (N * (N + 1) // 2)
-    return False, N, K * N * N
+    return False, N, 0
 
 
 def _form_table(A: np.ndarray):
@@ -281,7 +284,7 @@ def _form_table(A: np.ndarray):
     but 3.2 at (64, 8).  The rule K > N keeps every table with K <= N, and
     so every table of ``wicklab all``, on the per-matrix route's bits.
 
-    A block of paths takes the bytes of the operand its fill multiplies, or
+    A block of paths on this route takes the bytes of the packed W_k, or
     of the whole sample where those are fewer (:func:`_block_rows`).  A row
     of the GEMM route holds N (N + 1) products, so at large N and few paths
     the sample caps the block well below the packed W_k, and each block
@@ -321,12 +324,14 @@ def _form_table(A: np.ndarray):
 def _block_rows(N: int, K: int, paths: int, tables: int) -> int:
     """Rows per block of paths of a Monte Carlo body whose rows hold N draws,
     ``tables`` tables of K forms and the form table's work space
-    (:func:`_form_route`): the rows that fit in ``_BLOCK_BYTES`` or, where it
-    is larger, in the operand the form table multiplies, so that each pass
-    over the operand serves a block its size (Goto & van de Geijn, 2008);
-    at most the whole sample's bytes, and at least one row."""
-    _, work, operand = _form_route(K, N)
-    size = min(max(_BLOCK_BYTES, 8 * operand), 8 * paths * N)
+    (:func:`_form_route`): the rows that fit in ``_BLOCK_BYTES`` or, on the
+    GEMM route where it is larger, in the packed operand W, so that each
+    pass over W serves a block its size (Goto & van de Geijn, 2008); at
+    most the whole sample's bytes, and at least one row.  The per-matrix
+    route reads each A_k once per block whatever its size, so its blocks
+    keep to ``_BLOCK_BYTES``."""
+    _, work, packed = _form_route(K, N)
+    size = min(max(_BLOCK_BYTES, 8 * packed), 8 * paths * N)
     return max(1, size // (8 * (N + tables * K + work)))
 
 

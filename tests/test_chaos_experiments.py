@@ -94,6 +94,22 @@ def test_float_kernel_routes_take_exact_points_only(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cumulative_triangle(ONE, ONE, LegendreBasis(2), [Q(1, 2), Q(-1, 4)]),
+        lambda: cumulative_coeffs(ONE, LegendreBasis(2), [Q(-1, 2), Q(1, 2)]),
+        lambda: qv_rhs_quadratics(ONE, ONE, LegendreBasis(2), Q(-1, 2)),
+    ],
+    ids=["triangle", "coeffs", "rhs"],
+)
+def test_float_kernel_routes_reject_negative_points(call):
+    # the kernels integrate from 0: a negative point would start the sweep
+    # there and leave the other points' kernels integrated from it
+    with pytest.raises(ValueError, match=">= 0"):
+        call()
+
+
 @pytest.mark.parametrize("N", [3, 16])
 def test_float_kernels_match_exact_on_piecewise_h(N):
     b = LegendreBasis(N)
@@ -375,9 +391,10 @@ def test_qv_rows_match_per_increment_body(shape, law, seed):
     # the shape (other blocks can move a row in the last bits through the
     # BLAS, see the experiments module): the same bits where the table takes
     # one product per increment, within rounding on the GEMM route; the
-    # kernels need not be symmetric.  At (N, K) = (64, 128) and (64, 64) the
-    # operand of the form table outgrows _BLOCK_BYTES, and with more than
-    # 1024 paths it sets the blocks, on the GEMM and the per-matrix route
+    # kernels need not be symmetric.  At (N, K) = (64, 128) the GEMM route's
+    # packed operand outgrows _BLOCK_BYTES, and with more than 1024 paths it
+    # sets the blocks; at (64, 64) the per-matrix route's operand is as
+    # large, and its blocks keep to _BLOCK_BYTES
     N, K, strides, paths = shape
     rng = np.random.default_rng(seed)
     B, G = rng.standard_normal((K + 1, N, N)), rng.standard_normal((N, N))
@@ -628,10 +645,12 @@ def test_qv_above_the_size_cap_returns_at_once(call):
 
 
 def test_qv_size_cap_admits_the_deep_points():
-    # (N, depth) = (1024, 6) at 10^4 paths: 65 kernels of 1024^2 floats,
-    # 546 MB, a block of 82 MB and 101 MB of sweep work space; and the
-    # shallow depths at small N
+    # (N, depth) = (1024, 6) at 10^4 and 10^5 paths: 65 kernels of 1024^2
+    # floats, 546 MB, 101 MB of sweep work space and a block of 0.5 MB (the
+    # per-matrix route's blocks keep to _BLOCK_BYTES); and the shallow
+    # depths at small N
     _check_qv_size(1024, [6], 10_000)
+    _check_qv_size(1024, [6], 10**5)
     _check_qv_size(512, [1, 2, 3, 4, 5, 6], 10_000)
     _check_qv_size(8, list(range(1, 13)), 200_000)
 
