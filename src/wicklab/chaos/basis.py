@@ -199,37 +199,12 @@ class PiecewisePoly:
         return PiecewisePoly(tuple(out))
 
     def __mul__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        cuts = sorted(
-            {x for lo, hi, _ in self.pieces for x in (lo, hi)}
-            | {x for lo, hi, _ in other.pieces for x in (lo, hi)}
-        )
-        out = []
-        for a, b in zip(cuts, cuts[1:]):
-            pa = self._piece_at(a, b)
-            pb = other._piece_at(a, b)
-            if pa is not None and pb is not None:
-                prod = p_mul(list(pa), list(pb))
-                if prod:
-                    out.append((a, b, tuple(prod)))
-        return PiecewisePoly(tuple(out))
-
-    def _piece_at(self, a: Fraction, b: Fraction) -> Optional[tuple]:
-        for lo, hi, c in self.pieces:
-            if lo <= a and b <= hi:
-                return c
-        return None
+        prods = ((a, b, p_mul(pa or (), pb or ())) for a, b, pa, pb in _walk((Q(1),), self, other))
+        return PiecewisePoly(tuple((a, b, tuple(prod)) for a, b, prod in prods if prod))
 
     def degree(self) -> int:
         """The largest degree over the pieces (0 for the zero function)."""
         return max((len(c) - 1 for _, _, c in self.pieces), default=0)
-
-    def values_on(self, a: Fraction, b: Fraction, y: np.ndarray) -> np.ndarray:
-        """Float values at the points y of (a, b], an interval that lies
-        inside one piece or one gap."""
-        c = self._piece_at(a, b)
-        if c is None:
-            return np.zeros_like(y)
-        return np.polyval([float(v) for v in reversed(c)], y)
 
     def integral(self) -> Fraction:
         return sum((p_integrate(list(c), lo, hi) for lo, hi, c in self.pieces), Q(0))
@@ -240,6 +215,19 @@ class PiecewisePoly:
             if lo < x <= hi or (x == 0 and lo == 0):
                 return p_eval(list(c), x)
         return Q(0)
+
+
+def _walk(points: Sequence[Fraction], *fs: PiecewisePoly):
+    """``(a, b, c_1, ..., c_m)`` for each interval (a, b] between 0, the points
+    and the breakpoints of the functions fs, up to the last point: c_i is the
+    coefficients of f_i on (a, b], or None where f_i vanishes.  Every sweep
+    over the breakpoints takes its intervals from here."""
+    if min(points) < 0:
+        raise ValueError(f"kernel points and t must be >= 0: {list(points)}")
+    end = max(points)
+    breaks = (x for f in fs for lo, hi, _ in f.pieces for x in (lo, hi) if x < end)
+    for a, b in itertools.pairwise(sorted({Q(0), *points, *breaks})):
+        yield (a, b, *(next((c for lo, hi, c in f.pieces if lo <= a < hi), None) for f in fs))
 
 
 # ---------------------------------------------------------------------------
@@ -393,18 +381,18 @@ def _moments(a: Fraction, b: Fraction, n: int) -> tuple:
 def _kernel_sweep(
     h: PiecewisePoly, g: PiecewisePoly, basis: LegendreBasis, points: Sequence[Fraction]
 ) -> list:
-    """``(num, den, H)`` at each of the sorted points p, from one sweep over the
-    merged breakpoints of h, g and the points: num / den is the running integer
-    kernel of h (x) g 1_(p_0, p] (raw[u][v] / sqrt((2u-1)(2v-1))) and H the
-    values H_u(p).  Before p_0 only the H rows advance.  den grows by lcm, so
-    each snapshot's den divides every later one's."""
-    N, polys, p0, end = basis.N, basis._polys, points[0], points[-1]
-    cuts = sorted({*points, *(x for a, b, _ in h.pieces + g.pieces for x in (a, b) if x <= end)})
+    """``(num, den, H)`` at each of the sorted points p, from one walk over the
+    intervals between 0, the breakpoints of h and g and the points: num / den
+    is the running integer kernel of h (x) g 1_(p_0, p] (raw[u][v] /
+    sqrt((2u-1)(2v-1))) and H the values H_u(p).  Where g vanishes, before
+    p_0 included, only the H rows advance.  den grows by lcm, so each
+    snapshot's den divides every later one's."""
+    N, polys, p0 = basis.N, basis._polys, points[0]
     H, num, den = [Q(0)] * N, [[0] * N for _ in range(N)], 1
-    at = {cuts[0]: (num, den, H)}
-    for a, b in zip(cuts, cuts[1:]):
-        rows, H = _h_rows(h._piece_at(a, b), polys, a, b, H)
-        G, gden = _scaled([p_mul(g._piece_at(a, b) or (), L) for L in polys] if b > p0 else [])
+    at = {Q(0): (num, den, H)}
+    for a, b, ch, cg in _walk(points, h, g):
+        rows, H = _h_rows(ch, polys, a, b, H)
+        G, gden = _scaled([p_mul(cg, L) for L in polys] if cg and b > p0 else [])
         nG = max(map(len, G), default=0)
         if nG:  # g does not vanish here
             Hn, hden = _scaled(rows)
@@ -436,9 +424,9 @@ def coeffs_of(
     h: PiecewisePoly, basis: LegendreBasis, t_cut: Optional[Fraction] = None
 ) -> ChaosVector:
     """Exact coefficients <h * 1_{(0,t]}, e_j> for piecewise-polynomial h
-    (t = 1 by default): the values H_j(t) of the kernel sweep."""
+    (t = 1 by default): the values H_j(t) of the kernel sweep with no g."""
     t = Q(1) if t_cut is None else as_fraction(t_cut)
-    [(_, _, H)] = _kernel_sweep(h, h, basis, (t,))
+    [(_, _, H)] = _kernel_sweep(h, PiecewisePoly(()), basis, (t,))
     return ChaosVector(tuple(Rad(x, basis.weight(j)) for j, x in enumerate(H, 1)))
 
 

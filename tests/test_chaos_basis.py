@@ -213,9 +213,9 @@ def piecewise_values(p: PiecewisePoly, xs: np.ndarray) -> np.ndarray:
     """``p(x)`` at every point of xs, one vectorized pass per piece: a piece
     covers (lo, hi], and also 0 when lo = 0; p is 0 off its pieces."""
     out = np.zeros_like(xs)
-    for lo, hi, _ in p.pieces:
+    for lo, hi, c in p.pieces:
         on = (float(lo) < xs) & (xs <= float(hi)) | (lo == 0) & (xs == 0.0)
-        out[on] = p.values_on(lo, hi, xs[on])
+        out[on] = np.polyval([float(v) for v in reversed(c)], xs[on])
     return out
 
 

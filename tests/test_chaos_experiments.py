@@ -72,6 +72,7 @@ def test_exact_and_float_kernel_engines_agree():
 # non-dyadic cuts; h1 vanishes on (5/7, 1] and h2 on (2/7, 1/3]
 H1 = PiecewisePoly(((Q(0), Q(1, 3), (Q(1), Q(2))), (Q(1, 3), Q(5, 7), (Q(-1), Q(0), Q(3)))))
 H2 = PiecewisePoly(((Q(0), Q(2, 7), (Q(2),)), (Q(1, 3), Q(1), (Q(1), Q(-3, 2)))))
+GAPPED = PiecewisePoly(((Q(1, 4), Q(1, 2), (Q(1), Q(-1))), (Q(3, 4), Q(1), (Q(2), Q(0), Q(1)))))
 RISE = PiecewisePoly(((Q(0), Q(1), (Q(1), Q(2))),))  # 1 + 2y
 FALL = PiecewisePoly(((Q(0), Q(1), (Q(3), Q(-1))),))  # 3 - y
 
@@ -100,12 +101,15 @@ def test_float_kernel_routes_take_exact_points_only(call):
         lambda: cumulative_triangle(ONE, ONE, LegendreBasis(2), [Q(1, 2), Q(-1, 4)]),
         lambda: cumulative_coeffs(ONE, LegendreBasis(2), [Q(-1, 2), Q(1, 2)]),
         lambda: qv_rhs_quadratics(ONE, ONE, LegendreBasis(2), Q(-1, 2)),
+        lambda: triangle_kernel(ONE, ONE, LegendreBasis(2), t_cut=Q(-1, 2)),
+        lambda: coeffs_of(ONE, LegendreBasis(2), t_cut=Q(-1, 4)),
     ],
-    ids=["triangle", "coeffs", "rhs"],
+    ids=["triangle", "coeffs", "rhs", "exact-triangle", "exact-coeffs"],
 )
 def test_float_kernel_routes_reject_negative_points(call):
     # the kernels integrate from 0: a negative point would start the sweep
-    # there and leave the other points' kernels integrated from it
+    # there and leave the other points' kernels integrated from it; the
+    # exact entry points walk the same intervals and reject it too
     with pytest.raises(ValueError, match=">= 0"):
         call()
 
@@ -113,17 +117,32 @@ def test_float_kernel_routes_reject_negative_points(call):
 @pytest.mark.parametrize("N", [3, 16])
 def test_float_kernels_match_exact_on_piecewise_h(N):
     b = LegendreBasis(N)
-    points = [Q(0), Q(1, 5), Q(2, 7), Q(1, 2), Q(5, 7), Q(9, 10)]
-    B = cumulative_triangle(H1, H2, b, points)
-    assert B.shape == (len(points), N, N) and not B[0].any()
-    for p, Bp in zip(points[1:], B[1:]):
-        assert close(Bp, exact_B(H1, H2, b, p)), p
-    C = cumulative_coeffs(H1, b, points)
-    for p, Cp in zip(points[1:], C[1:]):
-        assert close(Cp, coeffs_of(H1, b, t_cut=p).floats()), p
-    G, g = qv_rhs_quadratics(H1, H2, b, Q(9, 10))
-    assert close(G, exact_G(H1, H2, b, Q(9, 10)))
-    assert np.array_equal(np.diag(G), g)
+    cases = [
+        (H2, [Q(0), Q(1, 5), Q(2, 7), Q(1, 2), Q(5, 7), Q(9, 10)]),
+        # h2 vanishes before 1/4 and on (1/2, 3/4]: only H advances there
+        (GAPPED, [Q(k, 8) for k in range(9)]),
+    ]
+    for h2, points in cases:
+        B = cumulative_triangle(H1, h2, b, points)
+        assert B.shape == (len(points), N, N) and not B[0].any()
+        for p, Bp in zip(points[1:], B[1:]):
+            assert close(Bp, exact_B(H1, h2, b, p)), p
+        C = cumulative_coeffs(H1, b, points)
+        for p, Cp in zip(points[1:], C[1:]):
+            assert close(Cp, coeffs_of(H1, b, t_cut=p).floats()), p
+        G, g = qv_rhs_quadratics(H1, h2, b, Q(9, 10))
+        assert close(G, exact_G(H1, h2, b, Q(9, 10)))
+        assert np.array_equal(np.diag(G), g)
+
+
+def test_cumulative_coeffs_holds_no_kernel_stack():
+    # with no h2 the sweep holds C and H, not a (points x N x N) stack of
+    # zero kernels, which would take 4.6 MB here
+    points = [Q(k, 128) for k in range(129)]
+    assert _traced_peak(cumulative_coeffs, H1, LegendreBasis(64), points) < 2**20
+    # the triangle kernels of h2 = 0 still come as a writable zero stack
+    B = cumulative_triangle(H1, PiecewisePoly(()), LegendreBasis(4), points[:3])
+    assert B.shape == (3, 4, 4) and not B.any() and B.flags.writeable
 
 
 def test_cumulative_coeffs_monotone_resolution():
