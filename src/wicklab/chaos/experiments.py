@@ -30,12 +30,18 @@ Both Monte Carlo bodies walk the sample X in blocks of rows sized by one
 rule (``_block_rows``): ``_BLOCK_BYTES``, or on the GEMM route the bytes
 of the packed operand the form table multiplies where those are more,
 capped at the bytes of the whole sample.  Each block is drawn from one
-``Sampler`` stream just before it is used, so X is never held whole: a
-body holds its per-path tables of results and one block's rows and
-products.  The stream's blocks concatenate to the whole draw, so each
-block holds the rows that the same block of X drawn at once would.  Each result is a row-by-row sum, so
-it does not depend on the block size as long as the BLAS rounds a block's
-matrix-matrix product as it rounds the whole one.  OpenBLAS 0.3.31
+``Sampler`` stream just before it is used, so X is never held whole, and
+no per-path result is either: a body writes each block's per-path
+quantities into the buffer of a ``_Moments``, which folds them into a
+running count, means and centred second moments when it is full, so a
+body holds one block's rows and products and a buffer of at most half
+their floats, whatever the number of paths.  The stream's blocks
+concatenate to the whole draw, so each block holds the rows that the
+same block of X drawn at once would.  Each per-path value is a
+row-by-row sum, so it does not depend on the block size as long as the
+BLAS rounds a block's matrix-matrix product as it rounds the whole one;
+the statistics add the paths fold by fold, and folds hold whole blocks,
+so the block size moves them in the last bits.  OpenBLAS 0.3.31
 (AVX-512) does for the shapes the command line and the benchmark use; for
 N = 17-19, 25-27, 33-35 and N > 40 it takes other edge kernels for some
 block shapes, and numpy sends a one-row block through GEMV, which moves
@@ -190,13 +196,6 @@ def legendre_float_cumulative(N: int, depth: int, t=1):
 # experiments
 
 
-def _stats(x: np.ndarray) -> dict:
-    return {
-        "mean": float(x.mean()),
-        "stderr": float(x.std(ddof=1) / math.sqrt(len(x))),
-    }
-
-
 def _dyadic_strides(depths: Sequence[int]) -> tuple:
     """(dmax, strides): the finest depth, and for each depth the stride that
     picks its partition points out of the finest dyadic grid."""
@@ -216,17 +215,20 @@ _BLOCK_BYTES = 2**19
 # _POINT_FLOATS of Python objects per grid point (36.5-37.5 traced at N <= 8);
 # _SWEEP_FLOATS N^2 floats of G and of the work space of a kernel sweep, which
 # runs again beside the stack (7.0-9.7 N^2 traced at N = 64-512); the GEMM
-# route's packed operand; one block (:func:`_block_rows`); and the
-# (depths + 1) tables of ``paths`` floats with three more for the
-# statistics.  It admits (N, depth) = (1024, 6) at 10^4 paths, at 647 MB,
-# and at 10^5 paths, at 651 MB.
+# route's packed operand; and one block (:func:`_block_rows`) with the
+# moments' buffer, which holds at most half a block's floats
+# (:func:`_fold_paths`).  To these it adds one float per path, which no
+# array holds but which bounds the draw: 2^27 paths at most, where 10^9
+# would draw for minutes.  It admits (N, depth) = (1024, 6) at 10^4 paths,
+# at 647 MB, and at 10^5 paths, at 648 MB.
 _QV_MAX_BYTES = 2**30
 _POINT_FLOATS = 40
 _SWEEP_FLOATS = 12
 
 
 def _check_qv_size(N: int, depths: Sequence[int], paths: int) -> int:
-    """The bytes a quadratic-variation call holds at most; a call above
+    """The bytes a quadratic-variation call holds at most, plus 8 per path it
+    draws, which bound the draw rather than memory; a call above
     ``_QV_MAX_BYTES`` is rejected before any point of its grid is built."""
     dmax = max(depths)
     # past depth 64 the grid alone exceeds any cap
@@ -236,13 +238,14 @@ def _check_qv_size(N: int, depths: Sequence[int], paths: int) -> int:
         (K + 1) * (N * N + N + _POINT_FLOATS)
         + _SWEEP_FLOATS * N * N
         + packed
-        + _block_rows(N, K, paths, 2) * (N + 2 * K + work)
-        + (len(depths) + 4) * paths
+        + 3 * _block_rows(N, K, paths, 2) * (N + 2 * K + work) // 2
+        + paths
     )
     if need > _QV_MAX_BYTES:
         raise ValueError(
             f"truncation {N}, depths up to {dmax} and {paths} paths need {need} bytes "
-            f"of kernels, grid points, work space and tables, above the cap of {_QV_MAX_BYTES}"
+            f"of kernels, grid points and work space, with 8 per path drawn, "
+            f"above the cap of {_QV_MAX_BYTES}"
         )
     return need
 
@@ -337,16 +340,75 @@ def _block_rows(N: int, K: int, paths: int, tables: int) -> int:
     return max(1, size // (8 * (N + tables * K + work)))
 
 
+def _fold_paths(N: int, K: int, paths: int, tables: int, q: int) -> int:
+    """Paths per fold of the :class:`_Moments` of q quantities per path of a
+    body whose blocks are :func:`_block_rows`'s: whole blocks, as many as
+    fit in half a block's floats, at least one and at most ``paths``.  The
+    moments' buffer then adds at most half a block to what the body holds;
+    a fold's passes cost the same per path at any size, and its fixed cost
+    is paid once per few blocks (five of 303 paths at qv-paths' shape)."""
+    per = N + tables * K + _form_route(K, N)[1]
+    return min(paths, _block_rows(N, K, paths, tables) * max(1, per // (2 * q)))
+
+
 def _path_blocks(law: Law, seed: int, paths: int, N: int, rows: int):
-    """(lo, X[lo : lo + rows]) over the (paths x N) sample X of ``law`` and
-    ``seed``, each block drawn from one stream as it is asked for."""
+    """The blocks X[lo : lo + rows] of the (paths x N) sample X of ``law``
+    and ``seed``, each drawn from one stream as it is asked for."""
     if paths < 2:
         raise ValueError("paths must be >= 2 for a standard error")
     stream = Sampler(law, seed)
     return (
-        (lo, stream.draw(min(rows, paths - lo) * N).reshape(-1, N))
-        for lo in range(0, paths, rows)
+        stream.draw(min(rows, paths - lo) * N).reshape(-1, N) for lo in range(0, paths, rows)
     )
+
+
+class _Moments:
+    """The count, means and centred second moments of q quantities per path,
+    in one pass over the paths.
+
+    A body writes each block's quantities into :meth:`take`, a (q x n) view
+    of a buffer of ``cap`` paths.  When the next block does not fit, the
+    buffer is centred in place, on its first path and then on its mean, so
+    its second moment M is a sum of squares (never negative, and exactly 0
+    on constant data), and folds into the running totals by the pairwise
+    update of Chan, Golub & LeVeque (1979): paths n_a + n_b = n, mean
+    m_a + (m_b - m_a) n_b / n, and M_a + M_b + (m_b - m_a)^2 n_a n_b / n
+    (Welford 1962 is the case n_b = 1)."""
+
+    def __init__(self, q: int, cap: int):
+        self._buf = np.empty((q, cap))
+        self._used = 0
+        self._n = 0
+        self._mean = np.zeros(q)
+        self._m2 = np.zeros(q)
+
+    def take(self, n: int) -> np.ndarray:
+        """The buffer's next n columns, for n <= cap, folding it first if full."""
+        if self._used + n > self._buf.shape[1]:
+            self._fold()
+        self._used += n
+        return self._buf[:, self._used - n : self._used]
+
+    def _fold(self) -> None:
+        T, nb = self._buf[:, : self._used], self._used
+        shift = T[:, :1].copy()
+        T -= shift
+        mb = np.einsum("qp->q", T)[:, None] / nb
+        T -= mb
+        m2b = np.einsum("qp,qp->q", T, T)
+        delta = (mb + shift)[:, 0] - self._mean
+        n = self._n + nb
+        self._mean += delta * (nb / n)
+        self._m2 += m2b + (self._n * nb / n) * delta * delta
+        self._n, self._used = n, 0
+
+    def stats(self) -> list:
+        """{"mean", "stderr"} of each quantity over the n >= 2 paths taken, the
+        standard error sqrt(M / (n - 1)) / sqrt(n)."""
+        if self._used:
+            self._fold()
+        se = np.sqrt(self._m2 / (self._n - 1)) / math.sqrt(self._n)
+        return [{"mean": float(m), "stderr": float(e)} for m, e in zip(self._mean, se)]
 
 
 def _skewness(law: Law) -> float:
@@ -387,22 +449,26 @@ def _qv_rows(
     table's work space (:func:`_block_rows`).  The block also takes
     RHS = x' G x + m3 g.x, the linear term by a row-wise ``einsum`` that a
     split by rows does not round differently.  Each block is drawn just
-    before it is used, so the call holds the QV and RHS tables and one
-    block, never the whole sample.
+    before it is used, and its QV_d, QV_d - RHS, (QV_d - RHS)^2 and RHS go
+    into a :class:`_Moments` (:func:`_qv_summary`), so the call holds one
+    block and the moments' buffer, never the whole sample nor a table of
+    all the paths.
     """
     N = G.shape[0]
     K = len(A)
+    D = len(strides)
     traces = np.trace(A, axis1=1, axis2=2)[:, None]
     fill = _form_table(A)
     blocks = _path_blocks(law, seed, paths, N, _block_rows(N, K, paths, 2))
+    moments = _Moments(3 * D + 1, _fold_paths(N, K, paths, 2, 3 * D + 1))
     m3 = _skewness(law)
     at_level = [[i for i, s in enumerate(strides) if s == 1 << l] for l in range(K.bit_length())]
     top = 1 + max(l for l, at in enumerate(at_level) if at)  # the levels read
-    QV = np.empty((len(strides), paths))
-    RHS = np.empty(paths)
-    for lo, Xb in blocks:
+    for Xb in blocks:
         n = len(Xb)
-        RHS[lo : lo + n] = _quadratic_form(Xb, G) + m3 * np.einsum("pi,i->p", Xb, g)
+        T = moments.take(n)
+        np.einsum("pi,pi->p", Xb @ G, Xb, out=T[3 * D])
+        T[3 * D] += m3 * np.einsum("pi,i->p", Xb, g)
         inc = np.empty((K, n))
         fill(Xb, inc)
         inc -= traces
@@ -410,27 +476,37 @@ def _qv_rows(
             up = inc[0::2] + inc[1::2] if level + 1 < top else None
             if at_level[level]:
                 # summed over k in order: einsum sums a lone column otherwise
+                first, *rest = at_level[level]
                 if n > 1:
-                    qv = np.einsum("kp,kp->p", inc, inc)
+                    np.einsum("kp,kp->p", inc, inc, out=T[first])
                 else:
-                    qv = sum(x * x for x in inc[:, 0].tolist())
-                QV[at_level[level], lo : lo + n] = qv
+                    T[first] = sum(x * x for x in inc[:, 0].tolist())
+                if rest:
+                    T[rest] = T[first]
             inc = up
-    rhs, rhs_sd = _stats(RHS), RHS.std(ddof=1)
-    rows = []
-    for qv in QV:
-        err = (qv - RHS) ** 2
-        qv_mean, qv_sd = qv.mean(), qv.std(ddof=1)
-        rows.append(
-            {
-                "err": _stats(err),
-                "qv": {"mean": float(qv_mean), "stderr": float(qv_sd / math.sqrt(paths))},
-                "rhs": dict(rhs),
-                "mean_gap": float(abs(qv_mean - rhs["mean"])),
-                "mean_gap_stderr": float(math.sqrt(qv_sd**2 + rhs_sd**2) / math.sqrt(paths)),
-            }
-        )
-    return rows
+        np.subtract(T[:D], T[3 * D], out=T[D : 2 * D])
+        np.square(T[D : 2 * D], out=T[2 * D : 3 * D])
+    return _qv_summary(moments, D)
+
+
+def _qv_summary(moments: _Moments, D: int) -> list:
+    """The rows of D depths from the moments of QV_d (quantities 0 to D - 1),
+    QV_d - RHS (D to 2D - 1), err = (QV_d - RHS)^2 (2D to 3D - 1) and RHS
+    (3D): ``mean_gap_stderr`` takes QV_d and RHS as independent,
+    ``mean_gap_paired_stderr`` is the standard error of QV_d - RHS."""
+    stats = moments.stats()
+    rhs = stats[3 * D]
+    return [
+        {
+            "err": stats[2 * D + i],
+            "qv": stats[i],
+            "rhs": dict(rhs),
+            "mean_gap": abs(stats[i]["mean"] - rhs["mean"]),
+            "mean_gap_stderr": math.hypot(stats[i]["stderr"], rhs["stderr"]),
+            "mean_gap_paired_stderr": stats[D + i]["stderr"],
+        }
+        for i in range(D)
+    ]
 
 
 def _qv_kernels(h1: PiecewisePoly, h2: PiecewisePoly, basis: LegendreBasis, t, depth: int):
@@ -459,8 +535,10 @@ def qv_experiment(
 
     For each dyadic depth d: QV_d = sum_k (x' A_k x - tr A_k)^2 over the 2^d
     increment kernels A_k; RHS is the per-realization limit quadratic form.
-    Reports E|QV_d - RHS|^2 with stderr, and the two means.  A given
-    ``basis`` must have N functions.
+    Reports E|QV_d - RHS|^2 with stderr, the two means, and the standard
+    error of their gap both as if QV_d and RHS were independent
+    (``mean_gap_stderr``) and paired over the paths that give both
+    (``mean_gap_paired_stderr``).  A given ``basis`` must have N functions.
     """
     basis = basis or LegendreBasis(N)
     if basis.N != N:
@@ -512,7 +590,8 @@ def riemann_experiment(
     c_g(t_k))', so S_d - I = x' D_d x + tr A with D_d = sym(P_d) - A.  All
     depths share one sample of ``paths`` realizations, drawn in blocks of
     :func:`_path_blocks`; per block, :func:`_form_table` fills the block's
-    slice of the (depths x paths) table, which then holds (S_d - I)^2.
+    columns of the buffer of a :class:`_Moments`, which then hold
+    (S_d - I)^2, so the call holds no table of all the paths.
     """
     basis = LegendreBasis(N)
     dmax, strides = _dyadic_strides(depths)
@@ -526,10 +605,11 @@ def riemann_experiment(
     fill = _form_table(D)
     K = len(D)
     blocks = _path_blocks(law, seed, paths, N, _block_rows(N, K, paths, 1))
-    err = np.empty((K, paths))
-    for lo, Xb in blocks:
-        errb = err[:, lo : lo + len(Xb)]
-        fill(Xb, errb)
-        np.square(errb + trace, out=errb)
-    rows = [{"depth": d, "err": _stats(e)} for d, e in zip(depths, err)]
+    moments = _Moments(K, _fold_paths(N, K, paths, 1, K))
+    for Xb in blocks:
+        T = moments.take(len(Xb))
+        fill(Xb, T)
+        T += trace
+        np.square(T, out=T)
+    rows = [{"depth": d, "err": err} for d, err in zip(depths, moments.stats())]
     return {"N": N, "paths": paths, "seed": seed, "rows": rows}

@@ -14,10 +14,13 @@ import numpy as np
 
 from wicklab.chaos.basis import LegendreBasis, PiecewisePoly
 from wicklab.chaos.experiments import (
+    _Moments,
+    _block_rows,
+    _fold_paths,
     _path_blocks,
+    _qv_summary,
     _quadratic_form,
     _skewness,
-    _stats,
     cumulative_coeffs,
     cumulative_triangle,
 )
@@ -120,23 +123,33 @@ def cell_by_bisection(ends, x) -> int:
     return lo
 
 
-def qv_rows_per_increment(B, G, g, strides, law, paths, seed, rows) -> list:
+def _stats(x: np.ndarray) -> dict:
+    """Mean and standard error of a whole table of paths, by numpy's two passes."""
+    return {
+        "mean": float(x.mean()),
+        "stderr": float(x.std(ddof=1) / math.sqrt(len(x))),
+    }
+
+
+def qv_rows_per_increment(B, G, g, strides, law, paths, seed) -> list:
     """The QV rows with one quadratic form per finest increment: each block of
-    ``rows`` paths walks its K increments in order and carries each completed
-    pair up a level on a stack of pending increments."""
+    the body's paths (``_block_rows``) walks its K increments in order and
+    carries each completed pair up a level on a stack of pending increments.
+    The blocks' QV and RHS go through the body's statistics, folded over the
+    same blocks (``_Moments``)."""
     N = G.shape[0]
     A = B[1:] - B[:-1]
-    K = len(A)
-    blocks = _path_blocks(law, seed, paths, N, rows)
+    K, D = len(A), len(strides)
+    blocks = _path_blocks(law, seed, paths, N, _block_rows(N, K, paths, 2))
+    moments = _Moments(3 * D + 1, _fold_paths(N, K, paths, 2, 3 * D + 1))
     m3 = _skewness(law)
     traces = np.trace(A, axis1=1, axis2=2)
     levels = K.bit_length()  # strides 1, 2, 4, ..., K
     at_level = [[i for i, s in enumerate(strides) if s == 1 << l] for l in range(levels)]
-    QV = np.zeros((len(strides), paths))
-    RHS = np.empty(paths)
-    for lo, Xb in blocks:
-        QVb = QV[:, lo : lo + len(Xb)]
-        RHSb = RHS[lo : lo + len(Xb)]
+    for Xb in blocks:
+        T = moments.take(len(Xb))
+        QVb, RHSb = T[:D], T[3 * D]
+        QVb[:] = 0
         RHSb[:] = _quadratic_form(Xb, G)
         RHSb += m3 * np.einsum("pi,i->p", Xb, g)
         pending = []
@@ -151,22 +164,9 @@ def qv_rows_per_increment(B, G, g, strides, law, paths, seed, rows) -> list:
                     break
                 inc = pending.pop() + inc
                 level += 1
-    rhs, rhs_sd = _stats(RHS), RHS.std(ddof=1)
-    rows = []
-    for qv in QV:
-        err = (qv - RHS) ** 2
-        rows.append(
-            {
-                "err": _stats(err),
-                "qv": _stats(qv),
-                "rhs": dict(rhs),
-                "mean_gap": float(abs(qv.mean() - rhs["mean"])),
-                "mean_gap_stderr": float(
-                    math.sqrt(qv.std(ddof=1) ** 2 + rhs_sd**2) / math.sqrt(paths)
-                ),
-            }
-        )
-    return rows
+        T[D : 2 * D] = QVb - RHSb
+        T[2 * D : 3 * D] = T[D : 2 * D] ** 2
+    return _qv_summary(moments, D)
 
 
 def riemann_rows_by_products(h, g, N, law, depths, paths, seed) -> list:

@@ -10,11 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from wicklab.chaos.basis import LegendreBasis, PiecewisePoly, coeffs_of, triangle_kernel
 from wicklab.chaos.experiments import (
+    _Moments,
     _block_rows,
     _check_qv_size,
+    _fold_paths,
     _form_route,
     _form_table,
     _qv_rows,
+    _qv_summary,
     _quadratic_form,
     _skewness,
     cumulative_coeffs,
@@ -225,7 +228,7 @@ def test_qv_joint_refinement_row_is_qv_experiment_row(N, d, t):
     (joint,) = qv_joint_refinement(law, [(N, d)], 3000, 11, t, h1=H1, h2=H2)["rows"]
     (fixed,) = qv_experiment(H1, H2, t, N, law, [d], 3000, 11)["rows"]
     assert (joint["N"], joint["depth"]) == (N, fixed["depth"])
-    for key in ("err", "qv", "rhs", "mean_gap", "mean_gap_stderr"):
+    for key in ("err", "qv", "rhs", "mean_gap", "mean_gap_stderr", "mean_gap_paired_stderr"):
         assert joint[key] == fixed[key], key
 
 
@@ -262,7 +265,8 @@ def test_integral_is_centered_mc():
 
 def _qv_rows_oracle(B, G, g, strides, law, paths, seed):
     """The per-increment QV body: every increment of every stride gets its
-    own quadratic form over all paths at once."""
+    own quadratic form over all paths at once, and numpy's two passes over
+    all paths give the statistics."""
     N = G.shape[0]
     X = sample(law, seed, paths * N).reshape(paths, N)
     RHS = np.einsum("pi,pi->p", X @ G, X) + _skewness(law) * np.einsum("pi,i->p", X, g)
@@ -273,6 +277,7 @@ def _qv_rows_oracle(B, G, g, strides, law, paths, seed):
         for A in Bd[1:] - Bd[:-1]:
             inc = np.einsum("pi,pi->p", X @ A, X) - np.trace(A)
             QV += inc * inc
+        paired = (QV - RHS).std(ddof=1) / math.sqrt(paths)
         err = (QV - RHS) ** 2
         rows.append(
             {
@@ -282,9 +287,39 @@ def _qv_rows_oracle(B, G, g, strides, law, paths, seed):
                 "mean_gap": abs(QV.mean() - RHS.mean()),
                 "mean_gap_stderr": math.sqrt(QV.std(ddof=1) ** 2 + RHS.std(ddof=1) ** 2)
                 / math.sqrt(paths),
+                "mean_gap_paired_stderr": paired,
             }
         )
     return rows
+
+
+def _fold_tables(tables, rows, cap):
+    """A ``_Moments`` fed whole-sample tables (quantities x paths) in blocks
+    of ``rows`` paths, as a body feeds its own into a buffer of ``cap``."""
+    moments = _Moments(len(tables), cap)
+    for lo in range(0, tables.shape[1], rows):
+        block = tables[:, lo : lo + rows]
+        moments.take(block.shape[1])[:] = block
+    return moments
+
+
+def _qv_rows_folded(B, G, g, strides, law, paths, seed):
+    """The per-increment body's tables through the QV body's statistics, on
+    its blocks and folds: ``==`` to the body's rows wherever the per-path
+    values are the same bits."""
+    N, K, D = G.shape[0], len(B) - 1, len(strides)
+    X = sample(law, seed, paths * N).reshape(paths, N)
+    RHS = np.einsum("pi,pi->p", X @ G, X) + _skewness(law) * np.einsum("pi,i->p", X, g)
+    QV = np.zeros((D, paths))
+    for QVd, stride in zip(QV, strides):
+        Bd = B[::stride]
+        for A in Bd[1:] - Bd[:-1]:
+            inc = np.einsum("pi,pi->p", X @ A, X) - np.trace(A)
+            QVd += inc * inc
+    gap = QV - RHS
+    tables = np.vstack([QV, gap, gap**2, RHS])
+    folds = _fold_paths(N, K, paths, 2, 3 * D + 1)
+    return _qv_summary(_fold_tables(tables, _block_rows(N, K, paths, 2), folds), D)
 
 
 def _dyadic_kernels(h1, h2, N, dmax):
@@ -302,7 +337,8 @@ def assert_rows_match(rows, expected):
         for key in ("err", "qv", "rhs"):
             for stat in ("mean", "stderr"):
                 assert row[key][stat] == pytest.approx(exp[key][stat], rel=1e-12, abs=0), (key, stat)
-        assert row["mean_gap_stderr"] == pytest.approx(exp["mean_gap_stderr"], rel=1e-12, abs=0)
+        for key in ("mean_gap_stderr", "mean_gap_paired_stderr"):
+            assert row[key] == pytest.approx(exp[key], rel=1e-12, abs=0), key
         scale = abs(exp["qv"]["mean"]) + abs(exp["rhs"]["mean"])
         assert abs(row["mean_gap"] - exp["mean_gap"]) <= 1e-12 * scale, "mean_gap"
 
@@ -340,11 +376,15 @@ def test_qv_rows_match_per_increment_oracle(h1, h2, N, depths, paths, law):
     B, G, g = _dyadic_kernels(h1, h2, N, dmax)
     expected = _qv_rows_oracle(B, G, g, [2 ** (dmax - d) for d in depths], law, paths, 3)
     assert [row["depth"] for row in rep["rows"]] == list(depths)
+    # the body folds its statistics block by block, numpy takes two passes
+    # over all paths: the same per-path values summed in another order
     assert_rows_match(rep["rows"], expected)
     # the block's x' G x plus one m3 g.x over all paths is the oracle's RHS,
     # and the finest increments are the oracle's own, in the oracle's order,
-    # where the body takes one product per increment (off the GEMM route)
-    for row, exp, d in zip(rep["rows"], expected, depths):
+    # where the body takes one product per increment (off the GEMM route):
+    # through the body's folds, the same bits
+    folded = _qv_rows_folded(B, G, g, [2 ** (dmax - d) for d in depths], law, paths, 3)
+    for row, exp, d in zip(rep["rows"], folded, depths):
         assert row["rhs"] == exp["rhs"]
         if d == dmax and not _gemm_route(N, 2**dmax):
             assert {k: row[k] for k in exp} == exp
@@ -357,8 +397,9 @@ def test_qv_rows_match_per_increment_oracle_at_depth_7(paths):
     # the K = 128 increments at N = 16 take the GEMM route, within rounding
     law = Law.exponential(1)
     (row,) = qv_experiment(RISE, FALL, Q(1), 16, law, [7], paths, 5)["rows"]
-    (expected,) = _qv_rows_oracle(*_dyadic_kernels(RISE, FALL, 16, 7), [1], law, paths, 5)
-    assert row["rhs"] == expected["rhs"]
+    kernels = _dyadic_kernels(RISE, FALL, 16, 7)
+    (expected,) = _qv_rows_oracle(*kernels, [1], law, paths, 5)
+    assert row["rhs"] == _qv_rows_folded(*kernels, [1], law, paths, 5)[0]["rhs"]
     assert_rows_match([row], [expected])
 
 
@@ -367,10 +408,12 @@ def test_qv_joint_refinement_matches_per_increment_oracle():
     rep = qv_joint_refinement(law, [(64, 3)], 10_000, 42)
     B, G, g = _dyadic_kernels(ONE, ONE, 64, 3)
     (expected,) = _qv_rows_oracle(B, G, g, [1], law, 10_000, 42)
+    assert_rows_match(rep["rows"], [expected])
     # with the body's own kernels the one depth is the finest, so the whole
-    # row is the oracle's
+    # row is the oracle's through the body's folds
     (row,) = rep["rows"]
-    assert {k: row[k] for k in expected} == expected
+    (folded,) = _qv_rows_folded(B, G, g, [1], law, 10_000, 42)
+    assert {k: row[k] for k in folded} == folded
 
 
 def _last_block(paths, N, K) -> str:
@@ -405,10 +448,11 @@ def _qv_shapes(draw):
 @example((64, 64, [64, 1], 1501), Law.normal(), 6)
 @settings(max_examples=60, deadline=None)
 def test_qv_rows_match_per_increment_body(shape, law, seed):
-    # the increment table, its level sums and the statistics tail give every
-    # row of the per-increment body on the same blocks of paths, whatever
-    # the shape (other blocks can move a row in the last bits through the
-    # BLAS, see the experiments module): the same bits where the table takes
+    # the increment table and its level sums give every row of the
+    # per-increment body, through the same statistics on the same blocks of
+    # paths, whatever the shape (other blocks can move a row in the last
+    # bits through the BLAS and the folds, see the experiments module): the
+    # same bits where the table takes
     # one product per increment, within rounding on the GEMM route; the
     # kernels need not be symmetric.  At (N, K) = (64, 128) the GEMM route's
     # packed operand outgrows _BLOCK_BYTES, and with more than 1024 paths it
@@ -419,7 +463,7 @@ def test_qv_rows_match_per_increment_body(shape, law, seed):
     B, G = rng.standard_normal((K + 1, N, N)), rng.standard_normal((N, N))
     g = rng.standard_normal(N)
     rows = _qv_rows(np.diff(B, axis=0), G, g, strides, law, paths, seed)
-    expected = qv_rows_per_increment(B, G, g, strides, law, paths, seed, _qv_block_rows(paths, N, K))
+    expected = qv_rows_per_increment(B, G, g, strides, law, paths, seed)
     if _gemm_route(N, K):
         assert_rows_match(rows, expected)
     else:
@@ -539,14 +583,19 @@ def _riemann_kernels(h, g, N, depths):
     return D, np.trace(A)
 
 
-def _riemann_oracle(h, g, N, law, depths, paths, seed):
-    """The full-array Riemann body: for each depth, the quadratic form
-    x' D_d x + tr A = S_d - I over the whole sample at once."""
+def _riemann_errs(h, g, N, law, depths, paths, seed):
+    """The full-array Riemann body: for each depth in turn, (S_d - I)^2 by
+    the quadratic form x' D_d x + tr A = S_d - I over the whole sample."""
     D, trace = _riemann_kernels(h, g, N, depths)
     X = sample(law, seed, paths * N).reshape(paths, N)
+    for Dd in D:
+        yield (np.einsum("pi,pi->p", X @ Dd, X) + trace) ** 2
+
+
+def _riemann_oracle(h, g, N, law, depths, paths, seed):
+    """The full-array Riemann rows, by numpy's two passes over all paths."""
     rows = []
-    for d, Dd in zip(depths, D):
-        err = (np.einsum("pi,pi->p", X @ Dd, X) + trace) ** 2
+    for d, err in zip(depths, _riemann_errs(h, g, N, law, depths, paths, seed)):
         rows.append(
             {
                 "depth": d,
@@ -575,12 +624,23 @@ RIEMANN_SHAPES = [
 
 @pytest.mark.parametrize("h, g, N, depths, paths, law", RIEMANN_SHAPES)
 def test_riemann_rows_match_full_array_oracle(h, g, N, depths, paths, law):
-    # the same bits with one product per depth; with more depths than the
-    # truncation (N = 1, two depths) the GEMM route, whose A (x x) against
-    # the oracle's (x A) x, two roundings each, gives the same rows here
+    # the same per-path values with one product per depth (with more depths
+    # than the truncation, N = 1 and two depths, the GEMM route, whose
+    # A (x x) against the oracle's (x A) x, two roundings each, gives the
+    # same values here), folded block by block against numpy's two passes
+    # over all paths: within rounding, and the same bits through the folds
     rep = riemann_experiment(h, g, N, law, depths, paths, 4)
     assert (rep["N"], rep["paths"], rep["seed"]) == (N, paths, 4)
-    assert rep["rows"] == _riemann_oracle(h, g, N, law, depths, paths, 4)
+    expected = _riemann_oracle(h, g, N, law, depths, paths, 4)
+    assert [row["depth"] for row in rep["rows"]] == [row["depth"] for row in expected]
+    for row, exp in zip(rep["rows"], expected):
+        for stat in ("mean", "stderr"):
+            assert row["err"][stat] == pytest.approx(exp["err"][stat], rel=1e-12, abs=0)
+    # through the body's blocks and folds, the same bits
+    K = len(depths)
+    errs = np.array(list(_riemann_errs(h, g, N, law, depths, paths, 4)))
+    folds = _fold_tables(errs, _block_rows(N, K, paths, 1), _fold_paths(N, K, paths, 1, K))
+    assert [row["err"] for row in rep["rows"]] == folds.stats()
 
 
 @pytest.mark.parametrize("h, g, N, depths, paths, law", RIEMANN_SHAPES)
@@ -636,6 +696,86 @@ def test_monte_carlo_bodies_never_hold_the_whole_sample(law):
     B, G, g = _dyadic_kernels(ONE, ONE, N, 2)
     assert 2 * _traced_peak(_qv_rows_of_cumulative, B, G, g, [2, 1], law, paths, 5) < sample_bytes
     assert 2 * _traced_peak(riemann_experiment, ONE, ONE, N, law, [1, 2], paths, 5) < sample_bytes
+
+
+@pytest.mark.parametrize(
+    "body, args",
+    [
+        (qv_experiment, (ONE, ONE, Q(1), 8, Law.exponential(1), [1, 2, 3, 4, 5, 6])),
+        (riemann_experiment, (ONE, ONE, 16, Law.normal(), [1, 2, 3, 4])),
+    ],
+    ids=["qv", "riemann"],
+)
+def test_monte_carlo_memory_does_not_grow_with_the_paths(body, args):
+    # the statistics fold into O(depths) moments as the blocks come, and the
+    # blocks and the moments' buffer reach their full size well below 2e4
+    # paths, so ten times the paths add no table of them
+    small = _traced_peak(body, *args, 20_000, 7)
+    assert _traced_peak(body, *args, 200_000, 7) <= small + 2**16
+
+
+def _fed_moments(X, cap, sizes) -> list:
+    """``_Moments`` of the rows of X over blocks of the given sizes."""
+    moments = _Moments(len(X), cap)
+    lo = 0
+    for n in sizes:
+        moments.take(n)[:] = X[:, lo : lo + n]
+        lo += n
+    return moments.stats()
+
+
+@st.composite
+def _splits(draw, most=300):
+    """(paths, cap, sizes): a buffer of cap paths and blocks of at most cap
+    paths that add up to paths >= 2."""
+    paths = draw(st.integers(2, most))
+    cap = draw(st.integers(1, paths))
+    sizes, left = [], paths
+    while left:
+        sizes.append(draw(st.integers(1, min(cap, left))))
+        left -= sizes[-1]
+    return paths, cap, sizes
+
+
+@given(
+    _splits(),
+    st.integers(1, 4),
+    st.sampled_from([0.0, 1e8, -3e5]),
+    st.floats(1e-3, 1e3),
+    st.integers(0, 2**32 - 1),
+)
+@example((2, 2, [2]), 1, 0.0, 1.0, 0)
+@example((2, 1, [1, 1]), 3, 1e8, 1.0, 1)
+@example((200, 7, [1] * 200), 2, 1e8, 1.0, 2)
+@example((300, 64, [64, 1, 63, 64, 64, 44]), 4, -3e5, 1e3, 3)
+@settings(max_examples=80, deadline=None)
+def test_moments_match_two_passes(split, q, offset, scale, seed):
+    # against numpy's two-pass mean and std(ddof=1) over all paths at once:
+    # the means agree within n eps max|x| (either side sums n values of at
+    # most max|x|), the standard deviations within 4 eps max|x| + n eps sd
+    # (rounding the centred values moves sd by about eps max|x|, a sum of n
+    # squares its square by n eps)
+    paths, cap, sizes = split
+    rng = np.random.default_rng(seed)
+    X = offset + scale * rng.standard_normal((q, paths)) * rng.exponential(1.0, (q, paths))
+    eps = np.finfo(float).eps
+    for x, stats in zip(X, _fed_moments(X, cap, sizes)):
+        big, sd = np.abs(x).max(), x.std(ddof=1)
+        got = stats["stderr"] * math.sqrt(paths)
+        assert abs(stats["mean"] - x.mean()) <= paths * eps * big
+        assert abs(got - sd) <= 4 * eps * big + paths * eps * sd
+        assert stats["stderr"] >= 0
+
+
+@given(_splits(), st.floats(-1e300, 1e300), st.integers(1, 3))
+@example((3, 2, [2, 1]), 0.1, 1)
+@example((5, 5, [1, 4]), 1e8 + 0.3, 2)
+@settings(max_examples=40, deadline=None)
+def test_moments_of_constant_data_have_no_spread(split, value, q):
+    # every centred value is exactly 0 and so is every fold's mean shift
+    paths, cap, sizes = split
+    for stats in _fed_moments(np.full((q, paths), value), cap, sizes):
+        assert stats == {"mean": value, "stderr": 0.0}
 
 
 @pytest.mark.parametrize(
