@@ -14,22 +14,24 @@ integrand exactly, so the kernels carry only rounding error (the exact
 kernels of the identities stay in ``triangle_kernel``).  A
 quadratic-variation call holds one stack of them, filled point by point and
 turned into increment kernels in place, and ``_check_qv_size`` counts what
-the call holds before any work.  Monte Carlo fills tables of quadratic
-forms x' A_k x per block of paths (``_form_table``): one per increment of
-the finest partition for the quadratic variation, whose coarser
-partitions' tables are sums of adjacent pairs of rows, and one per depth
-for the Riemann sums, which are quadratic forms themselves.  A table
-of K forms in N variables takes one product per matrix, or, for K > N, one
-GEMM over each path's N (N + 1) / 2 products x_i x_j.  The first route
-rounds as one form per matrix over the whole sample does; the second sums
-in another order, so its forms, and the rows taken from them, can move in
-the last bits against the first.  Every table of ``wicklab all`` takes the
-first.
+the call holds before any work.  Monte Carlo fills tables of centred
+quadratic forms x' A_k x + c_k per block of paths (``_form_table``): one
+per increment of the finest partition for the quadratic variation
+(c_k = -tr A_k), whose coarser partitions' tables are sums of adjacent
+pairs of rows, and one per depth for the Riemann sums, which are quadratic
+forms themselves (c_k = tr A).  A table of K forms in N variables takes one
+product per matrix, or, for K > N, one GEMM over each path's
+N (N + 1) / 2 products x_i x_j and a 1 that takes c.  The first route
+gives the bits of one form per matrix over the whole sample, plus c_k; the
+second sums in another order, so its forms, and the rows taken from them,
+can move in the last bits against the first.  Every table of
+``wicklab all`` takes the first.
 
 Both Monte Carlo bodies walk the sample X in blocks of rows sized by one
-rule (``_block_rows``): ``_BLOCK_BYTES``, or on the GEMM route the bytes
-of the packed operand the form table multiplies where those are more,
-capped at the bytes of the whole sample.  Each block is drawn from one
+rule (``_block_rows``): ``_BLOCK_BYTES`` (1 MiB, half a core's 2 MiB L2
+cache, chosen on a measured curve), or on the GEMM route the bytes of the
+packed operand the form table multiplies where those are more, capped at
+the bytes of the whole sample.  Each block is drawn from one
 ``Sampler`` stream just before it is used, so X is never held whole, and
 no per-path result is either: a body writes each block's per-path
 quantities into the buffer of a ``_Moments``, which folds them into a
@@ -206,8 +208,14 @@ def _dyadic_strides(depths: Sequence[int]) -> tuple:
 
 
 # Bytes of work space per block of paths in the Monte Carlo bodies: a
-# block's rows and the products taken from them stay in cache.
-_BLOCK_BYTES = 2**19
+# block's rows and the products taken from them stay in a core's 2 MiB L2
+# cache (on the 2-vCPU Xeon of the figures here), and the passes a body
+# makes per block are paid once per block.  The whole qv-paths benchmark
+# item (N = 8, depths 1-6, 2e5 paths; in-process, one BLAS thread, best of
+# 8) took 205, 134, 101, 91, 86 and 84 ms at 2^17 .. 2^22 bytes: 2^20 takes
+# most of the gain for about 1 MB more peak memory, where 2^21 would take
+# about 2.25 MB more.
+_BLOCK_BYTES = 2**20
 
 
 # Bytes one quadratic-variation call may hold, counted before any work: its
@@ -220,7 +228,7 @@ _BLOCK_BYTES = 2**19
 # (:func:`_fold_paths`).  To these it adds one float per path, which no
 # array holds but which bounds the draw: 2^27 paths at most, where 10^9
 # would draw for minutes.  It admits (N, depth) = (1024, 6) at 10^4 paths,
-# at 647 MB, and at 10^5 paths, at 648 MB.
+# at 648 MB, and at 10^5 paths, at 649 MB, each with a block of 1 MB.
 _QV_MAX_BYTES = 2**30
 _POINT_FLOATS = 40
 _SWEEP_FLOATS = 12
@@ -258,27 +266,30 @@ def _quadratic_form(X: np.ndarray, A: np.ndarray) -> np.ndarray:
 def _form_route(K: int, N: int) -> tuple:
     """(gemm, work, packed) of a table of K forms in N variables: whether
     :func:`_form_table` takes the GEMM route (K > N), its floats of work space
-    per row, and the floats of the packed W_k it builds (none on the
+    per row, and the floats of the packed W_k and c it builds (none on the
     per-matrix route, which multiplies the A_k as they are)."""
     if K > N:
-        return True, N * (N + 2), K * (N * (N + 1) // 2)
+        return True, N * (N + 2) + 1, K * (N * (N + 1) // 2 + 1)
     return False, N, 0
 
 
-def _form_table(A: np.ndarray):
-    """fill(Xb, out), which sets out[k] = x' A_k x for each row x of Xb.  Of
-    two routes, the shape (K, N, N) of A chooses one (:func:`_form_route`):
+def _form_table(A: np.ndarray, c: np.ndarray):
+    """fill(Xb, out), which sets out[k] = x' A_k x + c_k for each row x of
+    Xb.  Of two routes, the shape (K, N, N) of A chooses one
+    (:func:`_form_route`):
 
-    * one product Xb @ A_k and one row-wise ``einsum`` per matrix, the bits
-      of :func:`_quadratic_form` per matrix (work: the product's N floats);
-    * for K > N, one GEMM: x' A x = sum_{i <= j} W_ij x_i x_j, with
-      W = A + A' above the diagonal and A_ii on it (the half-vectorization
-      identity), so a block takes its N (N + 1) / 2 products x_i x_j once
-      and all K forms against the packed upper triangles W_k, built here
+    * one product Xb @ A_k and one row-wise ``einsum`` per matrix, then c_k
+      added to the row: the bits of :func:`_quadratic_form` per matrix plus
+      c_k (work: the product's N floats);
+    * for K > N, one GEMM: x' A x + c = sum_{i <= j} W_ij x_i x_j + c * 1,
+      with W = A + A' above the diagonal and A_ii on it (the
+      half-vectorization identity), so a block takes its N (N + 1) / 2
+      products x_i x_j and a row of ones once, and all K forms against the
+      packed upper triangles W_k with c_k as one more column, built here
       once for every block, row by row of the A_k, with no temporary of
-      their size (work: the transposed rows, the products and their
-      temporary).  Its sums run in another order, so a form can move in the
-      last bits against the other route.
+      their size (work: the transposed rows, the products with their row of
+      ones, and one factor's temporary).  Its sums run in another order, so a form can move in
+      the last bits against the other route.
 
     The GEMM route takes about half the multiply-adds, K N (N + 1) / 2 plus
     the products per row against K N (N + 1), in one call instead of K.
@@ -289,13 +300,14 @@ def _form_table(A: np.ndarray):
     but 3.2 at (64, 8).  The rule K > N keeps every table with K <= N, and
     so every table of ``wicklab all``, on the per-matrix route's bits.
 
-    A block of paths on this route takes the bytes of the packed W_k, or
-    of the whole sample where those are fewer (:func:`_block_rows`).  A row
-    of the GEMM route holds N (N + 1) products, so at large N and few paths
-    the sample caps the block well below the packed W_k, and each block
-    reads W for few rows: the QV body took 1.0 times the per-matrix route's
-    time at (N, K) = (64, 128) and 2.6 times at (128, 256) with 2000 paths
-    (14 rows a block), but 0.75 and 0.70 times with 20 000.
+    A block of paths on this route takes ``_BLOCK_BYTES`` (1 MiB) or the
+    bytes of the packed W_k where those are more, and at most those of the
+    whole sample (:func:`_block_rows`).  A row of the GEMM route holds
+    N (N + 1) + 1 products, so at large N and few paths the sample caps the
+    block well below the packed W_k, and each block reads W for few rows:
+    the QV body took 1.06 times the per-matrix route's time at
+    (N, K) = (64, 128) and 1.7 times at (128, 256) with 2000 paths (14 rows
+    a block), but 0.72 and 0.71 times with 20 000.
     """
     K, N = A.shape[:2]
     if not _form_route(K, N)[0]:
@@ -303,24 +315,28 @@ def _form_table(A: np.ndarray):
         def fill(Xb: np.ndarray, out: np.ndarray) -> None:
             for k, Ak in enumerate(A):
                 np.einsum("pi,pi->p", Xb @ Ak, Xb, out=out[k])
+                out[k] += c[k]
 
         return fill
     # column-major: the BLAS rounds W @ F by another kernel for a row-major W,
-    # which moves forms in the last bits (N = 40, K = 64), and the QV rows
-    # have always had the column-major bits
-    W = np.empty((K, N * (N + 1) // 2), order="F")
+    # which moves forms in the last bits (N = 40, K = 64)
+    M = N * (N + 1) // 2
+    W = np.empty((K, M + 1), order="F")
     lo = 0
     for u in range(N):
         hi = lo + N - u
         np.add(A[:, u, u:], A[:, u:, u], out=W[:, lo:hi])
         W[:, lo] = A[:, u, u]
         lo = hi
+    W[:, M] = c
     i, j = np.triu_indices(N)
 
     def fill(Xb: np.ndarray, out: np.ndarray) -> None:
         XT = np.ascontiguousarray(Xb.T)
-        F = XT[i]
-        F *= XT[j]
+        F = np.empty((M + 1, len(Xb)))
+        np.take(XT, i, axis=0, out=F[:M])
+        F[:M] *= XT[j]
+        F[M] = 1.0
         np.matmul(W, F, out=out)
 
     return fill
@@ -329,12 +345,13 @@ def _form_table(A: np.ndarray):
 def _block_rows(N: int, K: int, paths: int, tables: int) -> int:
     """Rows per block of paths of a Monte Carlo body whose rows hold N draws,
     ``tables`` tables of K forms and the form table's work space
-    (:func:`_form_route`): the rows that fit in ``_BLOCK_BYTES`` or, on the
-    GEMM route where it is larger, in the packed operand W, so that each
+    (:func:`_form_route`): the rows that fit in ``_BLOCK_BYTES`` (1 MiB,
+    half a core's L2 cache; see its comment for the measured curve) or, on
+    the GEMM route where it is larger, in the packed operand W, so that each
     pass over W serves a block its size (Goto & van de Geijn, 2008); at
-    most the whole sample's bytes, and at least one row.  The per-matrix
-    route reads each A_k once per block whatever its size, so its blocks
-    keep to ``_BLOCK_BYTES``."""
+    most the whole sample's bytes, and at least one row (604 rows at
+    qv-paths' shape).  The per-matrix route reads each A_k once per block
+    whatever its size, so its blocks keep to ``_BLOCK_BYTES``."""
     _, work, packed = _form_route(K, N)
     size = min(max(_BLOCK_BYTES, 8 * packed), 8 * paths * N)
     return max(1, size // (8 * (N + tables * K + work)))
@@ -346,7 +363,7 @@ def _fold_paths(N: int, K: int, paths: int, tables: int, q: int) -> int:
     fit in half a block's floats, at least one and at most ``paths``.  The
     moments' buffer then adds at most half a block to what the body holds;
     a fold's passes cost the same per path at any size, and its fixed cost
-    is paid once per few blocks (five of 303 paths at qv-paths' shape)."""
+    is paid once per few blocks (five of 604 paths at qv-paths' shape)."""
     per = N + tables * K + _form_route(K, N)[1]
     return min(paths, _block_rows(N, K, paths, tables) * max(1, per // (2 * q)))
 
@@ -441,24 +458,23 @@ def _qv_rows(
     Only the finest increments (stride 1) get a quadratic form: x' A x is
     linear in A, so an increment of stride 2s is the sum of two adjacent
     increments of stride s.  Per block of paths, :func:`_form_table` fills
-    the (K x rows) table of finest increments.  Each read level's QV is the
-    table's squares summed over k in order, in one ``einsum`` pass (which
-    sums a single column in another order, so a one-row block adds in
-    Python), and the next level's table is the sums of adjacent pairs of
-    rows.  A block holds its rows, its table, the next level's and the form
-    table's work space (:func:`_block_rows`).  The block also takes
-    RHS = x' G x + m3 g.x, the linear term by a row-wise ``einsum`` that a
-    split by rows does not round differently.  Each block is drawn just
-    before it is used, and its QV_d, QV_d - RHS, (QV_d - RHS)^2 and RHS go
-    into a :class:`_Moments` (:func:`_qv_summary`), so the call holds one
-    block and the moments' buffer, never the whole sample nor a table of
-    all the paths.
+    the (K x rows) table of finest increments, centred by c_k = -tr A_k.
+    Each read level's QV is the table's squares summed over k in order, in
+    one ``einsum`` pass (which sums a single column in another order, so a
+    one-row block adds in Python), and the next level's table is the sums
+    of adjacent pairs of rows.  A block holds its rows, its table, the next
+    level's and the form table's work space (:func:`_block_rows`).  The
+    block also takes RHS = x' G x + m3 g.x, the linear term by a row-wise
+    ``einsum`` that a split by rows does not round differently.  Each block
+    is drawn just before it is used, and its QV_d, QV_d - RHS,
+    (QV_d - RHS)^2 and RHS go into a :class:`_Moments` (:func:`_qv_summary`),
+    so the call holds one block and the moments' buffer, never the whole
+    sample nor a table of all the paths.
     """
     N = G.shape[0]
     K = len(A)
     D = len(strides)
-    traces = np.trace(A, axis1=1, axis2=2)[:, None]
-    fill = _form_table(A)
+    fill = _form_table(A, -np.trace(A, axis1=1, axis2=2))
     blocks = _path_blocks(law, seed, paths, N, _block_rows(N, K, paths, 2))
     moments = _Moments(3 * D + 1, _fold_paths(N, K, paths, 2, 3 * D + 1))
     m3 = _skewness(law)
@@ -471,7 +487,6 @@ def _qv_rows(
         T[3 * D] += m3 * np.einsum("pi,i->p", Xb, g)
         inc = np.empty((K, n))
         fill(Xb, inc)
-        inc -= traces
         for level in range(top):
             up = inc[0::2] + inc[1::2] if level + 1 < top else None
             if at_level[level]:
@@ -590,8 +605,8 @@ def riemann_experiment(
     c_g(t_k))', so S_d - I = x' D_d x + tr A with D_d = sym(P_d) - A.  All
     depths share one sample of ``paths`` realizations, drawn in blocks of
     :func:`_path_blocks`; per block, :func:`_form_table` fills the block's
-    columns of the buffer of a :class:`_Moments`, which then hold
-    (S_d - I)^2, so the call holds no table of all the paths.
+    columns of the buffer of a :class:`_Moments` with x' D_d x + tr A,
+    squared in place, so the call holds no table of all the paths.
     """
     basis = LegendreBasis(N)
     dmax, strides = _dyadic_strides(depths)
@@ -599,17 +614,15 @@ def riemann_experiment(
     C_h, C_g = (cumulative_coeffs(f, basis, points) for f in (h, g))
     B = cumulative_triangle(h, g, basis, [1])[0]
     A = 0.5 * (B + B.T)
-    trace = np.trace(A)
     P = np.array([C_h[::s][:-1].T @ (C_g[::s][1:] - C_g[::s][:-1]) for s in strides])
     D = 0.5 * (P + P.transpose(0, 2, 1)) - A
-    fill = _form_table(D)
     K = len(D)
+    fill = _form_table(D, np.full(K, np.trace(A)))
     blocks = _path_blocks(law, seed, paths, N, _block_rows(N, K, paths, 1))
     moments = _Moments(K, _fold_paths(N, K, paths, 1, K))
     for Xb in blocks:
         T = moments.take(len(Xb))
         fill(Xb, T)
-        T += trace
         np.square(T, out=T)
     rows = [{"depth": d, "err": err} for d, err in zip(depths, moments.stats())]
     return {"N": N, "paths": paths, "seed": seed, "rows": rows}

@@ -353,11 +353,12 @@ def _qv_block_rows(paths, N, K):
     return _block_rows(N, K, paths, 2)
 
 
-# The body walks the paths in blocks of ``_qv_block_rows`` rows, K = 2**depth:
-# 1024 at N = 16 (depth 4), 555 at N = 1 (depth 4) and 13 at N = 16 (depth 7,
-# 456 paths), so 7777 and 20001 paths end on a partial block and 456 on a
-# one-row block.  N = 1 and depth 4, and N = 16 and depth 7, take the GEMM
-# route.
+# The body walks the paths in blocks of ``_qv_block_rows`` rows, K = 2**depth,
+# each capped at the sample's bytes: 1944 at N = 16 (depth 4, 7777 paths),
+# 540 at N = 1 (depth 4, 20001 paths), 13 at N = 16 (depth 7, 456 paths) and
+# 1333 at N = 8 (depth 0, 3000 paths), so 20001 and 3000 paths end on a
+# partial block and 7777 and 456 on a one-row block.  N = 1 and depth 4, and
+# N = 16 and depth 7, take the GEMM route.
 @pytest.mark.parametrize(
     "h1, h2, N, depths, paths, law",
     [
@@ -446,6 +447,8 @@ def _qv_shapes(draw):
 @example((32, 64, [64, 1, 2], 33), Law.normal(), 4)
 @example((64, 128, [1, 2], 2000), Law.exponential(1), 5)
 @example((64, 64, [64, 1], 1501), Law.normal(), 6)
+@example((64, 128, [1, 2], 2500), Law.exponential(1), 7)
+@example((64, 64, [64, 1], 3001), Law.normal(), 8)
 @settings(max_examples=60, deadline=None)
 def test_qv_rows_match_per_increment_body(shape, law, seed):
     # the increment table and its level sums give every row of the
@@ -455,9 +458,11 @@ def test_qv_rows_match_per_increment_body(shape, law, seed):
     # same bits where the table takes
     # one product per increment, within rounding on the GEMM route; the
     # kernels need not be symmetric.  At (N, K) = (64, 128) the GEMM route's
-    # packed operand outgrows _BLOCK_BYTES, and with more than 1024 paths it
-    # sets the blocks; at (64, 64) the per-matrix route's operand is as
-    # large, and its blocks keep to _BLOCK_BYTES
+    # packed operand outgrows _BLOCK_BYTES, and with more than 2048 paths it
+    # sets the blocks (35 rows at 2500 paths, where _BLOCK_BYTES holds 28);
+    # at (64, 64) the per-matrix route's operand is as large, and its blocks
+    # keep to _BLOCK_BYTES (512 rows at 3001 paths; with fewer than 2048
+    # paths the sample's bytes cap them, 375 rows at 1501)
     N, K, strides, paths = shape
     rng = np.random.default_rng(seed)
     B, G = rng.standard_normal((K + 1, N, N)), rng.standard_normal((N, N))
@@ -490,22 +495,26 @@ def _form_shapes(draw):
 @example((66, 33, 40), 5)
 @settings(max_examples=80, deadline=None)
 def test_form_table_matches_one_form_per_matrix(shape, seed):
-    # out[k] = x' A_k x for non-symmetric A_k: the per-matrix route's own
-    # bits, and the GEMM route within its rounding bound.  Each route sums
-    # at most N (N + 1) / 2 + 2N products of entries of A, x and x, so they
-    # differ by at most that many roundings of sum_ij |A_ij| |x_i| |x_j|.
+    # out[k] = x' A_k x + c_k for non-symmetric A_k: the per-matrix route's
+    # own bits, and the GEMM route within its rounding bound.  Each route
+    # sums at most N (N + 1) / 2 + 2N products of entries of A, x and x, so
+    # they differ by at most that many roundings of
+    # sum_ij |A_ij| |x_i| |x_j|, and the constant c_k, added last on one
+    # route and inside the GEMM's sum on the other, by one rounding of |c_k|.
     K, N, rows = shape
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((K, N, N)) * np.exp(rng.standard_normal((K, N, N)))
+    c = rng.standard_normal(K) * np.exp(rng.standard_normal(K))
     X = rng.standard_normal((rows, N))
     out = np.empty((K, rows))
-    _form_table(A)(X, out)
-    expected = np.array([_quadratic_form(X, Ak) for Ak in A])
+    _form_table(A, c)(X, out)
+    expected = np.array([_quadratic_form(X, Ak) + ck for Ak, ck in zip(A, c)])
     if not _gemm_route(N, K):
         assert np.array_equal(out, expected)
     else:
         scale = np.einsum("kij,pi,pj->kp", np.abs(A), np.abs(X), np.abs(X))
         bound = (N * (N + 1) // 2 + 2 * N + 3) * np.finfo(float).eps * scale
+        bound += np.finfo(float).eps * np.abs(c)[:, None]
         assert (np.abs(out - expected) <= bound).all()
 
 
@@ -531,8 +540,9 @@ def _traced_peak(body, *args) -> int:
     ],
 )
 def test_qv_rows_peak_memory_within_per_increment_oracle(N, dmax, paths, law):
-    # a block's rows and pending increments, with the table of QV per depth,
-    # must not cost more memory than the per-increment body's products
+    # a body holds one block (its rows and pending increments) and the
+    # moments' buffer, which must not cost more memory than the
+    # per-increment body's products
     B, G, g = _dyadic_kernels(ONE, ONE, N, dmax)
     strides = [2 ** (dmax - d) for d in range(1, dmax + 1)]
     args = (B, G, g, strides, law, paths, 5)
@@ -607,11 +617,11 @@ def _riemann_oracle(h, g, N, law, depths, paths, seed):
 
 # The body walks the paths in blocks of ``_block_rows(N, len(depths), paths, 1)``
 # rows: 1200 at N = 8 (four depths, 3000 paths), 1411 at N = 8 (one depth,
-# 3000 paths), 2105 at N = 8 (three, 5000 paths), 1820 at N = 16 (four) and
-# one at N = 1, so 3000, 5000, 7777 and 20000 paths end on a partial block
-# and 2 paths at N = 1 on one-row blocks.  (At
-# N = 17-19, 25-27, 33-35 and N > 40, OpenBLAS may round a block's products
-# differently from the whole sample's, in the last bits.)
+# 3000 paths), 2105 at N = 8 (three, 5000 paths), 3456 and 3640 at N = 16
+# (four, 7777 and 20000 paths) and one at N = 1, so 3000, 5000, 7777 and
+# 20000 paths end on a partial block and 2 paths at N = 1 on one-row blocks.
+# (At N = 17-19, 25-27, 33-35 and N > 40, OpenBLAS may round a block's
+# products differently from the whole sample's, in the last bits.)
 RIEMANN_SHAPES = [
     (ONE, ONE, 8, [3, 1, 3, 2], 3000, Law.normal()),
     (ONE, ONE, 8, [0], 3000, Law.normal()),
@@ -681,8 +691,8 @@ def test_riemann_error_mean_matches_closed_form(h, g, N, depths, law):
 
 
 def test_riemann_peak_memory_below_half_the_full_array_oracle():
-    # a block's rows and products and the (depths x paths) error table,
-    # against the whole sample and its product with each D_d
+    # a body holds one block (its rows and products) and the moments'
+    # buffer, against the whole sample and its product with each D_d
     args = (ONE, ONE, 16, Law.normal(), [1, 2, 3, 4], 20_000, 5)
     assert 2 * _traced_peak(riemann_experiment, *args) <= _traced_peak(_riemann_oracle, *args)
 
@@ -805,7 +815,7 @@ def test_qv_above_the_size_cap_returns_at_once(call):
 
 def test_qv_size_cap_admits_the_deep_points():
     # (N, depth) = (1024, 6) at 10^4 and 10^5 paths: 65 kernels of 1024^2
-    # floats, 546 MB, 101 MB of sweep work space and a block of 0.5 MB (the
+    # floats, 546 MB, 101 MB of sweep work space and a block of 1 MB (the
     # per-matrix route's blocks keep to _BLOCK_BYTES); and the shallow
     # depths at small N
     _check_qv_size(1024, [6], 10_000)
