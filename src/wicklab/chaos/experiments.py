@@ -33,24 +33,25 @@ cache, chosen on a measured curve), or on the GEMM route the bytes of the
 packed operand the form table multiplies where those are more, capped at
 the bytes of the whole sample.  Each block is drawn from one
 ``Sampler`` stream just before it is used, so X is never held whole, and
-no per-path result is either: a body writes each block's per-path
-quantities into the buffer of a ``_Moments``, which folds them into a
-running count, means and centred second moments when it is full, so a
-body holds one block's rows and products and a buffer of at most half
-their floats, whatever the number of paths.  The stream's blocks
-concatenate to the whole draw, so each block holds the rows that the
-same block of X drawn at once would.  Each per-path value is a
+no per-path result is either: a body allocates its block arrays once per
+call, each block works in views of them, and a ``_Moments`` folds each
+block's per-path quantities into a running count, means and centred
+second moments as soon as they are filled, so a body holds one block's
+rows, tables and products whatever the number of paths.  The stream's
+blocks concatenate to the whole draw, so each block holds the rows that
+the same block of X drawn at once would.  Each per-path value is a
 row-by-row sum, so it does not depend on the block size as long as the
 BLAS rounds a block's matrix-matrix product as it rounds the whole one;
-the statistics add the paths fold by fold, and folds hold whole blocks,
-so the block size moves them in the last bits.  OpenBLAS 0.3.31
-(AVX-512) does for the shapes the command line and the benchmark use; for
-N = 17-19, 25-27, 33-35 and N > 40 it takes other edge kernels for some
-block shapes, and numpy sends a one-row block through GEMV, which moves
-single rows in the last bits.  A matrix-vector product split by rows can
-round differently, so the linear term m3 g.x of the quadratic-variation
-limit is a row-wise ``einsum``, which sums each row on its own whatever
-the block.
+the statistics add the paths block by block, so the block size moves
+them in the last bits, but each quantity's are its own, so a depth's row
+is the same bits whatever other depths up to the same finest one are
+asked with it.  OpenBLAS 0.3.31 (AVX-512) rounds blocks as the whole for
+the shapes the command line and the benchmark use; for N = 17-19, 25-27,
+33-35 and N > 40 it takes other edge kernels for some block shapes, and
+numpy sends a one-row block through GEMV, which moves single rows in the
+last bits.  A matrix-vector product split by rows can round differently,
+so the linear term m3 g.x of the quadratic-variation limit is a row-wise
+``einsum``, which sums each row on its own whatever the block.
 
 Two hard facts shape the experiment design (both verified numerically here
 and recorded in the test suite):
@@ -223,12 +224,13 @@ _BLOCK_BYTES = 2**20
 # _POINT_FLOATS of Python objects per grid point (36.5-37.5 traced at N <= 8);
 # _SWEEP_FLOATS N^2 floats of G and of the work space of a kernel sweep, which
 # runs again beside the stack (7.0-9.7 N^2 traced at N = 64-512); the GEMM
-# route's packed operand; and one block (:func:`_block_rows`) with the
-# moments' buffer, which holds at most half a block's floats
-# (:func:`_fold_paths`).  To these it adds one float per path, which no
-# array holds but which bounds the draw: 2^27 paths at most, where 10^9
-# would draw for minutes.  It admits (N, depth) = (1024, 6) at 10^4 paths,
-# at 648 MB, and at 10^5 paths, at 649 MB, each with a block of 1 MB.
+# route's packed operand; and the block arrays the body allocates once
+# (:func:`_block_rows`): per row, N draws, 2K floats for the K increments
+# and the K / 2 level sums, the form table's work space and one float per
+# quantity (3 per distinct depth and the RHS).  To these it adds one float
+# per path, which no array holds but which bounds the draw: 2^27 paths at
+# most, where 10^9 would draw for minutes.  It admits (N, depth) = (1024, 6) at 10^4 and at
+# 10^5 paths, at 648 MB, each with a block of 1 MB.
 _QV_MAX_BYTES = 2**30
 _POINT_FLOATS = 40
 _SWEEP_FLOATS = 12
@@ -242,11 +244,12 @@ def _check_qv_size(N: int, depths: Sequence[int], paths: int) -> int:
     # past depth 64 the grid alone exceeds any cap
     K = 2 ** min(dmax, 64)
     _, work, packed = _form_route(K, N)
+    q = 3 * len(set(depths)) + 1
     need = 8 * (
         (K + 1) * (N * N + N + _POINT_FLOATS)
         + _SWEEP_FLOATS * N * N
         + packed
-        + 3 * _block_rows(N, K, paths, 2) * (N + 2 * K + work) // 2
+        + _block_rows(N, K, paths, 2) * (N + 2 * K + work + q)
         + paths
     )
     if need > _QV_MAX_BYTES:
@@ -256,11 +259,6 @@ def _check_qv_size(N: int, depths: Sequence[int], paths: int) -> int:
             f"above the cap of {_QV_MAX_BYTES}"
         )
     return need
-
-
-def _quadratic_form(X: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """x' A x for each row x of X, by one matrix product."""
-    return np.einsum("pi,pi->p", X @ A, X)
 
 
 def _form_route(K: int, N: int) -> tuple:
@@ -273,14 +271,15 @@ def _form_route(K: int, N: int) -> tuple:
     return False, N, 0
 
 
-def _form_table(A: np.ndarray, c: np.ndarray):
-    """fill(Xb, out), which sets out[k] = x' A_k x + c_k for each row x of
-    Xb.  Of two routes, the shape (K, N, N) of A chooses one
-    (:func:`_form_route`):
+def _form_table(A: np.ndarray, c: np.ndarray, rows: int):
+    """fill(Xb, out), which sets out[k] = x' A_k x + c_k for each row x of a
+    block Xb of at most ``rows`` rows.  Of two routes, the shape (K, N, N)
+    of A chooses one (:func:`_form_route`):
 
     * one product Xb @ A_k and one row-wise ``einsum`` per matrix, then c_k
-      added to the row: the bits of :func:`_quadratic_form` per matrix plus
-      c_k (work: the product's N floats);
+      added to the row: the bits of x' A_k x by one matrix product per
+      matrix plus c_k (work: the product's N floats, one matrix's at a
+      time);
     * for K > N, one GEMM: x' A x + c = sum_{i <= j} W_ij x_i x_j + c * 1,
       with W = A + A' above the diagonal and A_ii on it (the
       half-vectorization identity), so a block takes its N (N + 1) / 2
@@ -288,8 +287,9 @@ def _form_table(A: np.ndarray, c: np.ndarray):
       packed upper triangles W_k with c_k as one more column, built here
       once for every block, row by row of the A_k, with no temporary of
       their size (work: the transposed rows, the products with their row of
-      ones, and one factor's temporary).  Its sums run in another order, so a form can move in
-      the last bits against the other route.
+      ones, and the second factor, allocated here once for every block).
+      Its sums run in another order, so a form can move in the last bits
+      against the other route.
 
     The GEMM route takes about half the multiply-adds, K N (N + 1) / 2 plus
     the products per row against K N (N + 1), in one call instead of K.
@@ -330,14 +330,20 @@ def _form_table(A: np.ndarray, c: np.ndarray):
         lo = hi
     W[:, M] = c
     i, j = np.triu_indices(N)
+    XT, F, S = np.empty(rows * N), np.empty(rows * (M + 1)), np.empty(rows * M)
 
     def fill(Xb: np.ndarray, out: np.ndarray) -> None:
-        XT = np.ascontiguousarray(Xb.T)
-        F = np.empty((M + 1, len(Xb)))
-        np.take(XT, i, axis=0, out=F[:M])
-        F[:M] *= XT[j]
-        F[M] = 1.0
-        np.matmul(W, F, out=out)
+        n = len(Xb)
+        XTb = XT[: N * n].reshape(N, n)
+        Fb = F[: (M + 1) * n].reshape(M + 1, n)
+        Sb = S[: M * n].reshape(M, n)
+        np.copyto(XTb, Xb.T)
+        # the indices are in range, and under mode="raise" numpy buffers out
+        np.take(XTb, i, axis=0, out=Fb[:M], mode="clip")
+        np.take(XTb, j, axis=0, out=Sb, mode="clip")
+        Fb[:M] *= Sb
+        Fb[M] = 1.0
+        np.matmul(W, Fb, out=out)
 
     return fill
 
@@ -351,21 +357,11 @@ def _block_rows(N: int, K: int, paths: int, tables: int) -> int:
     pass over W serves a block its size (Goto & van de Geijn, 2008); at
     most the whole sample's bytes, and at least one row (604 rows at
     qv-paths' shape).  The per-matrix route reads each A_k once per block
-    whatever its size, so its blocks keep to ``_BLOCK_BYTES``."""
+    whatever its size, so its blocks keep to ``_BLOCK_BYTES``.  A body
+    allocates its block arrays once per call, at this many rows."""
     _, work, packed = _form_route(K, N)
     size = min(max(_BLOCK_BYTES, 8 * packed), 8 * paths * N)
     return max(1, size // (8 * (N + tables * K + work)))
-
-
-def _fold_paths(N: int, K: int, paths: int, tables: int, q: int) -> int:
-    """Paths per fold of the :class:`_Moments` of q quantities per path of a
-    body whose blocks are :func:`_block_rows`'s: whole blocks, as many as
-    fit in half a block's floats, at least one and at most ``paths``.  The
-    moments' buffer then adds at most half a block to what the body holds;
-    a fold's passes cost the same per path at any size, and its fixed cost
-    is paid once per few blocks (five of 604 paths at qv-paths' shape)."""
-    per = N + tables * K + _form_route(K, N)[1]
-    return min(paths, _block_rows(N, K, paths, tables) * max(1, per // (2 * q)))
 
 
 def _path_blocks(law: Law, seed: int, paths: int, N: int, rows: int):
@@ -383,31 +379,23 @@ class _Moments:
     """The count, means and centred second moments of q quantities per path,
     in one pass over the paths.
 
-    A body writes each block's quantities into :meth:`take`, a (q x n) view
-    of a buffer of ``cap`` paths.  When the next block does not fit, the
-    buffer is centred in place, on its first path and then on its mean, so
-    its second moment M is a sum of squares (never negative, and exactly 0
-    on constant data), and folds into the running totals by the pairwise
-    update of Chan, Golub & LeVeque (1979): paths n_a + n_b = n, mean
-    m_a + (m_b - m_a) n_b / n, and M_a + M_b + (m_b - m_a)^2 n_a n_b / n
-    (Welford 1962 is the case n_b = 1)."""
+    :meth:`add` folds one block's (q x n) table of quantities into the
+    running totals as soon as the block is filled.  It centres the table in
+    place, on its first path and then on its mean, so the block's second
+    moment M is a sum of squares (never negative, and exactly 0 on constant
+    data), and merges it by the pairwise update of Chan, Golub & LeVeque
+    (1979): paths n_a + n_b = n, mean m_a + (m_b - m_a) n_b / n, and
+    M_a + M_b + (m_b - m_a)^2 n_a n_b / n (Welford 1962 is the case
+    n_b = 1).  Each quantity's totals depend on its own row alone."""
 
-    def __init__(self, q: int, cap: int):
-        self._buf = np.empty((q, cap))
-        self._used = 0
+    def __init__(self, q: int):
         self._n = 0
         self._mean = np.zeros(q)
         self._m2 = np.zeros(q)
 
-    def take(self, n: int) -> np.ndarray:
-        """The buffer's next n columns, for n <= cap, folding it first if full."""
-        if self._used + n > self._buf.shape[1]:
-            self._fold()
-        self._used += n
-        return self._buf[:, self._used - n : self._used]
-
-    def _fold(self) -> None:
-        T, nb = self._buf[:, : self._used], self._used
+    def add(self, T: np.ndarray) -> None:
+        """Fold the (q x n) table T of n paths in, centring T in place."""
+        nb = T.shape[1]
         shift = T[:, :1].copy()
         T -= shift
         mb = np.einsum("qp->q", T)[:, None] / nb
@@ -417,13 +405,11 @@ class _Moments:
         n = self._n + nb
         self._mean += delta * (nb / n)
         self._m2 += m2b + (self._n * nb / n) * delta * delta
-        self._n, self._used = n, 0
+        self._n = n
 
     def stats(self) -> list:
-        """{"mean", "stderr"} of each quantity over the n >= 2 paths taken, the
+        """{"mean", "stderr"} of each quantity over the n >= 2 paths added, the
         standard error sqrt(M / (n - 1)) / sqrt(n)."""
-        if self._used:
-            self._fold()
         se = np.sqrt(self._m2 / (self._n - 1)) / math.sqrt(self._n)
         return [{"mean": float(m), "stderr": float(e)} for m, e in zip(self._mean, se)]
 
@@ -459,68 +445,72 @@ def _qv_rows(
     linear in A, so an increment of stride 2s is the sum of two adjacent
     increments of stride s.  Per block of paths, :func:`_form_table` fills
     the (K x rows) table of finest increments, centred by c_k = -tr A_k.
-    Each read level's QV is the table's squares summed over k in order, in
-    one ``einsum`` pass (which sums a single column in another order, so a
-    one-row block adds in Python), and the next level's table is the sums
-    of adjacent pairs of rows.  A block holds its rows, its table, the next
-    level's and the form table's work space (:func:`_block_rows`).  The
-    block also takes RHS = x' G x + m3 g.x, the linear term by a row-wise
-    ``einsum`` that a split by rows does not round differently.  Each block
-    is drawn just before it is used, and its QV_d, QV_d - RHS,
-    (QV_d - RHS)^2 and RHS go into a :class:`_Moments` (:func:`_qv_summary`),
-    so the call holds one block and the moments' buffer, never the whole
-    sample nor a table of all the paths.
+    Each distinct stride's level is read once: its QV is the table's squares
+    summed over k in order, in one ``einsum`` pass (which sums a single
+    column in another order, so a one-row block adds in Python), and the
+    next level's table is the sums of adjacent pairs of rows, written
+    alternately into a half-height table and back into the increment table.
+    The block also takes RHS = x' G x + m3 g.x, the linear term by a
+    row-wise ``einsum`` that a split by rows does not round differently.
+    The call allocates its block arrays once (:func:`_block_rows`), each
+    block is drawn just before it is used, and its QV, QV - RHS,
+    (QV - RHS)^2 per level read and RHS go into a :class:`_Moments` as soon
+    as they are filled (:func:`_qv_summary`), so the call never holds the
+    whole sample nor a table of all the paths.
     """
     N = G.shape[0]
     K = len(A)
-    D = len(strides)
-    fill = _form_table(A, -np.trace(A, axis1=1, axis2=2))
-    blocks = _path_blocks(law, seed, paths, N, _block_rows(N, K, paths, 2))
-    moments = _Moments(3 * D + 1, _fold_paths(N, K, paths, 2, 3 * D + 1))
+    # the quantities' row of each distinct level read, of stride 2^level
+    at = {level: i for i, level in enumerate(sorted({s.bit_length() - 1 for s in strides}))}
+    D, top = len(at), max(at)
+    rows = _block_rows(N, K, paths, 2)
+    fill = _form_table(A, -np.trace(A, axis1=1, axis2=2), rows)
+    moments = _Moments(3 * D + 1)
     m3 = _skewness(law)
-    at_level = [[i for i, s in enumerate(strides) if s == 1 << l] for l in range(K.bit_length())]
-    top = 1 + max(l for l, at in enumerate(at_level) if at)  # the levels read
-    for Xb in blocks:
+    T, inc, half = np.empty((3 * D + 1) * rows), np.empty(K * rows), np.empty(K // 2 * rows)
+    for Xb in _path_blocks(law, seed, paths, N, rows):
         n = len(Xb)
-        T = moments.take(n)
-        np.einsum("pi,pi->p", Xb @ G, Xb, out=T[3 * D])
-        T[3 * D] += m3 * np.einsum("pi,i->p", Xb, g)
-        inc = np.empty((K, n))
-        fill(Xb, inc)
-        for level in range(top):
-            up = inc[0::2] + inc[1::2] if level + 1 < top else None
-            if at_level[level]:
+        Tb = T[: (3 * D + 1) * n].reshape(-1, n)
+        np.einsum("pi,pi->p", Xb @ G, Xb, out=Tb[3 * D])
+        Tb[3 * D] += m3 * np.einsum("pi,i->p", Xb, g)
+        table = inc[: K * n].reshape(K, n)
+        fill(Xb, table)
+        for level in range(top + 1):
+            if level in at:
                 # summed over k in order: einsum sums a lone column otherwise
-                first, *rest = at_level[level]
                 if n > 1:
-                    np.einsum("kp,kp->p", inc, inc, out=T[first])
+                    np.einsum("kp,kp->p", table, table, out=Tb[at[level]])
                 else:
-                    T[first] = sum(x * x for x in inc[:, 0].tolist())
-                if rest:
-                    T[rest] = T[first]
-            inc = up
-        np.subtract(T[:D], T[3 * D], out=T[D : 2 * D])
-        np.square(T[D : 2 * D], out=T[2 * D : 3 * D])
-    return _qv_summary(moments, D)
+                    Tb[at[level]] = sum(x * x for x in table[:, 0].tolist())
+            if level < top:
+                up = (half, inc)[level % 2][: len(table) // 2 * n].reshape(-1, n)
+                np.add(table[0::2], table[1::2], out=up)
+                table = up
+        np.subtract(Tb[:D], Tb[3 * D], out=Tb[D : 2 * D])
+        np.square(Tb[D : 2 * D], out=Tb[2 * D : 3 * D])
+        moments.add(Tb)
+    return _qv_summary(moments, [at[s.bit_length() - 1] for s in strides])
 
 
-def _qv_summary(moments: _Moments, D: int) -> list:
-    """The rows of D depths from the moments of QV_d (quantities 0 to D - 1),
-    QV_d - RHS (D to 2D - 1), err = (QV_d - RHS)^2 (2D to 3D - 1) and RHS
-    (3D): ``mean_gap_stderr`` takes QV_d and RHS as independent,
-    ``mean_gap_paired_stderr`` is the standard error of QV_d - RHS."""
+def _qv_summary(moments: _Moments, at: Sequence[int]) -> list:
+    """One row per entry i of ``at`` from the moments of D levels' QV
+    (quantities 0 to D - 1), QV - RHS (D to 2D - 1),
+    err = (QV - RHS)^2 (2D to 3D - 1) and RHS (3D): ``mean_gap_stderr``
+    takes QV and RHS as independent, ``mean_gap_paired_stderr`` is the
+    standard error of QV - RHS."""
     stats = moments.stats()
+    D = len(stats) // 3
     rhs = stats[3 * D]
     return [
         {
-            "err": stats[2 * D + i],
-            "qv": stats[i],
+            "err": dict(stats[2 * D + i]),
+            "qv": dict(stats[i]),
             "rhs": dict(rhs),
             "mean_gap": abs(stats[i]["mean"] - rhs["mean"]),
             "mean_gap_stderr": math.hypot(stats[i]["stderr"], rhs["stderr"]),
             "mean_gap_paired_stderr": stats[D + i]["stderr"],
         }
-        for i in range(D)
+        for i in at
     ]
 
 
@@ -604,9 +594,10 @@ def riemann_experiment(
     truncation.  S_d = x' P_d x with P_d = sum_k c_h(t_k) (c_g(t_{k+1}) -
     c_g(t_k))', so S_d - I = x' D_d x + tr A with D_d = sym(P_d) - A.  All
     depths share one sample of ``paths`` realizations, drawn in blocks of
-    :func:`_path_blocks`; per block, :func:`_form_table` fills the block's
-    columns of the buffer of a :class:`_Moments` with x' D_d x + tr A,
-    squared in place, so the call holds no table of all the paths.
+    :func:`_path_blocks`; per block, :func:`_form_table` fills a view of the
+    (depths x rows) table allocated once per call with x' D_d x + tr A,
+    squared in place and folded into a :class:`_Moments`, so the call holds
+    no table of all the paths.
     """
     basis = LegendreBasis(N)
     dmax, strides = _dyadic_strides(depths)
@@ -617,12 +608,14 @@ def riemann_experiment(
     P = np.array([C_h[::s][:-1].T @ (C_g[::s][1:] - C_g[::s][:-1]) for s in strides])
     D = 0.5 * (P + P.transpose(0, 2, 1)) - A
     K = len(D)
-    fill = _form_table(D, np.full(K, np.trace(A)))
-    blocks = _path_blocks(law, seed, paths, N, _block_rows(N, K, paths, 1))
-    moments = _Moments(K, _fold_paths(N, K, paths, 1, K))
-    for Xb in blocks:
-        T = moments.take(len(Xb))
-        fill(Xb, T)
-        np.square(T, out=T)
+    block = _block_rows(N, K, paths, 1)
+    fill = _form_table(D, np.full(K, np.trace(A)), block)
+    moments = _Moments(K)
+    T = np.empty(K * block)
+    for Xb in _path_blocks(law, seed, paths, N, block):
+        Tb = T[: K * len(Xb)].reshape(K, -1)
+        fill(Xb, Tb)
+        np.square(Tb, out=Tb)
+        moments.add(Tb)
     rows = [{"depth": d, "err": err} for d, err in zip(depths, moments.stats())]
     return {"N": N, "paths": paths, "seed": seed, "rows": rows}

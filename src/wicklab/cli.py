@@ -393,7 +393,10 @@ def run_chaos_order4(args) -> ExperimentReport:
 def run_chaos_qv(args) -> ExperimentReport:
     law = laws.parse_law(args.law)
     N = args.truncation
-    depths = [int(d) for d in args.depths.split(",") if d]
+    try:
+        depths = [int(d) for d in args.depths.split(",") if d]
+    except ValueError as exc:
+        raise ValueError(f"--depths: {exc}") from None
     h1, h2 = _functions(args)
     rep = ExperimentReport(
         "chaos qv",

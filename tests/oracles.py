@@ -16,10 +16,8 @@ from wicklab.chaos.basis import LegendreBasis, PiecewisePoly
 from wicklab.chaos.experiments import (
     _Moments,
     _block_rows,
-    _fold_paths,
     _path_blocks,
     _qv_summary,
-    _quadratic_form,
     _skewness,
     cumulative_coeffs,
     cumulative_triangle,
@@ -123,6 +121,11 @@ def cell_by_bisection(ends, x) -> int:
     return lo
 
 
+def quadratic_form(X: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """x' A x for each row x of X, by one matrix product."""
+    return np.einsum("pi,pi->p", X @ A, X)
+
+
 def _stats(x: np.ndarray) -> dict:
     """Mean and standard error of a whole table of paths, by numpy's two passes."""
     return {
@@ -135,26 +138,27 @@ def qv_rows_per_increment(B, G, g, strides, law, paths, seed) -> list:
     """The QV rows with one quadratic form per finest increment: each block of
     the body's paths (``_block_rows``) walks its K increments in order and
     carries each completed pair up a level on a stack of pending increments.
-    The blocks' QV and RHS go through the body's statistics, folded over the
-    same blocks (``_Moments``)."""
+    The blocks' QV and RHS go through the body's statistics, one fold per
+    block (``_Moments``), with a row of quantities per stride, repeats
+    included."""
     N = G.shape[0]
     A = B[1:] - B[:-1]
     K, D = len(A), len(strides)
     blocks = _path_blocks(law, seed, paths, N, _block_rows(N, K, paths, 2))
-    moments = _Moments(3 * D + 1, _fold_paths(N, K, paths, 2, 3 * D + 1))
+    moments = _Moments(3 * D + 1)
     m3 = _skewness(law)
     traces = np.trace(A, axis1=1, axis2=2)
     levels = K.bit_length()  # strides 1, 2, 4, ..., K
     at_level = [[i for i, s in enumerate(strides) if s == 1 << l] for l in range(levels)]
     for Xb in blocks:
-        T = moments.take(len(Xb))
+        T = np.empty((3 * D + 1, len(Xb)))
         QVb, RHSb = T[:D], T[3 * D]
         QVb[:] = 0
-        RHSb[:] = _quadratic_form(Xb, G)
+        RHSb[:] = quadratic_form(Xb, G)
         RHSb += m3 * np.einsum("pi,i->p", Xb, g)
         pending = []
         for k in range(K):
-            inc = _quadratic_form(Xb, A[k]) - traces[k]
+            inc = quadratic_form(Xb, A[k]) - traces[k]
             level = 0
             while True:
                 for i in at_level[level]:
@@ -166,7 +170,8 @@ def qv_rows_per_increment(B, G, g, strides, law, paths, seed) -> list:
                 level += 1
         T[D : 2 * D] = QVb - RHSb
         T[2 * D : 3 * D] = T[D : 2 * D] ** 2
-    return _qv_summary(moments, D)
+        moments.add(T)
+    return _qv_summary(moments, range(D))
 
 
 def riemann_rows_by_products(h, g, N, law, depths, paths, seed) -> list:
@@ -182,7 +187,7 @@ def riemann_rows_by_products(h, g, N, law, depths, paths, seed) -> list:
     B = cumulative_triangle(h, g, basis, [1])[0]
     A = 0.5 * (B + B.T)
     X = sample(law, seed, paths * N).reshape(paths, N)
-    I = _quadratic_form(X, A) - np.trace(A)
+    I = quadratic_form(X, A) - np.trace(A)
     rows = []
     for d in depths:
         stride = 2 ** (dmax - d)

@@ -13,12 +13,10 @@ from wicklab.chaos.experiments import (
     _Moments,
     _block_rows,
     _check_qv_size,
-    _fold_paths,
     _form_route,
     _form_table,
     _qv_rows,
     _qv_summary,
-    _quadratic_form,
     _skewness,
     cumulative_coeffs,
     cumulative_triangle,
@@ -32,7 +30,13 @@ from wicklab.chaos.identities import fourth_moment_grid
 from wicklab.chaos.tensors import GammaTables
 from wicklab.laws import Law, sample, standardized_moments
 
-from oracles import antiderivative, mul_poly, qv_rows_per_increment, riemann_rows_by_products
+from oracles import (
+    antiderivative,
+    mul_poly,
+    quadratic_form,
+    qv_rows_per_increment,
+    riemann_rows_by_products,
+)
 
 ONE = PiecewisePoly.constant(1)
 
@@ -293,13 +297,12 @@ def _qv_rows_oracle(B, G, g, strides, law, paths, seed):
     return rows
 
 
-def _fold_tables(tables, rows, cap):
+def _fold_tables(tables, rows):
     """A ``_Moments`` fed whole-sample tables (quantities x paths) in blocks
-    of ``rows`` paths, as a body feeds its own into a buffer of ``cap``."""
-    moments = _Moments(len(tables), cap)
+    of ``rows`` paths, each copied, as a body fills its own."""
+    moments = _Moments(len(tables))
     for lo in range(0, tables.shape[1], rows):
-        block = tables[:, lo : lo + rows]
-        moments.take(block.shape[1])[:] = block
+        moments.add(tables[:, lo : lo + rows].copy())
     return moments
 
 
@@ -318,8 +321,7 @@ def _qv_rows_folded(B, G, g, strides, law, paths, seed):
             QVd += inc * inc
     gap = QV - RHS
     tables = np.vstack([QV, gap, gap**2, RHS])
-    folds = _fold_paths(N, K, paths, 2, 3 * D + 1)
-    return _qv_summary(_fold_tables(tables, _block_rows(N, K, paths, 2), folds), D)
+    return _qv_summary(_fold_tables(tables, _block_rows(N, K, paths, 2)), range(D))
 
 
 def _dyadic_kernels(h1, h2, N, dmax):
@@ -507,8 +509,8 @@ def test_form_table_matches_one_form_per_matrix(shape, seed):
     c = rng.standard_normal(K) * np.exp(rng.standard_normal(K))
     X = rng.standard_normal((rows, N))
     out = np.empty((K, rows))
-    _form_table(A, c)(X, out)
-    expected = np.array([_quadratic_form(X, Ak) + ck for Ak, ck in zip(A, c)])
+    _form_table(A, c, rows)(X, out)
+    expected = np.array([quadratic_form(X, Ak) + ck for Ak, ck in zip(A, c)])
     if not _gemm_route(N, K):
         assert np.array_equal(out, expected)
     else:
@@ -540,8 +542,8 @@ def _traced_peak(body, *args) -> int:
     ],
 )
 def test_qv_rows_peak_memory_within_per_increment_oracle(N, dmax, paths, law):
-    # a body holds one block (its rows and pending increments) and the
-    # moments' buffer, which must not cost more memory than the
+    # a body holds one block (its rows, its increments and their level
+    # sums, and its quantities), which must not cost more memory than the
     # per-increment body's products
     B, G, g = _dyadic_kernels(ONE, ONE, N, dmax)
     strides = [2 ** (dmax - d) for d in range(1, dmax + 1)]
@@ -556,14 +558,33 @@ def _qv_rows_of_cumulative(B, *args):
 
 
 @pytest.mark.parametrize(
-    "N, dmax, paths", [(8, 6, 20_000), (16, 7, 2000), (128, 8, 2000), (256, 6, 2000)]
+    "N, depths, paths",
+    [
+        (8, [1, 2, 3, 4, 5, 6], 20_000),
+        (16, [1, 2, 3, 4, 5, 6, 7], 2000),
+        (128, [1, 2, 3, 4, 5, 6, 7, 8], 2000),
+        (256, [1, 2, 3, 4, 5, 6], 2000),
+        (8, [1] * 200, 20_000),
+    ],
+    ids=["8-6-20000", "16-7-2000", "128-8-2000", "256-6-2000", "8-1x200-20000"],
 )
-def test_qv_traced_peak_within_the_size_count(N, dmax, paths):
+def test_qv_traced_peak_within_the_size_count(N, depths, paths):
     # what _check_qv_size counts bounds what the call holds, on the GEMM
-    # route (K > N: (8, 6), (16, 7), (128, 8)) and on the per-matrix route
-    depths = list(range(1, dmax + 1))
+    # route (K > N: depths up to 6 at N = 8, 7 at 16, 8 at 128) and on the
+    # per-matrix route, and with one depth asked for two hundred times
     peak = _traced_peak(qv_experiment, ONE, ONE, Q(1), N, Law.normal(), depths, paths, 0)
     assert peak <= _check_qv_size(N, depths, paths)
+
+
+def test_qv_depth_rows_do_not_depend_on_the_other_depths():
+    # each distinct depth is read once into its own quantities, and each
+    # quantity's statistics are its own: a depth's row is the same bits
+    # whatever other depths, and however many repeats, are asked with it
+    # (the finest depth, which sets the blocks, being the same)
+    args = (ONE, ONE, Q(1), 8, Law.exponential(1))
+    every = qv_experiment(*args, [1, 2, 3, 4, 5, 6], 20_000, 3)["rows"]
+    some = qv_experiment(*args, [3, 6, 3], 20_000, 3)["rows"]
+    assert some == [every[2], every[5], every[2]]
 
 
 def test_qv_holds_one_kernel_stack():
@@ -649,7 +670,7 @@ def test_riemann_rows_match_full_array_oracle(h, g, N, depths, paths, law):
     # through the body's blocks and folds, the same bits
     K = len(depths)
     errs = np.array(list(_riemann_errs(h, g, N, law, depths, paths, 4)))
-    folds = _fold_tables(errs, _block_rows(N, K, paths, 1), _fold_paths(N, K, paths, 1, K))
+    folds = _fold_tables(errs, _block_rows(N, K, paths, 1))
     assert [row["err"] for row in rep["rows"]] == folds.stats()
 
 
@@ -691,8 +712,8 @@ def test_riemann_error_mean_matches_closed_form(h, g, N, depths, law):
 
 
 def test_riemann_peak_memory_below_half_the_full_array_oracle():
-    # a body holds one block (its rows and products) and the moments'
-    # buffer, against the whole sample and its product with each D_d
+    # a body holds one block (its rows, products and quantities), against
+    # the whole sample and its product with each D_d
     args = (ONE, ONE, 16, Law.normal(), [1, 2, 3, 4], 20_000, 5)
     assert 2 * _traced_peak(riemann_experiment, *args) <= _traced_peak(_riemann_oracle, *args)
 
@@ -718,33 +739,33 @@ def test_monte_carlo_bodies_never_hold_the_whole_sample(law):
 )
 def test_monte_carlo_memory_does_not_grow_with_the_paths(body, args):
     # the statistics fold into O(depths) moments as the blocks come, and the
-    # blocks and the moments' buffer reach their full size well below 2e4
+    # block arrays reach their full size well below 2e4
     # paths, so ten times the paths add no table of them
     small = _traced_peak(body, *args, 20_000, 7)
     assert _traced_peak(body, *args, 200_000, 7) <= small + 2**16
 
 
-def _fed_moments(X, cap, sizes) -> list:
+def _fed_moments(X, sizes) -> list:
     """``_Moments`` of the rows of X over blocks of the given sizes."""
-    moments = _Moments(len(X), cap)
+    moments = _Moments(len(X))
     lo = 0
     for n in sizes:
-        moments.take(n)[:] = X[:, lo : lo + n]
+        moments.add(X[:, lo : lo + n].copy())
         lo += n
     return moments.stats()
 
 
 @st.composite
 def _splits(draw, most=300):
-    """(paths, cap, sizes): a buffer of cap paths and blocks of at most cap
-    paths that add up to paths >= 2."""
+    """(paths, sizes): blocks of at most a drawn size that add up to
+    paths >= 2."""
     paths = draw(st.integers(2, most))
     cap = draw(st.integers(1, paths))
     sizes, left = [], paths
     while left:
         sizes.append(draw(st.integers(1, min(cap, left))))
         left -= sizes[-1]
-    return paths, cap, sizes
+    return paths, sizes
 
 
 @given(
@@ -754,10 +775,10 @@ def _splits(draw, most=300):
     st.floats(1e-3, 1e3),
     st.integers(0, 2**32 - 1),
 )
-@example((2, 2, [2]), 1, 0.0, 1.0, 0)
-@example((2, 1, [1, 1]), 3, 1e8, 1.0, 1)
-@example((200, 7, [1] * 200), 2, 1e8, 1.0, 2)
-@example((300, 64, [64, 1, 63, 64, 64, 44]), 4, -3e5, 1e3, 3)
+@example((2, [2]), 1, 0.0, 1.0, 0)
+@example((2, [1, 1]), 3, 1e8, 1.0, 1)
+@example((200, [1] * 200), 2, 1e8, 1.0, 2)
+@example((300, [64, 1, 63, 64, 64, 44]), 4, -3e5, 1e3, 3)
 @settings(max_examples=80, deadline=None)
 def test_moments_match_two_passes(split, q, offset, scale, seed):
     # against numpy's two-pass mean and std(ddof=1) over all paths at once:
@@ -765,11 +786,11 @@ def test_moments_match_two_passes(split, q, offset, scale, seed):
     # most max|x|), the standard deviations within 4 eps max|x| + n eps sd
     # (rounding the centred values moves sd by about eps max|x|, a sum of n
     # squares its square by n eps)
-    paths, cap, sizes = split
+    paths, sizes = split
     rng = np.random.default_rng(seed)
     X = offset + scale * rng.standard_normal((q, paths)) * rng.exponential(1.0, (q, paths))
     eps = np.finfo(float).eps
-    for x, stats in zip(X, _fed_moments(X, cap, sizes)):
+    for x, stats in zip(X, _fed_moments(X, sizes)):
         big, sd = np.abs(x).max(), x.std(ddof=1)
         got = stats["stderr"] * math.sqrt(paths)
         assert abs(stats["mean"] - x.mean()) <= paths * eps * big
@@ -778,13 +799,13 @@ def test_moments_match_two_passes(split, q, offset, scale, seed):
 
 
 @given(_splits(), st.floats(-1e300, 1e300), st.integers(1, 3))
-@example((3, 2, [2, 1]), 0.1, 1)
-@example((5, 5, [1, 4]), 1e8 + 0.3, 2)
+@example((3, [2, 1]), 0.1, 1)
+@example((5, [1, 4]), 1e8 + 0.3, 2)
 @settings(max_examples=40, deadline=None)
 def test_moments_of_constant_data_have_no_spread(split, value, q):
     # every centred value is exactly 0 and so is every fold's mean shift
-    paths, cap, sizes = split
-    for stats in _fed_moments(np.full((q, paths), value), cap, sizes):
+    paths, sizes = split
+    for stats in _fed_moments(np.full((q, paths), value), sizes):
         assert stats == {"mean": value, "stderr": 0.0}
 
 

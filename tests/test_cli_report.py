@@ -314,6 +314,7 @@ def test_law_without_parameters_rejects_them(capsys, spec):
         (["chaos", "qv", "--law", "normal", "--h2", '{"pieces": [{"lo": "0"}]}'], "--h2"),
         (["chaos", "ito", "--law", "normal", "--h1", '["1/3", 0.5]'], "--h1"),
         (["discrete", "check", "--space", '["1/2","1/2"]', "--rv", '[1]', "--rv", '{}'], "--rv"),
+        (["chaos", "qv", "--law", "normal", "--depths", "a,2"], "--depths"),
     ],
 )
 def test_malformed_json_names_the_option(capsys, argv, option):
