@@ -140,20 +140,6 @@ class LegendreBasis:
         z = 2.0 * np.asarray(x, dtype=float) - 1.0
         return _legendre_values(z, self.N) * np.sqrt(2.0 * np.arange(self.N) + 1.0)
 
-    def orthonormality_defect(self) -> Fraction:
-        """max |<e_j, e_k> - delta_jk| over the truncation, exact."""
-        worst = Q(0)
-        for j in range(1, self.N + 1):
-            for k in range(j, self.N + 1):
-                val = p_integrate(p_mul(self.poly(j), self.poly(k)), Q(0), Q(1))
-                if j == k:
-                    val = val * self.weight(j) - 1
-                else:
-                    sq = val * val * self.weight(j) * self.weight(k)
-                    val = sq  # off-diagonal enters squared to stay rational
-                worst = max(worst, abs(val))
-        return worst
-
 
 @dataclass(frozen=True)
 class PiecewisePoly:
@@ -324,13 +310,6 @@ class SymmetricKernel2:
     def from_rationals(rows: Sequence[Sequence]) -> "SymmetricKernel2":
         R, den = _scaled([[as_fraction(v) for v in row] for row in rows])
         return SymmetricKernel2(R, den, (1,) * len(R))
-
-    @staticmethod
-    def basis_element(N: int, j: int, k: int, value=1) -> "SymmetricKernel2":
-        """value * (e_j o e_k): entries value at (j,k) and (k,j)."""
-        rows = [[0] * N for _ in range(N)]
-        rows[j - 1][k - 1] = rows[k - 1][j - 1] = value
-        return SymmetricKernel2.from_rationals(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,79 +1,37 @@
 """Monte Carlo convergence experiments for the stochastic integral, and the
 float kernels they run on (the exact bound grid is in ``identities``).
 
-The process under study is Z_t = the integral of Phi(h1)_s against
-d Phi(h2)_s up to t, realized at truncation N through its kernel matrix.
-Increment kernels over a partition are differences of the cumulative kernel
+Z_t is the integral of Phi(h1)_s against d Phi(h2)_s up to t, realized at
+truncation N through its kernel matrix.  Increment kernels over a partition
+are differences of the cumulative kernel
 
     B(t)[u,v] = < h1 (x) (h2 1_(0,t]) 1_C , e_u (x) e_v >,
 
-which one float sweep evaluates at the dyadic grid, over the exact sweep's
-walk and by its rule (where h2 vanishes, only H advances): Gauss-Legendre
-rules with enough nodes on each interval integrate every polynomial
-integrand exactly, so the kernels carry only rounding error (the exact
-kernels of the identities stay in ``triangle_kernel``).  A
-quadratic-variation call holds one stack of them, filled point by point and
-turned into increment kernels in place, and ``_check_qv_size`` counts what
-the call holds before any work.  Monte Carlo fills tables of centred
-quadratic forms x' A_k x + c_k per block of paths (``_form_table``): one
-per increment of the finest partition for the quadratic variation
-(c_k = -tr A_k), whose coarser partitions' tables are sums of adjacent
-pairs of rows, and one per depth for the Riemann sums, which are quadratic
-forms themselves (c_k = tr A).  A table of K forms in N variables takes one
-product per matrix, or, for K > N, one GEMM over each path's
-N (N + 1) / 2 products x_i x_j and a 1 that takes c.  The first route
-gives the bits of one form per matrix over the whole sample, plus c_k; the
-second sums in another order, so its forms, and the rows taken from them,
-can move in the last bits against the first.  Every table of
-``wicklab all`` takes the first.
+which one Gauss-Legendre sweep evaluates exactly up to rounding.  Both
+Monte Carlo bodies fill tables of centred quadratic forms x' A_k x + c_k
+(``_form_table``) per block of paths (``_block_rows``), each block drawn
+from one ``Sampler`` stream as it is used, and fold every block into
+running moments (``_Moments``), so neither holds the whole sample or a
+table of all the paths.  What a row depends on:
 
-Both Monte Carlo bodies walk the sample X in blocks of rows sized by one
-rule (``_block_rows``): ``_BLOCK_BYTES`` (1 MiB, half a core's 2 MiB L2
-cache, chosen on a measured curve), or on the GEMM route the bytes of the
-packed operand the form table multiplies where those are more, capped at
-the bytes of the whole sample.  Each block is drawn from one
-``Sampler`` stream just before it is used, so X is never held whole, and
-no per-path result is either: a body allocates its block arrays once per
-call, each block works in views of them, and a ``_Moments`` folds each
-block's per-path quantities into a running count, means and centred
-second moments as soon as they are filled, so a body holds one block's
-rows, tables and products whatever the number of paths.  The stream's
-blocks concatenate to the whole draw, so each block holds the rows that
-the same block of X drawn at once would.  Each per-path value is a
-row-by-row sum, so it does not depend on the block size as long as the
-BLAS rounds a block's matrix-matrix product as it rounds the whole one;
-the statistics add the paths block by block, so the block size moves
-them in the last bits, but each quantity's are its own, so a depth's row
-is the same bits whatever other depths up to the same finest one are
-asked with it.  OpenBLAS 0.3.31 (AVX-512) rounds blocks as the whole for
-the shapes the command line and the benchmark use; for N = 17-19, 25-27,
-33-35 and N > 40 it takes other edge kernels for some block shapes, and
-numpy sends a one-row block through GEMV, which moves single rows in the
-last bits.  A matrix-vector product split by rows can round differently,
-so the linear term m3 g.x of the quadratic-variation limit is a row-wise
-``einsum``, which sums each row on its own whatever the block.
+* a per-path value is a row-by-row sum: the same bits for any block size
+  wherever the BLAS rounds a block's product as it rounds the whole one
+  (the shapes where it does not: CHANGES.md, FOUND lines on row blocks);
+* the statistics add the paths block by block, so the block size moves
+  them in the last bits;
+* each quantity's moments are its own, so a QV row depends on the other
+  depths asked only through the finest one, and a Riemann row on the set
+  of distinct depths asked.
 
-Two hard facts shape the experiment design (both verified numerically here
-and recorded in the test suite):
-
-* at fixed truncation N the path t -> Z_t is a polynomial quadratic form, so
-  its partition quadratic variation tends to 0 as the mesh refines past the
-  basis resolution -- convergence to the quadratic-variation limit needs the
-  truncation to outrun the mesh, N / 2^depth -> infinity.  Refining in
-  lockstep at a fixed ratio is not enough: for h1 = h2 = 1 and the normal
-  law the exact mean gap E[QV] - E[RHS] at N = 2^(depth+1) is -0.002,
-  -0.033, -0.045, -0.051, -0.053 for (N, depth) = (4, 1) .. (64, 5), settling
-  at a nonzero value; at (64, 4) (ratio 4) it is -0.030 and at (64, 3)
-  (ratio 8) -0.013.  Laws with m4 != 3 add (m4 - 3) times the summed squared
-  diagonals of the increment kernels, a term that depends on the depth
-  alone and only halves per level (0.0485 at depth 3);
-* the same resolution threshold caps how far Riemann sums can track the
-  integral at fixed N.
-
-``qv_experiment``/``riemann_experiment`` therefore report per-depth error
-tables at fixed N (the literal contract), and ``qv_joint_refinement`` runs
-the same kernels and body, for any h1 and h2, along a (N, depth) schedule
-chosen by the caller.
+At fixed N the path t -> Z_t is a polynomial quadratic form, so its
+partition quadratic variation tends to 0 once the mesh outruns the basis:
+the QV limit needs N / 2^depth -> infinity.  A lockstep schedule at a fixed
+ratio leaves a nonzero mean gap E[QV] - E[RHS], and laws with m4 != 3 add
+(m4 - 3) times the summed squared diagonals of the increment kernels, a
+term of the depth alone that only halves per level.  The same threshold
+caps how far Riemann sums track the integral.  So ``qv_experiment`` and
+``riemann_experiment`` report per-depth errors at fixed N, and
+``qv_joint_refinement`` runs a caller's (N, depth) schedule.
 """
 
 from __future__ import annotations
@@ -208,29 +166,27 @@ def _dyadic_strides(depths: Sequence[int]) -> tuple:
     return dmax, [2 ** (dmax - d) for d in depths]
 
 
-# Bytes of work space per block of paths in the Monte Carlo bodies: a
-# block's rows and the products taken from them stay in a core's 2 MiB L2
-# cache (on the 2-vCPU Xeon of the figures here), and the passes a body
-# makes per block are paid once per block.  The whole qv-paths benchmark
-# item (N = 8, depths 1-6, 2e5 paths; in-process, one BLAS thread, best of
-# 8) took 205, 134, 101, 91, 86 and 84 ms at 2^17 .. 2^22 bytes: 2^20 takes
-# most of the gain for about 1 MB more peak memory, where 2^21 would take
-# about 2.25 MB more.
+# Bytes of work space per block of paths in the Monte Carlo bodies.  A
+# block's rows and the products taken from them should stay in a core's L2
+# cache, and the passes a body makes per block are paid once per block, so a
+# larger budget is faster up to the cache and holds more memory (the curve it
+# was chosen on: CHANGES.md, "Longer path blocks and centred form tables").
 _BLOCK_BYTES = 2**20
 
 
 # Bytes one quadratic-variation call may hold, counted before any work: its
 # one stack of 2^dmax + 1 kernels of N^2 floats, with N floats of H and
-# _POINT_FLOATS of Python objects per grid point (36.5-37.5 traced at N <= 8);
-# _SWEEP_FLOATS N^2 floats of G and of the work space of a kernel sweep, which
-# runs again beside the stack (7.0-9.7 N^2 traced at N = 64-512); the GEMM
-# route's packed operand; and the block arrays the body allocates once
-# (:func:`_block_rows`): per row, N draws, 2K floats for the K increments
-# and the K / 2 level sums, the form table's work space and one float per
-# quantity (3 per distinct depth and the RHS).  To these it adds one float
-# per path, which no array holds but which bounds the draw: 2^27 paths at
-# most, where 10^9 would draw for minutes.  It admits (N, depth) = (1024, 6) at 10^4 and at
-# 10^5 paths, at 648 MB, each with a block of 1 MB.
+# _POINT_FLOATS of Python objects per grid point; _SWEEP_FLOATS N^2 floats of
+# G and of the work space of a kernel sweep, which runs again beside the
+# stack; the GEMM route's packed operand; and the block arrays the body
+# allocates once (:func:`_block_rows`): per row, N draws, 2K floats for the
+# K increments and the K / 2 level sums, the form table's work space and one
+# float per quantity (3 per distinct depth and the RHS).  To these it adds
+# one float per path, which no array holds but which bounds the draw.  The
+# count must stay above what a call is traced to hold
+# (``test_qv_traced_peak_within_the_size_count``; the traced figures:
+# CHANGES.md, "One kernel stack and one block rule per quadratic-variation
+# call").
 _QV_MAX_BYTES = 2**30
 _POINT_FLOATS = 40
 _SWEEP_FLOATS = 12
@@ -273,41 +229,22 @@ def _form_route(K: int, N: int) -> tuple:
 
 def _form_table(A: np.ndarray, c: np.ndarray, rows: int):
     """fill(Xb, out), which sets out[k] = x' A_k x + c_k for each row x of a
-    block Xb of at most ``rows`` rows.  Of two routes, the shape (K, N, N)
-    of A chooses one (:func:`_form_route`):
+    block Xb of at most ``rows`` rows.  The shape (K, N, N) of A chooses the
+    route (:func:`_form_route`):
 
-    * one product Xb @ A_k and one row-wise ``einsum`` per matrix, then c_k
-      added to the row: the bits of x' A_k x by one matrix product per
-      matrix plus c_k (work: the product's N floats, one matrix's at a
-      time);
-    * for K > N, one GEMM: x' A x + c = sum_{i <= j} W_ij x_i x_j + c * 1,
-      with W = A + A' above the diagonal and A_ii on it (the
-      half-vectorization identity), so a block takes its N (N + 1) / 2
-      products x_i x_j and a row of ones once, and all K forms against the
-      packed upper triangles W_k with c_k as one more column, built here
-      once for every block, row by row of the A_k, with no temporary of
-      their size (work: the transposed rows, the products with their row of
-      ones, and the second factor, allocated here once for every block).
-      Its sums run in another order, so a form can move in the last bits
-      against the other route.
+    * K <= N: one product Xb @ A_k and one row-wise ``einsum`` per matrix,
+      then c_k added to the row;
+    * K > N: one GEMM, by x' A x + c = sum_{i <= j} W_ij x_i x_j + c * 1 with
+      W = A + A' above the diagonal and A_ii on it (the half-vectorization
+      identity).  A block takes its N (N + 1) / 2 products x_i x_j and a row
+      of ones once, then all K forms against the packed upper triangles W_k
+      with c_k as one more column.  W and the work arrays are built once
+      per call.  The route takes about half the multiply-adds, but sums in
+      another order, so a form can move in the last bits against the other.
 
-    The GEMM route takes about half the multiply-adds, K N (N + 1) / 2 plus
-    the products per row against K N (N + 1), in one call instead of K.
-    With one BLAS thread on a 2-vCPU Xeon (AVX-512), filling the tables of
-    the quadratic-variation body by it took, over the per-matrix route, 0.16
-    of the time at (N, K) = (8, 64), 0.28 at (16, 128), 0.45 at (8, 9) and
-    0.57 at (16, 17); at K <= N it took 0.44 at (8, 8) and 0.84 at (8, 4),
-    but 3.2 at (64, 8).  The rule K > N keeps every table with K <= N, and
-    so every table of ``wicklab all``, on the per-matrix route's bits.
-
-    A block of paths on this route takes ``_BLOCK_BYTES`` (1 MiB) or the
-    bytes of the packed W_k where those are more, and at most those of the
-    whole sample (:func:`_block_rows`).  A row of the GEMM route holds
-    N (N + 1) + 1 products, so at large N and few paths the sample caps the
-    block well below the packed W_k, and each block reads W for few rows:
-    the QV body took 1.06 times the per-matrix route's time at
-    (N, K) = (64, 128) and 1.7 times at (128, 256) with 2000 paths (14 rows
-    a block), but 0.72 and 0.71 times with 20 000.
+    K > N keeps every table with K <= N, and so every table of ``wicklab
+    all``, on the per-matrix route's bits (the routes' timings: CHANGES.md,
+    "GEMM form tables").
     """
     K, N = A.shape[:2]
     if not _form_route(K, N)[0]:
@@ -351,14 +288,13 @@ def _form_table(A: np.ndarray, c: np.ndarray, rows: int):
 def _block_rows(N: int, K: int, paths: int, tables: int) -> int:
     """Rows per block of paths of a Monte Carlo body whose rows hold N draws,
     ``tables`` tables of K forms and the form table's work space
-    (:func:`_form_route`): the rows that fit in ``_BLOCK_BYTES`` (1 MiB,
-    half a core's L2 cache; see its comment for the measured curve) or, on
-    the GEMM route where it is larger, in the packed operand W, so that each
+    (:func:`_form_route`): the rows that fit in ``_BLOCK_BYTES`` or, on the
+    GEMM route where it is larger, in the packed operand W, so that each
     pass over W serves a block its size (Goto & van de Geijn, 2008); at
-    most the whole sample's bytes, and at least one row (604 rows at
-    qv-paths' shape).  The per-matrix route reads each A_k once per block
-    whatever its size, so its blocks keep to ``_BLOCK_BYTES``.  A body
-    allocates its block arrays once per call, at this many rows."""
+    most the whole sample's bytes, and at least one row.  The per-matrix
+    route reads each A_k once per block whatever its size, so its blocks
+    keep to ``_BLOCK_BYTES``.  A body allocates its block arrays once per
+    call, at this many rows."""
     _, work, packed = _form_route(K, N)
     size = min(max(_BLOCK_BYTES, 8 * packed), 8 * paths * N)
     return max(1, size // (8 * (N + tables * K + work)))
@@ -441,22 +377,14 @@ def _qv_rows(
     RHS = x' G x + m3 g.x is the per-realization limit quadratic form, with
     the law's skewness m3 (:func:`_skewness`).
 
-    Only the finest increments (stride 1) get a quadratic form: x' A x is
-    linear in A, so an increment of stride 2s is the sum of two adjacent
-    increments of stride s.  Per block of paths, :func:`_form_table` fills
-    the (K x rows) table of finest increments, centred by c_k = -tr A_k.
-    Each distinct stride's level is read once: its QV is the table's squares
-    summed over k in order, in one ``einsum`` pass (which sums a single
-    column in another order, so a one-row block adds in Python), and the
-    next level's table is the sums of adjacent pairs of rows, written
-    alternately into a half-height table and back into the increment table.
-    The block also takes RHS = x' G x + m3 g.x, the linear term by a
-    row-wise ``einsum`` that a split by rows does not round differently.
-    The call allocates its block arrays once (:func:`_block_rows`), each
-    block is drawn just before it is used, and its QV, QV - RHS,
-    (QV - RHS)^2 per level read and RHS go into a :class:`_Moments` as soon
-    as they are filled (:func:`_qv_summary`), so the call never holds the
-    whole sample nor a table of all the paths.
+    Only the finest increments get a quadratic form (:func:`_form_table`,
+    centred by c_k = -tr A_k): x' A x is linear in A, so each coarser
+    level's table is the sums of adjacent pairs of the finer one's rows.
+    Each distinct level is read once, its squares summed over k in order.
+    The linear term m3 g.x is a row-wise ``einsum``, since a matrix-vector
+    product split by rows can round differently.  Per block, each level's
+    QV, QV - RHS and (QV - RHS)^2, and RHS, go into a :class:`_Moments`
+    (rows by :func:`_qv_summary`).
     """
     N = G.shape[0]
     K = len(A)
@@ -566,9 +494,8 @@ def qv_joint_refinement(
     The QV limit needs the truncation to outrun the mesh (N / 2^depth -> oo,
     as in (4, 1), (16, 2), (64, 3)); a lockstep schedule such as
     N = 2^(depth+1) leaves a mean gap that settles near -0.053 for the
-    normal law with h1 = h2 = 1 (see the module docstring).  Each row is
-    :func:`qv_experiment`'s at that N and depth (same kernels, same sample);
-    deep schedules such as (256, 5) take seconds."""
+    normal law with h1 = h2 = 1.  Each row is :func:`qv_experiment`'s at
+    that N and depth (same kernels, same sample)."""
     t, rows = as_fraction(t), []
     for N, d in pairs:
         _check_qv_size(N, [d], paths)
@@ -593,19 +520,20 @@ def riemann_experiment(
     partition of depth d; I = x' A x - tr A is the integral at the same
     truncation.  S_d = x' P_d x with P_d = sum_k c_h(t_k) (c_g(t_{k+1}) -
     c_g(t_k))', so S_d - I = x' D_d x + tr A with D_d = sym(P_d) - A.  All
-    depths share one sample of ``paths`` realizations, drawn in blocks of
-    :func:`_path_blocks`; per block, :func:`_form_table` fills a view of the
-    (depths x rows) table allocated once per call with x' D_d x + tr A,
-    squared in place and folded into a :class:`_Moments`, so the call holds
-    no table of all the paths.
+    depths share one sample of ``paths`` realizations.  One form is taken
+    per distinct depth, in ascending order, so a row depends on the set of
+    distinct depths asked, not on their order or repeats.  Per block,
+    :func:`_form_table` fills x' D_d x + tr A, squared in place and folded
+    into a :class:`_Moments`.
     """
     basis = LegendreBasis(N)
     dmax, strides = _dyadic_strides(depths)
+    distinct = sorted(set(strides), reverse=True)  # ascending depths
     points = [Q(k, 2**dmax) for k in range(2**dmax + 1)]
     C_h, C_g = (cumulative_coeffs(f, basis, points) for f in (h, g))
     B = cumulative_triangle(h, g, basis, [1])[0]
     A = 0.5 * (B + B.T)
-    P = np.array([C_h[::s][:-1].T @ (C_g[::s][1:] - C_g[::s][:-1]) for s in strides])
+    P = np.array([C_h[::s][:-1].T @ (C_g[::s][1:] - C_g[::s][:-1]) for s in distinct])
     D = 0.5 * (P + P.transpose(0, 2, 1)) - A
     K = len(D)
     block = _block_rows(N, K, paths, 1)
@@ -617,5 +545,6 @@ def riemann_experiment(
         fill(Xb, Tb)
         np.square(Tb, out=Tb)
         moments.add(Tb)
-    rows = [{"depth": d, "err": err} for d, err in zip(depths, moments.stats())]
+    errs = dict(zip(distinct, moments.stats()))
+    rows = [{"depth": d, "err": dict(errs[s])} for d, s in zip(depths, strides)]
     return {"N": N, "paths": paths, "seed": seed, "rows": rows}

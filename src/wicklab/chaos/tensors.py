@@ -291,9 +291,6 @@ class GammaTables:
     def for_law(law: Law) -> "GammaTables":
         return GammaTables(standardized_moments(law, 8), label=law.label())
 
-    def ortho_poly(self, k: int) -> list:
-        return list(self._polys[k])
-
     def h(self, k: int) -> Fraction:
         """E[P_k(X)^2]."""
         return self._h[k]

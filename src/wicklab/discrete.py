@@ -39,7 +39,8 @@ GRAM_SIZE_CAP = 4096
 # Most atoms of a maximal system: each pair of its N variables sums the 4^N
 # entries of one exact matrix (``a_matrix``), so the cost grows about
 # fivefold per N.  ``discrete maxsystem --N 6``, the largest admitted, takes
-# 0.5 s end to end; with the cap lifted, N = 7 took 1.2 s and N = 8 5.6 s.
+# 0.5 s end to end (the timings past it: CHANGES.md, "One breakpoint walk
+# for the piecewise layer").
 MAX_ATOMS = 2**6
 
 

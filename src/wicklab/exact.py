@@ -350,15 +350,6 @@ class RadSum:
                 hi += n * r
         return Fraction(lo, self._den * scale), Fraction(hi, self._den * scale)
 
-    def certified_le(self, bound: Fraction, digits: int = 30) -> bool:
-        """True when value <= bound, provably at the given enclosure width."""
-        lo, hi = self.bounds(digits)
-        if hi <= bound:
-            return True
-        if lo > bound:
-            return False
-        raise ValueError("enclosure too wide to decide; raise digits")
-
 
 # ---------------------------------------------------------------------------
 # exact linear algebra on rational matrices

@@ -21,9 +21,8 @@ Convention notes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -46,7 +45,7 @@ __all__ = [
 
 
 class NoSamplerError(RuntimeError):
-    """Raised when asked to sample a law that has no sampler (custom moments)."""
+    """Raised when asked to sample a law whose kind has no sampler."""
 
 
 @dataclass(frozen=True)
@@ -122,11 +121,10 @@ class InverseLaplaceCoeffs:
 
 @dataclass(frozen=True)
 class Law:
-    """A probability law from the catalog, or a custom moment sequence."""
+    """A probability law from the catalog."""
 
     kind: str
     params: tuple = ()
-    custom: Optional[MomentSequence] = field(default=None, compare=False)
 
     # -- constructors --------------------------------------------------------
     @staticmethod
@@ -170,16 +168,10 @@ class Law:
             raise ValueError("binomial probability must lie in (0,1)")
         return Law("binomial", (n, p))
 
-    @staticmethod
-    def custom_moments(ms: Sequence) -> "Law":
-        return Law("custom", (), MomentSequence(tuple(ms)))
-
     # -- description ----------------------------------------------------------
     def label(self) -> str:
         if self.kind == "normal":
             return "normal"
-        if self.kind == "custom":
-            return f"custom[{self.custom.order}]"
         return self.kind + ":" + ",".join(frac_str(Q(p)) for p in self.params)
 
 
@@ -251,13 +243,6 @@ def moments(law: Law, K: int) -> MomentSequence:
     if law.kind == "binomial":
         N, p = law.params
         return MomentSequence(tuple(_moments_binomial(N, p, K)))
-    if law.kind == "custom":
-        if law.custom.order < K:
-            raise ValueError(
-                f"custom law supplies moments to order {law.custom.order}, "
-                f"but order {K} was requested"
-            )
-        return MomentSequence(law.custom.m[: K + 1])
     raise ValueError(f"unknown law kind {law.kind!r}")
 
 

@@ -52,8 +52,8 @@ __all__ = [
 # Most cells of a partition system: level k has 2^k cells, each an exact
 # rational endpoint, and transport reads them per tuple and sign pattern.
 # ``rademacher verify --scheme jump_alternating --depth 14``, the largest
-# admitted, takes 2.0 s end to end (1.4 s with jump_after); jump_after took
-# 2.9 s at depth 15, 9.7 s at 16 and 49 s at 20.
+# admitted, takes 2.0 s end to end (the timings past it: CHANGES.md,
+# "Library code states rules").
 MAX_CELLS = 2**14
 
 

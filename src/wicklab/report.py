@@ -56,17 +56,6 @@ class Check:
             out["passed"] = self.passed
         return out
 
-    @staticmethod
-    def from_dict(d: dict) -> "Check":
-        return Check(
-            name=d["name"],
-            kind=d["kind"],
-            value=d["value"],
-            stderr=d.get("stderr"),
-            tol=d.get("tol"),
-            passed=d.get("passed"),
-        )
-
 
 @dataclass
 class ExperimentReport:
@@ -94,14 +83,3 @@ class ExperimentReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    @staticmethod
-    def from_json(text: str) -> "ExperimentReport":
-        d = json.loads(text)
-        rep = ExperimentReport(
-            command=d["command"],
-            config=d["config"],
-            results=[Check.from_dict(c) for c in d["results"]],
-            wall_time_s=d["wall_time_s"],
-        )
-        return rep

@@ -59,10 +59,6 @@ class WickPolynomial:
     def is_monic(self) -> bool:
         return self.coeffs[-1] == 1
 
-    def centering_defect(self) -> Fraction:
-        """E[W(X)] under the attached moments; zero for every n >= 1."""
-        return sum(c * self.law_tag[k] for k, c in enumerate(self.coeffs))
-
     def __str__(self) -> str:
         parts = []
         for k in range(self.degree, -1, -1):

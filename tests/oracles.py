@@ -2,8 +2,8 @@
 
 Piecewise-polynomial products with a polynomial, running integrals and
 restrictions to an interval, all exact: the kernel engines never build
-these, and the tests use them to write kernels by their definition.  The
-rest are the earlier, longer routes to values the library now reaches by a
+these, and the tests use them to write kernels by their definition, as
+they build a basis element e_j o e_k.  The rest are the earlier, longer routes to values the library now reaches by a
 direct rule; property tests set each against the rule that replaced it."""
 
 import math
@@ -12,7 +12,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from wicklab.chaos.basis import LegendreBasis, PiecewisePoly
+from wicklab.chaos.basis import LegendreBasis, PiecewisePoly, SymmetricKernel2
 from wicklab.chaos.experiments import (
     _Moments,
     _block_rows,
@@ -90,7 +90,14 @@ def principal_minor_psd(rows) -> bool:
 def gamma_by_projection(tab, n: int, k: int) -> Q:
     """gamma_{n,k} = E[x^n P_k] / h_k, the coefficient of P_k in x^n."""
     xn = [Q(0)] * n + [Q(1)]
-    return expect_poly(p_mul(xn, tab.ortho_poly(k)), tab.moments) / tab.h(k)
+    return expect_poly(p_mul(xn, list(tab._polys[k])), tab.moments) / tab.h(k)
+
+
+def basis_element(N: int, j: int, k: int, value=1) -> SymmetricKernel2:
+    """value * (e_j o e_k): entries value at (j, k) and (k, j)."""
+    rows = [[0] * N for _ in range(N)]
+    rows[j - 1][k - 1] = rows[k - 1][j - 1] = value
+    return SymmetricKernel2.from_rationals(rows)
 
 
 def n_max_by_counting(n: int) -> int:

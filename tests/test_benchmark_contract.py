@@ -15,10 +15,12 @@ from pathlib import Path
 
 import pytest
 
-from wicklab.chaos.basis import LegendreBasis, PiecewisePoly, SymmetricKernel2
+from wicklab.chaos.basis import LegendreBasis, PiecewisePoly
 from wicklab.chaos import experiments, identities
 from wicklab.chaos.tensors import GammaTables, SymTensor
 from wicklab.laws import Law
+
+from oracles import basis_element
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -70,7 +72,7 @@ def test_traced_tensor_layer_reports_terms_and_radicands():
         SymTensor.__dict__["sym_square"], SymTensor.annihilated,
         identities.order_tensors, identities.fourth_moment_lhs,
     )
-    K = SymmetricKernel2.basis_element(2, 1, 1)  # f = e_1 o e_1
+    K = basis_element(2, 1, 1)  # f = e_1 o e_1
     tables = GammaTables.for_law(Law.exponential(1))  # every gamma - Gamma gap is nonzero
     tracer.install()
     try:

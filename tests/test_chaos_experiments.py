@@ -636,8 +636,8 @@ def _riemann_oracle(h, g, N, law, depths, paths, seed):
     return rows
 
 
-# The body walks the paths in blocks of ``_block_rows(N, len(depths), paths, 1)``
-# rows: 1200 at N = 8 (four depths, 3000 paths), 1411 at N = 8 (one depth,
+# The body walks the paths in blocks of ``_block_rows(N, len(set(depths)), paths, 1)``
+# rows: 1263 at N = 8 (three distinct depths, 3000 paths), 1411 at N = 8 (one depth,
 # 3000 paths), 2105 at N = 8 (three, 5000 paths), 3456 and 3640 at N = 16
 # (four, 7777 and 20000 paths) and one at N = 1, so 3000, 5000, 7777 and
 # 20000 paths end on a partial block and 2 paths at N = 1 on one-row blocks.
@@ -668,7 +668,7 @@ def test_riemann_rows_match_full_array_oracle(h, g, N, depths, paths, law):
         for stat in ("mean", "stderr"):
             assert row["err"][stat] == pytest.approx(exp["err"][stat], rel=1e-12, abs=0)
     # through the body's blocks and folds, the same bits
-    K = len(depths)
+    K = len(set(depths))
     errs = np.array(list(_riemann_errs(h, g, N, law, depths, paths, 4)))
     folds = _fold_tables(errs, _block_rows(N, K, paths, 1))
     assert [row["err"] for row in rep["rows"]] == folds.stats()
@@ -684,6 +684,15 @@ def test_riemann_rows_match_the_sums_definition(h, g, N, depths, paths, law):
     for row, exp in zip(rows, expected):
         for stat in ("mean", "stderr"):
             assert row["err"][stat] == pytest.approx(exp["err"][stat], rel=1e-12, abs=0)
+
+
+def test_riemann_rows_depend_on_the_distinct_depths_alone():
+    # one form per distinct depth, in ascending order: repeats add no form,
+    # so they neither change the blocks nor the route
+    args = (ONE, ONE, 8, Law.normal())
+    some = riemann_experiment(*args, [1, 2, 3], 20_000, 3)["rows"]
+    repeated = riemann_experiment(*args, [1, 2, 3, 3, 3, 3, 3, 3, 3], 20_000, 3)["rows"]
+    assert repeated == some + [some[2]] * 6
 
 
 @pytest.mark.parametrize(

@@ -140,12 +140,9 @@ def test_standardization_refuses_irrational_scale():
         standardized_moments(Law.gamma(2, 3), 4)
 
 
-def test_custom_law_order_guard():
-    law = Law.custom_moments([1, 0, 1])
-    assert moments(law, 2).m == (1, 0, 1)
-    with pytest.raises(ValueError):
-        moments(law, 3)
-    with pytest.raises(NoSamplerError):
+def test_sampler_rejects_a_kind_it_cannot_sample():
+    law = Law("cauchy")  # outside the catalog: no moments and no sampler
+    with pytest.raises(NoSamplerError, match="'cauchy' has no sampler"):
         sample(law, 1, 10)
     with pytest.raises(NoSamplerError):
         Sampler(law, 1)
