@@ -12,7 +12,10 @@ Monte Carlo bodies fill tables of centred quadratic forms x' A_k x + c_k
 (``_form_table``) per block of paths (``_block_rows``), each block drawn
 from one ``Sampler`` stream as it is used, and fold every block into
 running moments (``_Moments``), so neither holds the whole sample or a
-table of all the paths.  What a row depends on:
+table of all the paths.  The quadratic variation takes forms of the finest
+increments only, stored in bit-reversed order of the increment, so that
+each coarser level is the sum of its table's two halves, taken in place
+(``_qv_rows``).  What a row depends on:
 
 * a per-path value is a row-by-row sum: the same bits for any block size
   wherever the BLAS rounds a block's product as it rounds the whole one
@@ -179,10 +182,12 @@ _BLOCK_BYTES = 2**20
 # _POINT_FLOATS of Python objects per grid point; _SWEEP_FLOATS N^2 floats of
 # G and of the work space of a kernel sweep, which runs again beside the
 # stack; the GEMM route's packed operand; and the block arrays the body
-# allocates once (:func:`_block_rows`): per row, N draws, 2K floats for the
-# K increments and the K / 2 level sums, the form table's work space and one
-# float per quantity (3 per distinct depth and the RHS).  To these it adds
-# one float per path, which no array holds but which bounds the draw.  The
+# allocates once (:func:`_block_rows`): per row, N draws, N floats of the
+# RHS product x' G, the K increments (the level sums overwrite them), the
+# form table's work space and one float per quantity (3 per distinct depth
+# and the RHS); and _ROW_FLOATS of Python objects per depth asked, whose
+# rows are built while the block arrays are held.  To these it adds one
+# float per path, which no array holds but which bounds the draw.  The
 # count must stay above what a call is traced to hold
 # (``test_qv_traced_peak_within_the_size_count``; the traced figures:
 # CHANGES.md, "One kernel stack and one block rule per quadratic-variation
@@ -190,6 +195,7 @@ _BLOCK_BYTES = 2**20
 _QV_MAX_BYTES = 2**30
 _POINT_FLOATS = 40
 _SWEEP_FLOATS = 12
+_ROW_FLOATS = 128
 
 
 def _check_qv_size(N: int, depths: Sequence[int], paths: int) -> int:
@@ -205,7 +211,8 @@ def _check_qv_size(N: int, depths: Sequence[int], paths: int) -> int:
         (K + 1) * (N * N + N + _POINT_FLOATS)
         + _SWEEP_FLOATS * N * N
         + packed
-        + _block_rows(N, K, paths, 2) * (N + 2 * K + work + q)
+        + _block_rows(N, K, paths) * (2 * N + K + work + q)
+        + _ROW_FLOATS * len(depths)
         + paths
     )
     if need > _QV_MAX_BYTES:
@@ -232,8 +239,8 @@ def _form_table(A: np.ndarray, c: np.ndarray, rows: int):
     block Xb of at most ``rows`` rows.  The shape (K, N, N) of A chooses the
     route (:func:`_form_route`):
 
-    * K <= N: one product Xb @ A_k and one row-wise ``einsum`` per matrix,
-      then c_k added to the row;
+    * K <= N: one product Xb @ A_k, into one work array of the call, and
+      one row-wise ``einsum`` per matrix, then c_k added to the row;
     * K > N: one GEMM, by x' A x + c = sum_{i <= j} W_ij x_i x_j + c * 1 with
       W = A + A' above the diagonal and A_ii on it (the half-vectorization
       identity).  A block takes its N (N + 1) / 2 products x_i x_j and a row
@@ -248,10 +255,12 @@ def _form_table(A: np.ndarray, c: np.ndarray, rows: int):
     """
     K, N = A.shape[:2]
     if not _form_route(K, N)[0]:
+        P = np.empty(rows * N)
 
         def fill(Xb: np.ndarray, out: np.ndarray) -> None:
+            XA = P[: Xb.size].reshape(Xb.shape)
             for k, Ak in enumerate(A):
-                np.einsum("pi,pi->p", Xb @ Ak, Xb, out=out[k])
+                np.einsum("pi,pi->p", np.matmul(Xb, Ak, out=XA), Xb, out=out[k])
                 out[k] += c[k]
 
         return fill
@@ -285,9 +294,9 @@ def _form_table(A: np.ndarray, c: np.ndarray, rows: int):
     return fill
 
 
-def _block_rows(N: int, K: int, paths: int, tables: int) -> int:
+def _block_rows(N: int, K: int, paths: int) -> int:
     """Rows per block of paths of a Monte Carlo body whose rows hold N draws,
-    ``tables`` tables of K forms and the form table's work space
+    one table of K forms and the form table's work space
     (:func:`_form_route`): the rows that fit in ``_BLOCK_BYTES`` or, on the
     GEMM route where it is larger, in the packed operand W, so that each
     pass over W serves a block its size (Goto & van de Geijn, 2008); at
@@ -297,18 +306,18 @@ def _block_rows(N: int, K: int, paths: int, tables: int) -> int:
     call, at this many rows."""
     _, work, packed = _form_route(K, N)
     size = min(max(_BLOCK_BYTES, 8 * packed), 8 * paths * N)
-    return max(1, size // (8 * (N + tables * K + work)))
+    return max(1, size // (8 * (N + K + work)))
 
 
 def _path_blocks(law: Law, seed: int, paths: int, N: int, rows: int):
     """The blocks X[lo : lo + rows] of the (paths x N) sample X of ``law``
-    and ``seed``, each drawn from one stream as it is asked for."""
+    and ``seed``, each drawn from one stream as it is asked for, into one
+    array that the next block overwrites."""
     if paths < 2:
         raise ValueError("paths must be >= 2 for a standard error")
-    stream = Sampler(law, seed)
-    return (
-        stream.draw(min(rows, paths - lo) * N).reshape(-1, N) for lo in range(0, paths, rows)
-    )
+    stream, buf = Sampler(law, seed), np.empty(min(rows, paths) * N)
+    sizes = (min(rows, paths - lo) * N for lo in range(0, paths, rows))
+    return (stream.draw(m, buf[:m]).reshape(-1, N) for m in sizes)
 
 
 class _Moments:
@@ -359,6 +368,17 @@ def _skewness(law: Law) -> float:
     return float(m[3] - 3 * m[1] * m[2] + 2 * m[1] ** 3) / float(c2) ** 1.5
 
 
+def _bit_reversal(K: int) -> np.ndarray:
+    """rev[r] = r with its log2(K) bits reversed, for K a power of 2.  Built
+    by doubling, so rows r and r + K / 2 of a table in this order hold the
+    entries 2j and 2j + 1 with j = rev[r] at K / 2: the sums of the table's
+    two halves are the sums of its adjacent pairs, again in this order."""
+    rev = np.zeros(1, dtype=np.intp)
+    while len(rev) < K:
+        rev = np.concatenate([2 * rev, 2 * rev + 1])
+    return rev
+
+
 def _qv_rows(
     A: np.ndarray,
     G: np.ndarray,
@@ -379,8 +399,13 @@ def _qv_rows(
 
     Only the finest increments get a quadratic form (:func:`_form_table`,
     centred by c_k = -tr A_k): x' A x is linear in A, so each coarser
-    level's table is the sums of adjacent pairs of the finer one's rows.
-    Each distinct level is read once, its squares summed over k in order.
+    level's forms are the sums of adjacent pairs of the finer one's.  The
+    K = 2^dmax increments are first put in bit-reversed order of k
+    (:func:`_bit_reversal`), in place on ``A``, which the call thus
+    reorders; rows r and r + h of a level's table of 2h rows then hold its
+    increments 2j and 2j + 1, and the next level is the sum of the two
+    halves, taken in place on the first.  Each distinct level is read once,
+    its squares summed over the rows in order, which is bit-reversed order.
     The linear term m3 g.x is a row-wise ``einsum``, since a matrix-vector
     product split by rows can round differently.  Per block, each level's
     QV, QV - RHS and (QV - RHS)^2, and RHS, go into a :class:`_Moments`
@@ -388,32 +413,37 @@ def _qv_rows(
     """
     N = G.shape[0]
     K = len(A)
+    for r, s in enumerate(_bit_reversal(K)):
+        if r < s:
+            A[[r, s]] = A[[s, r]]
     # the quantities' row of each distinct level read, of stride 2^level
     at = {level: i for i, level in enumerate(sorted({s.bit_length() - 1 for s in strides}))}
     D, top = len(at), max(at)
-    rows = _block_rows(N, K, paths, 2)
+    rows = _block_rows(N, K, paths)
     fill = _form_table(A, -np.trace(A, axis1=1, axis2=2), rows)
     moments = _Moments(3 * D + 1)
     m3 = _skewness(law)
-    T, inc, half = np.empty((3 * D + 1) * rows), np.empty(K * rows), np.empty(K // 2 * rows)
+    T, inc, XG = np.empty((3 * D + 1) * rows), np.empty(K * rows), np.empty(rows * N)
     for Xb in _path_blocks(law, seed, paths, N, rows):
         n = len(Xb)
         Tb = T[: (3 * D + 1) * n].reshape(-1, n)
-        np.einsum("pi,pi->p", Xb @ G, Xb, out=Tb[3 * D])
-        Tb[3 * D] += m3 * np.einsum("pi,i->p", Xb, g)
+        np.einsum("pi,pi->p", np.matmul(Xb, G, out=XG[: n * N].reshape(n, N)), Xb, out=Tb[3 * D])
+        # m3 g.x in a row that the gaps overwrite below
+        np.einsum("pi,i->p", Xb, g, out=Tb[D])
+        Tb[D] *= m3
+        Tb[3 * D] += Tb[D]
         table = inc[: K * n].reshape(K, n)
         fill(Xb, table)
         for level in range(top + 1):
             if level in at:
-                # summed over k in order: einsum sums a lone column otherwise
+                # summed over the rows in order: einsum sums a lone column otherwise
                 if n > 1:
                     np.einsum("kp,kp->p", table, table, out=Tb[at[level]])
                 else:
                     Tb[at[level]] = sum(x * x for x in table[:, 0].tolist())
             if level < top:
-                up = (half, inc)[level % 2][: len(table) // 2 * n].reshape(-1, n)
-                np.add(table[0::2], table[1::2], out=up)
-                table = up
+                h = len(table) // 2
+                table = np.add(table[:h], table[h:], out=table[:h])
         np.subtract(Tb[:D], Tb[3 * D], out=Tb[D : 2 * D])
         np.square(Tb[D : 2 * D], out=Tb[2 * D : 3 * D])
         moments.add(Tb)
@@ -536,7 +566,7 @@ def riemann_experiment(
     P = np.array([C_h[::s][:-1].T @ (C_g[::s][1:] - C_g[::s][:-1]) for s in distinct])
     D = 0.5 * (P + P.transpose(0, 2, 1)) - A
     K = len(D)
-    block = _block_rows(N, K, paths, 1)
+    block = _block_rows(N, K, paths)
     fill = _form_table(D, np.full(K, np.trace(A)), block)
     moments = _Moments(K)
     T = np.empty(K * block)

@@ -304,10 +304,14 @@ class Sampler:
         self.law = law
         self._rng = np.random.default_rng([np.uint64(seed), np.uint64(0)])
 
-    def draw(self, count: int) -> np.ndarray:
+    def draw(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
         """The next ``count`` draws, as one float64 array filled in steps of
-        ``_FILL_STEP`` draws and centred and scaled in place."""
-        out = np.empty(count)
+        ``_FILL_STEP`` draws and centred and scaled in place: ``out`` if
+        given, which must hold ``count`` floats, else a new array."""
+        if out is None:
+            out = np.empty(count)
+        elif out.shape != (count,) or out.dtype != np.float64:
+            raise ValueError(f"out must be a float64 array of shape ({count},)")
         for lo in range(0, count, _FILL_STEP):
             self._fill(out[lo : lo + _FILL_STEP])
         return out

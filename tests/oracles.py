@@ -15,6 +15,7 @@ import numpy as np
 from wicklab.chaos.basis import LegendreBasis, PiecewisePoly, SymmetricKernel2
 from wicklab.chaos.experiments import (
     _Moments,
+    _bit_reversal,
     _block_rows,
     _path_blocks,
     _qv_summary,
@@ -143,38 +144,34 @@ def _stats(x: np.ndarray) -> dict:
 
 def qv_rows_per_increment(B, G, g, strides, law, paths, seed) -> list:
     """The QV rows with one quadratic form per finest increment: each block of
-    the body's paths (``_block_rows``) walks its K increments in order and
-    carries each completed pair up a level on a stack of pending increments.
-    The blocks' QV and RHS go through the body's statistics, one fold per
-    block (``_Moments``), with a row of quantities per stride, repeats
-    included."""
+    the body's paths (``_block_rows``) takes its K increments' forms in the
+    order of k, and each coarser level's forms as the sums of adjacent pairs
+    2j, 2j + 1 of the finer level's.  A level's squares are summed in the
+    body's order, the bit-reversed order of the increment
+    (``_bit_reversal``).  The blocks' QV and RHS go through the body's
+    statistics, one fold per block (``_Moments``), with a row of quantities
+    per stride, repeats included."""
     N = G.shape[0]
     A = B[1:] - B[:-1]
     K, D = len(A), len(strides)
-    blocks = _path_blocks(law, seed, paths, N, _block_rows(N, K, paths, 2))
+    blocks = _path_blocks(law, seed, paths, N, _block_rows(N, K, paths))
     moments = _Moments(3 * D + 1)
     m3 = _skewness(law)
     traces = np.trace(A, axis1=1, axis2=2)
-    levels = K.bit_length()  # strides 1, 2, 4, ..., K
-    at_level = [[i for i, s in enumerate(strides) if s == 1 << l] for l in range(levels)]
     for Xb in blocks:
         T = np.empty((3 * D + 1, len(Xb)))
         QVb, RHSb = T[:D], T[3 * D]
         QVb[:] = 0
         RHSb[:] = quadratic_form(Xb, G)
         RHSb += m3 * np.einsum("pi,i->p", Xb, g)
-        pending = []
-        for k in range(K):
-            inc = quadratic_form(Xb, A[k]) - traces[k]
-            level = 0
-            while True:
-                for i in at_level[level]:
-                    QVb[i] += inc * inc
-                if not k >> level & 1:
-                    pending.append(inc)
-                    break
-                inc = pending.pop() + inc
-                level += 1
+        level, stride = [quadratic_form(Xb, A[k]) - traces[k] for k in range(K)], 1
+        while stride <= K:
+            for i, s in enumerate(strides):
+                if s == stride:
+                    for k in _bit_reversal(len(level)):
+                        QVb[i] += level[k] * level[k]
+            level = [level[2 * j] + level[2 * j + 1] for j in range(len(level) // 2)]
+            stride *= 2
         T[D : 2 * D] = QVb - RHSb
         T[2 * D : 3 * D] = T[D : 2 * D] ** 2
         moments.add(T)

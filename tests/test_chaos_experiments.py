@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from wicklab.chaos.basis import LegendreBasis, PiecewisePoly, coeffs_of, triangle_kernel
 from wicklab.chaos.experiments import (
     _Moments,
+    _bit_reversal,
     _block_rows,
     _check_qv_size,
     _form_route,
@@ -308,7 +309,8 @@ def _fold_tables(tables, rows):
 
 def _qv_rows_folded(B, G, g, strides, law, paths, seed):
     """The per-increment body's tables through the QV body's statistics, on
-    its blocks and folds: ``==`` to the body's rows wherever the per-path
+    its blocks and folds, each level's squares summed in the body's
+    bit-reversed order: ``==`` to the body's rows wherever the per-path
     values are the same bits."""
     N, K, D = G.shape[0], len(B) - 1, len(strides)
     X = sample(law, seed, paths * N).reshape(paths, N)
@@ -316,12 +318,13 @@ def _qv_rows_folded(B, G, g, strides, law, paths, seed):
     QV = np.zeros((D, paths))
     for QVd, stride in zip(QV, strides):
         Bd = B[::stride]
-        for A in Bd[1:] - Bd[:-1]:
+        incs = Bd[1:] - Bd[:-1]
+        for A in incs[_bit_reversal(len(incs))]:
             inc = np.einsum("pi,pi->p", X @ A, X) - np.trace(A)
             QVd += inc * inc
     gap = QV - RHS
     tables = np.vstack([QV, gap, gap**2, RHS])
-    return _qv_summary(_fold_tables(tables, _block_rows(N, K, paths, 2)), range(D))
+    return _qv_summary(_fold_tables(tables, _qv_block_rows(paths, N, K)), range(D))
 
 
 def _dyadic_kernels(h1, h2, N, dmax):
@@ -351,15 +354,15 @@ def _gemm_route(N, K):
 
 
 def _qv_block_rows(paths, N, K):
-    """Rows per block of ``_qv_rows``, whose rows hold two tables of K forms."""
-    return _block_rows(N, K, paths, 2)
+    """Rows per block of ``_qv_rows``, whose rows hold one table of K forms."""
+    return _block_rows(N, K, paths)
 
 
 # The body walks the paths in blocks of ``_qv_block_rows`` rows, K = 2**depth,
-# each capped at the sample's bytes: 1944 at N = 16 (depth 4, 7777 paths),
-# 540 at N = 1 (depth 4, 20001 paths), 13 at N = 16 (depth 7, 456 paths) and
-# 1333 at N = 8 (depth 0, 3000 paths), so 20001 and 3000 paths end on a
-# partial block and 7777 and 456 on a one-row block.  N = 1 and depth 4, and
+# each capped at the sample's bytes: 2592 at N = 16 (depth 4, 7777 paths),
+# 952 at N = 1 (depth 4, 20001 paths), 16 at N = 16 (depth 7, 449 paths) and
+# 1411 at N = 8 (depth 0, 3000 paths), so 20001 and 3000 paths end on a
+# partial block and 7777 and 449 on a one-row block.  N = 1 and depth 4, and
 # N = 16 and depth 7, take the GEMM route.
 @pytest.mark.parametrize(
     "h1, h2, N, depths, paths, law",
@@ -370,7 +373,7 @@ def _qv_block_rows(paths, N, K):
         (ONE, ONE, 8, [0], 3000, Law.normal()),
         (H1, ONE, 1, [2, 0, 4], 20_001, Law.exponential(1)),
         (H1, H2, 16, [4, 1, 3], 7777, Law.normal()),
-        (RISE, FALL, 16, [7, 2], 456, Law.exponential(1)),
+        (RISE, FALL, 16, [7, 2], 449, Law.exponential(1)),
     ],
 )
 def test_qv_rows_match_per_increment_oracle(h1, h2, N, depths, paths, law):
@@ -461,10 +464,10 @@ def test_qv_rows_match_per_increment_body(shape, law, seed):
     # one product per increment, within rounding on the GEMM route; the
     # kernels need not be symmetric.  At (N, K) = (64, 128) the GEMM route's
     # packed operand outgrows _BLOCK_BYTES, and with more than 2048 paths it
-    # sets the blocks (35 rows at 2500 paths, where _BLOCK_BYTES holds 28);
+    # sets the blocks (36 rows at 2500 paths, where _BLOCK_BYTES holds 29);
     # at (64, 64) the per-matrix route's operand is as large, and its blocks
-    # keep to _BLOCK_BYTES (512 rows at 3001 paths; with fewer than 2048
-    # paths the sample's bytes cap them, 375 rows at 1501)
+    # keep to _BLOCK_BYTES (682 rows at 3001 paths; with fewer than 2048
+    # paths the sample's bytes cap them, 500 rows at 1501)
     N, K, strides, paths = shape
     rng = np.random.default_rng(seed)
     B, G = rng.standard_normal((K + 1, N, N)), rng.standard_normal((N, N))
@@ -475,6 +478,65 @@ def test_qv_rows_match_per_increment_body(shape, law, seed):
         assert_rows_match(rows, expected)
     else:
         assert rows == expected
+
+
+@pytest.mark.parametrize("K", [2**d for d in range(1, 11)])
+def test_bit_reversal_is_an_involution_that_pairs_the_halves(K):
+    assert _bit_reversal(1).tolist() == [0]
+    rev = _bit_reversal(K)
+    bits = K.bit_length() - 1
+    assert [int(f"{r:0{bits}b}"[::-1], 2) for r in range(K)] == rev.tolist()
+    assert (rev[rev] == np.arange(K)).all()
+    # rows r and r + h of a table in this order hold the increments 2j and
+    # 2j + 1, and the sums of the halves are the next level, in this order
+    h = K // 2
+    j = _bit_reversal(h)
+    assert (rev[:h] == 2 * j).all() and (rev[h:] == 2 * j + 1).all()
+
+
+def _qv_rows_natural(A, G, g, strides, law, paths, seed):
+    """The QV rows with the increments in the order of k: each coarser
+    level's forms are the sums of rows 2j and 2j + 1 of the finer level's,
+    and each level's squares are summed in that order, over the whole
+    sample; the tables go through the body's blocks and folds."""
+    N, K = G.shape[0], len(A)
+    X = sample(law, seed, paths * N).reshape(paths, N)
+    RHS = np.einsum("pi,pi->p", X @ G, X) + _skewness(law) * np.einsum("pi,i->p", X, g)
+    level = np.array([quadratic_form(X, Ak) - np.trace(Ak) for Ak in A])
+    QV = {}
+    for stride in (2**i for i in range(K.bit_length())):
+        QV[stride] = np.zeros(paths)
+        for form in level:
+            QV[stride] += form * form
+        level = level[0::2] + level[1::2]
+    QV = np.array([QV[s] for s in strides])
+    gap = QV - RHS
+    tables = np.vstack([QV, gap, gap**2, RHS])
+    return _qv_summary(_fold_tables(tables, _qv_block_rows(paths, N, K)), range(len(strides)))
+
+
+@pytest.mark.parametrize(
+    "N, K",
+    [(2**d, 2**d) for d in range(8)] + [(2 ** (d - 1), 2**d) for d in range(1, 8)],
+)
+def test_qv_level_sums_pair_adjacent_increments_exactly(N, K):
+    # binomial:1,1/2 draws are exactly +-1 and the kernels, G and g are small
+    # integers (m3 = 0), so every form, pair sum and square is an exact
+    # integer on either route (K <= N per matrix, K > N by GEMM) and any
+    # order of the sums gives the same bits: the body is == to the natural
+    # order wherever each level pairs the increments 2j and 2j + 1
+    law = Law.binomial(1, Q(1, 2))
+    rng = np.random.default_rng([K, N])
+    A = rng.integers(-2, 3, (K, N, N)).astype(float)
+    G, g = rng.integers(-2, 3, (N, N)).astype(float), rng.integers(-2, 3, N).astype(float)
+    dmax = K.bit_length() - 1
+    strides = [2 ** (dmax - d) for d in [*range(dmax + 1), dmax, 0, dmax // 2]]
+    # a last block of one row where the shape has one (the sample's bytes cap
+    # the blocks, so some shapes' last blocks keep to a share of a block)
+    paths = next((p for p in range(300, 3000) if _last_block(p, N, K) == "one row"), 1001)
+    expected = _qv_rows_natural(A, G, g, strides, law, paths, 9)
+    assert _gemm_route(N, K) == (K > N)
+    assert _qv_rows(A.copy(), G, g, strides, law, paths, 9) == expected
 
 
 @st.composite
@@ -636,7 +698,7 @@ def _riemann_oracle(h, g, N, law, depths, paths, seed):
     return rows
 
 
-# The body walks the paths in blocks of ``_block_rows(N, len(set(depths)), paths, 1)``
+# The body walks the paths in blocks of ``_block_rows(N, len(set(depths)), paths)``
 # rows: 1263 at N = 8 (three distinct depths, 3000 paths), 1411 at N = 8 (one depth,
 # 3000 paths), 2105 at N = 8 (three, 5000 paths), 3456 and 3640 at N = 16
 # (four, 7777 and 20000 paths) and one at N = 1, so 3000, 5000, 7777 and
@@ -670,7 +732,7 @@ def test_riemann_rows_match_full_array_oracle(h, g, N, depths, paths, law):
     # through the body's blocks and folds, the same bits
     K = len(set(depths))
     errs = np.array(list(_riemann_errs(h, g, N, law, depths, paths, 4)))
-    folds = _fold_tables(errs, _block_rows(N, K, paths, 1))
+    folds = _fold_tables(errs, _block_rows(N, K, paths))
     assert [row["err"] for row in rep["rows"]] == folds.stats()
 
 
@@ -845,8 +907,8 @@ def test_qv_above_the_size_cap_returns_at_once(call):
 
 def test_qv_size_cap_admits_the_deep_points():
     # (N, depth) = (1024, 6) at 10^4 and 10^5 paths: 65 kernels of 1024^2
-    # floats, 546 MB, 101 MB of sweep work space and a block of 1 MB (the
-    # per-matrix route's blocks keep to _BLOCK_BYTES); and the shallow
+    # floats, 546 MB, 101 MB of sweep work space and block arrays of 1.6 MB
+    # (the per-matrix route's blocks keep to _BLOCK_BYTES); and the shallow
     # depths at small N
     _check_qv_size(1024, [6], 10_000)
     _check_qv_size(1024, [6], 10**5)

@@ -215,11 +215,24 @@ def test_sampler_in_place_steps_match_whole_array_reference(law):
 @settings(max_examples=60, deadline=None)
 def test_stream_blocks_concatenate_to_sample(law, seed, sizes):
     # successive draws of one stream are the whole draw, however it is split:
-    # 1-draw blocks, empty ones, a split before or after the last draw
+    # 1-draw blocks, empty ones, a split before or after the last draw; and
+    # so are draws into the front of one array, which each draw overwrites
     stream = Sampler(law, seed)
     blocks = [stream.draw(k) for k in sizes]
     assert [len(b) for b in blocks] == sizes
-    assert np.array_equal(np.concatenate(blocks), sample(law, seed, sum(sizes)))
+    whole = sample(law, seed, sum(sizes))
+    assert np.array_equal(np.concatenate(blocks), whole)
+    stream, buf = Sampler(law, seed), np.empty(max(sizes))
+    reused = [stream.draw(k, buf[:k]).copy() for k in sizes]
+    assert np.array_equal(np.concatenate(reused), whole)
+
+
+def test_sampler_draw_fills_the_array_it_is_given():
+    buf = np.empty(5)
+    assert Sampler(Law.normal(), 1).draw(5, buf) is buf
+    for out in (np.empty(4), np.empty(5, dtype=np.float32), np.empty((5, 1))):
+        with pytest.raises(ValueError, match="out must be a float64 array of shape"):
+            Sampler(Law.normal(), 1).draw(5, out)
 
 
 @pytest.mark.parametrize("law", [Law.poisson(1), Law.binomial(3, Q(1, 2))], ids=Law.label)
