@@ -160,12 +160,17 @@ def legendre_float_cumulative(N: int, depth: int, t=1):
 # experiments
 
 
+def _finest_depth(depths: Sequence[int]) -> int:
+    """The largest of a non-empty list of depths >= 0 (ValueError otherwise)."""
+    if not depths or min(depths) < 0:
+        raise ValueError(f"depths must be a non-empty list of integers >= 0: {list(depths)}")
+    return max(depths)
+
+
 def _dyadic_strides(depths: Sequence[int]) -> tuple:
     """(dmax, strides): the finest depth, and for each depth the stride that
     picks its partition points out of the finest dyadic grid."""
-    if not depths or min(depths) < 0:
-        raise ValueError(f"depths must be a non-empty list of integers >= 0: {list(depths)}")
-    dmax = max(depths)
+    dmax = _finest_depth(depths)
     return dmax, [2 ** (dmax - d) for d in depths]
 
 
@@ -201,8 +206,9 @@ _ROW_FLOATS = 128
 def _check_qv_size(N: int, depths: Sequence[int], paths: int) -> int:
     """The bytes a quadratic-variation call holds at most, plus 8 per path it
     draws, which bound the draw rather than memory; a call above
-    ``_QV_MAX_BYTES`` is rejected before any point of its grid is built."""
-    dmax = max(depths)
+    ``_QV_MAX_BYTES`` is rejected before any point of its grid, or any
+    stride, is built."""
+    dmax = _finest_depth(depths)
     # past depth 64 the grid alone exceeds any cap
     K = 2 ** min(dmax, 64)
     _, work, packed = _form_route(K, N)
@@ -507,8 +513,8 @@ def qv_experiment(
     if basis.N != N:
         raise ValueError(f"basis has {basis.N} functions, truncation N is {N}")
     t = as_fraction(t)
-    dmax, strides = _dyadic_strides(depths)
     _check_qv_size(N, depths, paths)
+    dmax, strides = _dyadic_strides(depths)
     rows = _qv_rows(*_qv_kernels(h1, h2, basis, t, dmax), strides, law, paths, seed)
     rows = [{"depth": d, **row} for d, row in zip(depths, rows)]
     return {"t": str(t), "N": N, "paths": paths, "seed": seed, "rows": rows}

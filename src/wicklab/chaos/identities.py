@@ -258,7 +258,7 @@ def _orders(K: SymmetricKernel2, tables: GammaTables):
     # (pi_1 f) ~1 (pi_1 f) = sum_j a_jj^2 e_j o e_j, a_jj = R_jj w_j / den
     R, w = K.R, K.w
     diag = {(j + 1, j + 1): {1: (R[j][j] * w[j]) ** 2} for j in range(K.N) if R[j][j]}
-    diag_contr = SymTensor._of(2, diag, K.den**2)
+    diag_contr = SymTensor(2, diag, K.den**2)
     yield "t1", (
         ff.annihilated(3, tables)
         + contr4.annihilated(1, tables)

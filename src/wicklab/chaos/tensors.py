@@ -39,9 +39,11 @@ arithmetic of :mod:`wicklab.exact` (``_madd``, ``_axpy``).  The law enters
 through integer tables built once per :class:`GammaTables`: the annihilation
 gaps (gamma - Gamma) scaled by the lcm E of their denominators, the h_k
 scaled likewise, and per (multiplicity pattern, k) a precompiled
-annihilation plan.  ``SymTensor.terms`` reads the
-coefficients back as :class:`~wicklab.exact.RadSum` values, and exact
-results leave as RadSum, with one division at the end.
+annihilation plan.  A tensor is built once, from this integer form
+(``SymTensor(order, coeffs, den)``), and never changes.
+``SymTensor.terms`` reads the coefficients back as
+:class:`~wicklab.exact.RadSum` values, and exact results leave as RadSum,
+with one division at the end.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from types import MappingProxyType
 from typing import Dict, Mapping
 
 from ..exact import (
-    Q, RadSum, _axpy, _madd, _square_free_product, as_fraction, int_form, rad_form
+    Q, RadSum, _axpy, _madd, _square_free_product, as_fraction, rad_form
 )
 from ..laws import Law, MomentSequence, standardized_moments
 from ..wick import expect_poly
@@ -371,57 +373,31 @@ def contraction1(K: SymmetricKernel2) -> SymmetricKernel2:
 class SymTensor:
     """Order-n symmetric tensor: {sorted index tuple: coefficient}.
 
-    The coefficients are held as integers over one denominator (see the
-    module docstring).  ``SymTensor(order, terms)`` and ``add_term`` accept
-    RadSum, Fraction or int coefficients, and ``terms`` reads them back as
-    ``{signature: RadSum}``; signatures with a zero coefficient are absent.
+    ``SymTensor(order, coeffs, den)`` takes the integer form of the module
+    docstring, ``{signature: {radicand: int}}`` over one positive integer
+    ``den``, and holds ``coeffs`` as given: each signature a sorted tuple of
+    length ``order``, each radicand squarefree and no coefficient zero.
+    ``terms`` reads the coefficients back as ``{signature: RadSum}``.  A
+    built tensor never changes; every operation returns a new one.
     """
 
     __slots__ = ("order", "_den", "_c")
 
-    def __init__(self, order: int, terms: Dict[tuple, object] = None):
+    def __init__(self, order: int, coeffs: Dict[tuple, dict] = None, den: int = 1):
         self.order = order
-        self._den = 1
-        self._c: Dict[tuple, dict] = {}
-        for t, v in (terms or {}).items():
-            self.add_term(t, v)
-
-    @classmethod
-    def _of(cls, order: int, coeffs: dict, den: int) -> "SymTensor":
-        out = cls(order)
-        out._c, out._den = coeffs, den
-        return out
+        self._c = {} if coeffs is None else coeffs
+        self._den = den
 
     @property
     def terms(self) -> Dict[tuple, RadSum]:
         return {t: RadSum._of(c, self._den) for t, c in self._c.items()}
-
-    def __eq__(self, other):
-        if not isinstance(other, SymTensor):
-            return NotImplemented
-        return self.order == other.order and self.terms == other.terms
-
-    def add_term(self, t: tuple, coeff) -> None:
-        if self.order and len(t) != self.order:
-            raise ValueError("signature length does not match tensor order")
-        if any(a > b for a, b in zip(t, t[1:])):
-            t = tuple(sorted(t))
-        lam, d = int_form(coeff)
-        if not lam:
-            return
-        den = math.lcm(self._den, d)
-        if den != self._den:
-            f = den // self._den
-            self._c = {s: {w: n * f for w, n in mu.items()} for s, mu in self._c.items()}
-            self._den = den
-        _add_scaled(self._c, t, lam, den // d)
 
     def scaled(self, c) -> "SymTensor":
         c = as_fraction(c)
         if not c:
             return SymTensor(self.order)
         p = c.numerator
-        return SymTensor._of(
+        return SymTensor(
             self.order,
             {t: {w: n * p for w, n in lam.items()} for t, lam in self._c.items()},
             self._den * c.denominator,
@@ -436,7 +412,7 @@ class SymTensor:
         f = den // other._den
         for t, lam in other._c.items():
             _add_scaled(out, t, lam, f)
-        return SymTensor._of(self.order, out, den)
+        return SymTensor(self.order, out, den)
 
     # -- constructors ------------------------------------------------------------
     @staticmethod
@@ -450,7 +426,7 @@ class SymTensor:
                 if x:
                     n, w0 = rad_form(x if j == k else 2 * x, w[j] * w[k])
                     coeffs[k + 1, j + 1] = {w0: n}
-        return SymTensor._of(2, coeffs, K.den)
+        return SymTensor(2, coeffs, K.den)
 
     @staticmethod
     def sym_square(K: SymmetricKernel2) -> "SymTensor":
@@ -470,7 +446,7 @@ class SymTensor:
             if acc:
                 root, w0 = _square_free_product(pair[t[0]][t[1]], pair[t[2]][t[3]])
                 coeffs[tuple(j + 1 for j in t)] = {w0: acc * root}
-        return SymTensor._of(4, coeffs, K.den**2)
+        return SymTensor(4, coeffs, K.den**2)
 
     # -- structure ----------------------------------------------------------------
     def annihilated(self, k: int, tables: GammaTables) -> "SymTensor":
@@ -485,7 +461,7 @@ class SymTensor:
         for t, lam in self._c.items():
             for keep, W in plans[_mask(t)]:
                 _add_scaled(out, tuple([t[p] for p in keep]), lam, W)
-        return SymTensor._of(n - k, out, self._den * tables._ann_den**k)
+        return SymTensor(n - k, out, self._den * tables._ann_den**k)
 
     # -- evaluation and expectation --------------------------------------------
     def phi_eval(self, pvals) -> float:

@@ -11,8 +11,8 @@ Three layers live here:
   radicands collapses back to a rational); fourth-moment expectations mix
   several radicands.  Square parts are split only here: :func:`rad_form`
   turns ``n * sqrt(w)`` into an integer over a squarefree radicand, and the
-  integer form {radicand: int} over one denominator that tensors hold
-  (:func:`int_form`) has its arithmetic here;
+  integer form {radicand: int} over one denominator that tensors hold has
+  its arithmetic here;
 * exact linear algebra on rational matrices (rank, PSD test) by Gaussian
   elimination over Fractions, so ranks never depend on float thresholds.
 """
@@ -179,12 +179,6 @@ def _axpy(acc: dict, x: dict, c: int) -> None:
             acc[w] = v
         else:
             del acc[w]
-
-
-def int_form(value) -> tuple:
-    """(num, den): value = sum_w (num[w] / den) sqrt(w), num a fresh dict."""
-    value = RadSum._coerce(value)
-    return dict(value._num), value._den
 
 
 def rad_form(n: int, w: int) -> tuple[int, int]:

@@ -303,6 +303,7 @@ class Sampler:
             raise ValueError(f"seed must be an integer in [0, 2**64): {seed}")
         self.law = law
         self._rng = np.random.default_rng([np.uint64(seed), np.uint64(0)])
+        self._pairs = np.empty((0, 2))  # gamma_combo's gamma pairs, reused
 
     def draw(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
         """The next ``count`` draws, as one float64 array filled in steps of
@@ -331,9 +332,19 @@ class Sampler:
             out /= math.sqrt(af)
         elif kind == "gamma_combo":
             alpha, a1, b1, beta, a2, b2 = (float(x) for x in params)
-            xy = rng.gamma((a1, a2), (1.0 / b1, 1.0 / b2), (n, 2))
-            xy *= (alpha, beta)
-            np.add(xy[:, 0], xy[:, 1], out=out)
+            if len(self._pairs) < n:
+                self._pairs = np.empty((n, 2))
+            # rng.gamma((a1, a2), (1/b1, 1/b2), (n, 2)) in place: numpy
+            # draws each standard gamma and multiplies it by its scale.  Each
+            # column is scaled alone, since a broadcast product buffers.
+            xy = self._pairs[:n]
+            rng.standard_gamma(np.array([a1, a2]), out=xy)
+            x, y = xy.T
+            x *= 1.0 / b1
+            x *= alpha
+            y *= 1.0 / b2
+            y *= beta
+            np.add(x, y, out=out)
             out -= alpha * a1 / b1 + beta * a2 / b2
             out /= math.sqrt(alpha**2 * a1 / b1**2 + beta**2 * a2 / b2**2)
         elif kind == "poisson":

@@ -212,3 +212,16 @@ def sym_square_by_trial_division(K):
             n, w0 = rad_form(acc, w[t[0]] * w[t[1]] * w[t[2]] * w[t[3]])
             out[tuple(j + 1 for j in t)] = RadSum._of({w0: n}, K.den**2)
     return out
+
+
+def signature_terms(order: int, pairs) -> dict:
+    """``{signature: RadSum}`` from (index tuple, coefficient) pairs, as
+    ``SymTensor.terms`` reads: each tuple sorted, repeats summed and zero
+    coefficients dropped."""
+    out = {}
+    for t, c in pairs:
+        if len(t) != order:
+            raise ValueError(f"signature {t} is not of order {order}")
+        t = tuple(sorted(t))
+        out[t] = RadSum(c) + out.get(t, 0)
+    return {t: c for t, c in out.items() if c}

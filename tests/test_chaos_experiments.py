@@ -884,17 +884,19 @@ def test_moments_of_constant_data_have_no_spread(split, value, q):
     "call",
     [
         lambda: qv_experiment(ONE, ONE, Q(1), 8, Law.normal(), [1, 30], 100, 0),
+        lambda: qv_experiment(ONE, ONE, Q(1), 8, Law.normal(), [1, 10**8], 100, 0),
         lambda: qv_experiment(ONE, ONE, Q(1), 10**6, Law.normal(), [1], 2, 0),
         lambda: qv_experiment(ONE, ONE, Q(1), 2, Law.normal(), [1], 10**9, 0),
         lambda: qv_experiment(ONE, ONE, Q(1), 1, Law.normal(), [26], 100, 0),
         lambda: qv_joint_refinement(Law.normal(), [(4, 1), (1024, 10)], 100, 0),
     ],
-    ids=["depth", "truncation", "paths", "grid points", "joint"],
+    ids=["depth", "huge depth", "truncation", "paths", "grid points", "joint"],
 )
 def test_qv_above_the_size_cap_returns_at_once(call):
     # the request is rejected before any grid point or array is built: 2^30
     # points alone would take minutes, and the arrays terabytes; at N = 1 the
-    # 2^26 points' kernels take 512 MiB, their Python objects tens of GiB
+    # 2^26 points' kernels take 512 MiB, their Python objects tens of GiB;
+    # and before any stride: depth 1's beside depth 10^8 is a 12 MB integer
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="above the cap"):

@@ -45,7 +45,7 @@ from wicklab.chaos.tensors import (
 from wicklab.exact import Rad, RadSum
 from wicklab.laws import Law, MomentSequence, parse_law, sample, standardized_moments
 
-from oracles import basis_element, gamma_by_projection
+from oracles import basis_element, gamma_by_projection, signature_terms
 
 ONE = PiecewisePoly.constant(1)
 X = PiecewisePoly.from_poly([0, 1])
@@ -424,8 +424,9 @@ def test_operator_norm_bound():
 # --- contraction and annihilation ---------------------------------------------------
 
 
-def contraction1_series(K: SymmetricKernel2) -> SymTensor:
-    """Independent series route to the contraction, in signature form.
+def contraction1_series(K: SymmetricKernel2) -> dict:
+    """Independent series route to the contraction, in signature form
+    (``{signature: RadSum}``).
 
     Spelled directly from the triple/double-sum expansion:
       2(a_{j1j2}a_{j2j3} e_{j1}oe_{j3} + a_{j1j3}a_{j2j3} e_{j1}oe_{j2}
@@ -436,23 +437,23 @@ def contraction1_series(K: SymmetricKernel2) -> SymTensor:
     the e_j o e_k coefficients being exactly the signature coefficients.
     """
     N = K.N
-    out = SymTensor(2)
+    out = []
     a = K.at
     for j1 in range(1, N + 1):
         for j2 in range(1, j1):
             for j3 in range(1, j2):
-                out.add_term((j3, j1), a(j1, j2) * a(j2, j3) * Q(2))
-                out.add_term((j2, j1), a(j1, j3) * a(j2, j3) * Q(2))
-                out.add_term((j3, j2), a(j1, j2) * a(j1, j3) * Q(2))
+                out.append(((j3, j1), a(j1, j2) * a(j2, j3) * Q(2)))
+                out.append(((j2, j1), a(j1, j3) * a(j2, j3) * Q(2)))
+                out.append(((j3, j2), a(j1, j2) * a(j1, j3) * Q(2)))
     for j1 in range(1, N + 1):
         for j2 in range(1, j1):
-            out.add_term((j2, j1), (a(j1, j2) * a(j2, j2) + a(j1, j2) * a(j1, j1)) * Q(2))
+            out.append(((j2, j1), (a(j1, j2) * a(j2, j2) + a(j1, j2) * a(j1, j1)) * Q(2)))
             sq = a(j1, j2) * a(j1, j2)
-            out.add_term((j1, j1), sq)
-            out.add_term((j2, j2), sq)
+            out.append(((j1, j1), sq))
+            out.append(((j2, j2), sq))
     for j in range(1, N + 1):
-        out.add_term((j, j), a(j, j) * a(j, j))
-    return out
+        out.append(((j, j), a(j, j) * a(j, j)))
+    return signature_terms(2, out)
 
 
 def test_contraction_matrix_vs_series():
@@ -460,8 +461,7 @@ def test_contraction_matrix_vs_series():
     for _ in range(10):
         K = random_sym_kernel(rng, 5)
         T1 = SymTensor.from_kernel(contraction1(K))
-        T2 = contraction1_series(K)
-        assert T1.terms == T2.terms
+        assert T1.terms == contraction1_series(K)
 
 
 def test_contraction_examples():
@@ -484,7 +484,7 @@ def test_annihilation_special_cases():
     Ko = basis_element(3, 1, 2)
     assert SymTensor.from_kernel(Ko).annihilated(1, tabe).terms == {}
     # a_1^4 (e_1^{o4}) = gamma_{4,3} e_1^{o3}
-    T = SymTensor(4, {(1, 1, 1, 1): Q(1)})
+    T = SymTensor(4, {(1, 1, 1, 1): {1: 1}})
     out = T.annihilated(1, tabe)
     assert out.terms == {(1, 1, 1): RadSum(tabe.gamma(4, 3))}
 
@@ -499,8 +499,9 @@ def test_annihilation_zero_for_gaussian():
 
 
 def a14_series(K, tab):
-    """Printed expansion of a_1^4(f o f), as an independent oracle."""
-    out = SymTensor(3)
+    """Printed expansion of a_1^4(f o f), as an independent oracle
+    (``{signature: RadSum}``)."""
+    out = []
     N = K.N
     a = K.at
     g21 = tab.gamma(2, 1)
@@ -513,16 +514,16 @@ def a14_series(K, tab):
                     8 * (a(j1, j2) * a(j1, j3) + a(j1, j2) * a(j2, j3) + a(j1, j3) * a(j2, j3))
                     + 4 * (a(j1, j1) * a(j2, j3) + a(j2, j2) * a(j1, j3) + a(j3, j3) * a(j1, j2))
                 )
-                out.add_term((j3, j2, j1), RadSum(coeff))
+                out.append(((j3, j2, j1), RadSum(coeff)))
     for j1 in range(1, N + 1):
         for j2 in range(1, j1):
             sq = a(j1, j2) * a(j1, j2) * 4 + a(j1, j1) * a(j2, j2) * 2
-            out.add_term((j2, j1, j1), RadSum(a(j1, j1) * a(j1, j2) * (4 * g32)) + RadSum(sq * g21))
-            out.add_term((j2, j2, j1), RadSum(a(j1, j2) * a(j2, j2) * (4 * g32)) + RadSum(sq * g21))
+            out.append(((j2, j1, j1), RadSum(a(j1, j1) * a(j1, j2) * (4 * g32)) + RadSum(sq * g21)))
+            out.append(((j2, j2, j1), RadSum(a(j1, j2) * a(j2, j2) * (4 * g32)) + RadSum(sq * g21)))
     for j in range(1, N + 1):
         val = a(j, j) * a(j, j) * g43
-        out.add_term((j, j, j), RadSum(val))
-    return out
+        out.append(((j, j, j), RadSum(val)))
+    return signature_terms(3, out)
 
 
 def test_a14_table_on_random_kernels():
@@ -531,8 +532,7 @@ def test_a14_table_on_random_kernels():
     for _ in range(5):
         K = random_sym_kernel(rng, 5)
         direct = SymTensor.sym_square(K).annihilated(1, tab)
-        series = a14_series(K, tab)
-        assert direct.terms == series.terms
+        assert direct.terms == a14_series(K, tab)
 
 
 def test_a34_and_a12_contraction_tables():
@@ -546,26 +546,26 @@ def test_a34_and_a12_contraction_tables():
         N = K.N
         # a_3^4(f o f) = 4 g30 (sum a_j1 a_j1j2 e_j2 + sum a_j1j2 a_j2 e_j1)
         #               + g41 sum a_j^2 e_j
-        expected = SymTensor(1)
+        expected = []
         for j1 in range(1, N + 1):
             for j2 in range(1, j1):
-                expected.add_term((j2,), RadSum(a(j1, j1) * a(j1, j2) * (4 * g30)))
-                expected.add_term((j1,), RadSum(a(j1, j2) * a(j2, j2) * (4 * g30)))
+                expected.append(((j2,), RadSum(a(j1, j1) * a(j1, j2) * (4 * g30))))
+                expected.append(((j1,), RadSum(a(j1, j2) * a(j2, j2) * (4 * g30))))
         for j in range(1, N + 1):
-            expected.add_term((j,), RadSum(a(j, j) * a(j, j) * g41))
+            expected.append(((j,), RadSum(a(j, j) * a(j, j) * g41)))
         direct = SymTensor.sym_square(K).annihilated(3, tab)
-        assert direct.terms == expected.terms
+        assert direct.terms == signature_terms(1, expected)
         # a_1^2 (f ~1 f) = m3 sum_{j2<j1} a_{j1j2}^2 (e_j1 + e_j2) + m3 sum a_j^2 e_j
-        expected2 = SymTensor(1)
+        expected2 = []
         for j1 in range(1, N + 1):
             for j2 in range(1, j1):
                 sq = a(j1, j2) * a(j1, j2)
-                expected2.add_term((j1,), RadSum(sq * m3))
-                expected2.add_term((j2,), RadSum(sq * m3))
+                expected2.append(((j1,), RadSum(sq * m3)))
+                expected2.append(((j2,), RadSum(sq * m3)))
         for j in range(1, N + 1):
-            expected2.add_term((j,), RadSum(a(j, j) * a(j, j) * m3))
+            expected2.append(((j,), RadSum(a(j, j) * a(j, j) * m3)))
         direct2 = SymTensor.from_kernel(contraction1(K)).annihilated(1, tab)
-        assert direct2.terms == expected2.terms
+        assert direct2.terms == signature_terms(1, expected2)
 
 
 # --- order decomposition --------------------------------------------------------------

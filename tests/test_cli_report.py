@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -374,6 +375,22 @@ def test_exponential_size_above_the_cap_names_the_option(capsys, argv, option):
     assert f"error: {option}: " in captured.err
     assert "above the cap" in captured.err
     assert captured.out == ""
+
+
+def test_readme_quotes_the_cap_messages(capsys):
+    # README quotes each cap's error line; the commands print them, whitespace
+    # aside, in README's order
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    quoted = re.findall(r"`(error: [^`]*above the cap[^`]*)`", readme)
+    printed = []
+    for argv in (
+        ["chaos", "qv", "--law", "normal", "--truncation", "1024", "--depths", "9", "--paths", "100000"],
+        ["discrete", "maxsystem", "--N", "7"],
+        ["rademacher", "verify", "--scheme", "jump_after", "--depth", "15"],
+    ):
+        assert main(argv) == 2
+        printed.append(" ".join(capsys.readouterr().err.split()))
+    assert printed == quoted
 
 
 @pytest.mark.parametrize("option", sorted(ZERO_SIZE))

@@ -250,6 +250,22 @@ def test_integer_laws_fill_one_float_array(law):
     assert peak < 8 * count + 3 * 8 * _FILL_STEP
 
 
+def test_gamma_combo_draws_in_place():
+    # the gamma pairs go into an array the sampler keeps, so a second draw
+    # into a given array allocates no block-sized array (the draws' 54 KB);
+    # numpy's broadcast iterators over the two shapes take about 6 KB a
+    # call, whatever the count
+    sampler, out = Sampler(Law.gamma_combo(1, 2, 3, Q(1, 2), Q(5, 2), 1), 5), np.empty(6848)
+    sampler.draw(6848, out)
+    tracemalloc.start()
+    try:
+        sampler.draw(6848, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**13
+
+
 def test_sampler_standardization_clt():
     n = 10**6
     x = sample(Law.exponential(1), 7, n)
