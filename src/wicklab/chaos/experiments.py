@@ -26,6 +26,11 @@ each coarser level is the sum of its table's two halves, taken in place
   depths asked only through the finest one, and a Riemann row on the set
   of distinct depths asked.
 
+A schedule of (N, depth) pairs is grouped by N: each distinct N takes one
+kernel stack at its finest depth, one sample and one table of forms
+(``_qv_schedule``), so a row depends on the other pairs of its N only
+through their finest depth, as a depth's row does on the other depths.
+
 At fixed N the path t -> Z_t is a polynomial quadratic form, so its
 partition quadratic variation tends to 0 once the mesh outruns the basis:
 the QV limit needs N / 2^depth -> infinity.  A lockstep schedule at a fixed
@@ -182,23 +187,24 @@ def _dyadic_strides(depths: Sequence[int]) -> tuple:
 _BLOCK_BYTES = 2**20
 
 
-# Bytes one quadratic-variation call may hold, counted before any work: its
-# one stack of 2^dmax + 1 kernels of N^2 floats, with N floats of H and
-# _POINT_FLOATS of Python objects per grid point; _SWEEP_FLOATS N^2 floats of
-# G and of the work space of a kernel sweep, which runs again beside the
-# stack; the GEMM route's packed operand; and the block arrays the body
-# allocates once (:func:`_block_rows`): per row, N draws, N floats of the
-# RHS product x' G, the K increments (the level sums overwrite them), the
-# form table's work space and one float per quantity (3 per distinct depth
-# and the RHS); and _ROW_FLOATS of Python objects per depth asked, whose
-# rows are built while the block arrays are held.  To these it adds one
-# float per path, which no array holds but which bounds the draw.  The
-# count must stay above what a call is traced to hold
-# (``test_qv_traced_peak_within_the_size_count``; the traced figures:
-# CHANGES.md, "One kernel stack and one block rule per quadratic-variation
-# call").
-_QV_MAX_BYTES = 2**30
-_POINT_FLOATS = 40
+# Bytes one Monte Carlo call may hold, counted before any work.  A
+# quadratic-variation call holds its one stack of 2^dmax + 1 kernels of N^2
+# floats, with N floats of H and _POINT_FLOATS of Python objects per grid
+# point; _SWEEP_FLOATS N^2 floats of G and of the work space of a kernel
+# sweep, which runs again beside the stack; the GEMM route's packed
+# operand; and the block arrays the body allocates once
+# (:func:`_block_rows`): per row, N draws, N floats of the RHS product x' G,
+# the K increments (the level sums overwrite them), the form table's work
+# space and one float per quantity (3 per distinct depth and the RHS); and
+# _ROW_FLOATS of Python objects per depth asked, whose rows are built while
+# the block arrays are held.  To these it adds one float per path, which no
+# array holds but which bounds the draw.  The count must stay above what a
+# call is traced to hold (``test_qv_traced_peak_within_the_size_count``,
+# and ``test_riemann_traced_peak_within_the_size_count`` for
+# :func:`_check_riemann_size`; the traced figures: CHANGES.md, "One kernel
+# stack and one block rule per quadratic-variation call").
+_MAX_BYTES = 2**30
+_POINT_FLOATS = 48
 _SWEEP_FLOATS = 12
 _ROW_FLOATS = 128
 
@@ -206,7 +212,7 @@ _ROW_FLOATS = 128
 def _check_qv_size(N: int, depths: Sequence[int], paths: int) -> int:
     """The bytes a quadratic-variation call holds at most, plus 8 per path it
     draws, which bound the draw rather than memory; a call above
-    ``_QV_MAX_BYTES`` is rejected before any point of its grid, or any
+    ``_MAX_BYTES`` is rejected before any point of its grid, or any
     stride, is built."""
     dmax = _finest_depth(depths)
     # past depth 64 the grid alone exceeds any cap
@@ -221,11 +227,40 @@ def _check_qv_size(N: int, depths: Sequence[int], paths: int) -> int:
         + _ROW_FLOATS * len(depths)
         + paths
     )
-    if need > _QV_MAX_BYTES:
+    return _within_cap(need, N, dmax, paths)
+
+
+def _check_riemann_size(N: int, depths: Sequence[int], paths: int) -> int:
+    """The bytes a Riemann call holds at most, plus 8 per path it draws, as
+    :func:`_check_qv_size` counts them and under the same cap: per point of
+    the grid its Python objects and N floats each of C_h, C_g and one
+    difference of C_g; the sweep's work space, B and A, and per distinct
+    depth five N x N matrices (P_d in a list and an array, D_d and two
+    temporaries of it); the form table's packed operand and block arrays
+    (per row the N draws, the K forms and the table's work space); and the
+    rows."""
+    dmax = _finest_depth(depths)
+    grid = 2 ** min(dmax, 64) + 1
+    K = len(set(depths))
+    _, work, packed = _form_route(K, N)
+    need = 8 * (
+        grid * (3 * N + _POINT_FLOATS)
+        + (_SWEEP_FLOATS + 2 + 5 * K) * N * N
+        + packed
+        + _block_rows(N, K, paths) * (N + K + work)
+        + _ROW_FLOATS * len(depths)
+        + paths
+    )
+    return _within_cap(need, N, dmax, paths)
+
+
+def _within_cap(need: int, N: int, dmax: int, paths: int) -> int:
+    """``need`` if it is at most ``_MAX_BYTES``; ValueError otherwise."""
+    if need > _MAX_BYTES:
         raise ValueError(
             f"truncation {N}, depths up to {dmax} and {paths} paths need {need} bytes "
             f"of kernels, grid points and work space, with 8 per path drawn, "
-            f"above the cap of {_QV_MAX_BYTES}"
+            f"above the cap of {_MAX_BYTES}"
         )
     return need
 
@@ -489,6 +524,38 @@ def _qv_kernels(h1: PiecewisePoly, h2: PiecewisePoly, basis: LegendreBasis, t, d
     return (B[1:], *qv_rhs_quadratics(h1, h2, basis, t))
 
 
+def _qv_schedule(
+    h1: PiecewisePoly,
+    h2: PiecewisePoly,
+    t,
+    law: Law,
+    pairs: Sequence[tuple],
+    paths: int,
+    seed: int,
+    basis: Optional[LegendreBasis] = None,
+) -> list:
+    """The :func:`_qv_rows` row of each (N, depth) pair, in pair order.
+
+    The pairs are grouped by N: each distinct N takes one kernel stack at
+    the finest depth of its pairs, one sample and one :func:`_qv_rows` call
+    over all its depths.  Every group's size is checked before any work.  A
+    given ``basis`` serves a schedule of one N."""
+    _finest_depth([d for _, d in pairs])
+    groups: dict = {}
+    for N, d in pairs:
+        groups.setdefault(N, []).append(d)
+    for N, depths in groups.items():
+        _check_qv_size(N, depths, paths)
+    rows = {}
+    for N, depths in groups.items():
+        dmax, strides = _dyadic_strides(depths)
+        # no name holds the kernels, so each N's go before the next N's come
+        rows[N] = iter(_qv_rows(
+            *_qv_kernels(h1, h2, basis or LegendreBasis(N), t, dmax), strides, law, paths, seed
+        ))
+    return [next(rows[N]) for N, _ in pairs]
+
+
 def qv_experiment(
     h1: PiecewisePoly,
     h2: PiecewisePoly,
@@ -513,9 +580,7 @@ def qv_experiment(
     if basis.N != N:
         raise ValueError(f"basis has {basis.N} functions, truncation N is {N}")
     t = as_fraction(t)
-    _check_qv_size(N, depths, paths)
-    dmax, strides = _dyadic_strides(depths)
-    rows = _qv_rows(*_qv_kernels(h1, h2, basis, t, dmax), strides, law, paths, seed)
+    rows = _qv_schedule(h1, h2, t, law, [(N, d) for d in depths], paths, seed, basis)
     rows = [{"depth": d, **row} for d, row in zip(depths, rows)]
     return {"t": str(t), "N": N, "paths": paths, "seed": seed, "rows": rows}
 
@@ -530,14 +595,13 @@ def qv_joint_refinement(
     The QV limit needs the truncation to outrun the mesh (N / 2^depth -> oo,
     as in (4, 1), (16, 2), (64, 3)); a lockstep schedule such as
     N = 2^(depth+1) leaves a mean gap that settles near -0.053 for the
-    normal law with h1 = h2 = 1.  Each row is :func:`qv_experiment`'s at
-    that N and depth (same kernels, same sample)."""
-    t, rows = as_fraction(t), []
-    for N, d in pairs:
-        _check_qv_size(N, [d], paths)
-    for N, d in pairs:
-        (row,) = _qv_rows(*_qv_kernels(h1, h2, LegendreBasis(N), t, d), [1], law, paths, seed)
-        rows.append({"N": N, "depth": d, **row})
+    normal law with h1 = h2 = 1.  The pairs are grouped by N: the pairs of
+    one N share one kernel stack at their finest depth and one sample, so
+    a row depends on the other pairs of its N only through their finest
+    depth, and is :func:`qv_experiment`'s row at that N for the depths of
+    those pairs (same kernels, same sample)."""
+    rows = _qv_schedule(h1, h2, as_fraction(t), law, pairs, paths, seed)
+    rows = [{"N": N, "depth": d, **row} for (N, d), row in zip(pairs, rows)]
     return {"paths": paths, "seed": seed, "rows": rows}
 
 
@@ -560,13 +624,17 @@ def riemann_experiment(
     per distinct depth, in ascending order, so a row depends on the set of
     distinct depths asked, not on their order or repeats.  Per block,
     :func:`_form_table` fills x' D_d x + tr A, squared in place and folded
-    into a :class:`_Moments`.
+    into a :class:`_Moments`.  When g == h, c_g is c_h, from one sweep.  A
+    call above the cap of :func:`_check_riemann_size` is rejected before
+    any grid point or stride is built.
     """
+    _check_riemann_size(N, depths, paths)
     basis = LegendreBasis(N)
     dmax, strides = _dyadic_strides(depths)
     distinct = sorted(set(strides), reverse=True)  # ascending depths
     points = [Q(k, 2**dmax) for k in range(2**dmax + 1)]
-    C_h, C_g = (cumulative_coeffs(f, basis, points) for f in (h, g))
+    C_h = cumulative_coeffs(h, basis, points)
+    C_g = C_h if g == h else cumulative_coeffs(g, basis, points)
     B = cumulative_triangle(h, g, basis, [1])[0]
     A = 0.5 * (B + B.T)
     P = np.array([C_h[::s][:-1].T @ (C_g[::s][1:] - C_g[::s][:-1]) for s in distinct])

@@ -28,6 +28,15 @@ QUICK_PATHS = 10_000
 # It guards order4's order tensors, whose term count grows as N^4; bound4's
 # E[J^4] is O(N^3) and would stand a larger cap.
 MAX_EXACT_TRUNCATION = 16
+# The laws whose Wick tables `all` checks by all three routes up to W_6.
+WICK_CATALOG = (
+    laws.Law.normal(),
+    laws.Law.exponential(1),
+    laws.Law.gamma(2, 3),
+    laws.Law.gamma(Q(1, 2), Q(1, 2)),
+    laws.Law.poisson(1),
+    laws.Law.binomial(3, Q(1, 2)),
+)
 
 
 def _from_json(text: str, option: str, build):
@@ -83,15 +92,18 @@ def parse_fraction_list(text: str) -> list:
 # checks shared by the subcommands and the battery
 
 
-def _wick_row(m: laws.MomentSequence, n: int) -> tuple:
-    """W_n from the explicit formula, and whether both recurrences agree with
-    it and both differential-equation residuals vanish."""
-    w = wick.wick_explicit(m, n)
-    r1 = wick.wick_recurrence1(m, n)
-    r2 = wick.wick_recurrence2(m, n)
-    agree = w.coeffs == r1.coeffs == r2.coeffs
-    ode_ok = wick.ode_residual(w, m, 1) == [] and wick.ode_residual(w, m, 2) == []
-    return w, agree and ode_ok
+def _wick_rows(m: laws.MomentSequence, nmax: int) -> list:
+    """(W_n, ok) for n = 0, ..., nmax: W_n from the explicit formula, and
+    whether both recurrences' tables agree with it and both
+    differential-equation residuals vanish."""
+    rows = []
+    tables = zip(wick._recurrence1_table(m, nmax), wick._recurrence2_table(m, nmax))
+    for n, (r1, r2) in enumerate(tables):
+        w = wick.wick_explicit(m, n)
+        agree = w.coeffs == r1.coeffs == r2.coeffs
+        ode_ok = wick.ode_residual(w, m, 1) == [] and wick.ode_residual(w, m, 2) == []
+        rows.append((w, agree and ode_ok))
+    return rows
 
 
 def _factorization(ps: rademacher.PartitionSystem, cdf: rademacher.JumpCDF, tuples) -> list:
@@ -171,8 +183,7 @@ def run_wick_table(args) -> ExperimentReport:
     rep = ExperimentReport("wick table", {"law": law.label(), "max_n": nmax})
     m = laws.moments(law, 2 * nmax)
     lines = []
-    for n in range(nmax + 1):
-        w, ok = _wick_row(m, n)
+    for n, (w, ok) in enumerate(_wick_rows(m, nmax)):
         rep.add(
             Check(
                 f"W_{n}",
@@ -397,6 +408,8 @@ def run_chaos_qv(args) -> ExperimentReport:
         depths = [int(d) for d in args.depths.split(",") if d]
     except ValueError as exc:
         raise ValueError(f"--depths: {exc}") from None
+    if not depths:
+        raise ValueError("--depths: give at least one depth")
     h1, h2 = _functions(args)
     rep = ExperimentReport(
         "chaos qv",
@@ -411,19 +424,21 @@ def run_chaos_qv(args) -> ExperimentReport:
             "joint": bool(args.joint),
         },
     )
+    # the fixed-N depths and the joint schedule in one call: a pair whose N
+    # is --truncation shares the fixed rows' kernels and sample
+    fixed = [(N, d) for d in depths]
+    pairs = fixed + ([(4, 1), (8, 2), (16, 3), (32, 4)] if args.joint else [])
     try:
-        table = chaos.qv_experiment(h1, h2, Q(1), N, law, depths, args.paths, args.seed)
-        if args.joint:
-            pairs = [(4, 1), (8, 2), (16, 3), (32, 4)]
-            joint = chaos.qv_joint_refinement(law, pairs, args.paths, args.seed, h1=h1, h2=h2)
+        rows = chaos.qv_joint_refinement(law, pairs, args.paths, args.seed, h1=h1, h2=h2)["rows"]
     except ValueError as exc:
         raise ValueError(f"--truncation/--depths/--paths: {exc}") from None
+    table, joint = rows[: len(fixed)], rows[len(fixed) :]
     if args.csv:
         with _open_for_write(args.csv, "--csv") as fh:
             fh.write("depth,estimate,stderr\n")
-            for row in table["rows"]:
+            for row in table:
                 fh.write(f"{row['depth']},{row['err']['mean']!r},{row['err']['stderr']!r}\n")
-    for row in table["rows"]:
+    for row in table:
         rep.add(
             Check(
                 f"fixed_N_err_depth_{row['depth']}",
@@ -441,7 +456,7 @@ def run_chaos_qv(args) -> ExperimentReport:
             )
         )
     if args.joint:
-        errs = [row["err"]["mean"] for row in joint["rows"]]
+        errs = [row["err"]["mean"] for row in joint]
         rep.add(
             Check("joint_refinement_error_decreasing", "estimate", errs, passed=_decreasing(errs))
         )
@@ -519,19 +534,7 @@ def run_all(args) -> ExperimentReport:
             passed=list(h5.coeffs) == [0, 15, 0, -10, 0, 1],
         )
     )
-    catalog = [
-        laws.Law.normal(),
-        laws.Law.exponential(1),
-        laws.Law.gamma(2, 3),
-        laws.Law.gamma(Q(1, 2), Q(1, 2)),
-        laws.Law.poisson(1),
-        laws.Law.binomial(3, Q(1, 2)),
-    ]
-    oracle_ok = True
-    for law in catalog:
-        mm = laws.moments(law, 6)
-        for n in range(7):
-            oracle_ok = _wick_row(mm, n)[1] and oracle_ok
+    oracle_ok = all(ok for law in WICK_CATALOG for _, ok in _wick_rows(laws.moments(law, 6), 6))
     rep.add(Check("wick_triple_oracle_n6", "exact", oracle_ok, passed=oracle_ok))
 
     # rademacher layer
@@ -599,19 +602,20 @@ def run_all(args) -> ExperimentReport:
     table = chaos.riemann_experiment(ONE, ONE, N, laws.Law.normal(), depths, paths, seed)
     errs = [row["err"]["mean"] for row in table["rows"]]
     rep.add(Check("riemann_error_decreasing", "estimate", errs, passed=_decreasing(errs)))
-    joint = chaos.qv_joint_refinement(laws.Law.normal(), [(4, 1), (8, 2), (16, 3)], paths, seed)
-    jerrs = [row["err"]["mean"] for row in joint["rows"]]
+    # the fixed-N depths and the joint schedule in one call, one kernel stack
+    # and one sample per distinct N: the joint (N, log2 N - 1) row shares them
+    fixed = [(N, d) for d in depths]
+    pairs = fixed + [(4, 1), (8, 2), (16, 3)]
+    rows = chaos.qv_joint_refinement(laws.Law.normal(), pairs, paths, seed)["rows"]
+    jerrs = [row["err"]["mean"] for row in rows[len(fixed) :]]
     rep.add(
         Check("qv_joint_refinement_decreasing", "estimate", jerrs, passed=_decreasing(jerrs))
-    )
-    qv_fixed = chaos.qv_experiment(
-        ONE, ONE, Q(1), N, laws.Law.normal(), depths, paths, seed
     )
     rep.add(
         Check(
             "qv_fixed_truncation_errors",
             "info",
-            [row["err"]["mean"] for row in qv_fixed["rows"]],
+            [row["err"]["mean"] for row in rows[: len(fixed)]],
         )
     )
     return rep

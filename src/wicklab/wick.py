@@ -7,10 +7,11 @@ polynomial
 
 where (a_k) is the reciprocal Laplace-transform series of the law.  Three
 independent routes to the same object are implemented (explicit formula and
-two recurrences), together with the two differential-equation residuals, the
-formal derivation operator, the Laguerre bridge for gamma laws, and exact
-Gram products E[W_n W_k].  Recurrences amplify rounding catastrophically, so
-nothing here ever touches a float.
+two recurrences, each of which builds its table W_0, ..., W_n in one pass),
+together with the two differential-equation residuals, the formal derivation
+operator, the Laguerre bridge for gamma laws, and exact Gram products
+E[W_n W_k].  Recurrences amplify rounding catastrophically, so nothing here
+ever touches a float.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ def recurrence_aux(m: MomentSequence, K: int) -> list:
     ]
 
 
-def wick_recurrence1(m: MomentSequence, n: int) -> WickPolynomial:
-    """W_n = (x - m_1) W_{n-1} - (1/n) sum_{k<=n-2} C(n,k) b_{n-k} W_k."""
+def _recurrence1_table(m: MomentSequence, n: int) -> list:
+    """W_0, ..., W_n by the first recurrence, in one pass."""
     b = recurrence_aux(m, n)
     ws: list[Poly] = [[Q(1)]]
     for d in range(1, n + 1):
@@ -103,11 +104,11 @@ def wick_recurrence1(m: MomentSequence, n: int) -> WickPolynomial:
         for k in range(d - 1):
             tail = p_add(tail, p_scale(ws[k], Q(math.comb(d, k)) * b[d - k]))
         ws.append(p_add(lead, p_scale(tail, Q(-1, d))))
-    return WickPolynomial(_as_dense(ws[n], n), m)
+    return [WickPolynomial(_as_dense(w, d), m) for d, w in enumerate(ws)]
 
 
-def wick_recurrence2(m: MomentSequence, n: int) -> WickPolynomial:
-    """n W_n = sum_{k=1..n} C(n,k) W_{n-k} (k x m_{k-1} - n m_k)."""
+def _recurrence2_table(m: MomentSequence, n: int) -> list:
+    """W_0, ..., W_n by the second recurrence, in one pass."""
     ws: list[Poly] = [[Q(1)]]
     for d in range(1, n + 1):
         acc: Poly = []
@@ -115,7 +116,17 @@ def wick_recurrence2(m: MomentSequence, n: int) -> WickPolynomial:
             factor = [Q(-d) * m[k], Q(k) * m[k - 1]]  # k*x*m_{k-1} - d*m_k
             acc = p_add(acc, p_scale(p_mul(ws[d - k], factor), Q(math.comb(d, k))))
         ws.append(p_scale(acc, Q(1, d)))
-    return WickPolynomial(_as_dense(ws[n], n), m)
+    return [WickPolynomial(_as_dense(w, d), m) for d, w in enumerate(ws)]
+
+
+def wick_recurrence1(m: MomentSequence, n: int) -> WickPolynomial:
+    """W_n = (x - m_1) W_{n-1} - (1/n) sum_{k<=n-2} C(n,k) b_{n-k} W_k."""
+    return _recurrence1_table(m, n)[n]
+
+
+def wick_recurrence2(m: MomentSequence, n: int) -> WickPolynomial:
+    """n W_n = sum_{k=1..n} C(n,k) W_{n-k} (k x m_{k-1} - n m_k)."""
+    return _recurrence2_table(m, n)[n]
 
 
 def _as_dense(p: Poly, n: int) -> tuple:

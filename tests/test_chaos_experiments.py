@@ -14,6 +14,7 @@ from wicklab.chaos.experiments import (
     _bit_reversal,
     _block_rows,
     _check_qv_size,
+    _check_riemann_size,
     _form_route,
     _form_table,
     _qv_rows,
@@ -235,6 +236,41 @@ def test_qv_joint_refinement_row_is_qv_experiment_row(N, d, t):
     assert (joint["N"], joint["depth"]) == (N, fixed["depth"])
     for key in ("err", "qv", "rhs", "mean_gap", "mean_gap_stderr", "mean_gap_paired_stderr"):
         assert joint[key] == fixed[key], key
+
+
+def test_qv_joint_refinement_groups_the_pairs_of_one_truncation():
+    # the pairs of one N share one kernel stack at their finest depth and one
+    # sample: their rows are qv_experiment's over their depths, in pair order
+    law = Law.exponential(1)
+    joint = qv_joint_refinement(law, [(8, 2), (8, 1), (8, 3)], 3000, 11)["rows"]
+    fixed = qv_experiment(ONE, ONE, Q(1), 8, law, [2, 1, 3], 3000, 11)["rows"]
+    assert joint == [{"N": 8, **row} for row in fixed]
+    # interleaved with another N, the same rows
+    mixed = qv_joint_refinement(law, [(8, 2), (4, 1), (8, 1), (8, 3)], 3000, 11)["rows"]
+    (four,) = qv_experiment(ONE, ONE, Q(1), 4, law, [1], 3000, 11)["rows"]
+    assert mixed == [joint[0], {"N": 4, **four}, *joint[1:]]
+
+
+def test_qv_joint_refinement_of_distinct_truncations_is_per_pair():
+    law = Law.normal()
+    pairs = [(16, 3), (4, 1), (3, 2)]
+    joint = qv_joint_refinement(law, pairs, 3000, 11, h1=H1, h2=H2)["rows"]
+    for (N, d), row in zip(pairs, joint):
+        (fixed,) = qv_experiment(H1, H2, Q(1), N, law, [d], 3000, 11)["rows"]
+        assert row == {"N": N, **fixed}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: qv_experiment(ONE, ONE, Q(1), 8, Law.normal(), [], 100, 0),
+        lambda: qv_joint_refinement(Law.normal(), [], 100, 0),
+    ],
+    ids=["qv", "joint"],
+)
+def test_qv_rejects_an_empty_request(call):
+    with pytest.raises(ValueError, match="non-empty"):
+        call()
 
 
 def test_qv_rhs_mean_matches_trace():
@@ -627,13 +663,15 @@ def _qv_rows_of_cumulative(B, *args):
         (128, [1, 2, 3, 4, 5, 6, 7, 8], 2000),
         (256, [1, 2, 3, 4, 5, 6], 2000),
         (8, [1] * 200, 20_000),
+        (1, [11], 2),
     ],
-    ids=["8-6-20000", "16-7-2000", "128-8-2000", "256-6-2000", "8-1x200-20000"],
+    ids=["8-6-20000", "16-7-2000", "128-8-2000", "256-6-2000", "8-1x200-20000", "1-11-2"],
 )
 def test_qv_traced_peak_within_the_size_count(N, depths, paths):
     # what _check_qv_size counts bounds what the call holds, on the GEMM
     # route (K > N: depths up to 6 at N = 8, 7 at 16, 8 at 128) and on the
-    # per-matrix route, and with one depth asked for two hundred times
+    # per-matrix route, with one depth asked for two hundred times, and
+    # where the grid points' Python objects take nearly all of it (N = 1)
     peak = _traced_peak(qv_experiment, ONE, ONE, Q(1), N, Law.normal(), depths, paths, 0)
     assert peak <= _check_qv_size(N, depths, paths)
 
@@ -657,6 +695,49 @@ def test_qv_holds_one_kernel_stack():
     N, dmax = 256, 6
     peak = _traced_peak(qv_experiment, ONE, ONE, Q(1), N, Law.normal(), [dmax], 2000, 0)
     assert peak <= 1.2 * 8 * (2**dmax + 1) * N * N
+
+
+@pytest.mark.parametrize(
+    "h, g, N, depths, paths",
+    [
+        (ONE, ONE, 16, [1, 2, 3, 4], 20_000),
+        (H1, ONE, 1, [11], 2),
+        (H1, RISE, 2, [11, 3], 2),
+        (ONE, H2, 128, [1, 2, 3, 4, 5, 6, 7], 2000),
+        (ONE, ONE, 1, list(range(1, 12)), 5000),
+        (ONE, ONE, 8, [1] * 200, 20_000),
+    ],
+    ids=["16-4-20000", "1-11-2", "2-11-2", "128-7-2000", "1-1..11-5000", "8-1x200-20000"],
+)
+def test_riemann_traced_peak_within_the_size_count(h, g, N, depths, paths):
+    # as for the quadratic variation: the grid and its coefficients (N = 1
+    # and 2), the matrices per distinct depth (N = 128) and the GEMM route
+    # (more distinct depths than N)
+    peak = _traced_peak(riemann_experiment, h, g, N, Law.normal(), depths, paths, 0)
+    assert peak <= _check_riemann_size(N, depths, paths)
+
+
+def test_riemann_takes_one_coefficient_sweep_when_g_is_h(monkeypatch):
+    # g == h reads h's coefficients for g; a twin of h with the same pieces,
+    # which is never == to a PiecewisePoly, takes its own sweep, to the same bits
+    from wicklab.chaos import experiments
+
+    class Twin(PiecewisePoly):
+        pass
+
+    sweeps, coeffs = [], experiments.cumulative_coeffs
+
+    def counted(f, *args):
+        sweeps.append(f)
+        return coeffs(f, *args)
+
+    monkeypatch.setattr(experiments, "cumulative_coeffs", counted)
+    args = (8, Law.normal(), [1, 2, 3], 5000, 3)
+    shared = riemann_experiment(H1, PiecewisePoly(H1.pieces), *args)["rows"]
+    assert len(sweeps) == 1
+    twin = riemann_experiment(H1, Twin(H1.pieces), *args)["rows"]
+    assert len(sweeps) == 3
+    assert shared == twin
 
 
 def _riemann_kernels(h, g, N, depths):
@@ -889,8 +970,12 @@ def test_moments_of_constant_data_have_no_spread(split, value, q):
         lambda: qv_experiment(ONE, ONE, Q(1), 2, Law.normal(), [1], 10**9, 0),
         lambda: qv_experiment(ONE, ONE, Q(1), 1, Law.normal(), [26], 100, 0),
         lambda: qv_joint_refinement(Law.normal(), [(4, 1), (1024, 10)], 100, 0),
+        lambda: riemann_experiment(ONE, ONE, 2, Law.normal(), [40], 2, 0),
+        lambda: riemann_experiment(ONE, ONE, 2, Law.normal(), [1, 10**8], 2, 0),
+        lambda: riemann_experiment(ONE, ONE, 10**6, Law.normal(), [1], 2, 0),
     ],
-    ids=["depth", "huge depth", "truncation", "paths", "grid points", "joint"],
+    ids=["depth", "huge depth", "truncation", "paths", "grid points", "joint", "riemann",
+         "riemann huge depth", "riemann truncation"],
 )
 def test_qv_above_the_size_cap_returns_at_once(call):
     # the request is rejected before any grid point or array is built: 2^30

@@ -113,6 +113,23 @@ def test_all_matches_golden(capsys):
     assert golden_view(rep) == json.loads(GOLDEN_ALL.read_text())
 
 
+def test_all_takes_one_qv_table_per_truncation(capsys, monkeypatch):
+    # the fixed-N depths and the joint schedule share one kernel stack and
+    # one sample per distinct N: (4, 1), (8, 2), and N = 16 at depths 1-3
+    from wicklab.chaos import experiments
+
+    seen, qv_rows = [], experiments._qv_rows
+
+    def counted(A, G, *args):
+        seen.append(len(G))
+        return qv_rows(A, G, *args)
+
+    monkeypatch.setattr(experiments, "_qv_rows", counted)
+    code, _ = run_cli(capsys, "all", "--seed", "42")
+    assert code == 0
+    assert sorted(seen) == [4, 8, 16]
+
+
 def row(rep, name):
     return next(r for r in rep["results"] if r["name"] == name)
 

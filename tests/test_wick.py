@@ -5,9 +5,12 @@ from fractions import Fraction as Q
 
 import pytest
 
+from wicklab.cli import WICK_CATALOG
 from wicklab.exact import p_mul, p_trim
 from wicklab.laws import Law, moments
 from wicklab.wick import (
+    _recurrence1_table,
+    _recurrence2_table,
     affine_check,
     derive,
     expect_poly,
@@ -185,6 +188,19 @@ def test_derive_lowers_degree():
         assert list(dw.coeffs) == target
     w0 = wick_explicit(m, 0)
     assert derive(w0).coeffs == (Q(0),)
+
+
+@pytest.mark.parametrize("law", WICK_CATALOG, ids=lambda l: l.label())
+def test_recurrence_tables_hold_each_degree(law):
+    # a table to W_6 holds each lower degree as that degree's own call builds
+    # it: neither recurrence, nor the weights b_n, reads past the degree
+    m = moments(law, 6)
+    for table, single in ((_recurrence1_table, wick_recurrence1),
+                          (_recurrence2_table, wick_recurrence2)):
+        entries = table(m, 6)
+        assert len(entries) == 7
+        for k, w in enumerate(entries):
+            assert w.degree == k and w.coeffs == single(m, k).coeffs
 
 
 def test_recurrence_degree_one():
