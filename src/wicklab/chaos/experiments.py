@@ -8,28 +8,33 @@ are differences of the cumulative kernel
     B(t)[u,v] = < h1 (x) (h2 1_(0,t]) 1_C , e_u (x) e_v >,
 
 which one Gauss-Legendre sweep evaluates exactly up to rounding.  Both
-Monte Carlo bodies fill tables of centred quadratic forms x' A_k x + c_k
-(``_form_table``) per block of paths (``_block_rows``), each block drawn
-from one ``Sampler`` stream as it is used, and fold every block into
-running moments (``_Moments``), so neither holds the whole sample or a
-table of all the paths.  The quadratic variation takes forms of the finest
-increments only, stored in bit-reversed order of the increment, so that
-each coarser level is the sum of its table's two halves, taken in place
-(``_qv_rows``).  What a row depends on:
+Monte Carlo bodies (``_QVBody``, ``_RiemannBody``) fill tables of centred
+quadratic forms x' A_k x + c_k (``_form_table``) per block of paths
+(``_block_rows``) and fold every block into running moments
+(``_Moments``), so neither holds the whole sample or a table of all the
+paths.  The quadratic variation takes forms of the finest increments only,
+stored in bit-reversed order of the increment, so that each coarser level
+is the sum of its table's two halves, taken in place.
+
+Every call runs its bodies in one pass (``_mc_pass``): the bodies share
+one ``Sampler`` stream, drawn once as the blocks are used (a body of N
+draws per path reads its first paths * N draws), one draw window and one
+work array, while each body keeps its own blocks.  What a row depends on:
 
 * a per-path value is a row-by-row sum: the same bits for any block size
   wherever the BLAS rounds a block's product as it rounds the whole one
   (the shapes where it does not: CHANGES.md, FOUND lines on row blocks);
 * the statistics add the paths block by block, so the block size moves
-  them in the last bits;
+  them in the last bits; a body's blocks are its own, so the other bodies
+  of its pass do not move its rows;
 * each quantity's moments are its own, so a QV row depends on the other
   depths asked only through the finest one, and a Riemann row on the set
   of distinct depths asked.
 
 A schedule of (N, depth) pairs is grouped by N: each distinct N takes one
-kernel stack at its finest depth, one sample and one table of forms
-(``_qv_schedule``), so a row depends on the other pairs of its N only
-through their finest depth, as a depth's row does on the other depths.
+kernel stack at its finest depth and one body (``_pass_rows``), so a row
+depends on the other pairs of its N only through their finest depth, as a
+depth's row does on the other depths.
 
 At fixed N the path t -> Z_t is a polynomial quadratic form, so its
 partition quadratic variation tends to 0 once the mesh outruns the basis:
@@ -187,71 +192,63 @@ def _dyadic_strides(depths: Sequence[int]) -> tuple:
 _BLOCK_BYTES = 2**20
 
 
-# Bytes one Monte Carlo call may hold, counted before any work.  A
-# quadratic-variation call holds its one stack of 2^dmax + 1 kernels of N^2
-# floats, with N floats of H and _POINT_FLOATS of Python objects per grid
-# point; _SWEEP_FLOATS N^2 floats of G and of the work space of a kernel
-# sweep, which runs again beside the stack; the GEMM route's packed
-# operand; and the block arrays the body allocates once
-# (:func:`_block_rows`): per row, N draws, N floats of the RHS product x' G,
-# the K increments (the level sums overwrite them), the form table's work
-# space and one float per quantity (3 per distinct depth and the RHS); and
-# _ROW_FLOATS of Python objects per depth asked, whose rows are built while
-# the block arrays are held.  To these it adds one float per path, which no
-# array holds but which bounds the draw.  The count must stay above what a
-# call is traced to hold (``test_qv_traced_peak_within_the_size_count``,
-# and ``test_riemann_traced_peak_within_the_size_count`` for
-# :func:`_check_riemann_size`; the traced figures: CHANGES.md, "One kernel
-# stack and one block rule per quadratic-variation call").
+# Bytes one Monte Carlo pass may hold, counted before any work
+# (:func:`_check_size`).  A quadratic-variation body holds its one stack of
+# 2^dmax + 1 kernels of N^2 floats, with N floats of H and _POINT_FLOATS of
+# Python objects per grid point; _SWEEP_FLOATS N^2 floats of G and of the
+# work space of a kernel sweep, which runs again beside the stack; the GEMM
+# route's packed operand; and _ROW_FLOATS of Python objects per depth asked,
+# whose rows are built while the block arrays are held.  A Riemann body
+# holds per grid point its Python objects and N floats each of C_h, C_g and
+# one difference of C_g; the sweep's work space, B and A, and per distinct
+# depth five N x N matrices (P_d in a list and an array, D_d and two
+# temporaries of it); its packed operand and its rows.  The pass holds every
+# body's kernels at once, one draw window of the largest body's block of
+# draws and one work array of the largest body's block arrays
+# (:func:`_mc_pass`): per row, a quadratic-variation body's N floats of the
+# RHS product x' G, its K increments (the level sums overwrite them), the
+# form table's work space and one float per quantity (3 per distinct depth
+# and the RHS); a Riemann body's K forms and the form table's work space.
+# To these it adds one float per path, which no array holds but which
+# bounds the draw.  The count must stay above what a pass is traced to hold
+# (``test_qv_traced_peak_within_the_size_count``,
+# ``test_riemann_traced_peak_within_the_size_count`` and
+# ``test_pass_traced_peak_within_the_size_count``; the traced figures:
+# CHANGES.md, "One kernel stack and one block rule per quadratic-variation
+# call").
 _MAX_BYTES = 2**30
 _POINT_FLOATS = 48
 _SWEEP_FLOATS = 12
 _ROW_FLOATS = 128
 
 
-def _check_qv_size(N: int, depths: Sequence[int], paths: int) -> int:
-    """The bytes a quadratic-variation call holds at most, plus 8 per path it
-    draws, which bound the draw rather than memory; a call above
-    ``_MAX_BYTES`` is rejected before any point of its grid, or any
-    stride, is built."""
-    dmax = _finest_depth(depths)
-    # past depth 64 the grid alone exceeds any cap
-    K = 2 ** min(dmax, 64)
-    _, work, packed = _form_route(K, N)
-    q = 3 * len(set(depths)) + 1
-    need = 8 * (
-        (K + 1) * (N * N + N + _POINT_FLOATS)
-        + _SWEEP_FLOATS * N * N
-        + packed
-        + _block_rows(N, K, paths) * (2 * N + K + work + q)
-        + _ROW_FLOATS * len(depths)
-        + paths
-    )
-    return _within_cap(need, N, dmax, paths)
-
-
-def _check_riemann_size(N: int, depths: Sequence[int], paths: int) -> int:
-    """The bytes a Riemann call holds at most, plus 8 per path it draws, as
-    :func:`_check_qv_size` counts them and under the same cap: per point of
-    the grid its Python objects and N floats each of C_h, C_g and one
-    difference of C_g; the sweep's work space, B and A, and per distinct
-    depth five N x N matrices (P_d in a list and an array, D_d and two
-    temporaries of it); the form table's packed operand and block arrays
-    (per row the N draws, the K forms and the table's work space); and the
-    rows."""
-    dmax = _finest_depth(depths)
-    grid = 2 ** min(dmax, 64) + 1
-    K = len(set(depths))
-    _, work, packed = _form_route(K, N)
-    need = 8 * (
-        grid * (3 * N + _POINT_FLOATS)
-        + (_SWEEP_FLOATS + 2 + 5 * K) * N * N
-        + packed
-        + _block_rows(N, K, paths) * (N + K + work)
-        + _ROW_FLOATS * len(depths)
-        + paths
-    )
-    return _within_cap(need, N, dmax, paths)
+def _check_size(paths: int, qv: Sequence[tuple] = (), riemann: Sequence[tuple] = ()) -> int:
+    """The bytes a pass holds at most, plus 8 per path it draws, which bound
+    the draw rather than memory, for a quadratic-variation body per
+    (N, depths) of ``qv`` and a Riemann body per (N, depths) of ``riemann``;
+    a pass above ``_MAX_BYTES`` is rejected before any point of its grids,
+    or any stride, is built."""
+    held, bodies = 0, []  # bodies: (N, dmax, draws per block, work floats per block)
+    for N, depths in qv:
+        dmax = _finest_depth(depths)
+        # past depth 64 the grid alone exceeds any cap
+        K = 2 ** min(dmax, 64)
+        _, work, packed = _form_route(K, N)
+        rows = _block_rows(N, K, paths)
+        held += (K + 1) * (N * N + N + _POINT_FLOATS) + _SWEEP_FLOATS * N * N + packed
+        held += _ROW_FLOATS * len(depths)
+        bodies.append((N, dmax, rows * N, rows * (N + K + work + 3 * len(set(depths)) + 1)))
+    for N, depths in riemann:
+        dmax = _finest_depth(depths)
+        grid = 2 ** min(dmax, 64) + 1
+        K = len(set(depths))
+        _, work, packed = _form_route(K, N)
+        rows = _block_rows(N, K, paths)
+        held += grid * (3 * N + _POINT_FLOATS) + (_SWEEP_FLOATS + 2 + 5 * K) * N * N + packed
+        held += _ROW_FLOATS * len(depths)
+        bodies.append((N, dmax, rows * N, rows * (K + work)))
+    N, dmax, draws, work = (max(column) for column in zip(*bodies))
+    return _within_cap(8 * (held + draws + work + paths), N, dmax, paths)
 
 
 def _within_cap(need: int, N: int, dmax: int, paths: int) -> int:
@@ -275,19 +272,19 @@ def _form_route(K: int, N: int) -> tuple:
     return False, N, 0
 
 
-def _form_table(A: np.ndarray, c: np.ndarray, rows: int):
-    """fill(Xb, out), which sets out[k] = x' A_k x + c_k for each row x of a
-    block Xb of at most ``rows`` rows.  The shape (K, N, N) of A chooses the
-    route (:func:`_form_route`):
+def _form_table(A: np.ndarray, c: np.ndarray):
+    """fill(Xb, out, work), which sets out[k] = x' A_k x + c_k for each row x
+    of a block Xb of n rows, in the work space of a flat array ``work`` of
+    at least n times :func:`_form_route`'s floats per row.  The shape
+    (K, N, N) of A chooses the route (:func:`_form_route`):
 
-    * K <= N: one product Xb @ A_k, into one work array of the call, and
-      one row-wise ``einsum`` per matrix, then c_k added to the row;
+    * K <= N: one product Xb @ A_k, into the work space, and one row-wise
+      ``einsum`` per matrix, then c_k added to the row;
     * K > N: one GEMM, by x' A x + c = sum_{i <= j} W_ij x_i x_j + c * 1 with
       W = A + A' above the diagonal and A_ii on it (the half-vectorization
       identity).  A block takes its N (N + 1) / 2 products x_i x_j and a row
       of ones once, then all K forms against the packed upper triangles W_k
-      with c_k as one more column.  W and the work arrays are built once
-      per call.  The route takes about half the multiply-adds, but sums in
+      with c_k as one more column.  W is built once per table.  The route takes about half the multiply-adds, but sums in
       another order, so a form can move in the last bits against the other.
 
     K > N keeps every table with K <= N, and so every table of ``wicklab
@@ -296,10 +293,9 @@ def _form_table(A: np.ndarray, c: np.ndarray, rows: int):
     """
     K, N = A.shape[:2]
     if not _form_route(K, N)[0]:
-        P = np.empty(rows * N)
 
-        def fill(Xb: np.ndarray, out: np.ndarray) -> None:
-            XA = P[: Xb.size].reshape(Xb.shape)
+        def fill(Xb: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+            XA = work[: Xb.size].reshape(Xb.shape)
             for k, Ak in enumerate(A):
                 np.einsum("pi,pi->p", np.matmul(Xb, Ak, out=XA), Xb, out=out[k])
                 out[k] += c[k]
@@ -317,13 +313,11 @@ def _form_table(A: np.ndarray, c: np.ndarray, rows: int):
         lo = hi
     W[:, M] = c
     i, j = np.triu_indices(N)
-    XT, F, S = np.empty(rows * N), np.empty(rows * (M + 1)), np.empty(rows * M)
 
-    def fill(Xb: np.ndarray, out: np.ndarray) -> None:
+    def fill(Xb: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
         n = len(Xb)
-        XTb = XT[: N * n].reshape(N, n)
-        Fb = F[: (M + 1) * n].reshape(M + 1, n)
-        Sb = S[: M * n].reshape(M, n)
+        XTb, Fb, Sb = _split(work, n, (N, M + 1, M))
+        XTb, Fb, Sb = XTb.reshape(N, n), Fb.reshape(M + 1, n), Sb.reshape(M, n)
         np.copyto(XTb, Xb.T)
         # the indices are in range, and under mode="raise" numpy buffers out
         np.take(XTb, i, axis=0, out=Fb[:M], mode="clip")
@@ -343,22 +337,21 @@ def _block_rows(N: int, K: int, paths: int) -> int:
     pass over W serves a block its size (Goto & van de Geijn, 2008); at
     most the whole sample's bytes, and at least one row.  The per-matrix
     route reads each A_k once per block whatever its size, so its blocks
-    keep to ``_BLOCK_BYTES``.  A body allocates its block arrays once per
-    call, at this many rows."""
+    keep to ``_BLOCK_BYTES``.  A body takes its blocks at this many rows in
+    any pass (:func:`_mc_pass`)."""
     _, work, packed = _form_route(K, N)
     size = min(max(_BLOCK_BYTES, 8 * packed), 8 * paths * N)
     return max(1, size // (8 * (N + K + work)))
 
 
-def _path_blocks(law: Law, seed: int, paths: int, N: int, rows: int):
-    """The blocks X[lo : lo + rows] of the (paths x N) sample X of ``law``
-    and ``seed``, each drawn from one stream as it is asked for, into one
-    array that the next block overwrites."""
-    if paths < 2:
-        raise ValueError("paths must be >= 2 for a standard error")
-    stream, buf = Sampler(law, seed), np.empty(min(rows, paths) * N)
-    sizes = (min(rows, paths - lo) * N for lo in range(0, paths, rows))
-    return (stream.draw(m, buf[:m]).reshape(-1, N) for m in sizes)
+def _split(work: np.ndarray, n: int, widths: Sequence[int]) -> list:
+    """Consecutive views of the flat array ``work``, one of n * w floats per
+    width w: the block arrays of a block of n rows."""
+    views, lo = [], 0
+    for w in widths:
+        views.append(work[lo : lo + n * w])
+        lo += n * w
+    return views
 
 
 class _Moments:
@@ -420,29 +413,21 @@ def _bit_reversal(K: int) -> np.ndarray:
     return rev
 
 
-def _qv_rows(
-    A: np.ndarray,
-    G: np.ndarray,
-    g: np.ndarray,
-    strides: Sequence[int],
-    law: Law,
-    paths: int,
-    seed: int,
-) -> list:
-    """Monte Carlo statistics of the partition quadratic variation against the
-    limit object, one row per stride of the finest increment kernels ``A``.
+class _QVBody:
+    """The Monte Carlo statistics of the partition quadratic variation
+    against the limit object, one row per stride of the finest increment
+    kernels ``A``, as a body of :func:`_mc_pass` over ``paths`` paths.
 
-    All rows share one sample of ``paths`` realizations.  QV = sum_k
-    (x' A_k x - tr A_k)^2 over the increment kernels of the partition whose
-    increments are sums of ``stride`` adjacent ones of ``A``;
-    RHS = x' G x + m3 g.x is the per-realization limit quadratic form, with
-    the law's skewness m3 (:func:`_skewness`).
+    QV = sum_k (x' A_k x - tr A_k)^2 over the increment kernels of the
+    partition whose increments are sums of ``stride`` adjacent ones of
+    ``A``; RHS = x' G x + m3 g.x is the per-realization limit quadratic
+    form, with the law's skewness m3 (:func:`_skewness`).
 
     Only the finest increments get a quadratic form (:func:`_form_table`,
     centred by c_k = -tr A_k): x' A x is linear in A, so each coarser
     level's forms are the sums of adjacent pairs of the finer one's.  The
     K = 2^dmax increments are first put in bit-reversed order of k
-    (:func:`_bit_reversal`), in place on ``A``, which the call thus
+    (:func:`_bit_reversal`), in place on ``A``, which the body thus
     reorders; rows r and r + h of a level's table of 2h rows then hold its
     increments 2j and 2j + 1, and the next level is the sum of the two
     halves, taken in place on the first.  Each distinct level is read once,
@@ -452,43 +437,141 @@ def _qv_rows(
     QV, QV - RHS and (QV - RHS)^2, and RHS, go into a :class:`_Moments`
     (rows by :func:`_qv_summary`).
     """
-    N = G.shape[0]
-    K = len(A)
-    for r, s in enumerate(_bit_reversal(K)):
-        if r < s:
-            A[[r, s]] = A[[s, r]]
-    # the quantities' row of each distinct level read, of stride 2^level
-    at = {level: i for i, level in enumerate(sorted({s.bit_length() - 1 for s in strides}))}
-    D, top = len(at), max(at)
-    rows = _block_rows(N, K, paths)
-    fill = _form_table(A, -np.trace(A, axis1=1, axis2=2), rows)
-    moments = _Moments(3 * D + 1)
-    m3 = _skewness(law)
-    T, inc, XG = np.empty((3 * D + 1) * rows), np.empty(K * rows), np.empty(rows * N)
-    for Xb in _path_blocks(law, seed, paths, N, rows):
-        n = len(Xb)
-        Tb = T[: (3 * D + 1) * n].reshape(-1, n)
-        np.einsum("pi,pi->p", np.matmul(Xb, G, out=XG[: n * N].reshape(n, N)), Xb, out=Tb[3 * D])
+
+    def __init__(self, A, G, g, strides: Sequence[int], law: Law, paths: int):
+        N, K = G.shape[0], len(A)
+        for r, s in enumerate(_bit_reversal(K)):
+            if r < s:
+                A[[r, s]] = A[[s, r]]
+        # the quantities' row of each distinct level read, of stride 2^level
+        self._at = {level: i for i, level in enumerate(sorted({s.bit_length() - 1 for s in strides}))}
+        self._rows = [self._at[s.bit_length() - 1] for s in strides]
+        self._top = max(self._at)
+        q = 3 * len(self._at) + 1
+        self.N, self.rows = N, _block_rows(N, K, paths)
+        self._fill = _form_table(A, -np.trace(A, axis1=1, axis2=2))
+        # per row: the quantities, the increments, x' G and the form table's work space
+        self._widths = (q, K, N, _form_route(K, N)[1])
+        self.width = sum(self._widths)
+        self._G, self._g, self._m3 = G, g, _skewness(law)
+        self._moments = _Moments(q)
+
+    def take(self, Xb: np.ndarray, work: np.ndarray) -> None:
+        """Fill and fold the block Xb of paths, in the work space ``work``."""
+        n, N, D = len(Xb), self.N, len(self._at)
+        T, inc, XG, space = _split(work, n, self._widths)
+        Tb = T.reshape(-1, n)
+        np.einsum("pi,pi->p", np.matmul(Xb, self._G, out=XG.reshape(n, N)), Xb, out=Tb[3 * D])
         # m3 g.x in a row that the gaps overwrite below
-        np.einsum("pi,i->p", Xb, g, out=Tb[D])
-        Tb[D] *= m3
+        np.einsum("pi,i->p", Xb, self._g, out=Tb[D])
+        Tb[D] *= self._m3
         Tb[3 * D] += Tb[D]
-        table = inc[: K * n].reshape(K, n)
-        fill(Xb, table)
-        for level in range(top + 1):
-            if level in at:
+        table = inc.reshape(-1, n)
+        self._fill(Xb, table, space)
+        for level in range(self._top + 1):
+            if level in self._at:
                 # summed over the rows in order: einsum sums a lone column otherwise
                 if n > 1:
-                    np.einsum("kp,kp->p", table, table, out=Tb[at[level]])
+                    np.einsum("kp,kp->p", table, table, out=Tb[self._at[level]])
                 else:
-                    Tb[at[level]] = sum(x * x for x in table[:, 0].tolist())
-            if level < top:
+                    Tb[self._at[level]] = sum(x * x for x in table[:, 0].tolist())
+            if level < self._top:
                 h = len(table) // 2
                 table = np.add(table[:h], table[h:], out=table[:h])
         np.subtract(Tb[:D], Tb[3 * D], out=Tb[D : 2 * D])
         np.square(Tb[D : 2 * D], out=Tb[2 * D : 3 * D])
-        moments.add(Tb)
-    return _qv_summary(moments, [at[s.bit_length() - 1] for s in strides])
+        self._moments.add(Tb)
+
+    def summary(self) -> list:
+        return _qv_summary(self._moments, self._rows)
+
+
+class _RiemannBody:
+    """E|S_d - I|^2 per depth d, as a body of :func:`_mc_pass` over
+    ``paths`` paths (see :func:`riemann_experiment`): one form
+    x' D_d x + tr A = S_d - I per distinct depth, in ascending order, filled
+    by :func:`_form_table` per block, squared in place and folded into a
+    :class:`_Moments`.  When g == h, c_g is c_h, from one sweep."""
+
+    def __init__(self, h: PiecewisePoly, g: PiecewisePoly, N: int, depths: Sequence[int], paths: int):
+        basis = LegendreBasis(N)
+        dmax, self._strides = _dyadic_strides(depths)
+        self._depths = depths
+        self._distinct = sorted(set(self._strides), reverse=True)  # ascending depths
+        points = [Q(k, 2**dmax) for k in range(2**dmax + 1)]
+        C_h = cumulative_coeffs(h, basis, points)
+        C_g = C_h if g == h else cumulative_coeffs(g, basis, points)
+        B = cumulative_triangle(h, g, basis, [1])[0]
+        A = 0.5 * (B + B.T)
+        P = np.array([C_h[::s][:-1].T @ (C_g[::s][1:] - C_g[::s][:-1]) for s in self._distinct])
+        D = 0.5 * (P + P.transpose(0, 2, 1)) - A
+        K = len(D)
+        self.N, self.rows = N, _block_rows(N, K, paths)
+        self._fill = _form_table(D, np.full(K, np.trace(A)))
+        # per row: the K forms and the form table's work space
+        self._widths = (K, _form_route(K, N)[1])
+        self.width = sum(self._widths)
+        self._moments = _Moments(K)
+
+    def take(self, Xb: np.ndarray, work: np.ndarray) -> None:
+        """Fill and fold the block Xb of paths, in the work space ``work``."""
+        T, space = _split(work, len(Xb), self._widths)
+        Tb = T.reshape(-1, len(Xb))
+        self._fill(Xb, Tb, space)
+        np.square(Tb, out=Tb)
+        self._moments.add(Tb)
+
+    def summary(self) -> list:
+        errs = dict(zip(self._distinct, self._moments.stats()))
+        return [{"depth": d, "err": dict(errs[s])} for d, s in zip(self._depths, self._strides)]
+
+
+def _mc_pass(law: Law, seed: int, paths: int, bodies: Sequence) -> list:
+    """Each body's summary after one pass over ``paths`` paths of ``law``
+    and ``seed``.
+
+    The sample of a body of N draws per path is the first paths * N draws of
+    one ``Sampler`` stream, so the pass draws paths * max N once, whatever
+    the bodies.  Each body takes its own blocks of ``rows`` paths, as in a
+    pass of its own, as views of one draw window: the body whose next block
+    ends first in the stream goes next, so every other body's next block
+    starts at most one of its blocks before that end, and the window holds
+    at most the largest body's block of draws, shifting the draws that no
+    body still needs out of its front.  Every body's block arrays are views
+    of one work array, of the most that a body's block takes (``width``
+    floats a row at its ``rows``).  So a body's rows are the same bits as in
+    a pass of its own, and the pass holds one window and one work array
+    however many bodies it has."""
+    if paths < 2:
+        raise ValueError("paths must be >= 2 for a standard error")
+    # in draws: each body's block, the end of its sample, and where its next
+    # block starts and ends (inf once it has taken every path)
+    block = [min(b.rows, paths) * b.N for b in bodies]
+    last = [paths * b.N for b in bodies]
+    total = max(last)
+    starts, ends = [0] * len(bodies), list(block)
+    window = np.empty(max(block))
+    work = np.empty(max(min(b.rows, paths) * b.width for b in bodies))
+    stream = Sampler(law, seed)
+    lo = hi = 0  # the stream positions of window[0] and of the next draw
+    while (end := min(ends)) != math.inf:
+        i = ends.index(end)
+        if end > lo + len(window):
+            start = min(starts)
+            if hi > start:  # numpy copies forward: the overlap needs no temporary
+                window[: hi - start] = window[start - lo : hi - lo]
+            lo = start
+        if end > hi:
+            m = min(lo + len(window), total) - hi
+            stream.draw(m, window[hi - lo : hi - lo + m])
+            hi += m
+        N = bodies[i].N
+        bodies[i].take(window[starts[i] - lo : end - lo].reshape(-1, N), work)
+        if end < last[i]:
+            starts[i], ends[i] = end, min(end + block[i], last[i])
+        else:
+            starts[i] = ends[i] = math.inf
+    return [b.summary() for b in bodies]
 
 
 def _qv_summary(moments: _Moments, at: Sequence[int]) -> list:
@@ -524,36 +607,43 @@ def _qv_kernels(h1: PiecewisePoly, h2: PiecewisePoly, basis: LegendreBasis, t, d
     return (B[1:], *qv_rhs_quadratics(h1, h2, basis, t))
 
 
-def _qv_schedule(
-    h1: PiecewisePoly,
-    h2: PiecewisePoly,
-    t,
+def _pass_rows(
     law: Law,
-    pairs: Sequence[tuple],
     paths: int,
     seed: int,
+    riemann: Optional[tuple] = None,
+    pairs: Optional[Sequence[tuple]] = None,
+    h1: PiecewisePoly = PiecewisePoly.constant(1),
+    h2: PiecewisePoly = PiecewisePoly.constant(1),
+    t=Q(1),
     basis: Optional[LegendreBasis] = None,
-) -> list:
-    """The :func:`_qv_rows` row of each (N, depth) pair, in pair order.
+) -> tuple:
+    """(Riemann rows, QV rows) of one Monte Carlo pass (:func:`_mc_pass`):
+    the rows of :func:`riemann_experiment` for riemann = (h, g, N, depths),
+    and of each (N, depth) pair of ``pairs`` for h1, h2 and t, in pair order
+    (None for either not asked).
 
     The pairs are grouped by N: each distinct N takes one kernel stack at
-    the finest depth of its pairs, one sample and one :func:`_qv_rows` call
-    over all its depths.  Every group's size is checked before any work.  A
-    given ``basis`` serves a schedule of one N."""
-    _finest_depth([d for _, d in pairs])
+    the finest depth of its pairs and one :class:`_QVBody` over all its
+    depths.  The whole pass's size is checked before any work
+    (:func:`_check_size`).  A given ``basis`` serves a schedule of one N."""
     groups: dict = {}
-    for N, d in pairs:
-        groups.setdefault(N, []).append(d)
-    for N, depths in groups.items():
-        _check_qv_size(N, depths, paths)
-    rows = {}
+    if pairs is not None:
+        _finest_depth([d for _, d in pairs])
+        for N, d in pairs:
+            groups.setdefault(N, []).append(d)
+    _check_size(paths, groups.items(), [riemann[2:]] if riemann else [])
+    bodies = [_RiemannBody(*riemann, paths)] if riemann else []
     for N, depths in groups.items():
         dmax, strides = _dyadic_strides(depths)
-        # no name holds the kernels, so each N's go before the next N's come
-        rows[N] = iter(_qv_rows(
-            *_qv_kernels(h1, h2, basis or LegendreBasis(N), t, dmax), strides, law, paths, seed
-        ))
-    return [next(rows[N]) for N, _ in pairs]
+        kernels = _qv_kernels(h1, h2, basis or LegendreBasis(N), t, dmax)
+        bodies.append(_QVBody(*kernels, strides, law, paths))
+    summaries = _mc_pass(law, seed, paths, bodies)
+    errs = summaries.pop(0) if riemann else None
+    if pairs is None:
+        return errs, None
+    rows = {N: iter(summary) for N, summary in zip(groups, summaries)}
+    return errs, [next(rows[N]) for N, _ in pairs]
 
 
 def qv_experiment(
@@ -580,7 +670,8 @@ def qv_experiment(
     if basis.N != N:
         raise ValueError(f"basis has {basis.N} functions, truncation N is {N}")
     t = as_fraction(t)
-    rows = _qv_schedule(h1, h2, t, law, [(N, d) for d in depths], paths, seed, basis)
+    pairs = [(N, d) for d in depths]
+    _, rows = _pass_rows(law, paths, seed, pairs=pairs, h1=h1, h2=h2, t=t, basis=basis)
     rows = [{"depth": d, **row} for d, row in zip(depths, rows)]
     return {"t": str(t), "N": N, "paths": paths, "seed": seed, "rows": rows}
 
@@ -596,11 +687,12 @@ def qv_joint_refinement(
     as in (4, 1), (16, 2), (64, 3)); a lockstep schedule such as
     N = 2^(depth+1) leaves a mean gap that settles near -0.053 for the
     normal law with h1 = h2 = 1.  The pairs are grouped by N: the pairs of
-    one N share one kernel stack at their finest depth and one sample, so
-    a row depends on the other pairs of its N only through their finest
-    depth, and is :func:`qv_experiment`'s row at that N for the depths of
-    those pairs (same kernels, same sample)."""
-    rows = _qv_schedule(h1, h2, as_fraction(t), law, pairs, paths, seed)
+    one N share one kernel stack at their finest depth, and the whole
+    schedule one pass, so a row depends on the other pairs of its N only
+    through their finest depth, and is :func:`qv_experiment`'s row at that
+    N for the depths of those pairs (same kernels, same sample, same
+    blocks)."""
+    _, rows = _pass_rows(law, paths, seed, pairs=pairs, h1=h1, h2=h2, t=as_fraction(t))
     rows = [{"N": N, "depth": d, **row} for (N, d), row in zip(pairs, rows)]
     return {"paths": paths, "seed": seed, "rows": rows}
 
@@ -622,33 +714,9 @@ def riemann_experiment(
     c_g(t_k))', so S_d - I = x' D_d x + tr A with D_d = sym(P_d) - A.  All
     depths share one sample of ``paths`` realizations.  One form is taken
     per distinct depth, in ascending order, so a row depends on the set of
-    distinct depths asked, not on their order or repeats.  Per block,
-    :func:`_form_table` fills x' D_d x + tr A, squared in place and folded
-    into a :class:`_Moments`.  When g == h, c_g is c_h, from one sweep.  A
-    call above the cap of :func:`_check_riemann_size` is rejected before
-    any grid point or stride is built.
+    distinct depths asked, not on their order or repeats
+    (:class:`_RiemannBody`).  A call above the cap of :func:`_check_size`
+    is rejected before any grid point or stride is built.
     """
-    _check_riemann_size(N, depths, paths)
-    basis = LegendreBasis(N)
-    dmax, strides = _dyadic_strides(depths)
-    distinct = sorted(set(strides), reverse=True)  # ascending depths
-    points = [Q(k, 2**dmax) for k in range(2**dmax + 1)]
-    C_h = cumulative_coeffs(h, basis, points)
-    C_g = C_h if g == h else cumulative_coeffs(g, basis, points)
-    B = cumulative_triangle(h, g, basis, [1])[0]
-    A = 0.5 * (B + B.T)
-    P = np.array([C_h[::s][:-1].T @ (C_g[::s][1:] - C_g[::s][:-1]) for s in distinct])
-    D = 0.5 * (P + P.transpose(0, 2, 1)) - A
-    K = len(D)
-    block = _block_rows(N, K, paths)
-    fill = _form_table(D, np.full(K, np.trace(A)), block)
-    moments = _Moments(K)
-    T = np.empty(K * block)
-    for Xb in _path_blocks(law, seed, paths, N, block):
-        Tb = T[: K * len(Xb)].reshape(K, -1)
-        fill(Xb, Tb)
-        np.square(Tb, out=Tb)
-        moments.add(Tb)
-    errs = dict(zip(distinct, moments.stats()))
-    rows = [{"depth": d, "err": dict(errs[s])} for d, s in zip(depths, strides)]
+    rows, _ = _pass_rows(law, paths, seed, riemann=(h, g, N, depths))
     return {"N": N, "paths": paths, "seed": seed, "rows": rows}

@@ -95,13 +95,17 @@ def parse_fraction_list(text: str) -> list:
 def _wick_rows(m: laws.MomentSequence, nmax: int) -> list:
     """(W_n, ok) for n = 0, ..., nmax: W_n from the explicit formula, and
     whether both recurrences' tables agree with it and both
-    differential-equation residuals vanish."""
+    differential-equation residuals vanish.  The inverse-Laplace
+    coefficients and the first recurrence's weights are built once, to
+    order nmax, and serve every n."""
     rows = []
-    tables = zip(wick._recurrence1_table(m, nmax), wick._recurrence2_table(m, nmax))
+    a = laws.inverse_laplace_coeffs(m, nmax)
+    b = wick._recurrence_weights(m, a)
+    tables = zip(wick._recurrence1_table(m, nmax, b), wick._recurrence2_table(m, nmax))
     for n, (r1, r2) in enumerate(tables):
-        w = wick.wick_explicit(m, n)
+        w = wick._explicit(m, a, n)
         agree = w.coeffs == r1.coeffs == r2.coeffs
-        ode_ok = wick.ode_residual(w, m, 1) == [] and wick.ode_residual(w, m, 2) == []
+        ode_ok = wick._residual1(w.poly(), m, b) == [] and wick.ode_residual(w, m, 2) == []
         rows.append((w, agree and ode_ok))
     return rows
 
@@ -599,14 +603,16 @@ def run_all(args) -> ExperimentReport:
     # Riemann sums at fixed truncation only track the integral while the
     # partition stays within the basis resolution (~log2 N dyadic levels)
     depths = list(range(1, N.bit_length()))
-    table = chaos.riemann_experiment(ONE, ONE, N, laws.Law.normal(), depths, paths, seed)
-    errs = [row["err"]["mean"] for row in table["rows"]]
-    rep.add(Check("riemann_error_decreasing", "estimate", errs, passed=_decreasing(errs)))
-    # the fixed-N depths and the joint schedule in one call, one kernel stack
-    # and one sample per distinct N: the joint (N, log2 N - 1) row shares them
+    # the Riemann sums, the fixed-N depths and the joint schedule in one
+    # Monte Carlo pass, one stream of draws and one kernel stack per
+    # distinct N: the joint (N, log2 N - 1) row shares the fixed rows'
     fixed = [(N, d) for d in depths]
     pairs = fixed + [(4, 1), (8, 2), (16, 3)]
-    rows = chaos.qv_joint_refinement(laws.Law.normal(), pairs, paths, seed)["rows"]
+    riemann, rows = chaos.experiments._pass_rows(
+        laws.Law.normal(), paths, seed, riemann=(ONE, ONE, N, depths), pairs=pairs
+    )
+    errs = [row["err"]["mean"] for row in riemann]
+    rep.add(Check("riemann_error_decreasing", "estimate", errs, passed=_decreasing(errs)))
     jerrs = [row["err"]["mean"] for row in rows[len(fixed) :]]
     rep.add(
         Check("qv_joint_refinement_decreasing", "estimate", jerrs, passed=_decreasing(jerrs))

@@ -79,7 +79,11 @@ def _coeffs_for(m: MomentSequence, n: int) -> InverseLaplaceCoeffs:
 
 def wick_explicit(m: MomentSequence, n: int) -> WickPolynomial:
     """W_n from the explicit binomial formula."""
-    a = _coeffs_for(m, n)
+    return _explicit(m, _coeffs_for(m, n), n)
+
+
+def _explicit(m: MomentSequence, a: InverseLaplaceCoeffs, n: int) -> WickPolynomial:
+    """W_n from the explicit binomial formula over a table a of order >= n."""
     coeffs = [Q(0)] * (n + 1)
     for k in range(n + 1):
         coeffs[n - k] = math.comb(n, k) * a[k]
@@ -88,15 +92,21 @@ def wick_explicit(m: MomentSequence, n: int) -> WickPolynomial:
 
 def recurrence_aux(m: MomentSequence, K: int) -> list:
     """b_n = sum_k C(n,k) k m_k a_{n-k}, the weights of the first recurrence."""
-    a = _coeffs_for(m, K)
+    return _recurrence_weights(m, _coeffs_for(m, K))
+
+
+def _recurrence_weights(m: MomentSequence, a: InverseLaplaceCoeffs) -> list:
+    """b_0, ..., b_K of :func:`recurrence_aux` from the table a of order K."""
     return [
-        sum(math.comb(n, k) * k * m[k] * a[n - k] for k in range(n + 1)) for n in range(K + 1)
+        sum(math.comb(n, k) * k * m[k] * a[n - k] for k in range(n + 1))
+        for n in range(a.order + 1)
     ]
 
 
-def _recurrence1_table(m: MomentSequence, n: int) -> list:
-    """W_0, ..., W_n by the first recurrence, in one pass."""
-    b = recurrence_aux(m, n)
+def _recurrence1_table(m: MomentSequence, n: int, b: list | None = None) -> list:
+    """W_0, ..., W_n by the first recurrence, in one pass, from the weights
+    b_0, ..., b_n (:func:`recurrence_aux`), built here if not given."""
+    b = recurrence_aux(m, n) if b is None else b
     ws: list[Poly] = [[Q(1)]]
     for d in range(1, n + 1):
         lead = p_mul([-m[1], Q(1)], ws[d - 1])
@@ -146,13 +156,7 @@ def ode_residual(w: WickPolynomial, m: MomentSequence, which: int) -> Poly:
     n = w.degree
     p = w.poly()
     if which == 1:
-        b = recurrence_aux(m, n)
-        res = p_scale(p, Q(n))
-        if n:  # the drift term (x - m_1) W' vanishes with W' at n = 0
-            res = p_add(res, p_scale(p_mul([-m[1], Q(1)], p_deriv(p)), Q(-1)))
-        for k in range(2, n + 1):
-            res = p_add(res, p_scale(p_deriv(p, k), b[k] / math.factorial(k)))
-        return p_trim(res)
+        return _residual1(p, m, recurrence_aux(m, n))
     if which == 2:
         res = p_scale(p, Q(n))
         for k in range(1, n + 1):
@@ -162,6 +166,18 @@ def ode_residual(w: WickPolynomial, m: MomentSequence, which: int) -> Poly:
             )
         return p_trim(res)
     raise ValueError("which must be 1 or 2")
+
+
+def _residual1(p: Poly, m: MomentSequence, b: list) -> Poly:
+    """The first equation's residual of p, of degree n = len(p) - 1, with
+    the weights b of :func:`recurrence_aux` to order >= n."""
+    n = len(p) - 1
+    res = p_scale(p, Q(n))
+    if n:  # the drift term (x - m_1) W' vanishes with W' at n = 0
+        res = p_add(res, p_scale(p_mul([-m[1], Q(1)], p_deriv(p)), Q(-1)))
+    for k in range(2, n + 1):
+        res = p_add(res, p_scale(p_deriv(p, k), b[k] / math.factorial(k)))
+    return p_trim(res)
 
 
 def derive(w: WickPolynomial) -> WickPolynomial:

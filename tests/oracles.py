@@ -17,7 +17,6 @@ from wicklab.chaos.experiments import (
     _Moments,
     _bit_reversal,
     _block_rows,
-    _path_blocks,
     _qv_summary,
     _skewness,
     cumulative_coeffs,
@@ -154,7 +153,9 @@ def qv_rows_per_increment(B, G, g, strides, law, paths, seed) -> list:
     N = G.shape[0]
     A = B[1:] - B[:-1]
     K, D = len(A), len(strides)
-    blocks = _path_blocks(law, seed, paths, N, _block_rows(N, K, paths))
+    X = sample(law, seed, paths * N).reshape(paths, N)
+    rows = _block_rows(N, K, paths)
+    blocks = (X[lo : lo + rows] for lo in range(0, paths, rows))
     moments = _Moments(3 * D + 1)
     m3 = _skewness(law)
     traces = np.trace(A, axis1=1, axis2=2)

@@ -1,5 +1,6 @@
 """Convergence experiments: Riemann sums, quadratic variation, bound grids."""
 
+import functools
 import math
 import tracemalloc
 from fractions import Fraction as Q
@@ -11,13 +12,14 @@ from hypothesis import example, given, settings, strategies as st
 from wicklab.chaos.basis import LegendreBasis, PiecewisePoly, coeffs_of, triangle_kernel
 from wicklab.chaos.experiments import (
     _Moments,
+    _QVBody,
     _bit_reversal,
     _block_rows,
-    _check_qv_size,
-    _check_riemann_size,
+    _check_size,
     _form_route,
     _form_table,
-    _qv_rows,
+    _mc_pass,
+    _pass_rows,
     _qv_summary,
     _skewness,
     cumulative_coeffs,
@@ -302,6 +304,12 @@ def test_integral_is_centered_mc():
     xs = sample(Law.exponential(1), 17, n * 8).reshape(n, 8)
     vals = np.einsum("pi,ij,pj->p", xs, A, xs) - np.trace(A)
     assert abs(vals.mean()) < 5 * vals.std() / np.sqrt(n)
+
+
+def _qv_rows(A, G, g, strides, law, paths, seed):
+    """The rows of one ``_QVBody`` over the increment kernels A (which it
+    reorders) in a pass of its own."""
+    return _mc_pass(law, seed, paths, [_QVBody(A, G, g, strides, law, paths)])[0]
 
 
 def _qv_rows_oracle(B, G, g, strides, law, paths, seed):
@@ -607,7 +615,7 @@ def test_form_table_matches_one_form_per_matrix(shape, seed):
     c = rng.standard_normal(K) * np.exp(rng.standard_normal(K))
     X = rng.standard_normal((rows, N))
     out = np.empty((K, rows))
-    _form_table(A, c, rows)(X, out)
+    _form_table(A, c)(X, out, np.empty(rows * _form_route(K, N)[1]))
     expected = np.array([quadratic_form(X, Ak) + ck for Ak, ck in zip(A, c)])
     if not _gemm_route(N, K):
         assert np.array_equal(out, expected)
@@ -668,12 +676,59 @@ def _qv_rows_of_cumulative(B, *args):
     ids=["8-6-20000", "16-7-2000", "128-8-2000", "256-6-2000", "8-1x200-20000", "1-11-2"],
 )
 def test_qv_traced_peak_within_the_size_count(N, depths, paths):
-    # what _check_qv_size counts bounds what the call holds, on the GEMM
+    # what _check_size counts bounds what the call holds, on the GEMM
     # route (K > N: depths up to 6 at N = 8, 7 at 16, 8 at 128) and on the
     # per-matrix route, with one depth asked for two hundred times, and
     # where the grid points' Python objects take nearly all of it (N = 1)
     peak = _traced_peak(qv_experiment, ONE, ONE, Q(1), N, Law.normal(), depths, paths, 0)
-    assert peak <= _check_qv_size(N, depths, paths)
+    assert peak <= _check_size(paths, qv=[(N, depths)])
+
+
+def _size_of_pass(paths, riemann, pairs) -> int:
+    """``_check_size`` of ``_pass_rows``' bodies: one per distinct N of the pairs."""
+    groups = {}
+    for N, d in pairs:
+        groups.setdefault(N, []).append(d)
+    return _check_size(paths, groups.items(), [riemann[2:]] if riemann else [])
+
+
+# `wicklab all`'s pass, and a schedule that holds three kernel stacks at once
+PASSES = [
+    ((ONE, ONE, 16, [1, 2, 3]), [(16, 1), (16, 2), (16, 3), (4, 1), (8, 2), (16, 3)], 100_000),
+    (None, [(64, 3), (16, 2), (4, 1)], 20_000),
+]
+
+
+@pytest.mark.parametrize("riemann, pairs, paths", PASSES, ids=["all", "64-3+16-2+4-1"])
+def test_pass_traced_peak_within_the_size_count(riemann, pairs, paths):
+    # the count sums every body's kernels and takes one draw window and one
+    # work array, of the largest body's block
+    run = functools.partial(_pass_rows, Law.normal(), paths, 0, riemann=riemann, pairs=pairs)
+    assert _traced_peak(run) <= _size_of_pass(paths, riemann, pairs)
+
+
+@pytest.mark.parametrize(
+    "riemann, pairs, paths, law",
+    [
+        (*PASSES[0], Law.normal()),
+        (*PASSES[1], Law.exponential(1)),
+        # the GEMM route (N = 3, depth 2), odd truncations and a partial last block
+        ((H1, H2, 6, [1, 4, 2]), [(3, 2), (16, 3), (5, 1), (16, 1)], 7777, Law.poisson(1)),
+    ],
+    ids=["all", "64-3+16-2+4-1", "gemm"],
+)
+def test_pass_rows_are_each_body_own_rows(riemann, pairs, paths, law):
+    # each body takes its own blocks, at its own rows, from the one stream:
+    # its rows are the same bits as its call alone (a relative bound of 0)
+    errs, rows = _pass_rows(law, paths, 42, riemann=riemann, pairs=pairs)
+    if riemann:
+        assert errs == riemann_experiment(*riemann[:3], law, riemann[3], paths, 42)["rows"]
+    else:
+        assert errs is None
+    for (N, d), row in zip(pairs, rows):
+        depths = [e for n, e in pairs if n == N]
+        alone = qv_experiment(ONE, ONE, Q(1), N, law, depths, paths, 42)["rows"]
+        assert row == {k: v for k, v in alone[depths.index(d)].items() if k != "depth"}
 
 
 def test_qv_depth_rows_do_not_depend_on_the_other_depths():
@@ -714,7 +769,7 @@ def test_riemann_traced_peak_within_the_size_count(h, g, N, depths, paths):
     # and 2), the matrices per distinct depth (N = 128) and the GEMM route
     # (more distinct depths than N)
     peak = _traced_peak(riemann_experiment, h, g, N, Law.normal(), depths, paths, 0)
-    assert peak <= _check_riemann_size(N, depths, paths)
+    assert peak <= _check_size(paths, riemann=[(N, depths)])
 
 
 def test_riemann_takes_one_coefficient_sweep_when_g_is_h(monkeypatch):
@@ -997,10 +1052,10 @@ def test_qv_size_cap_admits_the_deep_points():
     # floats, 546 MB, 101 MB of sweep work space and block arrays of 1.6 MB
     # (the per-matrix route's blocks keep to _BLOCK_BYTES); and the shallow
     # depths at small N
-    _check_qv_size(1024, [6], 10_000)
-    _check_qv_size(1024, [6], 10**5)
-    _check_qv_size(512, [1, 2, 3, 4, 5, 6], 10_000)
-    _check_qv_size(8, list(range(1, 13)), 200_000)
+    _check_size(10_000, qv=[(1024, [6])])
+    _check_size(10**5, qv=[(1024, [6])])
+    _check_size(10_000, qv=[(512, [1, 2, 3, 4, 5, 6])])
+    _check_size(200_000, qv=[(8, list(range(1, 13)))])
 
 
 @pytest.mark.parametrize("paths", [0, 1])

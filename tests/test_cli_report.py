@@ -114,20 +114,72 @@ def test_all_matches_golden(capsys):
 
 
 def test_all_takes_one_qv_table_per_truncation(capsys, monkeypatch):
-    # the fixed-N depths and the joint schedule share one kernel stack and
-    # one sample per distinct N: (4, 1), (8, 2), and N = 16 at depths 1-3
+    # the Riemann sums, the fixed-N depths and the joint schedule share one
+    # Monte Carlo pass, with one quadratic-variation body (one kernel stack
+    # and one table of forms) per distinct N: (4, 1), (8, 2), and N = 16 at
+    # depths 1-3
     from wicklab.chaos import experiments
 
-    seen, qv_rows = [], experiments._qv_rows
+    passes, mc_pass = [], experiments._mc_pass
 
-    def counted(A, G, *args):
-        seen.append(len(G))
-        return qv_rows(A, G, *args)
+    def counted(law, seed, paths, bodies):
+        passes.append(sorted((type(body).__name__, body.N) for body in bodies))
+        return mc_pass(law, seed, paths, bodies)
 
-    monkeypatch.setattr(experiments, "_qv_rows", counted)
+    monkeypatch.setattr(experiments, "_mc_pass", counted)
     code, _ = run_cli(capsys, "all", "--seed", "42")
     assert code == 0
-    assert sorted(seen) == [4, 8, 16]
+    assert passes == [[("_QVBody", 4), ("_QVBody", 8), ("_QVBody", 16), ("_RiemannBody", 16)]]
+
+
+@pytest.mark.parametrize(
+    "argv, draws",
+    [(["all", "--seed", "42"], 1_600_500), (["all", "--quick", "--seed", "42"], 160_500)],
+    ids=["all", "quick"],
+)
+def test_all_draws_its_monte_carlo_stream_once(capsys, monkeypatch, argv, draws):
+    # one pass draws paths * max N = 10^5 * 16 (10^4 * 16 with --quick)
+    # normals for the Riemann sums and every truncation of the QV schedule,
+    # and the order identities 2 * 50 * 5 more
+    counts, draw = [], laws.Sampler.draw
+
+    def counted(self, count, out=None):
+        counts.append(count)
+        return draw(self, count, out)
+
+    monkeypatch.setattr(laws.Sampler, "draw", counted)
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert sum(counts) == draws
+
+
+def test_wick_rows_build_each_table_once_per_law(monkeypatch):
+    # one table of inverse-Laplace coefficients and one of the first
+    # recurrence's weights per law serve every degree of the explicit
+    # formula, the first recurrence and the first residual
+    from wicklab import cli, wick
+
+    calls = []
+
+    def counting(module, name):
+        f = getattr(module, name)
+
+        def counted(*args):
+            calls.append(name)
+            return f(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(laws, "inverse_laplace_coeffs")
+    counting(wick, "inverse_laplace_coeffs")
+    counting(wick, "_recurrence_weights")
+    for law in cli.WICK_CATALOG:
+        calls.clear()
+        rows = cli._wick_rows(laws.moments(law, 6), 6)
+        assert all(ok for _, ok in rows), law.label()
+        assert sorted(calls) == ["_recurrence_weights", "inverse_laplace_coeffs"], law.label()
+        m = laws.moments(law, 6)
+        assert [w.coeffs for w, _ in rows] == [wick.wick_explicit(m, n).coeffs for n in range(7)]
 
 
 def row(rep, name):
