@@ -248,11 +248,7 @@ def _check_size(paths: int, qv: Sequence[tuple] = (), riemann: Sequence[tuple] =
         held += _ROW_FLOATS * len(depths)
         bodies.append((N, dmax, rows * N, rows * (K + work)))
     N, dmax, draws, work = (max(column) for column in zip(*bodies))
-    return _within_cap(8 * (held + draws + work + paths), N, dmax, paths)
-
-
-def _within_cap(need: int, N: int, dmax: int, paths: int) -> int:
-    """``need`` if it is at most ``_MAX_BYTES``; ValueError otherwise."""
+    need = 8 * (held + draws + work + paths)
     if need > _MAX_BYTES:
         raise ValueError(
             f"truncation {N}, depths up to {dmax} and {paths} paths need {need} bytes "

@@ -300,7 +300,7 @@ def run_discrete_maxsystem(args) -> ExperimentReport:
     rep = ExperimentReport("discrete maxsystem", {"N": args.N})
     rep.add(Check("atom_condition", "exact", atoms, passed=atoms))
     pairwise = all(
-        discrete.independent(sp, bs[i], bs[j])
+        discrete.independent_oracle(sp, bs[i], bs[j])
         for i in range(len(bs))
         for j in range(i + 1, len(bs))
     )

@@ -6,9 +6,13 @@ independent iff (f(b), A g(c)) = 0 for all measurable f, g, where
     a_ii = p_i^2 - p_i,    a_ij = p_i p_j  (i != j).
 
 Indicator functions of value-level sets span everything f(b) and g(c) can
-reach, so the test below sweeps only those.  A classical joint-factorization
-oracle is implemented independently; the two must agree everywhere, and the
-test suite holds them against each other.  All linear algebra is exact.
+reach, so the test below sweeps only those, literally, as the criterion
+under test.  The classical factorization oracle and the atom condition for
+a whole family share one counting pass over the atoms: the joint law keyed
+by each atom's tuple of values, with its marginals, must give every
+combination of values the product of its marginals.  The bilinear test and
+the oracle must agree everywhere, and the test suite holds them against
+each other.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -35,13 +39,21 @@ __all__ = [
     "MAX_ATOMS",
 ]
 
-GRAM_SIZE_CAP = 4096
-# Most atoms of a maximal system: each pair of its N variables sums the 4^N
-# entries of one exact matrix (``a_matrix``), so the cost grows about
-# fivefold per N.  ``discrete maxsystem --N 6``, the largest admitted, takes
-# 0.5 s end to end (the timings past it: CHANGES.md, "One breakpoint walk
-# for the piecewise layer").
-MAX_ATOMS = 2**6
+# Largest Gram matrix ``walsh_gram_rank`` ranks: exact elimination costs
+# about size^3 operations on entries that grow with the moments, so the time
+# depends on the atom values as well as on the size.  Measured (2 cores,
+# Python 3.11): size 100 (10 values, 2 variables), the largest admitted,
+# 1.2 s and 81 (9 values, 2 variables) 0.9 s; above the cap, 121 (11 values,
+# 2 variables) 2.4 s, 125 (5 values, 3 variables) 1.4 s, 243 (3 values, 5
+# variables) 2.1-5.7 s, 256 (4 values, 4 variables) 7.7 s and 1024 (2
+# values, 10 variables) 15 s.
+GRAM_SIZE_CAP = 100
+# Most atoms of a maximal system: the atom condition and each of the
+# N(N - 1)/2 pairwise checks make one counting pass over the 2^N atoms.
+# ``discrete maxsystem --N 12``, the largest admitted, takes 1.3-2.0 s end
+# to end, and N = 13 takes 2.7-3.9 s (2 cores, Python 3.11; CHANGES.md, "One
+# counting pass for finite-space independence").
+MAX_ATOMS = 2**12
 
 
 @dataclass(frozen=True)
@@ -118,16 +130,9 @@ def independent(sp: FiniteSpace, b: DiscreteRV, c: DiscreteRV) -> bool:
 
 
 def independent_oracle(sp: FiniteSpace, b: DiscreteRV, c: DiscreteRV) -> bool:
-    """Classical oracle: P(b = x, c = y) = P(b = x) P(c = y) for all (x, y)."""
-    _check_space(sp, b, c)
-    pb = {v: sum(sp.p[i] for i in idx) for v, idx in b.level_sets().items()}
-    pc = {v: sum(sp.p[i] for i in idx) for v, idx in c.level_sets().items()}
-    for vb, ib in b.level_sets().items():
-        for vc, ic in c.level_sets().items():
-            joint = sum(sp.p[i] for i in set(ib) & set(ic))
-            if joint != pb[vb] * pc[vc]:
-                return False
-    return True
+    """Classical oracle: P(b = x, c = y) = P(b = x) P(c = y) for all (x, y),
+    the atom condition on the pair."""
+    return atom_condition(sp, (b, c))
 
 
 def n_max(n: int) -> int:
@@ -188,33 +193,37 @@ def build_max_system(N: int):
     if 2 ** min(N, 64) > MAX_ATOMS:
         raise ValueError(f"N = {N} needs 2^{N} atoms, above the cap of {MAX_ATOMS}")
     sp = FiniteSpace.uniform(2**N)
-    bs = []
+    # one Fraction per sign: the counting pass then matches keys by identity
+    bs, signs = [], (Q(1), Q(-1))
     for k in range(1, N + 1):
         block = 2 ** (N - k)
-        vals = tuple(Q(1) if (i // block) % 2 == 0 else Q(-1) for i in range(2**N))
+        vals = tuple(signs[(i // block) % 2] for i in range(2**N))
         bs.append(DiscreteRV(vals))
     return sp, bs
 
 
-def atom_condition(sp: FiniteSpace, bs: Sequence[DiscreteRV]) -> bool:
-    """Global independence on atoms: products of marginals match intersections,
-    and every combination of level sets meets in a nonempty event."""
+def _joint_table(sp: FiniteSpace, bs: Sequence[DiscreteRV]) -> tuple:
+    """One pass over the atoms: the family's joint law, keyed by each atom's
+    tuple of values, and the marginal law of each variable."""
     _check_space(sp, *bs)
-    levels = [list(b.level_sets().values()) for b in bs]
-    combos = [[]]
-    for lv in levels:
-        combos = [c + [idx] for c in combos for idx in lv]
-    for combo in combos:
-        inter = set(range(sp.n))
-        prod = Q(1)
-        for idx in combo:
-            inter &= set(idx)
-            prod *= sum(sp.p[i] for i in idx)
-        if not inter:
-            return False
-        if prod != sum(sp.p[i] for i in inter):
-            return False
-    return True
+    joint: dict = {}
+    for i, p in enumerate(sp.p):
+        key = tuple(b.values[i] for b in bs)
+        joint[key] = joint.get(key, 0) + p
+    margins = [{} for _ in bs]
+    for key, w in joint.items():
+        for m, v in zip(margins, key):
+            m[v] = m.get(v, 0) + w
+    return joint, margins
+
+
+def atom_condition(sp: FiniteSpace, bs: Sequence[DiscreteRV]) -> bool:
+    """Global independence on atoms: every combination of values occurs, each
+    with the product of its marginals as its probability."""
+    joint, margins = _joint_table(sp, bs)
+    return len(joint) == math.prod(map(len, margins)) and all(
+        w == math.prod(m[v] for m, v in zip(margins, key)) for key, w in joint.items()
+    )
 
 
 def walsh_gram_rank(values: Sequence, probs: Sequence, n_vars: int) -> int:
@@ -227,9 +236,9 @@ def walsh_gram_rank(values: Sequence, probs: Sequence, n_vars: int) -> int:
     if sum(probs) != 1 or any(p <= 0 for p in probs):
         raise ValueError("atom probabilities must be positive and sum to 1")
     N = len(values)
-    size = N**n_vars
-    if size > GRAM_SIZE_CAP:
-        raise ValueError(f"gram size {size} exceeds cap {GRAM_SIZE_CAP}")
+    # past 64 variables the size alone exceeds any cap
+    if N ** min(n_vars, 64) > GRAM_SIZE_CAP:
+        raise ValueError(f"gram size {N}^{n_vars} exceeds cap {GRAM_SIZE_CAP}")
     mom = [sum(p * v**r for p, v in zip(probs, values)) for r in range(2 * N - 1)]
     exps = [[]]
     for _ in range(n_vars):

@@ -24,6 +24,7 @@ is exactly what the three alpha schemes below arrange.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -128,6 +129,8 @@ def _check_tuple(ps: PartitionSystem, ks: Sequence[int], eps: Sequence[int]) -> 
         raise ValueError("levels must be strictly increasing")
     if ks[0] < 1 or ks[-1] > ps.depth:
         raise ValueError("levels outside the built depth")
+    if any(e not in (-1, 1) for e in eps):
+        raise ValueError("sign must be +-1")
 
 
 def _qualifying_cells(ps: PartitionSystem, ks: Sequence[int], eps: Sequence[int]):
@@ -197,17 +200,11 @@ def transport_joint_law(
 def transport_product_expectation(
     ps: PartitionSystem, cdf: JumpCDF, ks: Sequence[int]
 ) -> Fraction:
-    """E[prod_i r_{k_i} o F], exact (endpoint atoms contribute sign zero)."""
-    _check_tuple(ps, ks, [1] * len(ks))
-    kN = ks[-1]
-    ends = ps.levels[kN]
-    total = Q(0)
-    for j in range(2**kN):
-        sign = 1
-        for k in ks:
-            sign *= -1 if (j >> (kN - k)) % 2 else 1
-        total += sign * cdf.cell_measure(ends[j], ends[j + 1])
-    return total
+    """E[prod_i r_{k_i} o F], exact (endpoint atoms contribute sign zero): the
+    sum over sign patterns of the product of the signs times the pattern's
+    transport law."""
+    patterns = itertools.product((1, -1), repeat=len(ks))
+    return sum((math.prod(e) * transport_joint_law(ps, cdf, ks, e) for e in patterns), Q(0))
 
 
 def gap_inside_cell(ps: PartitionSystem, cdf: JumpCDF, k: int) -> bool:

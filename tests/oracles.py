@@ -226,3 +226,47 @@ def signature_terms(order: int, pairs) -> dict:
         t = tuple(sorted(t))
         out[t] = RadSum(c) + out.get(t, 0)
     return {t: c for t, c in out.items() if c}
+
+
+def independent_by_intersection(sp, b, c) -> bool:
+    """P(b = x, c = y) = P(b = x) P(c = y) for every pair of level sets, the
+    joint mass summed over the intersection of their atom sets."""
+    pb = {v: sum(sp.p[i] for i in idx) for v, idx in b.level_sets().items()}
+    pc = {v: sum(sp.p[i] for i in idx) for v, idx in c.level_sets().items()}
+    for vb, ib in b.level_sets().items():
+        for vc, ic in c.level_sets().items():
+            joint = sum(sp.p[i] for i in set(ib) & set(ic))
+            if joint != pb[vb] * pc[vc]:
+                return False
+    return True
+
+
+def atom_condition_by_intersection(sp, bs) -> bool:
+    """Global independence by listing every combination of level sets: each
+    meets in a nonempty event whose mass is the product of the marginals."""
+    combos = [[]]
+    for b in bs:
+        combos = [c + [idx] for c in combos for idx in b.level_sets().values()]
+    for combo in combos:
+        inter = set(range(sp.n))
+        prod = Q(1)
+        for idx in combo:
+            inter &= set(idx)
+            prod *= sum(sp.p[i] for i in idx)
+        if not inter or prod != sum(sp.p[i] for i in inter):
+            return False
+    return True
+
+
+def product_expectation_by_cells(ps, cdf, ks):
+    """E[prod_i r_{k_i} o F] by one walk over the level-k_N cells, each cell's
+    measure times the product of the signs on it."""
+    kN = ks[-1]
+    ends = ps.levels[kN]
+    total = Q(0)
+    for j in range(2**kN):
+        sign = 1
+        for k in ks:
+            sign *= -1 if (j >> (kN - k)) % 2 else 1
+        total += sign * cdf.cell_measure(ends[j], ends[j + 1])
+    return total

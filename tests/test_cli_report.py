@@ -432,7 +432,7 @@ def test_chaos_qv_above_the_size_cap_names_the_options(capsys, size):
 @pytest.mark.parametrize(
     "argv, option",
     [
-        (["discrete", "maxsystem", "--N", "7"], "--N"),
+        (["discrete", "maxsystem", "--N", "13"], "--N"),
         (["discrete", "maxsystem", "--N", "100000"], "--N"),
         (["rademacher", "verify", "--scheme", "jump_after", "--depth", "15"], "--depth"),
         (["rademacher", "verify", "--alphas", "1/2", "--depth", "1000000000"], "--depth"),
@@ -454,7 +454,7 @@ def test_readme_quotes_the_cap_messages(capsys):
     printed = []
     for argv in (
         ["chaos", "qv", "--law", "normal", "--truncation", "1024", "--depths", "9", "--paths", "100000"],
-        ["discrete", "maxsystem", "--N", "7"],
+        ["discrete", "maxsystem", "--N", "13"],
         ["rademacher", "verify", "--scheme", "jump_after", "--depth", "15"],
     ):
         assert main(argv) == 2

@@ -21,6 +21,8 @@ from wicklab.discrete import (
 )
 from wicklab.exact import mat_rank
 
+from oracles import atom_condition_by_intersection, independent_by_intersection
+
 
 def test_a_matrix_small():
     sp = FiniteSpace((Q(1, 2), Q(1, 2)))
@@ -116,10 +118,10 @@ def test_build_max_system(N):
     assert len(bs) + 1 == n_max(2**N)  # plus the constant variable
 
 
-@pytest.mark.parametrize("N", [7, 10, 64, 10**9])
+@pytest.mark.parametrize("N", [13, 16, 64, 10**9])
 def test_max_system_above_the_atom_cap_returns_at_once(N):
-    # rejected before any atom is built: at N = 10 the pairwise matrices
-    # alone would take minutes, and 2^(10^9) atoms could not be counted
+    # rejected before any atom is built: N = 13 takes 3 s end to end, and
+    # 2^(10^9) atoms could not be counted
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="above the cap"):
@@ -130,8 +132,8 @@ def test_max_system_above_the_atom_cap_returns_at_once(N):
     assert peak < 2**16
 
 
-def test_max_system_atom_cap_admits_n_6():
-    sp, _ = build_max_system(6)
+def test_max_system_atom_cap_admits_n_12():
+    sp, _ = build_max_system(12)
     assert sp.n == MAX_ATOMS
 
 
@@ -158,6 +160,69 @@ def test_atom_condition_three_blocks():
         assert key not in seen
         seen.add(key)
     assert len(seen) == 8
+
+
+def _checked_atom_condition(sp, bs) -> bool:
+    """The counting atom condition, held == to the literal reference."""
+    out = atom_condition(sp, bs)
+    assert out == atom_condition_by_intersection(sp, bs)
+    return out
+
+
+def _checked_oracle(sp, b, c) -> bool:
+    """The counting oracle, held == to the literal reference."""
+    out = independent_oracle(sp, b, c)
+    assert out == independent_by_intersection(sp, b, c)
+    return out
+
+
+def test_xor_family_is_pairwise_but_not_globally_independent():
+    sp = FiniteSpace.uniform(4)
+    b1 = DiscreteRV((1, 1, -1, -1))
+    b2 = DiscreteRV((1, -1, 1, -1))
+    b3 = DiscreteRV(tuple(x * y for x, y in zip(b1.values, b2.values)))
+    for b, c in ((b1, b2), (b1, b3), (b2, b3)):
+        assert independent(sp, b, c) and _checked_oracle(sp, b, c)
+    assert _checked_atom_condition(sp, [b1, b2])
+    assert not _checked_atom_condition(sp, [b1, b2, b3])
+
+
+def test_every_combination_occurring_is_not_enough():
+    # each of the four sign pairs occurs, but (1, 1) has mass 1/8, not 1/4
+    sp = FiniteSpace((Q(1, 8), Q(3, 8), Q(3, 8), Q(1, 8)))
+    b1 = DiscreteRV((1, 1, -1, -1))
+    b2 = DiscreteRV((1, -1, 1, -1))
+    assert not independent(sp, b1, b2)
+    assert not _checked_oracle(sp, b1, b2)
+    assert not _checked_atom_condition(sp, [b1, b2])
+
+
+def test_empty_family_and_single_variable_are_independent():
+    sp = FiniteSpace((Q(1, 2), Q(1, 3), Q(1, 6)))
+    assert _checked_atom_condition(sp, [])
+    for values in ((1, 1, 1), (0, 1, 1), (3, -1, 7)):
+        assert _checked_atom_condition(sp, [DiscreteRV(values)])
+
+
+def test_counting_rejects_a_variable_off_the_space():
+    sp = FiniteSpace.uniform(4)
+    with pytest.raises(ValueError, match="does not live on this space"):
+        atom_condition(sp, [DiscreteRV((1, -1))])
+    with pytest.raises(ValueError, match="does not live on this space"):
+        independent_oracle(sp, DiscreteRV((1, -1, 1, -1)), DiscreteRV((1, -1)))
+
+
+@pytest.mark.parametrize("n_vars", [5, 9, 64, 10**9])
+def test_walsh_gram_size_cap_refuses_before_any_work(n_vars):
+    # 3^5 = 243 monomials are past the cap; 3^(10^9) could not be listed
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds cap"):
+            walsh_gram_rank([Q(0), Q(1), Q(2)], [Q(1, 3)] * 3, n_vars)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def test_walsh_gram_rank_sign_system():

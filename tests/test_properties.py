@@ -13,6 +13,8 @@ from wicklab.chaos.tensors import GammaTables, SymTensor
 from wicklab.discrete import (
     DiscreteRV,
     FiniteSpace,
+    atom_condition,
+    build_max_system,
     independent,
     independent_oracle,
     n_max,
@@ -24,7 +26,9 @@ from wicklab.rademacher import build_partition, evaluate_r, joint_law, phi_facto
 from wicklab.wick import expect_poly, wick_explicit, wick_recurrence1, wick_recurrence2
 
 from oracles import (
+    atom_condition_by_intersection,
     cell_by_bisection,
+    independent_by_intersection,
     n_max_by_counting,
     principal_minor_psd,
     q_bound_by_exclusion,
@@ -116,6 +120,40 @@ def small_spaces(draw):
 def test_bilinear_criterion_matches_factorization(space):
     sp, b, c = space
     assert independent(sp, b, c) == independent_oracle(sp, b, c)
+
+
+@st.composite
+def families(draw):
+    """A space of 2-8 atoms, with weights drawn from few values so that
+    independent families occur, and up to 4 variables of few values."""
+    n = draw(st.integers(2, 8))
+    w = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    sp = FiniteSpace(tuple(Q(x, sum(w)) for x in w))
+    values = st.lists(st.integers(-1, 1), min_size=n, max_size=n)
+    return sp, [DiscreteRV(tuple(v)) for v in draw(st.lists(values, max_size=4))]
+
+
+def _assert_counting_matches_intersection(sp, bs):
+    assert atom_condition(sp, bs) == atom_condition_by_intersection(sp, bs)
+    for b, c in itertools.combinations(bs, 2):
+        assert independent_oracle(sp, b, c) == independent_by_intersection(sp, b, c)
+
+
+@given(families())
+@settings(max_examples=150, deadline=None)
+def test_counting_matches_intersection_on_random_families(family):
+    _assert_counting_matches_intersection(*family)
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_counting_matches_intersection_on_max_systems(N):
+    # the whole system, and the system with the product of its first and
+    # last variables added, which breaks global independence from N = 2 on
+    sp, bs = build_max_system(N)
+    _assert_counting_matches_intersection(sp, bs)
+    b = DiscreteRV(tuple(x * y for x, y in zip(bs[0].values, bs[-1].values)))
+    _assert_counting_matches_intersection(sp, bs + [b])
+    assert atom_condition(sp, bs + [b]) == (N == 1)
 
 
 @given(st.integers(0, 6))

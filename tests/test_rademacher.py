@@ -22,6 +22,8 @@ from wicklab.rademacher import (
     transport_product_expectation,
 )
 
+from oracles import product_expectation_by_cells
+
 
 def beta_product(alphas, N, nu):
     """Independent oracle for cell lengths: the product over the binary
@@ -111,6 +113,31 @@ def test_triple_factorization_generic():
 
 
 # --- transport ----------------------------------------------------------------
+
+
+def _jump_law(ps, ks, eps):
+    return transport_joint_law(ps, JumpCDF(Q(1, 8), Q(1, 4)), ks, eps)
+
+
+@pytest.mark.parametrize("law", [joint_law, _jump_law], ids=["joint_law", "transport_joint_law"])
+@pytest.mark.parametrize("eps", [[0], [2], [Q(1, 2)]])
+def test_joint_law_rejects_signs_other_than_plus_minus_one(law, eps):
+    # r_1 takes only the values +-1: no sign other than +1 may read as -1
+    with pytest.raises(ValueError, match=r"sign must be \+-1"):
+        law(build_partition([Q(1, 3), Q(1, 2)], 2), [1], eps)
+
+
+def test_product_expectation_matches_the_cell_walk():
+    rng = random.Random(5)
+    for _ in range(60):
+        depth = rng.randint(1, 6)
+        ps = build_partition([Q(rng.randint(1, 9), 10) for _ in range(depth)], depth)
+        fx0 = Q(rng.randint(1, 10), 16)
+        for cdf in (JumpCDF.diffuse(), JumpCDF(fx0, (1 - fx0) * Q(rng.randint(0, 7), 8))):
+            ks = sorted(rng.sample(range(1, depth + 1), rng.randint(1, depth)))
+            assert transport_product_expectation(ps, cdf, ks) == product_expectation_by_cells(
+                ps, cdf, ks
+            )
 
 
 def test_diffuse_transport_is_identity():
