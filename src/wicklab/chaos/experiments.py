@@ -12,9 +12,14 @@ Monte Carlo bodies (``_QVBody``, ``_RiemannBody``) fill tables of centred
 quadratic forms x' A_k x + c_k (``_form_table``) per block of paths
 (``_block_rows``) and fold every block into running moments
 (``_Moments``), so neither holds the whole sample or a table of all the
-paths.  The quadratic variation takes forms of the finest increments only,
-stored in bit-reversed order of the increment, so that each coarser level
-is the sum of its table's two halves, taken in place.
+paths.  Each body kind's layout (``_qv_layout``, ``_riemann_layout``) is
+the one statement of its rows per block, the widths of its block arrays
+and what it holds besides them: the body reads it, and the size cap
+(``_check_size``) sums it over a pass before any work.  The bodies take
+the depths asked.  The quadratic variation takes forms of the finest
+increments only, stored in bit-reversed order of the increment, so that
+each coarser level (depth d reads level dmax - d) is the sum of its
+table's two halves, taken in place.
 
 Every call runs its bodies in one pass (``_mc_pass``): the bodies share
 one ``Sampler`` stream, drawn once as the blocks are used (a body of N
@@ -177,13 +182,6 @@ def _finest_depth(depths: Sequence[int]) -> int:
     return max(depths)
 
 
-def _dyadic_strides(depths: Sequence[int]) -> tuple:
-    """(dmax, strides): the finest depth, and for each depth the stride that
-    picks its partition points out of the finest dyadic grid."""
-    dmax = _finest_depth(depths)
-    return dmax, [2 ** (dmax - d) for d in depths]
-
-
 # Bytes of work space per block of paths in the Monte Carlo bodies.  A
 # block's rows and the products taken from them should stay in a core's L2
 # cache, and the passes a body makes per block are paid once per block, so a
@@ -193,24 +191,14 @@ _BLOCK_BYTES = 2**20
 
 
 # Bytes one Monte Carlo pass may hold, counted before any work
-# (:func:`_check_size`).  A quadratic-variation body holds its one stack of
-# 2^dmax + 1 kernels of N^2 floats, with N floats of H and _POINT_FLOATS of
-# Python objects per grid point; _SWEEP_FLOATS N^2 floats of G and of the
-# work space of a kernel sweep, which runs again beside the stack; the GEMM
-# route's packed operand; and _ROW_FLOATS of Python objects per depth asked,
-# whose rows are built while the block arrays are held.  A Riemann body
-# holds per grid point its Python objects and N floats each of C_h, C_g and
-# one difference of C_g; the sweep's work space, B and A, and per distinct
-# depth five N x N matrices (P_d in a list and an array, D_d and two
-# temporaries of it); its packed operand and its rows.  The pass holds every
-# body's kernels at once, one draw window of the largest body's block of
-# draws and one work array of the largest body's block arrays
-# (:func:`_mc_pass`): per row, a quadratic-variation body's N floats of the
-# RHS product x' G, its K increments (the level sums overwrite them), the
-# form table's work space and one float per quantity (3 per distinct depth
-# and the RHS); a Riemann body's K forms and the form table's work space.
-# To these it adds one float per path, which no array holds but which
-# bounds the draw.  The count must stay above what a pass is traced to hold
+# (:func:`_check_size`): what each body holds besides its block arrays (its
+# layout, :func:`_qv_layout` and :func:`_riemann_layout`), all at once; one
+# draw window of the largest body's block of draws and one work array of the
+# largest body's block arrays (:func:`_mc_pass`); and one float per path,
+# which no array holds but which bounds the draw.  _POINT_FLOATS are the
+# Python objects of a grid point, _SWEEP_FLOATS the N^2 floats of a kernel
+# sweep's work space and _ROW_FLOATS the Python objects of a row.  The count
+# must stay above what a pass is traced to hold
 # (``test_qv_traced_peak_within_the_size_count``,
 # ``test_riemann_traced_peak_within_the_size_count`` and
 # ``test_pass_traced_peak_within_the_size_count``; the traced figures:
@@ -222,31 +210,57 @@ _SWEEP_FLOATS = 12
 _ROW_FLOATS = 128
 
 
+def _qv_layout(N: int, K: int, depths: Sequence[int], paths: int) -> tuple:
+    """(rows, widths, held) of a quadratic-variation body of K = 2^dmax
+    finest increments in N variables over ``paths`` paths: its rows per
+    block (:func:`_block_rows`); the floats per row of each block array, in
+    order one per quantity (3 per distinct depth and the RHS), its K
+    increments (the level sums overwrite them), N of the RHS product x' G
+    and the form table's work space; and the floats it holds besides them.
+
+    Those are its one stack of K + 1 kernels of N^2 floats, with N floats
+    of H and _POINT_FLOATS per grid point; _SWEEP_FLOATS N^2 floats of G and
+    of the work space of a kernel sweep, which runs again beside the stack;
+    the GEMM route's packed operand; and _ROW_FLOATS per depth asked, whose
+    rows are built while the block arrays are held."""
+    _, work, packed = _form_route(K, N)
+    held = (K + 1) * (N * N + N + _POINT_FLOATS) + _SWEEP_FLOATS * N * N + packed
+    widths = (3 * len(set(depths)) + 1, K, N, work)
+    return _block_rows(N, K, paths), widths, held + _ROW_FLOATS * len(depths)
+
+
+def _riemann_layout(N: int, depths: Sequence[int], paths: int) -> tuple:
+    """(rows, widths, held) of a Riemann body in N variables over ``paths``
+    paths, as :func:`_qv_layout`: its rows per block; the floats per row of
+    its K forms, one per distinct depth, and of the form table's work
+    space; and the floats it holds besides them.
+
+    Those are, per point of the finest grid, its Python objects and N
+    floats each of C_h, C_g and one difference of C_g; the sweep's work
+    space, B and A, and per distinct depth five N x N matrices (P_d in a
+    list and an array, D_d and two temporaries of it); its packed operand;
+    and its rows."""
+    # past depth 64 the grid alone exceeds any cap
+    grid = 2 ** min(_finest_depth(depths), 64) + 1
+    K = len(set(depths))
+    _, work, packed = _form_route(K, N)
+    held = grid * (3 * N + _POINT_FLOATS) + (_SWEEP_FLOATS + 2 + 5 * K) * N * N + packed
+    return _block_rows(N, K, paths), (K, work), held + _ROW_FLOATS * len(depths)
+
+
 def _check_size(paths: int, qv: Sequence[tuple] = (), riemann: Sequence[tuple] = ()) -> int:
     """The bytes a pass holds at most, plus 8 per path it draws, which bound
     the draw rather than memory, for a quadratic-variation body per
     (N, depths) of ``qv`` and a Riemann body per (N, depths) of ``riemann``;
-    a pass above ``_MAX_BYTES`` is rejected before any point of its grids,
-    or any stride, is built."""
+    a pass above ``_MAX_BYTES`` is rejected before any point of its grids
+    is built."""
+    # past depth 64 the grid alone exceeds any cap, as in _riemann_layout
+    layouts = [(N, d, _qv_layout(N, 2 ** min(_finest_depth(d), 64), d, paths)) for N, d in qv]
+    layouts += [(N, d, _riemann_layout(N, d, paths)) for N, d in riemann]
     held, bodies = 0, []  # bodies: (N, dmax, draws per block, work floats per block)
-    for N, depths in qv:
-        dmax = _finest_depth(depths)
-        # past depth 64 the grid alone exceeds any cap
-        K = 2 ** min(dmax, 64)
-        _, work, packed = _form_route(K, N)
-        rows = _block_rows(N, K, paths)
-        held += (K + 1) * (N * N + N + _POINT_FLOATS) + _SWEEP_FLOATS * N * N + packed
-        held += _ROW_FLOATS * len(depths)
-        bodies.append((N, dmax, rows * N, rows * (N + K + work + 3 * len(set(depths)) + 1)))
-    for N, depths in riemann:
-        dmax = _finest_depth(depths)
-        grid = 2 ** min(dmax, 64) + 1
-        K = len(set(depths))
-        _, work, packed = _form_route(K, N)
-        rows = _block_rows(N, K, paths)
-        held += grid * (3 * N + _POINT_FLOATS) + (_SWEEP_FLOATS + 2 + 5 * K) * N * N + packed
-        held += _ROW_FLOATS * len(depths)
-        bodies.append((N, dmax, rows * N, rows * (K + work)))
+    for N, depths, (rows, widths, body_held) in layouts:
+        held += body_held
+        bodies.append((N, max(depths), rows * N, rows * sum(widths)))
     N, dmax, draws, work = (max(column) for column in zip(*bodies))
     need = 8 * (held + draws + work + paths)
     if need > _MAX_BYTES:
@@ -411,13 +425,14 @@ def _bit_reversal(K: int) -> np.ndarray:
 
 class _QVBody:
     """The Monte Carlo statistics of the partition quadratic variation
-    against the limit object, one row per stride of the finest increment
-    kernels ``A``, as a body of :func:`_mc_pass` over ``paths`` paths.
+    against the limit object, one row per depth of ``depths``, over the
+    finest increment kernels ``A`` of depth log2(len(A)), as a body of
+    :func:`_mc_pass` over ``paths`` paths.
 
     QV = sum_k (x' A_k x - tr A_k)^2 over the increment kernels of the
-    partition whose increments are sums of ``stride`` adjacent ones of
-    ``A``; RHS = x' G x + m3 g.x is the per-realization limit quadratic
-    form, with the law's skewness m3 (:func:`_skewness`).
+    partition of depth d, each the sum of 2^level adjacent ones of ``A`` at
+    level log2(len(A)) - d; RHS = x' G x + m3 g.x is the per-realization
+    limit quadratic form, with the law's skewness m3 (:func:`_skewness`).
 
     Only the finest increments get a quadratic form (:func:`_form_table`,
     centred by c_k = -tr A_k): x' A x is linear in A, so each coarser
@@ -434,23 +449,22 @@ class _QVBody:
     (rows by :func:`_qv_summary`).
     """
 
-    def __init__(self, A, G, g, strides: Sequence[int], law: Law, paths: int):
+    def __init__(self, A, G, g, depths: Sequence[int], law: Law, paths: int):
         N, K = G.shape[0], len(A)
         for r, s in enumerate(_bit_reversal(K)):
             if r < s:
                 A[[r, s]] = A[[s, r]]
-        # the quantities' row of each distinct level read, of stride 2^level
-        self._at = {level: i for i, level in enumerate(sorted({s.bit_length() - 1 for s in strides}))}
-        self._rows = [self._at[s.bit_length() - 1] for s in strides]
+        # the quantities' row of each distinct level read, of 2^level increments
+        dmax = K.bit_length() - 1
+        self._at = {level: i for i, level in enumerate(sorted({dmax - d for d in depths}))}
+        self._rows = [self._at[dmax - d] for d in depths]
         self._top = max(self._at)
-        q = 3 * len(self._at) + 1
-        self.N, self.rows = N, _block_rows(N, K, paths)
-        self._fill = _form_table(A, -np.trace(A, axis1=1, axis2=2))
-        # per row: the quantities, the increments, x' G and the form table's work space
-        self._widths = (q, K, N, _form_route(K, N)[1])
+        self.N = N
+        self.rows, self._widths, _ = _qv_layout(N, K, depths, paths)
         self.width = sum(self._widths)
+        self._fill = _form_table(A, -np.trace(A, axis1=1, axis2=2))
         self._G, self._g, self._m3 = G, g, _skewness(law)
-        self._moments = _Moments(q)
+        self._moments = _Moments(self._widths[0])
 
     def take(self, Xb: np.ndarray, work: np.ndarray) -> None:
         """Fill and fold the block Xb of paths, in the work space ``work``."""
@@ -491,23 +505,22 @@ class _RiemannBody:
 
     def __init__(self, h: PiecewisePoly, g: PiecewisePoly, N: int, depths: Sequence[int], paths: int):
         basis = LegendreBasis(N)
-        dmax, self._strides = _dyadic_strides(depths)
-        self._depths = depths
-        self._distinct = sorted(set(self._strides), reverse=True)  # ascending depths
+        dmax = _finest_depth(depths)
+        self._depths, self._distinct = depths, sorted(set(depths))
         points = [Q(k, 2**dmax) for k in range(2**dmax + 1)]
         C_h = cumulative_coeffs(h, basis, points)
         C_g = C_h if g == h else cumulative_coeffs(g, basis, points)
         B = cumulative_triangle(h, g, basis, [1])[0]
         A = 0.5 * (B + B.T)
-        P = np.array([C_h[::s][:-1].T @ (C_g[::s][1:] - C_g[::s][:-1]) for s in self._distinct])
+        # the grid of depth d is every s-th point of the finest, s = 2^(dmax - d)
+        strides = [2 ** (dmax - d) for d in self._distinct]
+        P = np.array([C_h[::s][:-1].T @ (C_g[::s][1:] - C_g[::s][:-1]) for s in strides])
         D = 0.5 * (P + P.transpose(0, 2, 1)) - A
-        K = len(D)
-        self.N, self.rows = N, _block_rows(N, K, paths)
-        self._fill = _form_table(D, np.full(K, np.trace(A)))
-        # per row: the K forms and the form table's work space
-        self._widths = (K, _form_route(K, N)[1])
+        self.N = N
+        self.rows, self._widths, _ = _riemann_layout(N, depths, paths)
         self.width = sum(self._widths)
-        self._moments = _Moments(K)
+        self._fill = _form_table(D, np.full(len(D), np.trace(A)))
+        self._moments = _Moments(self._widths[0])
 
     def take(self, Xb: np.ndarray, work: np.ndarray) -> None:
         """Fill and fold the block Xb of paths, in the work space ``work``."""
@@ -519,7 +532,7 @@ class _RiemannBody:
 
     def summary(self) -> list:
         errs = dict(zip(self._distinct, self._moments.stats()))
-        return [{"depth": d, "err": dict(errs[s])} for d, s in zip(self._depths, self._strides)]
+        return [{"depth": d, "err": dict(errs[d])} for d in self._depths]
 
 
 def _mc_pass(law: Law, seed: int, paths: int, bodies: Sequence) -> list:
@@ -612,7 +625,6 @@ def _pass_rows(
     h1: PiecewisePoly = PiecewisePoly.constant(1),
     h2: PiecewisePoly = PiecewisePoly.constant(1),
     t=Q(1),
-    basis: Optional[LegendreBasis] = None,
 ) -> tuple:
     """(Riemann rows, QV rows) of one Monte Carlo pass (:func:`_mc_pass`):
     the rows of :func:`riemann_experiment` for riemann = (h, g, N, depths),
@@ -622,7 +634,7 @@ def _pass_rows(
     The pairs are grouped by N: each distinct N takes one kernel stack at
     the finest depth of its pairs and one :class:`_QVBody` over all its
     depths.  The whole pass's size is checked before any work
-    (:func:`_check_size`).  A given ``basis`` serves a schedule of one N."""
+    (:func:`_check_size`)."""
     groups: dict = {}
     if pairs is not None:
         _finest_depth([d for _, d in pairs])
@@ -631,9 +643,8 @@ def _pass_rows(
     _check_size(paths, groups.items(), [riemann[2:]] if riemann else [])
     bodies = [_RiemannBody(*riemann, paths)] if riemann else []
     for N, depths in groups.items():
-        dmax, strides = _dyadic_strides(depths)
-        kernels = _qv_kernels(h1, h2, basis or LegendreBasis(N), t, dmax)
-        bodies.append(_QVBody(*kernels, strides, law, paths))
+        kernels = _qv_kernels(h1, h2, LegendreBasis(N), t, max(depths))
+        bodies.append(_QVBody(*kernels, depths, law, paths))
     summaries = _mc_pass(law, seed, paths, bodies)
     errs = summaries.pop(0) if riemann else None
     if pairs is None:
@@ -662,12 +673,12 @@ def qv_experiment(
     (``mean_gap_stderr``) and paired over the paths that give both
     (``mean_gap_paired_stderr``).  A given ``basis`` must have N functions.
     """
-    basis = basis or LegendreBasis(N)
-    if basis.N != N:
+    # the float engine reads only N, so a basis of N functions is LegendreBasis(N)
+    if basis is not None and basis.N != N:
         raise ValueError(f"basis has {basis.N} functions, truncation N is {N}")
     t = as_fraction(t)
     pairs = [(N, d) for d in depths]
-    _, rows = _pass_rows(law, paths, seed, pairs=pairs, h1=h1, h2=h2, t=t, basis=basis)
+    _, rows = _pass_rows(law, paths, seed, pairs=pairs, h1=h1, h2=h2, t=t)
     rows = [{"depth": d, **row} for d, row in zip(depths, rows)]
     return {"t": str(t), "N": N, "paths": paths, "seed": seed, "rows": rows}
 
@@ -712,7 +723,7 @@ def riemann_experiment(
     per distinct depth, in ascending order, so a row depends on the set of
     distinct depths asked, not on their order or repeats
     (:class:`_RiemannBody`).  A call above the cap of :func:`_check_size`
-    is rejected before any grid point or stride is built.
+    is rejected before any grid point is built.
     """
     rows, _ = _pass_rows(law, paths, seed, riemann=(h, g, N, depths))
     return {"N": N, "paths": paths, "seed": seed, "rows": rows}

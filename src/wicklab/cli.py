@@ -207,6 +207,7 @@ def run_wick_table(args) -> ExperimentReport:
 
 def run_rademacher_verify(args) -> ExperimentReport:
     _at_least_one(args, "tuples")
+    _at_least_one(args, "depth")
     depth = args.depth
     try:
         rademacher.check_depth(depth)

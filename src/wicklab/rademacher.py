@@ -24,7 +24,6 @@ is exactly what the three alpha schemes below arrange.
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -81,6 +80,8 @@ def check_depth(depth: int) -> None:
 def build_partition(alphas: Sequence, depth: int) -> PartitionSystem:
     """Refine (0,1] ``depth`` times with the given split ratios (at most
     :func:`check_depth`'s cap)."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0: {depth}")
     check_depth(depth)
     alphas = tuple(as_fraction(a) for a in alphas)
     for a in alphas:
@@ -134,11 +135,19 @@ def _check_tuple(ps: PartitionSystem, ks: Sequence[int], eps: Sequence[int]) -> 
 
 
 def _qualifying_cells(ps: PartitionSystem, ks: Sequence[int], eps: Sequence[int]):
-    """Indices of level-k_N cells on which every r_{k_i} takes sign eps_i."""
+    """Indices, ascending, of the level-k_N cells on which every r_{k_i} takes
+    sign eps_i: bit k_N - k of a cell's index is set where r_k is -1 on it,
+    so the levels' bits are fixed and the other bits run over every value,
+    2^(k_N - len(ks)) cells and no others."""
     kN = ks[-1]
-    for j in range(2**kN):
-        if all((j >> (kN - k)) % 2 == (0 if e == 1 else 1) for k, e in zip(ks, eps)):
-            yield j
+    free = 2**kN - 1 - sum(1 << (kN - k) for k in ks)
+    signs = sum(1 << (kN - k) for k, e in zip(ks, eps) if e == -1)
+    sub = 0
+    while True:
+        yield signs | sub
+        sub = (sub - free) & free  # the next subset of the free bits, ascending
+        if sub == 0:
+            return
 
 
 def joint_law(ps: PartitionSystem, ks: Sequence[int], eps: Sequence[int]) -> Fraction:
@@ -200,11 +209,17 @@ def transport_joint_law(
 def transport_product_expectation(
     ps: PartitionSystem, cdf: JumpCDF, ks: Sequence[int]
 ) -> Fraction:
-    """E[prod_i r_{k_i} o F], exact (endpoint atoms contribute sign zero): the
-    sum over sign patterns of the product of the signs times the pattern's
-    transport law."""
-    patterns = itertools.product((1, -1), repeat=len(ks))
-    return sum((math.prod(e) * transport_joint_law(ps, cdf, ks, e) for e in patterns), Q(0))
+    """E[prod_i r_{k_i} o F], exact (endpoint atoms contribute sign zero), by
+    one walk over the level-k_N cells: each cell's measure times the product
+    of the signs on it."""
+    _check_tuple(ps, ks, [1] * len(ks))  # the levels' checks
+    kN = ks[-1]
+    ends = ps.levels[kN]
+    total = Q(0)
+    for j in range(2**kN):
+        sign = math.prod(-1 if (j >> (kN - k)) % 2 else 1 for k in ks)
+        total += sign * cdf.cell_measure(ends[j], ends[j + 1])
+    return total
 
 
 def gap_inside_cell(ps: PartitionSystem, cdf: JumpCDF, k: int) -> bool:

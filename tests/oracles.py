@@ -8,7 +8,7 @@ direct rule; property tests set each against the rule that replaced it."""
 
 import math
 from fractions import Fraction as Q
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from wicklab.chaos.experiments import (
 from wicklab.chaos.tensors import _mask, _pairings
 from wicklab.exact import RadSum, p_add, p_antideriv, p_eval, p_integrate, p_mul, rad_form
 from wicklab.laws import sample
+from wicklab.rademacher import transport_joint_law
 from wicklab.wick import expect_poly
 
 
@@ -258,15 +259,8 @@ def atom_condition_by_intersection(sp, bs) -> bool:
     return True
 
 
-def product_expectation_by_cells(ps, cdf, ks):
-    """E[prod_i r_{k_i} o F] by one walk over the level-k_N cells, each cell's
-    measure times the product of the signs on it."""
-    kN = ks[-1]
-    ends = ps.levels[kN]
-    total = Q(0)
-    for j in range(2**kN):
-        sign = 1
-        for k in ks:
-            sign *= -1 if (j >> (kN - k)) % 2 else 1
-        total += sign * cdf.cell_measure(ends[j], ends[j + 1])
-    return total
+def product_expectation_by_patterns(ps, cdf, ks):
+    """E[prod_i r_{k_i} o F] as the sum over the 2^len(ks) sign patterns of
+    the product of the signs times the pattern's transport law."""
+    patterns = product((1, -1), repeat=len(ks))
+    return sum((math.prod(e) * transport_joint_law(ps, cdf, ks, e) for e in patterns), Q(0))

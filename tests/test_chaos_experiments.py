@@ -308,8 +308,10 @@ def test_integral_is_centered_mc():
 
 def _qv_rows(A, G, g, strides, law, paths, seed):
     """The rows of one ``_QVBody`` over the increment kernels A (which it
-    reorders) in a pass of its own."""
-    return _mc_pass(law, seed, paths, [_QVBody(A, G, g, strides, law, paths)])[0]
+    reorders) in a pass of its own, one per stride: the depth whose
+    increments are sums of that many of A's."""
+    depths = [(len(A) // s).bit_length() - 1 for s in strides]
+    return _mc_pass(law, seed, paths, [_QVBody(A, G, g, depths, law, paths)])[0]
 
 
 def _qv_rows_oracle(B, G, g, strides, law, paths, seed):

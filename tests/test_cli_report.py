@@ -356,6 +356,8 @@ UNOPENABLE = os.path.join(os.devnull, "report.json")  # a path below a file
         ["rademacher", "verify", "--scheme", "jump_after", "--fx0", "1/0"],
         ["chaos", "norm", "--law", "exponential:1/0"],
         ["chaos", "norm", "--law", "gamma:2,1/0"],
+        ["rademacher", "verify", "--alphas", "1/2,1/3", "--depth", "0"],
+        ["rademacher", "verify", "--alphas", "1/2,1/3", "--depth", "-1"],
     ],
 )
 def test_bad_input_exits_2_with_message(capsys, argv):
@@ -466,6 +468,15 @@ def test_readme_quotes_the_cap_messages(capsys):
 def test_zero_size_input_names_the_option(capsys, option):
     assert main(ZERO_SIZE[option]) == 2
     assert f"error: {option} must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("route", [["--alphas", "1/2,1/3"], ["--scheme", "jump_after"]])
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_rademacher_depth_below_1_names_the_option(capsys, route, depth):
+    assert main(["rademacher", "verify", *route, "--depth", depth]) == 2
+    captured = capsys.readouterr()
+    assert "error: --depth must be >= 1" in captured.err
+    assert captured.out == ""
 
 
 def test_parse_piecewise_forms():

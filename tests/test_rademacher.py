@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 import tracemalloc
 from fractions import Fraction as Q
 
@@ -22,7 +23,7 @@ from wicklab.rademacher import (
     transport_product_expectation,
 )
 
-from oracles import product_expectation_by_cells
+from oracles import product_expectation_by_patterns
 
 
 def beta_product(alphas, N, nu):
@@ -128,6 +129,7 @@ def test_joint_law_rejects_signs_other_than_plus_minus_one(law, eps):
 
 
 def test_product_expectation_matches_the_cell_walk():
+    # the one cell walk against the sum over sign patterns of the transport law
     rng = random.Random(5)
     for _ in range(60):
         depth = rng.randint(1, 6)
@@ -135,9 +137,31 @@ def test_product_expectation_matches_the_cell_walk():
         fx0 = Q(rng.randint(1, 10), 16)
         for cdf in (JumpCDF.diffuse(), JumpCDF(fx0, (1 - fx0) * Q(rng.randint(0, 7), 8))):
             ks = sorted(rng.sample(range(1, depth + 1), rng.randint(1, depth)))
-            assert transport_product_expectation(ps, cdf, ks) == product_expectation_by_cells(
+            assert transport_product_expectation(ps, cdf, ks) == product_expectation_by_patterns(
                 ps, cdf, ks
             )
+
+
+def test_product_expectation_over_twelve_levels_takes_one_walk():
+    # one walk over the 2^12 cells, not one filtered walk of them per sign
+    # pattern (4096 patterns), against the sign-pattern sum
+    ps, cdf, ks = build_partition([Q(1, 3)] * 12, 12), JumpCDF(Q(1, 7), Q(1, 5)), list(range(1, 13))
+    start = time.perf_counter()
+    value = transport_product_expectation(ps, cdf, ks)
+    assert time.perf_counter() - start < 3.0
+    assert value == product_expectation_by_patterns(ps, cdf, ks)
+
+
+@pytest.mark.parametrize("ks", [[], [0], [2, 1], [3]])
+def test_product_expectation_rejects_bad_levels(ks):
+    with pytest.raises(ValueError):
+        transport_product_expectation(build_partition([Q(1, 3), Q(1, 2)], 2), JumpCDF.diffuse(), ks)
+
+
+def test_build_partition_rejects_a_negative_depth():
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        build_partition([Q(1, 2)], -1)
+    assert build_partition([Q(1, 2)], 0).depth == 0
 
 
 def test_diffuse_transport_is_identity():
@@ -288,7 +312,7 @@ def test_joint_law_matches_pointwise_sign_functions():
     ps = build_partition(alphas, 3)
     grid = 7 * 5 * 6 * 8  # common denominator multiple: endpoints are hit exactly
     points = [Q(2 * i + 1, 2 * grid) for i in range(grid)]  # cell midpoints
-    for ks in ([1], [2, 3], [1, 2, 3]):
+    for ks in ([1], [2], [2, 3], [1, 3], [1, 2, 3]):
         for eps in itertools.product((-1, 1), repeat=len(ks)):
             hits = sum(
                 1
