@@ -550,9 +550,8 @@ def _mc_pass(law: Law, seed: int, paths: int, bodies: Sequence) -> list:
     of one work array, of the most that a body's block takes (``width``
     floats a row at its ``rows``).  So a body's rows are the same bits as in
     a pass of its own, and the pass holds one window and one work array
-    however many bodies it has."""
-    if paths < 2:
-        raise ValueError("paths must be >= 2 for a standard error")
+    however many bodies it has.  ``paths`` is at least 2 (:func:`_pass_rows`
+    checks it)."""
     # in draws: each body's block, the end of its sample, and where its next
     # block starts and ends (inf once it has taken every path)
     block = [min(b.rows, paths) * b.N for b in bodies]
@@ -633,8 +632,10 @@ def _pass_rows(
 
     The pairs are grouped by N: each distinct N takes one kernel stack at
     the finest depth of its pairs and one :class:`_QVBody` over all its
-    depths.  The whole pass's size is checked before any work
-    (:func:`_check_size`)."""
+    depths.  Fewer than two paths, and the whole pass's size
+    (:func:`_check_size`), are refused before any work."""
+    if paths < 2:
+        raise ValueError("paths must be >= 2 for a standard error")
     groups: dict = {}
     if pairs is not None:
         _finest_depth([d for _, d in pairs])

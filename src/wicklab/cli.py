@@ -28,6 +28,11 @@ QUICK_PATHS = 10_000
 # It guards order4's order tensors, whose term count grows as N^4; bound4's
 # E[J^4] is O(N^3) and would stand a larger cap.
 MAX_EXACT_TRUNCATION = 16
+# Most increments of `chaos bound4 --grid`, each one exact fourth moment
+# over the Fraction pair (k/m, (k + 1)/m).  At --truncation 16: grid 128
+# takes 0.9-1.6 s end to end, 256 1.7-2.6 s and 1024 5.0 s (normal,
+# exponential:1 and poisson:4; 2 cores, Python 3.11).
+_MAX_GRID = 128
 # The laws whose Wick tables `all` checks by all three routes up to W_6.
 WICK_CATALOG = (
     laws.Law.normal(),
@@ -269,7 +274,12 @@ def run_discrete_check(args) -> ExperimentReport:
     if len(args.rv) < 2:
         raise ValueError("discrete check needs at least two --rv")
     weights = _from_json(args.space, "--space", _rationals)
-    sp = discrete.FiniteSpace(tuple(weights))
+    try:
+        sp = discrete.FiniteSpace(tuple(weights))
+    except ValueError as exc:
+        if len(weights) > discrete.MAX_ATOMS:  # the atom cap names the option, as every cap does
+            raise ValueError(f"--space: {exc}") from None
+        raise
     rvs = [discrete.DiscreteRV(tuple(_from_json(r, "--rv", _rationals))) for r in args.rv]
     rep = ExperimentReport(
         "discrete check",
@@ -471,6 +481,8 @@ def run_chaos_qv(args) -> ExperimentReport:
 def run_chaos_bound4(args) -> ExperimentReport:
     law = laws.parse_law(args.law)
     _at_least_one(args, "grid")
+    if args.grid > _MAX_GRID:
+        raise ValueError(f"--grid: the grid has {args.grid} increments, above the cap of {_MAX_GRID}")
     N = _exact_truncation(args)
     rep = ExperimentReport(
         "chaos bound4", {"law": law.label(), "truncation": N, "grid": args.grid}

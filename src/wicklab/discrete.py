@@ -12,12 +12,17 @@ a whole family share one counting pass over the atoms: the joint law keyed
 by each atom's tuple of values, with its marginals, must give every
 combination of values the product of its marginals.  The bilinear test and
 the oracle must agree everywhere, and the test suite holds them against
-each other.  All arithmetic is exact.
+each other.
+
+All arithmetic is exact, and the checks run on integers: a space holds its
+weights as p_i = w_i / den over one common denominator, so each entry of A
+is the integer a_ij den^2 = w_i w_j - [i = j] w_i den, and each probability
+of the counting pass an integer sum of the w_i.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -48,27 +53,39 @@ __all__ = [
 # variables) 2.1-5.7 s, 256 (4 values, 4 variables) 7.7 s and 1024 (2
 # values, 10 variables) 15 s.
 GRAM_SIZE_CAP = 100
-# Most atoms of a maximal system: the atom condition and each of the
-# N(N - 1)/2 pairwise checks make one counting pass over the 2^N atoms.
-# ``discrete maxsystem --N 12``, the largest admitted, takes 1.3-2.0 s end
-# to end, and N = 13 takes 2.7-3.9 s (2 cores, Python 3.11; CHANGES.md, "One
-# counting pass for finite-space independence").
+# Most atoms of a finite space: the atom condition and each of the
+# N(N - 1)/2 pairwise checks of a maximal system make one counting pass over
+# its 2^N atoms, and the bilinear test reads all n^2 entries of A.  At 2^12
+# atoms ``discrete maxsystem --N 12`` takes 0.8-0.9 s end to end and a
+# ``discrete check`` of two variables 1.0-1.1 s; at 2^13 they take 1.6-1.7 s
+# and 3.3-4.7 s (2 cores, Python 3.11).
 MAX_ATOMS = 2**12
+
+
+def _check_atoms(n: int) -> None:
+    if n > MAX_ATOMS:
+        raise ValueError(f"the space has {n} atoms, above the cap of {MAX_ATOMS}")
 
 
 @dataclass(frozen=True)
 class FiniteSpace:
-    """Atoms 1..n with exact positive weights summing to one."""
+    """Atoms 1..n with exact positive weights summing to one, at most
+    ``MAX_ATOMS`` of them.  ``w`` holds the weights as integers over one
+    denominator ``den``, the lcm of theirs: p_i = w_i / den."""
 
     p: tuple
 
     def __post_init__(self):
+        _check_atoms(len(self.p))
         p = tuple(as_fraction(x) for x in self.p)
         if not p or any(not (0 < x < 1) for x in p):
             raise ValueError("atom weights must lie in (0,1)")
         if sum(p) != 1:
             raise ValueError("atom weights must sum to 1 exactly")
+        den = math.lcm(*(x.denominator for x in p))
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "w", tuple(x.numerator * (den // x.denominator) for x in p))
+        object.__setattr__(self, "den", den)
 
     @property
     def n(self) -> int:
@@ -76,6 +93,7 @@ class FiniteSpace:
 
     @staticmethod
     def uniform(n: int) -> "FiniteSpace":
+        _check_atoms(n)  # before the n weights are listed
         return FiniteSpace((Q(1, n),) * n)
 
 
@@ -102,9 +120,8 @@ class DiscreteRV:
         return self.ncd == 1
 
 
-@functools.lru_cache(maxsize=8)
 def a_matrix(sp: FiniteSpace) -> tuple:
-    """The rows of A: a_ii = p_i^2 - p_i, a_ij = p_i p_j (i != j), built once per space."""
+    """The rows of A as Fractions: a_ii = p_i^2 - p_i, a_ij = p_i p_j (i != j)."""
     n, p = sp.n, sp.p
     return tuple(
         tuple(p[i] * p[i] - p[i] if i == j else p[i] * p[j] for j in range(n))
@@ -120,12 +137,14 @@ def _check_space(sp: FiniteSpace, *rvs: DiscreteRV) -> None:
 
 def independent(sp: FiniteSpace, b: DiscreteRV, c: DiscreteRV) -> bool:
     """Bilinear test over indicator functions of value-level sets:
-    (1_B, A 1_C) = sum_{i in B, j in C} a_ij vanishes for every pair."""
+    (1_B, A 1_C) = sum_{i in B, j in C} a_ij vanishes for every pair, each
+    entry read as the integer a_ij den^2."""
     _check_space(sp, b, c)
-    A = a_matrix(sp)
+    w, den = sp.w, sp.den
     cs = list(c.level_sets().values())
     return all(
-        sum(A[i][j] for i in ib for j in ic) == 0 for ib in b.level_sets().values() for ic in cs
+        sum(w[i] * (w[j] - den) if i == j else w[i] * w[j] for i in ib for j in ic) == 0
+        for ib in b.level_sets().values() for ic in cs
     )
 
 
@@ -158,14 +177,8 @@ def necessary_conditions(sp: FiniteSpace, c: DiscreteRV, bs: Sequence[DiscreteRV
         else {"c_level": singleton, "b_index": nonconst},
     }
 
-    bad = None
-    for i, b in enumerate(bs):
-        if b.is_constant():
-            continue
-        sizes = [len(idx) for idx in b.level_sets().values()]
-        if any(s < 2 for s in sizes):
-            bad = i
-            break
+    smallest = [min(map(len, b.level_sets().values())) for b in bs]
+    bad = next((i for i, b in enumerate(bs) if not b.is_constant() and smallest[i] < 2), None)
     report["level_sets_at_least_two"] = {"ok": bad is None, "witness": bad}
 
     # q <= min_{j != k} min(N_j, n - N_j) for each k; with two or more level
@@ -174,10 +187,7 @@ def necessary_conditions(sp: FiniteSpace, c: DiscreteRV, bs: Sequence[DiscreteRV
     bad_q = next((i for i, b in enumerate(bs) if not b.is_constant() and b.ncd > q_bound), None)
     report["distinct_value_bound"] = {"ok": bad_q is None, "bound": q_bound, "witness": bad_q}
 
-    count = c.ncd
-    for b in bs:
-        if not b.is_constant():
-            count *= b.ncd
+    count = c.ncd * math.prod(b.ncd for b in bs if not b.is_constant())
     report["counting_bound"] = {"ok": count <= n, "product": count, "atoms": n}
 
     report["ok"] = all(v["ok"] for k, v in report.items() if isinstance(v, dict))
@@ -204,12 +214,13 @@ def build_max_system(N: int):
 
 def _joint_table(sp: FiniteSpace, bs: Sequence[DiscreteRV]) -> tuple:
     """One pass over the atoms: the family's joint law, keyed by each atom's
-    tuple of values, and the marginal law of each variable."""
+    tuple of values, and the marginal law of each variable, as integer
+    weights over ``sp.den``."""
     _check_space(sp, *bs)
     joint: dict = {}
-    for i, p in enumerate(sp.p):
+    for i, w in enumerate(sp.w):
         key = tuple(b.values[i] for b in bs)
-        joint[key] = joint.get(key, 0) + p
+        joint[key] = joint.get(key, 0) + w
     margins = [{} for _ in bs]
     for key, w in joint.items():
         for m, v in zip(margins, key):
@@ -219,10 +230,13 @@ def _joint_table(sp: FiniteSpace, bs: Sequence[DiscreteRV]) -> tuple:
 
 def atom_condition(sp: FiniteSpace, bs: Sequence[DiscreteRV]) -> bool:
     """Global independence on atoms: every combination of values occurs, each
-    with the product of its marginals as its probability."""
+    with the product of its marginals as its probability.  Over den, for a
+    family of k variables: w_key den^k = den prod(marginals)."""
     joint, margins = _joint_table(sp, bs)
+    den, k = sp.den, len(bs)
     return len(joint) == math.prod(map(len, margins)) and all(
-        w == math.prod(m[v] for m, v in zip(margins, key)) for key, w in joint.items()
+        w * den**k == den * math.prod(m[v] for m, v in zip(margins, key))
+        for key, w in joint.items()
     )
 
 
@@ -240,9 +254,7 @@ def walsh_gram_rank(values: Sequence, probs: Sequence, n_vars: int) -> int:
     if N ** min(n_vars, 64) > GRAM_SIZE_CAP:
         raise ValueError(f"gram size {N}^{n_vars} exceeds cap {GRAM_SIZE_CAP}")
     mom = [sum(p * v**r for p, v in zip(probs, values)) for r in range(2 * N - 1)]
-    exps = [[]]
-    for _ in range(n_vars):
-        exps = [e + [a] for e in exps for a in range(N)]
+    exps = list(itertools.product(range(N), repeat=n_vars))
     gram = [
         [math.prod(mom[ai + bi] for ai, bi in zip(ea, eb)) for eb in exps] for ea in exps
     ]

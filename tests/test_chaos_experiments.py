@@ -1064,3 +1064,25 @@ def test_qv_size_cap_admits_the_deep_points():
 def test_riemann_needs_two_paths(paths):
     with pytest.raises(ValueError, match="paths must be >= 2"):
         riemann_experiment(ONE, ONE, 4, Law.normal(), [1, 2], paths, 0)
+
+
+@pytest.mark.parametrize("paths", [0, 1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda paths: qv_experiment(ONE, ONE, Q(1), 128, Law.normal(), [6], paths, 0),
+        lambda paths: qv_joint_refinement(Law.normal(), [(128, 6)], paths, 0),
+        lambda paths: riemann_experiment(ONE, ONE, 128, Law.normal(), [6], paths, 0),
+    ],
+    ids=["qv", "joint", "riemann"],
+)
+def test_fewer_than_two_paths_are_refused_before_any_kernel(call, paths):
+    # building the (128, [6]) kernels first would take a 9.6 MB traced peak
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="paths must be >= 2 for a standard error"):
+            call(paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16

@@ -5,11 +5,12 @@ and never with a traceback."""
 import argparse
 import contextlib
 import io
+import json
 import os
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from wicklab.cli import MAX_EXACT_TRUNCATION, build_parser, main
+from wicklab.cli import _MAX_GRID, MAX_EXACT_TRUNCATION, build_parser, main
 from wicklab.discrete import MAX_ATOMS
 from wicklab.rademacher import MAX_CELLS
 
@@ -38,7 +39,8 @@ FUNCTIONS = ['["1"]', '["0", "1"]', '["1/2", "-3", "1"]',
              '[]', '{}', '[null]', '[0.1]', '[true]', '3', '"1"', '{"pieces": 3}', 'not json',
              '["1/0"]', '[1e400]']
 SPACES = ['["1/2", "1/2"]', '["1/2", "1/4", "1/4"]', '["1/3", "1/3", "1/3"]', '["1", "1"]',
-          '["-1/2", "3/2"]', '[]', '[0]', '["1/0"]', '[null]', '3', '{}', 'x']
+          '["-1/2", "3/2"]', '[]', '[0]', '["1/0"]', '[null]', '3', '{}', 'x',
+          json.dumps([f"1/{MAX_ATOMS + 1}"] * (MAX_ATOMS + 1))]
 VALUES = ['["1", "-1"]', '["1", "-1", "0"]', '["0", "0", "1"]', '[1, 2]', '[]', '[null]',
           '{}', 'x', '["1/0", "1"]']
 
@@ -54,7 +56,7 @@ OPTIONS = {
     ),
     "count": _ints(1, 5, 0, -1),
     "draws": _ints(1, 5, 0, -1),
-    "grid": _ints(1, 4, 0, -1),
+    "grid": _ints(1, 4, 0, -1, _MAX_GRID + 1),
     "h1": st.sampled_from(FUNCTIONS),
     "h2": st.sampled_from(FUNCTIONS),
     "csv": st.sampled_from([os.devnull, UNOPENABLE]),

@@ -12,6 +12,10 @@ from wicklab import laws
 from wicklab.cli import main, parse_piecewise
 from wicklab.report import Check, ExperimentReport
 
+# one atom past the cap of 2^12: every weight 1/4097, and two constant variables
+ABOVE_ATOM_CAP = ["discrete", "check", "--space", json.dumps(["1/4097"] * 4097),
+                  "--rv", "[1]", "--rv", "[1]"]
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -438,6 +442,9 @@ def test_chaos_qv_above_the_size_cap_names_the_options(capsys, size):
         (["discrete", "maxsystem", "--N", "100000"], "--N"),
         (["rademacher", "verify", "--scheme", "jump_after", "--depth", "15"], "--depth"),
         (["rademacher", "verify", "--alphas", "1/2", "--depth", "1000000000"], "--depth"),
+        (ABOVE_ATOM_CAP, "--space"),
+        (["chaos", "bound4", "--law", "normal", "--grid", "129"], "--grid"),
+        (["chaos", "bound4", "--law", "normal", "--grid", "100000000"], "--grid"),
     ],
 )
 def test_exponential_size_above_the_cap_names_the_option(capsys, argv, option):
@@ -456,7 +463,9 @@ def test_readme_quotes_the_cap_messages(capsys):
     printed = []
     for argv in (
         ["chaos", "qv", "--law", "normal", "--truncation", "1024", "--depths", "9", "--paths", "100000"],
+        ["chaos", "bound4", "--law", "normal", "--grid", "129"],
         ["discrete", "maxsystem", "--N", "13"],
+        ABOVE_ATOM_CAP,
         ["rademacher", "verify", "--scheme", "jump_after", "--depth", "15"],
     ):
         assert main(argv) == 2

@@ -1,6 +1,7 @@
 """Finite-space independence: bilinear criterion vs the classical oracle."""
 
 import random
+import time
 import tracemalloc
 from fractions import Fraction as Q
 
@@ -130,6 +131,39 @@ def test_max_system_above_the_atom_cap_returns_at_once(N):
     finally:
         tracemalloc.stop()
     assert peak < 2**16
+
+
+def test_space_above_the_atom_cap_is_refused_before_any_weight():
+    # no weight is read: these would fail as_fraction, and sum to nothing
+    with pytest.raises(ValueError, match=f"has {MAX_ATOMS + 1} atoms, above the cap of {MAX_ATOMS}"):
+        FiniteSpace(("x",) * (MAX_ATOMS + 1))
+    # nor listed: 2^20 references alone take 8 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"has {2**20} atoms, above the cap"):
+            FiniteSpace.uniform(2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    assert FiniteSpace.uniform(MAX_ATOMS).n == MAX_ATOMS
+
+
+def test_bilinear_test_on_1024_atoms_builds_no_matrix():
+    # 1024^2 integer entries a_ij den^2, each added as it is read: no n x n
+    # matrix is held
+    sp, bs = build_max_system(10)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert independent(sp, bs[0], bs[9])
+        assert not independent(sp, bs[0], DiscreteRV(bs[0].values[:-1] + (Q(0),)))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 2**20
 
 
 def test_max_system_atom_cap_admits_n_12():

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wicklab.chaos.basis import SymmetricKernel2
 from wicklab.chaos.identities import fourth_moment_lhs
@@ -13,6 +13,7 @@ from wicklab.chaos.tensors import GammaTables, SymTensor
 from wicklab.discrete import (
     DiscreteRV,
     FiniteSpace,
+    a_matrix,
     atom_condition,
     build_max_system,
     independent,
@@ -154,6 +155,78 @@ def test_counting_matches_intersection_on_max_systems(N):
     b = DiscreteRV(tuple(x * y for x, y in zip(bs[0].values, bs[-1].values)))
     _assert_counting_matches_intersection(sp, bs + [b])
     assert atom_condition(sp, bs + [b]) == (N == 1)
+
+
+@st.composite
+def mixed_weights(draw, max_atoms=4):
+    """Weights summing to one over unlike denominators: one atom split
+    repeatedly, each time in the ratio a : b - a for b in 2, 3, 5, 6."""
+    weights = [Q(1)]
+    for _ in range(draw(st.integers(1, max_atoms - 1))):
+        i = draw(st.integers(0, len(weights) - 1))
+        b = draw(st.sampled_from([2, 3, 5, 6]))
+        part = weights[i] * Q(draw(st.integers(1, b - 1)), b)
+        weights[i : i + 1] = [part, weights[i] - part]
+    return weights
+
+
+@st.composite
+def mixed_families(draw):
+    """A space with weights over unlike denominators and up to 3 variables
+    of few values; or the product of two such spaces with its two
+    coordinates, independent by construction, and up to one more."""
+    if draw(st.booleans()):
+        u, v = draw(mixed_weights(3)), draw(mixed_weights(3))
+        sp = FiniteSpace(tuple(x * y for x in u for y in v))
+        bs = [DiscreteRV(tuple(i for i in range(len(u)) for _ in v)),
+              DiscreteRV(tuple(j for _ in u for j in range(len(v))))]
+    else:
+        sp, bs = FiniteSpace(tuple(draw(mixed_weights(6)))), []
+    values = st.lists(st.integers(-1, 1), min_size=sp.n, max_size=sp.n)
+    return sp, bs + [DiscreteRV(tuple(v)) for v in draw(st.lists(values, max_size=3 - len(bs)))]
+
+
+@given(mixed_families())
+@example(
+    (FiniteSpace((Q(1, 2), Q(1, 3), Q(1, 6))), [DiscreteRV((1, 1, -1)), DiscreteRV((0, 1, 1))])
+)
+@settings(max_examples=150, deadline=None)
+def test_integer_form_over_unlike_denominators(family):
+    # den is the lcm of the denominators, and every check on the integer
+    # weights equals its literal reference on the Fractions
+    sp, bs = family
+    assert sp.den == math.lcm(*(p.denominator for p in sp.p))
+    assert all(isinstance(w, int) and Q(w, sp.den) == p for w, p in zip(sp.w, sp.p))
+    assert atom_condition(sp, bs) == atom_condition_by_intersection(sp, bs)
+    for b, c in itertools.combinations(bs, 2):
+        literal = independent_by_intersection(sp, b, c)
+        assert independent(sp, b, c) == independent_oracle(sp, b, c) == literal
+
+
+def test_product_space_over_unlike_denominators():
+    # the product coordinates are independent over unlike denominators
+    u, v = [Q(1, 2), Q(1, 3), Q(1, 6)], [Q(2, 5), Q(3, 5)]
+    sp = FiniteSpace(tuple(x * y for x in u for y in v))
+    b = DiscreteRV(tuple(i for i in range(3) for _ in v))
+    c = DiscreteRV(tuple(j for _ in u for j in range(2)))
+    assert sp.den == 30 and independent(sp, b, c) and atom_condition(sp, [b, c])
+    tilted = DiscreteRV(c.values[:-2] + c.values[-1:-3:-1])
+    assert not independent(sp, b, tilted) and not atom_condition(sp, [b, tilted])
+
+
+@given(mixed_families())
+@settings(max_examples=100, deadline=None)
+def test_bilinear_test_is_the_sum_over_a_matrix_rows(family):
+    # the integer entries a_ij den^2 against the Fraction rows of A
+    sp, bs = family
+    A = a_matrix(sp)
+    for b, c in itertools.combinations(bs, 2):
+        literal = all(
+            sum(A[i][j] for i in ib for j in ic) == 0
+            for ib in b.level_sets().values()
+            for ic in c.level_sets().values()
+        )
+        assert independent(sp, b, c) == literal
 
 
 @given(st.integers(0, 6))
